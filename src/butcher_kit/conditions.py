@@ -8,12 +8,19 @@ with Phi(single node) = all ones, and the scalar elementary weight is
 sum_i b[i] * Phi_i(t).  A method has order p exactly when every tree of
 order <= p satisfies  weight(t) == 1/tree_factorial(t).
 
+ElementaryWeights is the package's one implementation of this recursion,
+for any scalar ring.  Its inputs are, per stage, the (j, a[i,j]) pairs
+whose entry is not zero and the factor a single-node child contributes
+(sum_j a[i,j], or c[i]), and b; one memo serves every tree it is asked
+about.  The conditions here run it over CoeffPolynomial variables, verify
+and the oracle over a tableau's Fraction entries.
+
 GenerationFlags tune the emitted shape:
   * substitute_c: a child that is the single node contributes the factor
     c[i] instead of sum_j a[i,j] (the row-sum convention, presentation
     form used in printed condition tables);
-  * explicit: terms a[i,j] with i <= j are dropped at emission and c[1]
-    becomes 0 (strictly lower triangular tableau).
+  * explicit: the rows hold only a[i,j] with j < i, and c[1] becomes 0
+    (strictly lower triangular tableau).
 
 Both forms describe the same conditions: binding c[i] to its row sum turns
 the substitute_c polynomial into the raw one.
@@ -23,12 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import groupby
+from operator import mul
 
 from .algebra import CoeffPolynomial, a_var, b_var, c_var, format_rational, poly_sum
-from .trees import RootedTree, enumerate_by_leaf, format_tree, single_node, tree_factorial
+from .trees import RootedTree, enumerate_by_leaf, single_node, tree_factorial
 
 __all__ = [
+    "ElementaryWeights",
     "GenerationFlags",
     "OrderCondition",
     "elementary_weight_vector",
@@ -79,56 +89,68 @@ class OrderCondition:
         return self.render()
 
 
+class ElementaryWeights:
+    """Phi(t) and b . Phi(t) from rows, leaf and b; rows hold 0-based j."""
+
+    def __init__(self, rows, leaf, b) -> None:
+        self._rows, self._leaf, self._b = rows, leaf, b
+        # The ring's zero and one, in the entries' own type.
+        self._zero = leaf[0] * 0
+        self._memo = {single_node(): (self._zero + 1,) * len(b)}
+
+    def vector(self, tree: RootedTree) -> tuple:
+        """(Phi_1(t), ..., Phi_s(t))."""
+        cached = self._memo.get(tree)
+        if cached is None:
+            columns = []
+            for kid, run in groupby(tree.children):
+                columns += [self._times_a(kid)] * len(tuple(run))
+            cached = tuple(reduce(mul, stage) for stage in zip(*columns))
+            self._memo[tree] = cached
+        return cached
+
+    def _times_a(self, kid: RootedTree) -> tuple:
+        # Stage i's factor for one child: sum_j a[i,j] * Phi_j(kid).
+        if not kid.children:
+            return self._leaf
+        phi = self.vector(kid)
+        return tuple(sum((a * phi[j] for j, a in row), self._zero) for row in self._rows)
+
+    def weight(self, tree: RootedTree):
+        """sum_i b[i] * Phi_i(t)."""
+        return sum((b * phi for b, phi in zip(self._b, self.vector(tree))), self._zero)
+
+
+def _symbolic_weights(stages: int, flags: GenerationFlags) -> ElementaryWeights:
+    if stages < 1:
+        raise ValueError("stages must be >= 1")
+    var = CoeffPolynomial.variable
+    indices = range(1, stages + 1)
+    rows = [
+        [(j - 1, var(a_var(i, j))) for j in (range(1, i) if flags.explicit else indices)]
+        for i in indices
+    ]
+    if flags.substitute_c:
+        leaf = [var(c_var(i)) for i in indices]
+        if flags.explicit:
+            leaf[0] = CoeffPolynomial.zero()
+    else:
+        leaf = [poly_sum(a for _, a in row) for row in rows]
+    return ElementaryWeights(rows, leaf, [var(b_var(i)) for i in indices])
+
+
 def elementary_weight_vector(
     tree: RootedTree, stages: int, flags: GenerationFlags = _DEFAULT_FLAGS
 ) -> tuple[CoeffPolynomial, ...]:
     """Per-stage weight polynomials (Phi_1(t), ..., Phi_s(t))."""
-    if stages < 1:
-        raise ValueError("stages must be >= 1")
-    return _weight_vector(tree, stages, flags, {})
-
-
-def _weight_vector(
-    tree: RootedTree,
-    stages: int,
-    flags: GenerationFlags,
-    memo: dict[RootedTree, tuple[CoeffPolynomial, ...]],
-) -> tuple[CoeffPolynomial, ...]:
-    cached = memo.get(tree)
-    if cached is not None:
-        return cached
-    leaf = single_node()
-    components = []
-    for i in range(1, stages + 1):
-        component = CoeffPolynomial.constant(1)
-        for kid in tree.children:
-            if flags.substitute_c and kid == leaf:
-                if flags.explicit and i == 1:
-                    factor = CoeffPolynomial.zero()
-                else:
-                    factor = CoeffPolynomial.variable(c_var(i))
-            else:
-                kid_vector = _weight_vector(kid, stages, flags, memo)
-                last_j = i - 1 if flags.explicit else stages
-                factor = poly_sum(
-                    CoeffPolynomial.variable(a_var(i, j)) * kid_vector[j - 1]
-                    for j in range(1, last_j + 1)
-                )
-            component = component * factor
-        components.append(component)
-    result = tuple(components)
-    memo[tree] = result
-    return result
+    return _symbolic_weights(stages, flags).vector(tree)
 
 
 def elementary_weight(
     tree: RootedTree, stages: int, flags: GenerationFlags = _DEFAULT_FLAGS
 ) -> CoeffPolynomial:
     """sum_i b[i] * Phi_i(t), fully expanded."""
-    vector = elementary_weight_vector(tree, stages, flags)
-    return poly_sum(
-        CoeffPolynomial.variable(b_var(i)) * vector[i - 1] for i in range(1, stages + 1)
-    )
+    return _symbolic_weights(stages, flags).weight(tree)
 
 
 def order_condition(
@@ -150,15 +172,12 @@ def all_order_conditions(
     keeping the first tree that produced the equation.  Unsatisfiable
     conditions (lhs 0, rhs nonzero) are kept.
     """
-    seen: set[tuple[CoeffPolynomial, Fraction]] = set()
-    out: list[OrderCondition] = []
+    weights = _symbolic_weights(stages, flags)
+    first: dict[tuple[CoeffPolynomial, Fraction], OrderCondition] = {}
     for tree in enumerate_by_leaf(max_order):
-        condition = order_condition(tree, stages, flags)
-        key = (condition.lhs, condition.rhs)
-        if key not in seen:
-            seen.add(key)
-            out.append(condition)
-    return tuple(out)
+        lhs, rhs = weights.weight(tree), Fraction(1, tree_factorial(tree))
+        first.setdefault((lhs, rhs), OrderCondition(tree, lhs, rhs))
+    return tuple(first.values())
 
 
 # Index names by depth for the symbolic-s rendering; depth is capped by the

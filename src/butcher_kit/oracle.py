@@ -9,7 +9,10 @@ where F(t) is the elementary differential of the tree t (F of the single
 node is f; F([t1..tm]) applies the m-th derivative of f to the child
 differentials).  A Runge-Kutta step with tableau (A, b) expands the same
 way with alpha(t) * weight(t) in place of alpha(t)/t!, where weight(t) is
-the tableau's elementary weight.
+the tableau's elementary weight b . Phi(t) as defined in conditions; stage
+i's slope takes alpha(t) * Phi_i(t) on tau^(q-1).  rk_series_trees and
+stage_series_trees build one ElementaryWeights per call, so each
+subtree's Phi is computed once.
 
 Each series is also computed a second, structurally unrelated way: the
 exact flow by Picard iteration (repeated integration), the discrete step
@@ -22,15 +25,14 @@ All arithmetic is exact; series are truncated at a caller-chosen degree.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import format_rational, parse_rational
 from .trees import RootedTree, alpha, enumerate_by_leaf, tree_factorial
-from .verify import ButcherTableau, weight_value, weight_vector_values
+from .verify import ButcherTableau, check_list, read_document, size_field
 
 __all__ = [
     "FieldError",
@@ -310,51 +312,19 @@ class PolyVectorField:
 _FIELD_FIELDS = {"dim", "components"}
 
 
-def _reject_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise FieldError(f"duplicate field: {key!r}")
-        seen.add(key)
-    return dict(pairs)
-
-
 def load_field(source: str | Mapping) -> PolyVectorField:
     """Build a vector field from a JSON document or an already-parsed mapping.
 
     Schema: {"dim": int, "components": [str, ...]} with one component text
     per dimension, e.g. {"dim": 2, "components": ["x2", "-x1"]}.
     """
-    if isinstance(source, str):
-        try:
-            document = json.loads(source, object_pairs_hook=_reject_duplicate_keys)
-        except FieldError:
-            raise
-        except json.JSONDecodeError as err:
-            raise FieldError(f"invalid JSON: {err}") from None
-    else:
-        document = source
-    if not isinstance(document, Mapping):
-        raise FieldError("field document must be a JSON object")
+    document = read_document(
+        source, FieldError, "field", _FIELD_FIELDS, ("dim", "components")
+    )
 
-    unknown = set(document) - _FIELD_FIELDS
-    if unknown:
-        raise FieldError(f"unknown fields: {', '.join(sorted(unknown))}")
-    for required in ("dim", "components"):
-        if required not in document:
-            raise FieldError(f"missing field: {required!r}")
-
-    dim = document["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise FieldError("'dim' must be an integer")
-    if dim < 1:
-        raise FieldError("'dim' must be >= 1")
-
+    dim = size_field(document, "dim", FieldError)
     texts = document["components"]
-    if not isinstance(texts, Sequence) or isinstance(texts, (str, bytes)):
-        raise FieldError("'components' must be a list of strings")
-    if len(texts) != dim:
-        raise FieldError(f"'components' has {len(texts)} entries, expected {dim}")
+    check_list(texts, "'components'", dim, FieldError, "a list of strings")
     components = []
     for i, text in enumerate(texts):
         if not isinstance(text, str):
@@ -538,10 +508,10 @@ def _check_point(field: PolyVectorField, point: Sequence[Fraction]) -> tuple[Fra
     return tuple(Fraction(x) for x in point)
 
 
-def flow_series_trees(
-    field: PolyVectorField, point: Sequence[Fraction], degree: int
+def _tree_series(
+    field: PolyVectorField, point: Sequence[Fraction], degree: int, factor: Callable
 ) -> TauSeries:
-    """Exact-flow expansion assembled tree by tree."""
+    """x0 + sum over trees t of order <= degree of factor(t) * F(t)(x0)."""
     _check_degree(degree)
     x0 = _check_point(field, point)
     coeffs = [x0]
@@ -551,12 +521,23 @@ def flow_series_trees(
         for q in range(1, degree + 1):
             accumulated = [Fraction(0)] * field.dim
             for tree in forest.trees_of_order(q):
-                factor = alpha(tree) / tree_factorial(tree)
+                weight = factor(tree)
+                if not weight:
+                    continue
                 differential = elementary_differential(field, tree, x0, memo)
                 for c in range(field.dim):
-                    accumulated[c] += factor * differential[c]
+                    accumulated[c] += weight * differential[c]
             coeffs.append(tuple(accumulated))
     return TauSeries(tuple(coeffs))
+
+
+def flow_series_trees(
+    field: PolyVectorField, point: Sequence[Fraction], degree: int
+) -> TauSeries:
+    """Exact-flow expansion assembled tree by tree."""
+    return _tree_series(
+        field, point, degree, lambda tree: alpha(tree) / tree_factorial(tree)
+    )
 
 
 def flow_series_picard(
@@ -593,23 +574,10 @@ def rk_series_trees(
     degree: int,
 ) -> TauSeries:
     """One-step expansion assembled from elementary weights, tree by tree."""
-    _check_degree(degree)
-    x0 = _check_point(field, point)
-    coeffs = [x0]
-    if degree >= 1:
-        forest = enumerate_by_leaf(degree)
-        memo: dict[RootedTree, tuple[Fraction, ...]] = {}
-        for q in range(1, degree + 1):
-            accumulated = [Fraction(0)] * field.dim
-            for tree in forest.trees_of_order(q):
-                factor = alpha(tree) * weight_value(tableau, tree)
-                if not factor:
-                    continue
-                differential = elementary_differential(field, tree, x0, memo)
-                for c in range(field.dim):
-                    accumulated[c] += factor * differential[c]
-            coeffs.append(tuple(accumulated))
-    return TauSeries(tuple(coeffs))
+    weights = tableau.elementary_weights()
+    return _tree_series(
+        field, point, degree, lambda tree: alpha(tree) * weights.weight(tree)
+    )
 
 
 def _direct_stages(
@@ -728,11 +696,12 @@ def stage_series_trees(
         [[Fraction(0)] * field.dim for _ in range(stage_degree + 1)] for _ in range(s)
     ]
     forest = enumerate_by_leaf(stage_degree + 1)
+    weights = tableau.elementary_weights()
     memo: dict[RootedTree, tuple[Fraction, ...]] = {}
     for q in range(1, stage_degree + 2):
         for tree in forest.trees_of_order(q):
             tree_alpha = alpha(tree)
-            vector = weight_vector_values(tableau, tree)
+            vector = weights.vector(tree)
             differential = None
             for i in range(s):
                 factor = tree_alpha * vector[i]

@@ -260,12 +260,18 @@ class TreeSyntaxError(ValueError):
         self.position = position
 
 
+# Deepest nesting parse_tree accepts.  The tree functions recurse once per
+# level, so a deeper tree would exhaust the interpreter's recursion limit.
+MAX_PARSE_DEPTH = 200
+
+
 def parse_tree(text: str) -> RootedTree:
     """Parse bracket notation into a canonical tree.
 
     Grammar: tree := "[" [ tree ("," tree)* ] "]", with "⊙" accepted as a
     synonym for "[]".  Whitespace between tokens is ignored.  Unbalanced
-    brackets and stray characters raise TreeSyntaxError with a position.
+    brackets, stray characters and nesting deeper than MAX_PARSE_DEPTH
+    raise TreeSyntaxError with a position.
     """
     pos = 0
     end = len(text)
@@ -275,11 +281,13 @@ def parse_tree(text: str) -> RootedTree:
         while pos < end and text[pos].isspace():
             pos += 1
 
-    def parse_node() -> RootedTree:
+    def parse_node(depth: int) -> RootedTree:
         nonlocal pos
         skip_ws()
         if pos >= end:
             raise TreeSyntaxError("expected a tree, found end of input", pos)
+        if depth > MAX_PARSE_DEPTH:
+            raise TreeSyntaxError(f"tree nested deeper than {MAX_PARSE_DEPTH} levels", pos)
         if text[pos] == _LEAF_GLYPH:
             pos += 1
             return single_node()
@@ -290,21 +298,21 @@ def parse_tree(text: str) -> RootedTree:
         if pos < end and text[pos] == "]":
             pos += 1
             return single_node()
-        children = [parse_node()]
+        children = [parse_node(depth + 1)]
         while True:
             skip_ws()
             if pos >= end:
                 raise TreeSyntaxError("unbalanced brackets: missing ']'", pos)
             if text[pos] == ",":
                 pos += 1
-                children.append(parse_node())
+                children.append(parse_node(depth + 1))
             elif text[pos] == "]":
                 pos += 1
                 return from_children(children)
             else:
                 raise TreeSyntaxError(f"expected ',' or ']', found {text[pos]!r}", pos)
 
-    tree = parse_node()
+    tree = parse_node(1)
     skip_ws()
     if pos != end:
         raise TreeSyntaxError(f"stray characters after tree: {text[pos:]!r}", pos)

@@ -1,25 +1,28 @@
 """Butcher tableaus and exact verification of their order.
 
 A tableau (A, b, c) is checked order by order: for every tree t of order q
-the exact weight  sum_i b_i prod_k (A . weight_vec(child_k))_i  must equal
-1/tree_factorial(t).  Evaluation binds the raw a-form weights directly to
-the tableau entries, so the node vector c plays no role in the residuals;
-tableaus whose c differs from the row sums of A are verified all the same
-and only flagged via row_sum_consistent.
+the exact elementary weight b . Phi(t) must equal 1/tree_factorial(t).
+Phi is the recursion defined in conditions and computed by its
+ElementaryWeights, here over the tableau's nonzero A entries with a
+single-node child contributing the row sum of A.  So the node vector c
+plays no role in the residuals; tableaus whose c differs from the row sums
+of A are verified all the same and only flagged via row_sum_consistent.
 
 Exact mode compares Fractions; float mode compares |residual| against a
 tolerance after conversion, for tableaus whose entries only approximate a
-method.
+method.  A residual too large for a float compares as infinite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .algebra import format_rational, parse_rational
+from .conditions import ElementaryWeights
 from .trees import RootedTree, enumerate_by_leaf, format_tree, tree_factorial
 
 __all__ = [
@@ -113,6 +116,11 @@ class ButcherTableau:
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, Fraction(0)) for row in self.a)
 
+    def elementary_weights(self) -> ElementaryWeights:
+        """Phi and b . Phi over this tableau's entries, one memo throughout."""
+        rows = [[(j, entry) for j, entry in enumerate(row) if entry] for row in self.a]
+        return ElementaryWeights(rows, self.row_sums(), self.b)
+
     @property
     def row_sum_consistent(self) -> bool:
         return self.c == self.row_sums()
@@ -130,13 +138,61 @@ class ButcherTableau:
 _TABLEAU_FIELDS = {"name", "stages", "A", "b", "c"}
 
 
-def _reject_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise TableauError(f"duplicate field: {key!r}")
-        seen.add(key)
-    return dict(pairs)
+def read_document(
+    source: str | Mapping, error: type[ValueError], kind: str, fields: set, required: tuple
+) -> Mapping:
+    """The JSON object (text or mapping) behind a kind of document.
+
+    Invalid JSON, duplicate keys, a non-object document, keys outside fields
+    and missing required keys each raise error.  load_tableau and
+    oracle.load_field both read through here.
+    """
+
+    def reject_duplicate_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise error(f"duplicate field: {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
+    if isinstance(source, str):
+        try:
+            document = json.loads(source, object_pairs_hook=reject_duplicate_keys)
+        except error:
+            raise
+        except json.JSONDecodeError as err:
+            raise error(f"invalid JSON: {err}") from None
+    else:
+        document = source
+    if not isinstance(document, Mapping):
+        raise error(f"{kind} document must be a JSON object")
+
+    unknown = set(document) - fields
+    if unknown:
+        raise error(f"unknown fields: {', '.join(sorted(unknown))}")
+    for name in required:
+        if name not in document:
+            raise error(f"missing field: {name!r}")
+    return document
+
+
+def size_field(document: Mapping, key: str, error: type[ValueError]) -> int:
+    """document[key] as a count: an integer >= 1, or error."""
+    value = document[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"'{key}' must be an integer")
+    if value < 1:
+        raise error(f"'{key}' must be >= 1")
+    return value
+
+
+def check_list(value, name, size, error, shape="a list", unit="entries") -> None:
+    """Raise error unless value is a list of size items."""
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise error(f"{name} must be {shape}")
+    if len(value) != size:
+        raise error(f"{name} has {len(value)} {unit}, expected {size}")
 
 
 def load_tableau(source: str | Mapping) -> ButcherTableau:
@@ -147,95 +203,33 @@ def load_tableau(source: str | Mapping) -> ButcherTableau:
     integers).  Dimension mismatches, malformed rationals, duplicate and
     unknown fields each get their own diagnostic.
     """
-    if isinstance(source, str):
-        try:
-            document = json.loads(source, object_pairs_hook=_reject_duplicate_keys)
-        except TableauError:
-            raise
-        except json.JSONDecodeError as err:
-            raise TableauError(f"invalid JSON: {err}") from None
-    else:
-        document = source
-    if not isinstance(document, Mapping):
-        raise TableauError("tableau document must be a JSON object")
+    document = read_document(
+        source, TableauError, "tableau", _TABLEAU_FIELDS, ("stages", "A", "b")
+    )
 
-    unknown = set(document) - _TABLEAU_FIELDS
-    if unknown:
-        raise TableauError(f"unknown fields: {', '.join(sorted(unknown))}")
-    for required in ("stages", "A", "b"):
-        if required not in document:
-            raise TableauError(f"missing field: {required!r}")
-
-    stages = document["stages"]
-    if isinstance(stages, bool) or not isinstance(stages, int):
-        raise TableauError("'stages' must be an integer")
-    if stages < 1:
-        raise TableauError("'stages' must be >= 1")
-
+    stages = size_field(document, "stages", TableauError)
     name = document.get("name", "")
     if not isinstance(name, str):
         raise TableauError("'name' must be a string")
 
-    matrix = document["A"]
-    if not isinstance(matrix, Sequence) or isinstance(matrix, (str, bytes)):
-        raise TableauError("'A' must be a list of rows")
-    if len(matrix) != stages:
-        raise TableauError(f"'A' has {len(matrix)} rows, expected {stages}")
+    matrix, weights, nodes = document["A"], document["b"], document.get("c")
+    check_list(matrix, "'A'", stages, TableauError, "a list of rows", "rows")
     for i, row in enumerate(matrix):
-        if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
-            raise TableauError(f"A[{i + 1}] must be a list")
-        if len(row) != stages:
-            raise TableauError(f"A[{i + 1}] has {len(row)} entries, expected {stages}")
-
-    weights = document["b"]
-    if not isinstance(weights, Sequence) or isinstance(weights, (str, bytes)):
-        raise TableauError("'b' must be a list")
-    if len(weights) != stages:
-        raise TableauError(f"'b' has {len(weights)} entries, expected {stages}")
-
-    nodes = document.get("c")
+        check_list(row, f"A[{i + 1}]", stages, TableauError)
+    check_list(weights, "'b'", stages, TableauError)
     if nodes is not None:
-        if not isinstance(nodes, Sequence) or isinstance(nodes, (str, bytes)):
-            raise TableauError("'c' must be a list")
-        if len(nodes) != stages:
-            raise TableauError(f"'c' has {len(nodes)} entries, expected {stages}")
-
+        check_list(nodes, "'c'", stages, TableauError)
     return ButcherTableau.from_rows(name, matrix, weights, nodes)
 
 
 def weight_vector_values(tableau: ButcherTableau, tree: RootedTree) -> tuple[Fraction, ...]:
     """The per-stage weight vector of the tree, evaluated on the tableau."""
-    return _vector_values(tableau, tree, {})
-
-
-def _vector_values(
-    tableau: ButcherTableau,
-    tree: RootedTree,
-    memo: dict[RootedTree, tuple[Fraction, ...]],
-) -> tuple[Fraction, ...]:
-    cached = memo.get(tree)
-    if cached is not None:
-        return cached
-    s = tableau.stages
-    kid_vectors = [_vector_values(tableau, kid, memo) for kid in tree.children]
-    components = []
-    for i in range(s):
-        row = tableau.a[i]
-        value = Fraction(1)
-        for kid_vector in kid_vectors:
-            value *= sum((row[j] * kid_vector[j] for j in range(s)), Fraction(0))
-        components.append(value)
-    result = tuple(components)
-    memo[tree] = result
-    return result
+    return tableau.elementary_weights().vector(tree)
 
 
 def weight_value(tableau: ButcherTableau, tree: RootedTree) -> Fraction:
     """sum_i b_i * weight_vector_values(t)_i, exactly."""
-    vector = weight_vector_values(tableau, tree)
-    return sum(
-        (tableau.b[i] * vector[i] for i in range(tableau.stages)), Fraction(0)
-    )
+    return tableau.elementary_weights().weight(tree)
 
 
 def residual(tableau: ButcherTableau, tree: RootedTree) -> Fraction:
@@ -344,19 +338,19 @@ def verify_order(
     def passes(value: Fraction) -> bool:
         if mode == "exact":
             return value == 0
-        return abs(float(value)) <= tol
+        try:
+            return abs(float(value)) <= tol
+        except OverflowError:  # beyond float range: infinite
+            return math.inf <= tol
 
     forest = enumerate_by_leaf(max_order)
-    memo: dict[RootedTree, tuple[Fraction, ...]] = {}
+    weights = tableau.elementary_weights()
     entries: list[ResidualEntry] = []
     achieved = max_order
     for q in range(1, max_order + 1):
         failed = False
         for tree in forest.trees_of_order(q):
-            vector = _vector_values(tableau, tree, memo)
-            weight = sum(
-                (tableau.b[i] * vector[i] for i in range(tableau.stages)), Fraction(0)
-            )
+            weight = weights.weight(tree)
             rhs = Fraction(1, tree_factorial(tree))
             difference = weight - rhs
             ok = passes(difference)

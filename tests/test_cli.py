@@ -221,6 +221,17 @@ class TestVerify:
         assert float_code == 0
         assert "tolerance 1e-12" in out
 
+    def test_float_mode_overflowing_residual_fails_the_order(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"stages": 1, "A": [["0"]], "b": ["1" + "0" * 400]}))
+        code, out, err = run(
+            capsys, "verify", str(path), "--max-order", "1", "--mode", "float"
+        )
+        assert code == 1
+        assert "achieved order: 0" in out
+        assert "FAIL" in out
+        assert err == ""
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "verify", "no-such.json", "--max-order", "2")
         assert code == 2

@@ -20,6 +20,7 @@ from itertools import permutations
 import pytest
 
 from butcher_kit.trees import (
+    MAX_PARSE_DEPTH,
     RootedTree,
     TreeSyntaxError,
     alpha,
@@ -218,6 +219,15 @@ class TestParseFormat:
 
     def test_non_canonical_input_is_canonicalized(self):
         assert format_tree(parse_tree("[[[]],[]]")) == "[[],[[]]]"
+
+    def test_nesting_up_to_the_depth_limit_round_trips(self):
+        text = "[" * MAX_PARSE_DEPTH + "]" * MAX_PARSE_DEPTH
+        assert format_tree(parse_tree(text)) == text
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(TreeSyntaxError) as err:
+            parse_tree("[" * 3000 + "]" * 3000)
+        assert err.value.position == MAX_PARSE_DEPTH
 
     @pytest.mark.parametrize(
         "text,position",

@@ -5,7 +5,8 @@ Core claims:
     exactly order 4 with residual 1/120 on the order-5 bushy tree;
   * every member of the 6-stage two-parameter family has order exactly 5;
   * direct exact evaluation of weights agrees with the polynomial route
-    (generate raw condition, bind A and b, evaluate);
+    (generate raw or c-substituted condition, bind A, b and the row sums,
+    evaluate), on fixed and on random explicit and implicit tableaus;
   * c never enters the residuals; inconsistent c is only flagged;
   * the loader gives distinct diagnostics for dimension mismatches,
     malformed rationals, duplicate and unknown fields.
@@ -13,15 +14,18 @@ Core claims:
 
 import dataclasses
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import BUTCHER6_SAMPLES, butcher6, explicit_euler, implicit_midpoint, rk4
 
-from butcher_kit.algebra import a_var, b_var
+from butcher_kit.algebra import a_var, b_var, c_var
 from butcher_kit.conditions import GenerationFlags, elementary_weight
 from butcher_kit.trees import enumerate_by_leaf, from_children, parse_tree, single_node
 from butcher_kit.verify import (
@@ -39,6 +43,20 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _bushy(q):
     return from_children([single_node()] * (q - 1))
+
+
+@st.composite
+def _random_tableaus(draw):
+    """Rational tableaus of 1-3 stages, explicit or implicit."""
+    stages = draw(st.integers(1, 3))
+    explicit = draw(st.booleans())
+    entries = st.fractions(-2, 2, max_denominator=5)
+    a = [
+        [draw(entries) if j < i or not explicit else 0 for j in range(stages)]
+        for i in range(stages)
+    ]
+    b = [draw(entries) for _ in range(stages)]
+    return ButcherTableau.from_rows("random", a, b)
 
 
 def _chain(q):
@@ -139,24 +157,35 @@ class TestResiduals:
         for tableau in (explicit_euler(), rk4(), butcher6(Fraction(2, 5), Fraction(1, 3))):
             assert weight_value(tableau, _chain(tableau.stages + 1)) == 0
 
-    def test_direct_evaluation_matches_polynomial_route(self):
-        # The residual implementation never builds polynomials; equality
-        # with substitute+evaluate keeps both routes honest.
-        tableaus = [rk4(), implicit_midpoint(), butcher6(Fraction(1, 2), Fraction(1, 4))]
-        for tableau in tableaus:
-            s = tableau.stages
-            binding = {b_var(i): tableau.b[i - 1] for i in range(1, s + 1)}
-            binding.update(
-                {
-                    a_var(i, j): tableau.a[i - 1][j - 1]
-                    for i in range(1, s + 1)
-                    for j in range(1, s + 1)
-                }
-            )
-            for tree in enumerate_by_leaf(4):
-                polynomial = elementary_weight(tree, s, GenerationFlags())
-                via_poly = polynomial.substitute(binding).evaluate_constant()
-                assert via_poly == weight_value(tableau, tree)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(tableau=_random_tableaus())
+    @example(tableau=rk4())
+    @example(tableau=implicit_midpoint())
+    @example(tableau=butcher6(Fraction(1, 2), Fraction(1, 4)))
+    def test_direct_evaluation_matches_polynomial_route(self, tableau):
+        # The same Phi recursion runs over Fractions here and over
+        # CoeffPolynomial variables in conditions; binding the variables to
+        # the tableau must give the same weights, in the raw form and, with
+        # c[i] bound to the row sums, in the substitute_c form.
+        s = tableau.stages
+        binding = {b_var(i): tableau.b[i - 1] for i in range(1, s + 1)}
+        binding.update(
+            {
+                a_var(i, j): tableau.a[i - 1][j - 1]
+                for i in range(1, s + 1)
+                for j in range(1, s + 1)
+            }
+        )
+        with_c = dict(binding)
+        with_c.update({c_var(i): tableau.row_sums()[i - 1] for i in range(1, s + 1)})
+        raw = GenerationFlags(explicit=tableau.explicit)
+        subst_c = GenerationFlags(explicit=tableau.explicit, substitute_c=True)
+        for tree in enumerate_by_leaf(5):
+            direct = weight_value(tableau, tree)
+            via_poly = elementary_weight(tree, s, raw).substitute(binding)
+            assert via_poly.evaluate_constant() == direct
+            via_c = elementary_weight(tree, s, subst_c).substitute(with_c)
+            assert via_c.evaluate_constant() == direct
 
 
 class TestVerifyOrder:
@@ -225,6 +254,14 @@ class TestVerifyOrder:
         assert verify_order(close, 1, mode="exact").achieved_order == 0
         assert verify_order(close, 1, mode="float").achieved_order == 1
         assert verify_order(close, 1, mode="float", tol=1e-20).achieved_order == 0
+
+    def test_float_mode_residual_beyond_float_range_is_infinite(self):
+        huge = ButcherTableau.from_rows("huge b", [["0"]], ["1" + "0" * 400])
+        report = verify_order(huge, 1, mode="float")
+        assert report.achieved_order == 0
+        assert not report.residuals[0].passed
+        assert report.residuals[0].residual == 10**400 - 1
+        assert verify_order(huge, 1, mode="float", tol=math.inf).achieved_order == 1
 
     def test_invalid_requests(self):
         with pytest.raises(TableauError):
