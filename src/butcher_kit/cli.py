@@ -7,13 +7,15 @@ deterministic; results go to stdout, diagnostics to stderr.  JSON documents
 carry a top-level "schema": "butcher-kit/1" key.
 
 Exit codes: 0 success, 1 semantic failure (verification below the requested
-order, or a series-route mismatch), 2 usage or input errors.
+order, or a series-route mismatch), 2 usage or input errors, sizes beyond
+the caps below included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +40,35 @@ SCHEMA = "butcher-kit/1"
 
 _ORACLE_DEGREE_CAP = 6
 
+# Size caps, refused with exit 2 before any work starts.  Enumerating the
+# forest grows about 3x in time and 2x in memory per order: through order 14
+# (53,272 trees) `count` takes 6.6 s and 97 MB on a 2-core Xeon.
+_ORDER_CAP = 14
+# conditions without --generic: a full A has S^2 variables (--order 2
+# --stages 100: 0.5 s, 28 MB).
+_STAGES_CAP = 100
+# Rooted trees of each order 1..14 (OEIS A000081).
+_TREES_OF_ORDER = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973)
+
+
+def _condition_size(order: int, stages: int, flags: GenerationFlags) -> tuple[int, int]:
+    """(size estimate, cap) of the order-P conditions without --generic.
+
+    A condition sums over k stage indices: k = P, or P - 1 when leaves are
+    written as c[i].  The estimate is trees_of_order(P) times S^k index
+    choices, or C(S + k - 1, k) with explicit A, where every index lies
+    below its parent's.  A leaf written as c[i] costs one variable, not a row
+    sum, hence the larger cap with --subst-c.  Measured on a 2-core Xeon,
+    accepted sizes near the caps take 20-36 s and 200-360 MB (--order 6
+    --stages 6; --order 8 --stages 8 --explicit; --order 6 --stages 13
+    --subst-c), refused ones just above them 44-80 s and 560-660 MB
+    (--order 7 --stages 5; --order 6 --stages 14 --subst-c).
+    """
+    k = order - 1 if flags.substitute_c else order
+    choices = math.comb(stages + k - 1, k) if flags.explicit else stages**k
+    cap = 10_000_000 if flags.substitute_c else 1_000_000
+    return _TREES_OF_ORDER[order - 1] * choices, cap
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -50,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     trees_parser = subparsers.add_parser(
         "trees", help="list all rooted trees of order 1 through P"
     )
-    trees_parser.add_argument("--order", type=int, required=True, metavar="P")
+    order_help = f"highest tree order, 1..{_ORDER_CAP}"
+    trees_parser.add_argument(
+        "--order", type=int, required=True, metavar="P", help=order_help
+    )
     trees_parser.add_argument(
         "--format", choices=("bracket", "json"), default="bracket"
     )
@@ -58,13 +92,22 @@ def build_parser() -> argparse.ArgumentParser:
     count_parser = subparsers.add_parser(
         "count", help="tree counts per order and their total"
     )
-    count_parser.add_argument("--order", type=int, required=True, metavar="P")
+    count_parser.add_argument(
+        "--order", type=int, required=True, metavar="P", help=order_help
+    )
 
     conditions_parser = subparsers.add_parser(
         "conditions", help="order conditions for trees of order 1 through P"
     )
-    conditions_parser.add_argument("--order", type=int, required=True, metavar="P")
-    conditions_parser.add_argument("--stages", type=int, metavar="S")
+    conditions_parser.add_argument(
+        "--order", type=int, required=True, metavar="P", help=order_help
+    )
+    conditions_parser.add_argument(
+        "--stages",
+        type=int,
+        metavar="S",
+        help=f"1..{_STAGES_CAP}; larger P need fewer stages",
+    )
     conditions_parser.add_argument(
         "--explicit",
         action="store_true",
@@ -88,7 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="check what order a tableau document achieves"
     )
     verify_parser.add_argument("tableau", help="path to a tableau JSON document")
-    verify_parser.add_argument("--max-order", type=int, required=True, metavar="P")
+    verify_parser.add_argument(
+        "--max-order", type=int, required=True, metavar="P", help=order_help
+    )
     verify_parser.add_argument(
         "--require-order",
         type=int,
@@ -128,12 +173,17 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_order(value: int, flag: str) -> None:
+    _require(value >= 1, f"{flag} must be >= 1")
+    _require(value <= _ORDER_CAP, f"{flag} must be <= {_ORDER_CAP}")
+
+
 def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
-    _require(args.order >= 1, "--order must be >= 1")
+    _require_order(args.order, "--order")
     forest = enumerate_by_leaf(args.order)
     if args.format == "bracket":
         for q in range(1, args.order + 1):
@@ -156,7 +206,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    _require(args.order >= 1, "--order must be >= 1")
+    _require_order(args.order, "--order")
     forest = enumerate_by_leaf(args.order)
     for q, n in enumerate(forest.counts(), start=1):
         print(f"order {q}: {n}")
@@ -165,7 +215,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_conditions(args: argparse.Namespace) -> int:
-    _require(args.order >= 1, "--order must be >= 1")
+    _require_order(args.order, "--order")
     if args.generic:
         rows = []
         forest = enumerate_by_leaf(args.order)
@@ -197,7 +247,14 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
 
     _require(args.stages is not None, "--stages is required without --generic")
     _require(args.stages >= 1, "--stages must be >= 1")
+    _require(args.stages <= _STAGES_CAP, f"--stages must be <= {_STAGES_CAP}")
     flags = GenerationFlags(explicit=args.explicit, substitute_c=args.subst_c)
+    size, cap = _condition_size(args.order, args.stages, flags)
+    _require(
+        size <= cap,
+        f"--order {args.order} with --stages {args.stages} is too large: "
+        f"its size estimate {size:,} exceeds {cap:,}",
+    )
     conditions = all_order_conditions(args.order, args.stages, flags)
     if args.format == "json":
         _emit_json(
@@ -227,7 +284,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _require(args.max_order >= 1, "--max-order must be >= 1")
+    _require_order(args.max_order, "--max-order")
     required = args.require_order if args.require_order is not None else args.max_order
     _require(required >= 1, "--require-order must be >= 1")
     _require(

@@ -180,9 +180,16 @@ def all_order_conditions(
     return tuple(first.values())
 
 
-# Index names by depth for the symbolic-s rendering; depth is capped by the
-# alphabet length, deeper trees raise.
+# Index names by depth for the symbolic-s rendering.  Deeper levels, from
+# the 12th on, are named i_{12}, i_{13}, ...: subscripted, so they cannot
+# collide with these single letters.
 INDEX_NAMES = ("i", "j", "k", "l", "m", "p", "q", "r", "u", "v", "w")
+
+
+def _index_name(depth: int) -> str:
+    if depth < len(INDEX_NAMES):
+        return INDEX_NAMES[depth]
+    return f"i_{{{depth + 1}}}"
 
 
 def render_generic(tree: RootedTree) -> str:
@@ -198,11 +205,7 @@ def render_generic(tree: RootedTree) -> str:
 def _generic_factors(tree: RootedTree, depth: int) -> list[str]:
     if not tree.children:
         return []
-    if depth + 1 >= len(INDEX_NAMES):
-        raise ValueError(
-            f"tree deeper than the {len(INDEX_NAMES)}-name index alphabet"
-        )
-    parent, child = INDEX_NAMES[depth], INDEX_NAMES[depth + 1]
+    parent, child = _index_name(depth), _index_name(depth + 1)
     factors = []
     for kid, run in groupby(tree.children):
         multiplicity = len(tuple(run))

@@ -5,26 +5,36 @@ x(0) = x0 expands as
 
     x(tau) = x0 + sum_{q>=1} tau^q sum_{order(t)=q} alpha(t)/t! F(t)(x0)
 
-where F(t) is the elementary differential of the tree t (F of the single
-node is f; F([t1..tm]) applies the m-th derivative of f to the child
-differentials).  A Runge-Kutta step with tableau (A, b) expands the same
-way with alpha(t) * weight(t) in place of alpha(t)/t!, where weight(t) is
-the tableau's elementary weight b . Phi(t) as defined in conditions; stage
-i's slope takes alpha(t) * Phi_i(t) on tau^(q-1).  rk_series_trees and
+where F(t) is the elementary differential of the tree t: F of the single
+node is f(x0), and F([t1..tm]) applies the m-th derivative of f at x0 to
+the child differentials.  That is a contraction of the derivative table,
+
+    F([t1..tm])_c = sum_K d_K f_c(x0) * sum_(k_1..k_m) prod_i F(t_i)[k_i],
+
+with K running over the sorted index multisets of size m and (k_1..k_m)
+over the distinct orderings of K.  The table holds the nonzero values only
+and is built once per memo of elementary_differential, so a tree with
+more children than deg f costs nothing.
+
+A Runge-Kutta step with tableau (A, b) expands the same way with
+alpha(t) * weight(t) in place of alpha(t)/t!, where weight(t) is the
+tableau's elementary weight b . Phi(t) as defined in conditions; stage i's
+slope takes alpha(t) * Phi_i(t) on tau^(q-1).  rk_series_trees and
 stage_series_trees build one ElementaryWeights per call, so each
 subtree's Phi is computed once.
 
 Each series is also computed a second, structurally unrelated way: the
 exact flow by Picard iteration (repeated integration), the discrete step
 by fixed-point iteration of the stage equations in the series ring.  The
-tree formulas and the iteration routes share nothing but field evaluation,
-so their agreement is a meaningful check, not a tautology.
+tree formulas and the iteration routes share nothing but the field's
+polynomials, so their agreement is a meaningful check, not a tautology.
 
 All arithmetic is exact; series are truncated at a caller-chosen degree.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -414,28 +424,106 @@ def elementary_differential(
     point: Sequence[Fraction],
     memo: dict[RootedTree, tuple[Fraction, ...]] | None = None,
 ) -> tuple[Fraction, ...]:
-    """F(tree)(point): iterated directional derivatives of the field.
+    """F(tree)(point), contracted from the derivatives of the field at point.
 
     Pass one memo dict across calls when evaluating many trees at the same
-    point; subtrees repeat heavily across a forest.
+    point: subtrees repeat heavily across a forest, and the memo also keeps
+    the derivative table, so the table is built once per memo.
     """
     if memo is None:
         memo = {}
-    cached = memo.get(tree)
-    if cached is not None:
-        return cached
-    child_values = [
-        elementary_differential(field, child, point, memo) for child in tree.children
-    ]
-    result = []
-    for component in field.components:
-        derived = component
-        for vector in child_values:
-            derived = derived.directional_derivative(vector)
-        result.append(derived.evaluate(point))
-    value = tuple(result)
-    memo[tree] = value
-    return value
+    table = memo.get(_TABLE_KEY)
+    if table is None:
+        table = memo[_TABLE_KEY] = _DerivativeTable(field, point)
+    return table.differential(tree, memo)
+
+
+# The memo entry that holds a memo's derivative table; no tree equals it.
+_TABLE_KEY = "derivative table"
+
+
+class _DerivativeTable:
+    """The nonzero d_K f(x0) for sorted index multisets K, one |K| at a time.
+
+    Level m is built the first time a tree with m children asks for it, by
+    taking partials of the level m - 1 polynomials along their nonzero
+    branches only, so the table never grows past deg f or past what the
+    forest needs.  The contraction runs in integers: a level's values are
+    kept over one common denominator, and each child's differential is put
+    over one too, so every product in F(t) has the same denominator and
+    only the final sums become Fractions.
+    """
+
+    def __init__(self, field: PolyVectorField, point: Sequence[Fraction]) -> None:
+        self._point = point
+        self._dim = field.dim
+        # Sorted indices K with the polynomials d_K f_c, at the last level built.
+        self._frontier = [((), field.components)]
+        # levels[m]: (common denominator, rows (distinct arrangements of K,
+        # numerators of (d_K f_c(x0))_c)), rows with a nonzero value only.
+        self._levels: list[tuple[int, list]] = []
+
+    def _level(self, m: int) -> tuple[int, list]:
+        while len(self._levels) <= m and self._frontier:
+            rows, frontier = [], []
+            for indices, polys in self._frontier:
+                values = tuple(poly.evaluate(self._point) for poly in polys)
+                if any(values):
+                    rows.append((_arrangements(indices), values))
+                for k in range(indices[-1] if indices else 0, self._dim):
+                    partials = tuple(poly.partial(k + 1) for poly in polys)
+                    if not all(poly.is_zero for poly in partials):
+                        frontier.append((indices + (k,), partials))
+            denominator = math.lcm(*(x.denominator for _, values in rows for x in values))
+            scaled = [(arr, _numerators(values, denominator)) for arr, values in rows]
+            self._levels.append((denominator, scaled))
+            self._frontier = frontier
+        return self._levels[m] if m < len(self._levels) else (1, [])
+
+    def differential(self, tree: RootedTree, memo: dict) -> tuple[Fraction, ...]:
+        cached = memo.get(tree)
+        if cached is not None:
+            return cached
+        denominator, rows = self._level(len(tree.children))
+        totals = [0] * self._dim
+        if rows:
+            kids = []
+            for kid in tree.children:
+                value = self.differential(kid, memo)
+                kid_denominator = math.lcm(*(x.denominator for x in value))
+                kids.append(_numerators(value, kid_denominator))
+                denominator *= kid_denominator
+            for arrangements, numerators in rows:
+                # sum over arrangements of prod_i F(t_i)[k_i], shared by all components
+                spread = 0
+                for arrangement in arrangements:
+                    term = 1
+                    for kid, k in zip(kids, arrangement):
+                        term *= kid[k]
+                    spread += term
+                if spread:
+                    for c, numerator in enumerate(numerators):
+                        totals[c] += numerator * spread
+        value = tuple(Fraction(total, denominator) for total in totals)
+        memo[tree] = value
+        return value
+
+
+def _numerators(values: Sequence[Fraction], denominator: int) -> tuple[int, ...]:
+    """The numerators of values written over a common multiple of their denominators."""
+    return tuple(x.numerator * (denominator // x.denominator) for x in values)
+
+
+def _arrangements(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct orderings of a multiset of indices."""
+    if not indices:
+        return [()]
+    out = []
+    for first in sorted(set(indices)):
+        rest = list(indices)
+        rest.remove(first)
+        out += [(first,) + tail for tail in _arrangements(tuple(rest))]
+    return out
 
 
 # Scalar series helpers: a series is a tuple of Fractions, index = power,

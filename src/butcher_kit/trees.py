@@ -19,7 +19,9 @@ For a tree t with children t_1, ..., t_n:
 symmetry_delta counts the distinct ordered arrangements of the child list.
 alpha(t)/tree_factorial(t) weights the elementary differential of t in the
 Taylor expansion of an exact flow; alpha(t) alone weights the discrete
-(one-step method) expansion.  Both are exact rationals.
+(one-step method) expansion.  Both are exact rationals.  Like order,
+tree_factorial and alpha are computed once per tree instance and cached on
+it, so a forest pays for each subtree's factors once.
 """
 
 from __future__ import annotations
@@ -76,6 +78,17 @@ class RootedTree:
         return 1 + sum(kid.order for kid in self.children)
 
     @cached_property
+    def _factorial(self) -> int:
+        return self.order * math.prod(kid._factorial for kid in self.children)
+
+    @cached_property
+    def _alpha(self) -> Fraction:
+        weight = Fraction(symmetry_delta(self), math.factorial(len(self.children)))
+        for kid in self.children:
+            weight *= kid._alpha
+        return weight
+
+    @cached_property
     def _key(self) -> tuple:
         # (order, keys of canonical children); injective on canonical trees,
         # and tuple comparison realizes the documented total order.
@@ -122,7 +135,7 @@ def compare_trees(left: RootedTree, right: RootedTree) -> int:
 
 def tree_factorial(tree: RootedTree) -> int:
     """order(t) times the factorials of the children."""
-    return tree.order * math.prod(tree_factorial(kid) for kid in tree.children)
+    return tree._factorial
 
 
 def symmetry_delta(tree: RootedTree) -> int:
@@ -143,10 +156,7 @@ def alpha(tree: RootedTree) -> Fraction:
     symmetry_delta(t)/n! times the product of the children's weights.  The
     denominator divides order(t)! and alpha of any chain is 1.
     """
-    weight = Fraction(symmetry_delta(tree), math.factorial(len(tree.children)))
-    for kid in tree.children:
-        weight *= alpha(kid)
-    return weight
+    return tree._alpha
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Shared exact fixtures: classical tableaus and the 6-stage family.
 
 Values are frozen from the standard references, not computed by the code
-under test, so they can serve as oracles.
+under test, so they can serve as oracles.  random_tableaus is the shared
+hypothesis strategy for small random tableaus.
 """
 
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from butcher_kit.verify import ButcherTableau
 
@@ -79,3 +82,17 @@ def butcher6(u, v):
 
 # Three distinct instantiations used across the suite; u nonzero everywhere.
 BUTCHER6_SAMPLES = ((F(2, 5), F(1, 3)), (F(1, 2), F(1, 4)), (F(1, 3), F(2, 7)))
+
+
+@st.composite
+def random_tableaus(draw):
+    """Rational tableaus of 1-3 stages, explicit or implicit."""
+    stages = draw(st.integers(1, 3))
+    explicit = draw(st.booleans())
+    entries = st.fractions(-2, 2, max_denominator=5)
+    a = [
+        [draw(entries) if j < i or not explicit else 0 for j in range(stages)]
+        for i in range(stages)
+    ]
+    b = [draw(entries) for _ in range(stages)]
+    return ButcherTableau.from_rows("random", a, b)

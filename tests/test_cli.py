@@ -5,6 +5,7 @@ failure (order not reached, series mismatch), 2 usage or input errors.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,53 @@ class TestConditions:
         code, _, err = run(capsys, "conditions", "--order", "2")
         assert code == 2
         assert "--stages" in err
+
+
+    def test_generic_order_12_names_the_twelfth_level(self, capsys):
+        code, out, _ = run(capsys, "conditions", "--order", "12", "--generic")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 7813
+        assert "(sum_{i_{12}=1}^{s} a_{w,i_{12}})" in lines[-1]
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (("count", "--order", "20"), "--order must be <= 14"),
+            (("trees", "--order", "15"), "--order must be <= 14"),
+            (("conditions", "--order", "15", "--generic"), "--order must be <= 14"),
+            (("verify", RK4, "--max-order", "15"), "--max-order must be <= 14"),
+            (("conditions", "--order", "2", "--stages", "101"), "--stages must be <= 100"),
+            (("conditions", "--order", "7", "--stages", "5"), "3,750,000 exceeds 1,000,000"),
+            (("conditions", "--order", "9", "--stages", "9", "--explicit"), "exceeds 1,000,000"),
+            (
+                ("conditions", "--order", "10", "--stages", "10", "--explicit", "--subst-c"),
+                "exceeds 10,000,000",
+            ),
+        ],
+    )
+    def test_refused_before_any_work(self, capsys, argv, fragment):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert fragment in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("conditions", "--order", "6", "--stages", "6", "--explicit"),
+            ("conditions", "--order", "6", "--stages", "5", "--subst-c"),
+            ("conditions", "--order", "5", "--stages", "4"),
+        ],
+    )
+    def test_accepted_below_the_caps(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out
 
 
 class TestVerify:

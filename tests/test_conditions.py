@@ -8,8 +8,8 @@ Core claims:
   * the explicit flag removes a[i,j] with i <= j and c[1] entirely;
   * duplicate conditions collapse, unsatisfiable ones survive and are
     flagged;
-  * render_generic reproduces the pinned nested-sum strings and enforces
-    the index-alphabet depth cap.
+  * render_generic reproduces the pinned nested-sum strings and names
+    levels beyond the index alphabet with subscripts.
 """
 
 from fractions import Fraction
@@ -247,7 +247,11 @@ class TestRendering:
             "(sum_{k=1}^{s} a_{j,k} (sum_{l=1}^{s} a_{k,l}))^2)"
         )
 
-    def test_generic_depth_cap(self):
-        assert "a_{v,w}" in render_generic(_chain(11))
-        with pytest.raises(ValueError):
-            render_generic(_chain(12))
+    def test_generic_index_names_beyond_the_alphabet(self):
+        eleven = render_generic(_chain(11))
+        assert eleven.endswith("(sum_{w=1}^{s} a_{v,w}))))))))))")
+        assert "i_{" not in eleven
+        twelve = render_generic(_chain(12))
+        deepest = "(sum_{w=1}^{s} a_{v,w} (sum_{i_{12}=1}^{s} a_{w,i_{12}}))"
+        assert twelve.endswith(deepest + ")" * 9)
+        assert "(sum_{i_{13}=1}^{s} a_{i_{12},i_{13}})" in render_generic(_chain(13))

@@ -4,15 +4,27 @@ The two routes to each series are independent by construction: trees
 versus Picard iteration for the exact flow, trees versus stage fixed-point
 iteration for the discrete step.  Exact agreement on random polynomial
 fields is the main claim; hand-computed expansions (rotation, linear
-stability polynomials) pin the normalization.
+stability polynomials) pin the normalization.  The contraction behind
+elementary_differential is also checked against the plain formula,
+repeated directional derivatives of the field.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import BUTCHER6_SAMPLES, butcher6, explicit_euler, implicit_midpoint, rk4
+from helpers import (
+    BUTCHER6_SAMPLES,
+    butcher6,
+    explicit_euler,
+    implicit_midpoint,
+    random_tableaus,
+    rk4,
+)
 
 from butcher_kit.oracle import (
     FieldError,
@@ -30,7 +42,7 @@ from butcher_kit.oracle import (
     stage_series_direct,
     stage_series_trees,
 )
-from butcher_kit.trees import parse_tree
+from butcher_kit.trees import enumerate_by_leaf, parse_tree
 
 F = Fraction
 
@@ -58,6 +70,54 @@ def _random_field(rng):
 
 def _random_point(rng):
     return tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(2))
+
+
+# Fields of dim 1-3 and total degree <= 4, so trees with three and four
+# children meet nonzero third and fourth derivatives.
+_DEGREE_4_FIELDS = (
+    PolyVectorField.from_strings(1, ["x1^4 - 2*x1^3 + 1/2*x1 - 1"]),
+    PolyVectorField.from_strings(
+        3,
+        [
+            "x1*x2*x3 + x3^4 - 1",
+            "x1^2*x2^2 - 3/2*x2 + x3",
+            "2/3*x1^3*x3 + x2^3 - 1/3",
+        ],
+    ),
+)
+
+
+@st.composite
+def _random_fields(draw):
+    """Fields of dim 1-3 with total degree <= 4 and a rational point."""
+    dim = draw(st.integers(1, 3))
+    monomials = [
+        exponents
+        for exponents in product(range(5), repeat=dim)
+        if sum(exponents) <= 4
+    ]
+    coefficients = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    components = tuple(
+        StatePolynomial(
+            dim,
+            draw(st.dictionaries(st.sampled_from(monomials), coefficients, max_size=5)),
+        )
+        for _ in range(dim)
+    )
+    point = tuple(draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(dim))
+    return PolyVectorField(dim, components), point
+
+
+def _differential_reference(field, tree, point):
+    """F(tree)(point) by repeated directional derivatives, then evaluation."""
+    kids = [_differential_reference(field, kid, point) for kid in tree.children]
+    values = []
+    for component in field.components:
+        derived = component
+        for vector in kids:
+            derived = derived.directional_derivative(vector)
+        values.append(derived.evaluate(point))
+    return tuple(values)
 
 
 class TestComponentParsing:
@@ -210,6 +270,23 @@ class TestElementaryDifferentials:
         assert first == elementary_differential(MIXED, parse_tree("[[[]]]"), self.POINT)
         assert second == elementary_differential(MIXED, parse_tree("[[],[]]"), self.POINT)
 
+    @pytest.mark.parametrize(
+        "field,point",
+        [
+            (MIXED, (F(1), F(2))),
+            (ROTATION, (F(1, 3), F(-1, 2))),
+            (_DEGREE_4_FIELDS[0], (F(3, 2),)),
+            (_DEGREE_4_FIELDS[1], (F(1, 2), F(-2, 3), F(1))),
+            (_DEGREE_4_FIELDS[1], (F(0), F(0), F(0))),
+        ],
+    )
+    def test_contraction_matches_directional_derivatives(self, field, point):
+        memo = {}
+        for tree in enumerate_by_leaf(6):
+            expected = _differential_reference(field, tree, point)
+            assert elementary_differential(field, tree, point, memo) == expected, tree
+            assert elementary_differential(field, tree, point) == expected, tree
+
 
 class TestTauSeries:
     def test_shape_validation(self):
@@ -346,6 +423,25 @@ class TestDiscreteRoutesAgree:
         ):
             discrete = rk_series_trees(tableau, MIXED, point, 6)
             assert discrete.first_difference(flow) == order + 1, tableau.name
+
+
+class TestRoutesAgreeOnHigherDerivatives:
+    # Fields up to degree 4 in up to three variables, so the tree routes
+    # contract third and fourth derivatives, which the degree-2 fields above
+    # never do.
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(field_and_point=_random_fields(), tableau=random_tableaus(), degree=st.integers(1, 5))
+    @example(
+        field_and_point=(_DEGREE_4_FIELDS[1], (F(1, 2), F(-2, 3), F(1))),
+        tableau=implicit_midpoint(),
+        degree=5,
+    )
+    def test_tree_routes_match_iteration_routes(self, field_and_point, tableau, degree):
+        field, point = field_and_point
+        assert flow_series_trees(field, point, degree) == flow_series_picard(field, point, degree)
+        assert rk_series_trees(tableau, field, point, degree) == rk_series_direct(
+            tableau, field, point, degree
+        )
 
 
 class TestValidation:

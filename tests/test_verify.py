@@ -21,9 +21,15 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from helpers import BUTCHER6_SAMPLES, butcher6, explicit_euler, implicit_midpoint, rk4
+from helpers import (
+    BUTCHER6_SAMPLES,
+    butcher6,
+    explicit_euler,
+    implicit_midpoint,
+    random_tableaus,
+    rk4,
+)
 
 from butcher_kit.algebra import a_var, b_var, c_var
 from butcher_kit.conditions import GenerationFlags, elementary_weight
@@ -43,20 +49,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _bushy(q):
     return from_children([single_node()] * (q - 1))
-
-
-@st.composite
-def _random_tableaus(draw):
-    """Rational tableaus of 1-3 stages, explicit or implicit."""
-    stages = draw(st.integers(1, 3))
-    explicit = draw(st.booleans())
-    entries = st.fractions(-2, 2, max_denominator=5)
-    a = [
-        [draw(entries) if j < i or not explicit else 0 for j in range(stages)]
-        for i in range(stages)
-    ]
-    b = [draw(entries) for _ in range(stages)]
-    return ButcherTableau.from_rows("random", a, b)
 
 
 def _chain(q):
@@ -158,7 +150,7 @@ class TestResiduals:
             assert weight_value(tableau, _chain(tableau.stages + 1)) == 0
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(tableau=_random_tableaus())
+    @given(tableau=random_tableaus())
     @example(tableau=rk4())
     @example(tableau=implicit_midpoint())
     @example(tableau=butcher6(Fraction(1, 2), Fraction(1, 4)))
