@@ -8,7 +8,6 @@ A command line front end lives in cli.
 """
 
 from .algebra import (
-    BigRational,
     CoeffPolynomial,
     CoeffVar,
     a_var,
@@ -17,16 +16,13 @@ from .algebra import (
     format_rational,
     parse_rational,
     poly_sum,
-    rat,
 )
 from .conditions import (
     GenerationFlags,
     OrderCondition,
     all_order_conditions,
-    elementary_weight,
-    elementary_weight_vector,
-    order_condition,
     render_generic,
+    symbolic_weights,
 )
 from .oracle import (
     FieldError,
@@ -49,13 +45,11 @@ from .trees import (
     TreesByOrder,
     TreeSyntaxError,
     alpha,
-    compare_trees,
     enumerate_by_leaf,
     enumerate_by_partitions,
     format_tree,
-    from_children,
+    grow_by_leaf,
     parse_tree,
-    single_node,
     symmetry_delta,
     tree_factorial,
 )
@@ -65,10 +59,8 @@ from .verify import (
     ResidualEntry,
     TableauError,
     load_tableau,
-    residual,
     verify_order,
     weight_value,
-    weight_vector_values,
 )
 
 __version__ = "0.1.0"

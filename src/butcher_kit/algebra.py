@@ -1,7 +1,7 @@
 """Exact rational scalars and polynomials in Runge-Kutta coefficients.
 
 The scalar type is fractions.Fraction (always reduced, denominator > 0,
-arbitrary precision); rat/parse_rational/format_rational pin the accepted
+arbitrary precision); parse_rational/format_rational pin the accepted
 text grammar.  CoeffPolynomial is a sparse multivariate polynomial over the
 variables b[i], c[i], a[i,j] with a fixed monomial order, so rendering and
 iteration are deterministic.
@@ -16,8 +16,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 __all__ = [
-    "BigRational",
-    "rat",
     "parse_rational",
     "format_rational",
     "CoeffVar",
@@ -27,34 +25,24 @@ __all__ = [
     "CoeffPolynomial",
 ]
 
-# The scalar field.  Fraction already reduces and keeps denominators > 0.
-BigRational = Fraction
-
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
 _DECIMAL_RE = re.compile(r"-?\d+\.\d+")
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Reduced rational num/den; a zero denominator is rejected."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p", "p/q", or a finite decimal such as "0.5", exactly.
 
     Grammar: optional "-", digits, then optionally "/" digits or "." digits.
-    Anything else (including "/0") is a ValueError.
+    Anything else is a ValueError, and so is a zero denominator.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
     stripped = text.strip()
     if _RATIONAL_RE.fullmatch(stripped):
         num, _, den = stripped.partition("/")
-        if den:
-            return rat(int(num), int(den))
-        return Fraction(int(num))
+        if den and int(den) == 0:
+            raise ValueError("zero denominator")
+        return Fraction(int(num), int(den or 1))
     if _DECIMAL_RE.fullmatch(stripped):
         return Fraction(stripped)  # exact: "0.5" -> 1/2
     raise ValueError(f"malformed rational: {text!r}")

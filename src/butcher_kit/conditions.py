@@ -12,8 +12,9 @@ ElementaryWeights is the package's one implementation of this recursion,
 for any scalar ring.  Its inputs are, per stage, the (j, a[i,j]) pairs
 whose entry is not zero and the factor a single-node child contributes
 (sum_j a[i,j], or c[i]), and b; one memo serves every tree it is asked
-about.  The conditions here run it over CoeffPolynomial variables, verify
-and the oracle over a tableau's Fraction entries.
+about.  symbolic_weights builds one over the CoeffPolynomial variables
+a[i,j], c[i] and b[i]; verify and the oracle build one over a tableau's
+Fraction entries (ButcherTableau.elementary_weights).
 
 GenerationFlags tune the emitted shape:
   * substitute_c: a child that is the single node contributes the factor
@@ -35,18 +36,15 @@ from itertools import groupby
 from operator import mul
 
 from .algebra import CoeffPolynomial, a_var, b_var, c_var, format_rational, poly_sum
-from .trees import RootedTree, enumerate_by_leaf, single_node, tree_factorial
+from .trees import RootedTree, enumerate_by_leaf, tree_factorial
 
 __all__ = [
     "ElementaryWeights",
     "GenerationFlags",
     "OrderCondition",
-    "elementary_weight_vector",
-    "elementary_weight",
-    "order_condition",
+    "symbolic_weights",
     "all_order_conditions",
     "render_generic",
-    "INDEX_NAMES",
 ]
 
 
@@ -96,7 +94,7 @@ class ElementaryWeights:
         self._rows, self._leaf, self._b = rows, leaf, b
         # The ring's zero and one, in the entries' own type.
         self._zero = leaf[0] * 0
-        self._memo = {single_node(): (self._zero + 1,) * len(b)}
+        self._memo = {RootedTree(): (self._zero + 1,) * len(b)}
 
     def vector(self, tree: RootedTree) -> tuple:
         """(Phi_1(t), ..., Phi_s(t))."""
@@ -121,7 +119,14 @@ class ElementaryWeights:
         return sum((b * phi for b, phi in zip(self._b, self.vector(tree))), self._zero)
 
 
-def _symbolic_weights(stages: int, flags: GenerationFlags) -> ElementaryWeights:
+def symbolic_weights(
+    stages: int, flags: GenerationFlags = _DEFAULT_FLAGS
+) -> ElementaryWeights:
+    """Phi and b . Phi as CoeffPolynomials in a[i,j], c[i] and b[i], s = stages.
+
+    vector(t) gives the per-stage weight polynomials, weight(t) the fully
+    expanded sum_i b[i] * Phi_i(t); one memo serves every tree asked about.
+    """
     if stages < 1:
         raise ValueError("stages must be >= 1")
     var = CoeffPolynomial.variable
@@ -139,30 +144,6 @@ def _symbolic_weights(stages: int, flags: GenerationFlags) -> ElementaryWeights:
     return ElementaryWeights(rows, leaf, [var(b_var(i)) for i in indices])
 
 
-def elementary_weight_vector(
-    tree: RootedTree, stages: int, flags: GenerationFlags = _DEFAULT_FLAGS
-) -> tuple[CoeffPolynomial, ...]:
-    """Per-stage weight polynomials (Phi_1(t), ..., Phi_s(t))."""
-    return _symbolic_weights(stages, flags).vector(tree)
-
-
-def elementary_weight(
-    tree: RootedTree, stages: int, flags: GenerationFlags = _DEFAULT_FLAGS
-) -> CoeffPolynomial:
-    """sum_i b[i] * Phi_i(t), fully expanded."""
-    return _symbolic_weights(stages, flags).weight(tree)
-
-
-def order_condition(
-    tree: RootedTree, stages: int, flags: GenerationFlags = _DEFAULT_FLAGS
-) -> OrderCondition:
-    return OrderCondition(
-        tree=tree,
-        lhs=elementary_weight(tree, stages, flags),
-        rhs=Fraction(1, tree_factorial(tree)),
-    )
-
-
 def all_order_conditions(
     max_order: int, stages: int, flags: GenerationFlags = _DEFAULT_FLAGS
 ) -> tuple[OrderCondition, ...]:
@@ -172,7 +153,7 @@ def all_order_conditions(
     keeping the first tree that produced the equation.  Unsatisfiable
     conditions (lhs 0, rhs nonzero) are kept.
     """
-    weights = _symbolic_weights(stages, flags)
+    weights = symbolic_weights(stages, flags)
     first: dict[tuple[CoeffPolynomial, Fraction], OrderCondition] = {}
     for tree in enumerate_by_leaf(max_order):
         lhs, rhs = weights.weight(tree), Fraction(1, tree_factorial(tree))
@@ -183,12 +164,12 @@ def all_order_conditions(
 # Index names by depth for the symbolic-s rendering.  Deeper levels, from
 # the 12th on, are named i_{12}, i_{13}, ...: subscripted, so they cannot
 # collide with these single letters.
-INDEX_NAMES = ("i", "j", "k", "l", "m", "p", "q", "r", "u", "v", "w")
+_INDEX_NAMES = ("i", "j", "k", "l", "m", "p", "q", "r", "u", "v", "w")
 
 
 def _index_name(depth: int) -> str:
-    if depth < len(INDEX_NAMES):
-        return INDEX_NAMES[depth]
+    if depth < len(_INDEX_NAMES):
+        return _INDEX_NAMES[depth]
     return f"i_{{{depth + 1}}}"
 
 

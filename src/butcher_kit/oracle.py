@@ -19,9 +19,10 @@ more children than deg f costs nothing.
 A Runge-Kutta step with tableau (A, b) expands the same way with
 alpha(t) * weight(t) in place of alpha(t)/t!, where weight(t) is the
 tableau's elementary weight b . Phi(t) as defined in conditions; stage i's
-slope takes alpha(t) * Phi_i(t) on tau^(q-1).  rk_series_trees and
-stage_series_trees build one ElementaryWeights per call, so each
-subtree's Phi is computed once.
+slope takes alpha(t) * Phi_i(t) on tau^(q-1).  Every tree series runs
+through one loop, _tree_series, with its own factor per tree;
+rk_series_trees and stage_series_trees build one ElementaryWeights per
+call, so each subtree's Phi is computed once.
 
 Each series is also computed a second, structurally unrelated way: the
 exact flow by Picard iteration (repeated integration), the discrete step
@@ -775,33 +776,18 @@ def stage_series_trees(
     point: Sequence[Fraction],
     degree: int,
 ) -> tuple[TauSeries, ...]:
-    """Per-stage slope series from trees: a tree of order q lands on tau^(q-1)."""
+    """Per-stage slope series from trees: a tree of order q lands on tau^(q-1).
+
+    Stage i is the tree series with factor alpha(t) * Phi_i(t), shifted down
+    one power; it is truncated like stage_series_direct.
+    """
     _check_degree(degree)
-    x0 = _check_point(field, point)
-    stage_degree = max(degree - 1, 0)
-    s = tableau.stages
-    accumulated = [
-        [[Fraction(0)] * field.dim for _ in range(stage_degree + 1)] for _ in range(s)
-    ]
-    forest = enumerate_by_leaf(stage_degree + 1)
     weights = tableau.elementary_weights()
-    memo: dict[RootedTree, tuple[Fraction, ...]] = {}
-    for q in range(1, stage_degree + 2):
-        for tree in forest.trees_of_order(q):
-            tree_alpha = alpha(tree)
-            vector = weights.vector(tree)
-            differential = None
-            for i in range(s):
-                factor = tree_alpha * vector[i]
-                if not factor:
-                    continue
-                if differential is None:
-                    differential = elementary_differential(field, tree, x0, memo)
-                for c in range(field.dim):
-                    accumulated[i][q - 1][c] += factor * differential[c]
     return tuple(
         TauSeries(
-            tuple(tuple(per_degree) for per_degree in accumulated[i])
+            _tree_series(
+                field, point, max(degree, 1), lambda tree: alpha(tree) * weights.vector(tree)[i]
+            ).coeffs[1:]
         )
-        for i in range(s)
+        for i in range(tableau.stages)
     )

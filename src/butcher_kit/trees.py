@@ -27,23 +27,20 @@ it, so a forest pays for each subtree's factors once.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import chain, combinations_with_replacement, groupby, product
-from typing import Iterable, Iterator
+from itertools import chain, combinations_with_replacement, groupby, islice, product
+from typing import Iterator
 
 __all__ = [
     "RootedTree",
     "TreesByOrder",
     "TreeSyntaxError",
-    "single_node",
-    "from_children",
-    "compare_trees",
     "tree_factorial",
     "symmetry_delta",
     "alpha",
+    "grow_by_leaf",
     "enumerate_by_leaf",
     "enumerate_by_partitions",
     "parse_tree",
@@ -58,8 +55,12 @@ _LEAF_GLYPH = "⊙"
 class RootedTree:
     """Canonical unordered rooted tree.
 
-    The constructor accepts children in any order and sorts them; two trees
-    compare equal exactly when they are the same unordered shape.
+    RootedTree() is the single node "[]"; RootedTree(children) roots a new
+    node over the given subtrees, in any order: the constructor sorts them,
+    so two trees compare equal exactly when they are the same unordered
+    shape.  The comparison operators realize the total order used
+    everywhere: by order, ties broken lexicographically on the canonical
+    children sequences, recursively.
     """
 
     children: tuple["RootedTree", ...] = ()
@@ -70,7 +71,7 @@ class RootedTree:
             if not isinstance(kid, RootedTree):
                 raise TypeError(f"child is not a RootedTree: {kid!r}")
         # Sorting here is what makes equality order-insensitive.
-        object.__setattr__(self, "children", tuple(sorted(kids, key=_canonical_key)))
+        object.__setattr__(self, "children", tuple(sorted(kids)))
 
     @cached_property
     def order(self) -> int:
@@ -94,6 +95,15 @@ class RootedTree:
         # and tuple comparison realizes the documented total order.
         return (self.order, tuple(kid._key for kid in self.children))
 
+    @cached_property
+    def _hash(self) -> int:
+        # Equal trees have equal children, so this agrees with __eq__; the
+        # children's hashes are cached, so it costs one step per child.
+        return hash(self.children)
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __lt__(self, other: "RootedTree") -> bool:
         if not isinstance(other, RootedTree):
             return NotImplemented
@@ -104,33 +114,6 @@ class RootedTree:
 
     def __repr__(self) -> str:
         return f"RootedTree({format_tree(self)})"
-
-
-def _canonical_key(tree: RootedTree) -> tuple:
-    return tree._key
-
-
-def single_node() -> RootedTree:
-    """The one-node tree "[]"."""
-    return RootedTree()
-
-
-def from_children(children: Iterable[RootedTree]) -> RootedTree:
-    """Root a new node over the given subtrees (any input order)."""
-    return RootedTree(tuple(children))
-
-
-def compare_trees(left: RootedTree, right: RootedTree) -> int:
-    """Total order used everywhere: -1, 0, or 1.
-
-    Trees are compared by order; ties are broken by lexicographic
-    comparison of the canonical children sequences, recursively.
-    """
-    if left._key < right._key:
-        return -1
-    if left._key > right._key:
-        return 1
-    return 0
 
 
 def tree_factorial(tree: RootedTree) -> int:
@@ -145,8 +128,9 @@ def symmetry_delta(tree: RootedTree) -> int:
     children.  Always a positive integer; 1 for the single node.
     """
     result = math.factorial(len(tree.children))
-    for multiplicity in Counter(tree.children).values():
-        result //= math.factorial(multiplicity)
+    # Canonical sorting makes equal children adjacent.
+    for _, run in groupby(tree.children):
+        result //= math.factorial(len(tuple(run)))
     return result
 
 
@@ -163,8 +147,8 @@ def alpha(tree: RootedTree) -> Fraction:
 class TreesByOrder:
     """Trees grouped by order; group q-1 holds the trees with q nodes.
 
-    Each group is duplicate-free and sorted under compare_trees, so
-    iteration order is deterministic.
+    Each group is duplicate-free and sorted under the trees' total order,
+    so iteration order is deterministic.
     """
 
     per_order: tuple[tuple[RootedTree, ...], ...]
@@ -188,33 +172,40 @@ class TreesByOrder:
         return chain.from_iterable(self.per_order)
 
 
-def enumerate_by_leaf(max_order: int) -> TreesByOrder:
-    """All trees of order 1..max_order, by repeated leaf attachment.
+def grow_by_leaf() -> Iterator[tuple[RootedTree, ...]]:
+    """The sorted groups of trees of order 1, 2, 3, ..., by leaf attachment.
 
     Every tree with q nodes arises from some tree with q-1 nodes by
     grafting one leaf; grafting at every node of every tree of the previous
-    order and deduplicating yields the full next group.
+    order and deduplicating yields the full next group.  A group is built
+    only when it is asked for, so a caller that stops early never pays for
+    the larger orders.
     """
+    group: tuple[RootedTree, ...] = (RootedTree(),)
+    graft_memo: dict[RootedTree, tuple[RootedTree, ...]] = {}
+    while True:
+        yield group
+        grown: set[RootedTree] = set()
+        for tree in group:
+            grown.update(_graft_leaf_everywhere(tree, graft_memo))
+        group = tuple(sorted(grown))
+
+
+def enumerate_by_leaf(max_order: int) -> TreesByOrder:
+    """All trees of order 1..max_order: the first groups of grow_by_leaf."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    groups: list[tuple[RootedTree, ...]] = [(single_node(),)]
-    graft_memo: dict[RootedTree, tuple[RootedTree, ...]] = {}
-    for _ in range(2, max_order + 1):
-        grown: set[RootedTree] = set()
-        for tree in groups[-1]:
-            grown.update(_graft_leaf_everywhere(tree, graft_memo))
-        groups.append(tuple(sorted(grown)))
-    return TreesByOrder(tuple(groups))
+    return TreesByOrder(tuple(islice(grow_by_leaf(), max_order)))
 
 
 def _graft_leaf_everywhere(
     tree: RootedTree, memo: dict[RootedTree, tuple[RootedTree, ...]]
 ) -> tuple[RootedTree, ...]:
-    # memo lives only for one enumeration call; see enumerate_by_leaf.
+    # memo lives only as long as one grow_by_leaf generator.
     cached = memo.get(tree)
     if cached is not None:
         return cached
-    results = {RootedTree(tree.children + (single_node(),))}
+    results = {RootedTree(tree.children + (RootedTree(),))}
     for index, kid in enumerate(tree.children):
         for grown_kid in _graft_leaf_everywhere(kid, memo):
             replaced = tree.children[:index] + (grown_kid,) + tree.children[index + 1 :]
@@ -233,7 +224,7 @@ def enumerate_by_partitions(max_order: int) -> TreesByOrder:
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    groups: list[tuple[RootedTree, ...]] = [(single_node(),)]
+    groups: list[tuple[RootedTree, ...]] = [(RootedTree(),)]
     for q in range(2, max_order + 1):
         batch: set[RootedTree] = set()
         for parts in _partitions(q - 1):
@@ -300,14 +291,14 @@ def parse_tree(text: str) -> RootedTree:
             raise TreeSyntaxError(f"tree nested deeper than {MAX_PARSE_DEPTH} levels", pos)
         if text[pos] == _LEAF_GLYPH:
             pos += 1
-            return single_node()
+            return RootedTree()
         if text[pos] != "[":
             raise TreeSyntaxError(f"expected '[' or '{_LEAF_GLYPH}', found {text[pos]!r}", pos)
         pos += 1
         skip_ws()
         if pos < end and text[pos] == "]":
             pos += 1
-            return single_node()
+            return RootedTree()
         children = [parse_node(depth + 1)]
         while True:
             skip_ws()
@@ -318,7 +309,7 @@ def parse_tree(text: str) -> RootedTree:
                 children.append(parse_node(depth + 1))
             elif text[pos] == "]":
                 pos += 1
-                return from_children(children)
+                return RootedTree(tuple(children))
             else:
                 raise TreeSyntaxError(f"expected ',' or ']', found {text[pos]!r}", pos)
 

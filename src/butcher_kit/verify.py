@@ -19,19 +19,18 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping, Sequence, Union
 
 from .algebra import format_rational, parse_rational
 from .conditions import ElementaryWeights
-from .trees import RootedTree, enumerate_by_leaf, format_tree, tree_factorial
+from .trees import RootedTree, format_tree, grow_by_leaf, tree_factorial
 
 __all__ = [
     "TableauError",
     "ButcherTableau",
     "load_tableau",
-    "weight_vector_values",
     "weight_value",
-    "residual",
     "ResidualEntry",
     "OrderReport",
     "verify_order",
@@ -143,9 +142,9 @@ def read_document(
 ) -> Mapping:
     """The JSON object (text or mapping) behind a kind of document.
 
-    Invalid JSON, duplicate keys, a non-object document, keys outside fields
-    and missing required keys each raise error.  load_tableau and
-    oracle.load_field both read through here.
+    Invalid JSON, nesting too deep for the decoder, duplicate keys, a
+    non-object document, keys outside fields and missing required keys each
+    raise error.  load_tableau and oracle.load_field both read through here.
     """
 
     def reject_duplicate_keys(pairs):
@@ -163,6 +162,8 @@ def read_document(
             raise
         except json.JSONDecodeError as err:
             raise error(f"invalid JSON: {err}") from None
+        except RecursionError:
+            raise error("invalid JSON: nested too deeply") from None
     else:
         document = source
     if not isinstance(document, Mapping):
@@ -222,19 +223,13 @@ def load_tableau(source: str | Mapping) -> ButcherTableau:
     return ButcherTableau.from_rows(name, matrix, weights, nodes)
 
 
-def weight_vector_values(tableau: ButcherTableau, tree: RootedTree) -> tuple[Fraction, ...]:
-    """The per-stage weight vector of the tree, evaluated on the tableau."""
-    return tableau.elementary_weights().vector(tree)
-
-
 def weight_value(tableau: ButcherTableau, tree: RootedTree) -> Fraction:
-    """sum_i b_i * weight_vector_values(t)_i, exactly."""
+    """The elementary weight b . Phi(t) of one tree, exactly.
+
+    Builds a fresh evaluator per call; to ask about many trees, build one
+    with tableau.elementary_weights() and call its weight(tree).
+    """
     return tableau.elementary_weights().weight(tree)
-
-
-def residual(tableau: ButcherTableau, tree: RootedTree) -> Fraction:
-    """weight_value(t) minus 1/tree_factorial(t); zero iff t is satisfied."""
-    return weight_value(tableau, tree) - Fraction(1, tree_factorial(tree))
 
 
 @dataclass(frozen=True)
@@ -343,13 +338,14 @@ def verify_order(
         except OverflowError:  # beyond float range: infinite
             return math.inf <= tol
 
-    forest = enumerate_by_leaf(max_order)
     weights = tableau.elementary_weights()
     entries: list[ResidualEntry] = []
     achieved = max_order
-    for q in range(1, max_order + 1):
+    # The forest grows one order at a time: a failing order ends the climb
+    # before any larger tree is built.
+    for q, group in enumerate(islice(grow_by_leaf(), max_order), start=1):
         failed = False
-        for tree in forest.trees_of_order(q):
+        for tree in group:
             weight = weights.weight(tree)
             rhs = Fraction(1, tree_factorial(tree))
             difference = weight - rhs

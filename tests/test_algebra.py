@@ -24,7 +24,6 @@ from butcher_kit.algebra import (
     format_rational,
     parse_rational,
     poly_sum,
-    rat,
 )
 
 
@@ -66,13 +65,15 @@ class TestRationals:
         assert format_rational(Fraction(1, 6)) == "1/6"
         assert format_rational(Fraction(0)) == "0"
 
-    def test_rat_rejects_zero_denominator(self):
-        with pytest.raises(ValueError):
-            rat(1, 0)
+    def test_parse_rejects_zero_denominator(self):
+        for text in ("1/0", "-3/00", "0/0"):
+            with pytest.raises(ValueError, match="^zero denominator$"):
+                parse_rational(text)
 
-    def test_rat_reduces(self):
-        assert rat(2, 4) == Fraction(1, 2)
-        assert rat(-2, -4) == Fraction(1, 2)
+    def test_parse_reduces(self):
+        for text, reduced in (("2/4", (1, 2)), ("-2/4", (-1, 2)), ("6/3", (2, 1))):
+            value = parse_rational(text)
+            assert (value.numerator, value.denominator) == reduced
 
 
 class TestCoeffVar:

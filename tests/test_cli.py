@@ -2,13 +2,18 @@
 
 The exit-code contract is load-bearing for scripting: 0 success, 1 semantic
 failure (order not reached, series mismatch), 2 usage or input errors.
+TestFuzz holds the contract over argvs drawn from a small grammar.
 """
 
+import contextlib
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from butcher_kit.cli import main
 
@@ -292,6 +297,14 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "verify", str(path), "--max-order", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
+
     def test_requirement_above_max_order_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "verify", RK4, "--max-order", "3", "--require-order", "4"
@@ -354,6 +367,14 @@ class TestOracle:
         assert code == 2
         assert "expected 2" in err
 
+    def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim": 1, "components": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "oracle", str(path), "--x0", "1", "--p", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
+
     def test_malformed_point(self, capsys):
         code, _, err = run(capsys, "oracle", LINEAR, "--x0", "huh", "--p", "3")
         assert code == 2
@@ -374,3 +395,137 @@ class TestArgumentHandling:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "trees" in out and "verify" in out and "oracle" in out
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+# Sizes are mostly in range but small, so that every argv runs in
+# milliseconds; the rest are out of range on either side (above every cap:
+# orders 14, --p 6, --stages 100), or not numbers.
+def _sizes(largest):
+    in_range = st.integers(1, largest).map(str)
+    return st.one_of(
+        in_range,
+        in_range,
+        st.integers(-2, 0).map(str),
+        st.integers(101, 10**9).map(str),
+        st.sampled_from(["", "x", "1.5"]),
+    )
+
+
+def _formats(*valid):
+    return st.sampled_from([*valid, "xml"])
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-2, 2),
+    st.sampled_from(["0", "1", "1/2", "-1/3", "0.25", "1/0", "x1", "x", ""]),
+)
+_KEYS = st.sampled_from(["name", "stages", "A", "b", "c", "dim", "components", "extra"])
+_ANY_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=5),
+    max_leaves=10,
+)
+_ENTRIES = st.lists(_SCALARS, max_size=3)
+_TABLEAU_LIKE = st.fixed_dictionaries(
+    {"stages": st.integers(1, 3) | _SCALARS, "A": st.lists(_ENTRIES, max_size=3), "b": _ENTRIES},
+    optional={"c": _ENTRIES, "name": _SCALARS, "extra": _SCALARS},
+)
+_COMPONENT = st.lists(
+    st.sampled_from(["x1", "x2", "x1^2", "x2^0", "x3", "1/2", "3", "1/0", "+", "-", "*", " ", "("]),
+    max_size=6,
+).map("".join)
+_FIELD_LIKE = st.fixed_dictionaries(
+    {
+        "dim": st.integers(1, 2) | _SCALARS,
+        "components": st.lists(_COMPONENT | _SCALARS, max_size=3),
+    },
+    optional={"extra": _SCALARS},
+)
+_MALFORMED = st.sampled_from(["", "{", "[1, 2]", "null", "[" * 5000 + "]" * 5000])
+_RATIONALS = st.sampled_from(["1", "0", "-1/2", "0.5", "1/0", "x", "", " 2 "])
+_POINTS = st.one_of(
+    st.sampled_from(["1", "1/2", "1,0", "-1/2,1"]),
+    st.lists(_RATIONALS, min_size=1, max_size=3).map(",".join),
+)
+_TABLEAUS = ["explicit_euler.json", "implicit_midpoint.json", "rk4.json", "butcher6_u2-5_v1-3.json"]
+_FIELDS = ["linear1d.json", "quad1d.json", "rotation2d.json", "mixed2d.json"]
+
+
+def _document(shaped):
+    return st.one_of(
+        shaped.map(json.dumps), _ANY_JSON.map(json.dumps), _MALFORMED, st.text(max_size=30)
+    )
+
+
+def _path(fixtures, written):
+    return st.sampled_from([str(FIXTURES / name) for name in fixtures] + ["no-such.json", written])
+
+
+def _argv(*parts):
+    """Each part is a strategy for a list of tokens; the argv joins them."""
+    return st.tuples(*parts).map(lambda lists: [token for tokens in lists for token in tokens])
+
+
+def _option(flag, values):
+    """The flag with one drawn value, or nothing."""
+    return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
+
+
+def _commands(tableau_path, field_path):
+    tableau = _path(_TABLEAUS, tableau_path)
+    return st.one_of(
+        _argv(
+            _path(_FIELDS, field_path).map(lambda path: ["oracle", path]),
+            _POINTS.map(lambda point: ["--x0", point]),
+            _sizes(6).map(lambda p: ["--p", p]),
+            _option("--tableau", tableau),
+            _option("--format", _formats("text", "json")),
+        ),
+        _argv(
+            tableau.map(lambda path: ["verify", path]),
+            _sizes(8).map(lambda p: ["--max-order", p]),
+            _option("--require-order", _sizes(8)),
+            _option("--mode", st.sampled_from(["exact", "float", "fuzzy"])),
+            _option("--tol", st.sampled_from(["0", "1e-12", "-1", "inf", "nan", "x"])),
+            _option("--format", _formats("text", "json")),
+        ),
+        _argv(
+            _sizes(5).map(lambda p: ["conditions", "--order", p]),
+            _option("--stages", _sizes(3)),
+            _option("--format", _formats("text", "latex", "json")),
+            st.lists(st.sampled_from(["--explicit", "--subst-c", "--generic"]), max_size=3),
+        ),
+        _argv(_sizes(7).map(lambda p: ["count", "--order", p])),
+        _argv(
+            _sizes(6).map(lambda p: ["trees", "--order", p]),
+            _option("--format", _formats("bracket", "json")),
+        ),
+    )
+
+
+class TestFuzz:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_exit_code_contract(self, tmp_path, data):
+        tableau_path, field_path = tmp_path / "tableau.json", tmp_path / "field.json"
+        tableau_path.write_text(data.draw(_document(_TABLEAU_LIKE), label="tableau document"))
+        field_path.write_text(data.draw(_document(_FIELD_LIKE), label="field document"))
+        argv = data.draw(_commands(str(tableau_path), str(field_path)), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue()

@@ -20,18 +20,10 @@ from butcher_kit.algebra import CoeffPolynomial, a_var, b_var, c_var, poly_sum
 from butcher_kit.conditions import (
     GenerationFlags,
     all_order_conditions,
-    elementary_weight,
-    elementary_weight_vector,
-    order_condition,
     render_generic,
+    symbolic_weights,
 )
-from butcher_kit.trees import (
-    enumerate_by_leaf,
-    from_children,
-    parse_tree,
-    single_node,
-    tree_factorial,
-)
+from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial
 
 EXPLICIT_C = GenerationFlags(explicit=True, substitute_c=True)
 RAW = GenerationFlags()
@@ -50,10 +42,14 @@ def A(i, j):
 
 
 def _chain(q):
-    tree = single_node()
+    tree = RootedTree()
     for _ in range(q - 1):
-        tree = from_children([tree])
+        tree = RootedTree((tree,))
     return tree
+
+
+def _conditions_by_tree(max_order, stages, flags):
+    return {c.tree: c for c in all_order_conditions(max_order, stages, flags)}
 
 
 # The classical 4-stage order-4 block, written out exactly.
@@ -98,20 +94,21 @@ class TestClassicalBlock:
         assert {c.rhs for c in generated} == expected
 
     def test_the_one_sixth_equation_comes_from_the_order3_chain(self):
-        condition = order_condition(_chain(3), 4, EXPLICIT_C)
+        condition = _conditions_by_tree(3, 4, EXPLICIT_C)[_chain(3)]
         assert condition.rhs == Fraction(1, 6)
         assert condition.lhs == CLASSICAL_ORDER4_BLOCK[2][0]
 
     def test_rhs_is_reciprocal_tree_factorial(self):
-        for tree in enumerate_by_leaf(6):
-            condition = order_condition(tree, 3, RAW)
-            assert condition.rhs == Fraction(1, tree_factorial(tree))
+        conditions = all_order_conditions(6, 3, RAW)
+        assert [c.tree for c in conditions] == list(enumerate_by_leaf(6))
+        for condition in conditions:
+            assert condition.rhs == Fraction(1, tree_factorial(condition.tree))
 
 
 class TestWeightVectors:
     def test_single_node_weight_is_sum_of_b(self):
-        assert elementary_weight(single_node(), 3, RAW) == B(1) + B(2) + B(3)
-        assert elementary_weight_vector(single_node(), 2, RAW) == (
+        assert symbolic_weights(3, RAW).weight(RootedTree()) == B(1) + B(2) + B(3)
+        assert symbolic_weights(2, RAW).vector(RootedTree()) == (
             CoeffPolynomial.constant(1),
             CoeffPolynomial.constant(1),
         )
@@ -119,24 +116,24 @@ class TestWeightVectors:
     def test_one_leaf_child_with_c_substitution(self):
         tree = parse_tree("[[]]")
         flags = GenerationFlags(substitute_c=True)
-        assert elementary_weight_vector(tree, 2, flags) == (C(1), C(2))
+        assert symbolic_weights(2, flags).vector(tree) == (C(1), C(2))
 
     def test_one_leaf_child_explicit_kills_first_stage(self):
         tree = parse_tree("[[]]")
-        assert elementary_weight_vector(tree, 2, EXPLICIT_C) == (CoeffPolynomial.zero(), C(2))
+        assert symbolic_weights(2, EXPLICIT_C).vector(tree) == (CoeffPolynomial.zero(), C(2))
 
     def test_one_leaf_child_raw_row_sums(self):
         tree = parse_tree("[[]]")
-        assert elementary_weight_vector(tree, 2, RAW) == (A(1, 1) + A(1, 2), A(2, 1) + A(2, 2))
+        assert symbolic_weights(2, RAW).vector(tree) == (A(1, 1) + A(1, 2), A(2, 1) + A(2, 2))
         explicit_raw = GenerationFlags(explicit=True)
-        assert elementary_weight_vector(tree, 2, explicit_raw) == (
+        assert symbolic_weights(2, explicit_raw).vector(tree) == (
             CoeffPolynomial.zero(),
             A(2, 1),
         )
 
     def test_stage_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            elementary_weight_vector(single_node(), 0)
+            symbolic_weights(0)
 
 
 def _row_sum_binding(stages, explicit):
@@ -155,35 +152,34 @@ class TestCSubstitutionConsistency:
     @pytest.mark.parametrize("stages", [1, 2, 3, 4])
     def test_all_trees_through_order_5(self, stages):
         binding = _row_sum_binding(stages, explicit=False)
+        with_c = symbolic_weights(stages, GenerationFlags(substitute_c=True))
+        raw = symbolic_weights(stages, RAW)
         for tree in enumerate_by_leaf(5):
-            with_c = elementary_weight(tree, stages, GenerationFlags(substitute_c=True))
-            raw = elementary_weight(tree, stages, RAW)
-            assert with_c.substitute(binding) == raw
+            assert with_c.weight(tree).substitute(binding) == raw.weight(tree)
 
     @pytest.mark.parametrize("stages", [1, 2, 3, 4, 5, 6])
     def test_explicit_shape_all_trees_through_order_6(self, stages):
         binding = _row_sum_binding(stages, explicit=True)
-        explicit_raw = GenerationFlags(explicit=True)
+        with_c = symbolic_weights(stages, EXPLICIT_C)
+        raw = symbolic_weights(stages, GenerationFlags(explicit=True))
         for tree in enumerate_by_leaf(6):
-            with_c = elementary_weight(tree, stages, EXPLICIT_C)
-            raw = elementary_weight(tree, stages, explicit_raw)
-            assert with_c.substitute(binding) == raw
+            assert with_c.weight(tree).substitute(binding) == raw.weight(tree)
 
     def test_order_6_spot_checks_at_six_stages(self):
         binding = _row_sum_binding(6, explicit=False)
+        with_c = symbolic_weights(6, GenerationFlags(substitute_c=True))
+        raw = symbolic_weights(6, RAW)
         for text in ["[[[[[[]]]]]]", "[[],[],[],[],[]]", "[[[],[]],[[]]]"]:
             tree = parse_tree(text)
-            with_c = elementary_weight(tree, 6, GenerationFlags(substitute_c=True))
-            raw = elementary_weight(tree, 6, RAW)
-            assert with_c.substitute(binding) == raw
+            assert with_c.weight(tree).substitute(binding) == raw.weight(tree)
 
 
 class TestExplicitShape:
     def test_no_upper_triangle_and_no_c1(self):
         for flags in (GenerationFlags(explicit=True), EXPLICIT_C):
+            weights = symbolic_weights(4, flags)
             for tree in enumerate_by_leaf(5):
-                weight = elementary_weight(tree, 4, flags)
-                for var in weight.free_variables():
+                for var in weights.weight(tree).free_variables():
                     if var.kind == "a":
                         assert var.i > var.j
                     if var.kind == "c":
@@ -193,7 +189,8 @@ class TestExplicitShape:
         # Strictly lower triangular matrices are nilpotent: the chain with
         # s+1 nodes gets weight 0, leaving an unsatisfiable condition.
         for stages in (1, 2, 3):
-            condition = order_condition(_chain(stages + 1), stages, GenerationFlags(explicit=True))
+            explicit = GenerationFlags(explicit=True)
+            condition = _conditions_by_tree(stages + 1, stages, explicit)[_chain(stages + 1)]
             assert condition.lhs.is_zero
             assert condition.unsatisfiable
 
@@ -227,14 +224,15 @@ class TestConditionSets:
 
 class TestRendering:
     def test_condition_render_styles(self):
-        condition = order_condition(parse_tree("[[]]"), 2, GenerationFlags(substitute_c=True))
+        flags = GenerationFlags(substitute_c=True)
+        condition = _conditions_by_tree(2, 2, flags)[parse_tree("[[]]")]
         assert condition.render() == "b[1]*c[1] + b[2]*c[2] == 1/2"
         assert condition.render("latex") == "b_{1} c_{1} + b_{2} c_{2} = \\frac{1}{2}"
         with pytest.raises(ValueError):
             condition.render("html")
 
     def test_generic_single_node(self):
-        assert render_generic(single_node()) == "sum_{i=1}^{s} b_i"
+        assert render_generic(RootedTree()) == "sum_{i=1}^{s} b_i"
 
     def test_generic_one_child(self):
         assert render_generic(parse_tree("[[]]")) == "sum_{i=1}^{s} b_i (sum_{j=1}^{s} a_{i,j})"

@@ -207,6 +207,11 @@ class TestFieldDocuments:
         with pytest.raises(FieldError, match="JSON object"):
             load_field("3")
 
+    def test_nesting_too_deep_to_decode(self):
+        deep = '{"dim": 1, "components": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(FieldError, match="^invalid JSON: nested too deeply$"):
+            load_field(deep)
+
     def test_parse_point(self):
         assert parse_point("1, 0", 2) == (F(1), F(0))
         assert parse_point("-1/3,0.5", 2) == (F(-1, 3), F(1, 2))

@@ -9,7 +9,9 @@ Core claims:
   * tree_factorial agrees with a brute-force monotone-labeling count
     (hook length route) on every tree of order <= 5;
   * symmetry_delta agrees with a brute-force distinct-permutation count;
-  * construction is child-order invariant and parse/format round-trips.
+  * construction is child-order invariant and parse/format round-trips,
+    on every small tree and on hypothesis-drawn shapes;
+  * the counts through order 12 follow the A000081 recurrence.
 """
 
 import math
@@ -18,35 +20,65 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from butcher_kit.cli import _TREES_OF_ORDER
 from butcher_kit.trees import (
     MAX_PARSE_DEPTH,
     RootedTree,
     TreeSyntaxError,
     alpha,
-    compare_trees,
     enumerate_by_leaf,
     enumerate_by_partitions,
     format_tree,
-    from_children,
     parse_tree,
-    single_node,
     symmetry_delta,
     tree_factorial,
 )
 
 KNOWN_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)
 
+# A tree shape with its children in a given order: a tuple of shapes.
+ORDERED_SHAPES = st.recursive(
+    st.just(()), lambda kids: st.lists(kids, max_size=3).map(tuple), max_leaves=12
+)
+
+
+def _build(shape, rng=None):
+    kids = [_build(kid, rng) for kid in shape]
+    if rng is not None:
+        rng.shuffle(kids)
+    return RootedTree(tuple(kids))
+
+
+def _text_in_given_order(shape):
+    return "[" + ",".join(_text_in_given_order(kid) for kid in shape) + "]"
+
+
+def _a000081(n):
+    """Rooted trees with 1..n nodes, by a(m+1) = (1/m) sum_k s(k) a(m-k+1),
+    where s(k) is the sum of d * a(d) over the divisors d of k."""
+    a = [0, 1]
+    for m in range(1, n):
+        total = sum(
+            sum(d * a[d] for d in range(1, k + 1) if k % d == 0) * a[m - k + 1]
+            for k in range(1, m + 1)
+        )
+        assert total % m == 0
+        a.append(total // m)
+    return tuple(a[1:])
+
 
 def _chain(q):
-    tree = single_node()
+    tree = RootedTree()
     for _ in range(q - 1):
-        tree = from_children([tree])
+        tree = RootedTree((tree,))
     return tree
 
 
 def _bushy(q):
-    return from_children([single_node()] * (q - 1))
+    return RootedTree((RootedTree(),) * (q - 1))
 
 
 def _ordered_monotone_labelings(tree):
@@ -87,7 +119,7 @@ class TestEnumeration:
     def test_groups_are_sorted_and_duplicate_free(self):
         for group in enumerate_by_leaf(7).per_order:
             for left, right in zip(group, group[1:]):
-                assert compare_trees(left, right) == -1
+                assert left < right
 
     def test_enumeration_is_deterministic(self):
         assert enumerate_by_leaf(6) == enumerate_by_leaf(6)
@@ -103,6 +135,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_by_leaf(0)
 
+    def test_counts_follow_the_a000081_recurrence(self):
+        assert _a000081(10) == KNOWN_COUNTS
+        assert enumerate_by_leaf(12).counts() == _a000081(12)
+        assert enumerate_by_partitions(12).counts() == _a000081(12)
+        # The CLI's size caps are priced from its own table of counts.
+        assert _TREES_OF_ORDER == _a000081(len(_TREES_OF_ORDER))
+
     def test_every_enumerated_tree_has_its_group_order(self):
         forest = enumerate_by_partitions(7)
         for q in range(1, 8):
@@ -117,7 +156,7 @@ class TestCoefficients:
         assert alpha(tree) == Fraction(1, 2)
 
     def test_single_node(self):
-        leaf = single_node()
+        leaf = RootedTree()
         assert leaf.order == 1
         assert tree_factorial(leaf) == 1
         assert symmetry_delta(leaf) == 1
@@ -182,21 +221,48 @@ class TestCanonicalForm:
             for _ in range(5):
                 kids = list(tree.children)
                 rng.shuffle(kids)
-                assert from_children(kids) == tree
+                assert RootedTree(tuple(kids)) == tree
 
     def test_compare_is_antisymmetric_and_total(self):
         sample = list(enumerate_by_leaf(5))
         for left in sample:
             for right in sample:
-                assert compare_trees(left, right) == -compare_trees(right, left)
-                assert (compare_trees(left, right) == 0) == (left == right)
+                assert (left < right) == (right > left)
+                assert [left < right, left == right, left > right].count(True) == 1
 
     def test_order_dominates_comparison(self):
         forest = enumerate_by_leaf(6)
         for q in range(1, 6):
             for small in forest.trees_of_order(q):
                 for large in forest.trees_of_order(q + 1):
-                    assert compare_trees(small, large) == -1
+                    assert small < large
+
+    def test_hash_is_computed_once_per_tree(self, monkeypatch):
+        tree = _chain(30)
+        assert hash(tree) == hash(_chain(30))
+        calls = []
+        original = RootedTree.__hash__
+
+        def counting(node):
+            calls.append(node)
+            return original(node)
+
+        monkeypatch.setattr(RootedTree, "__hash__", counting)
+        hash(tree)
+        hash(tree)
+        # Cached: a lookup hashes the tree itself, not every subtree again.
+        assert len(calls) == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(shape=ORDERED_SHAPES, rng=st.randoms(use_true_random=False))
+    def test_identity_does_not_depend_on_child_order(self, shape, rng):
+        tree = _build(shape)
+        shuffled = _build(shape, rng)
+        parsed = parse_tree(_text_in_given_order(shape))
+        for other in (shuffled, parsed, parse_tree(format_tree(tree))):
+            assert other == tree
+            assert hash(other) == hash(tree)
+            assert format_tree(other) == format_tree(tree)
 
     def test_children_require_tree_type(self):
         with pytest.raises(TypeError):
@@ -214,7 +280,7 @@ class TestParseFormat:
 
     def test_whitespace_and_glyph_input(self):
         assert parse_tree(" [ [] , ⊙ ] ") == parse_tree("[[],[]]")
-        assert parse_tree("⊙") == single_node()
+        assert parse_tree("⊙") == RootedTree()
         assert parse_tree("[⊙]") == parse_tree("[[]]")
 
     def test_non_canonical_input_is_canonicalized(self):

@@ -32,29 +32,27 @@ from helpers import (
 )
 
 from butcher_kit.algebra import a_var, b_var, c_var
-from butcher_kit.conditions import GenerationFlags, elementary_weight
-from butcher_kit.trees import enumerate_by_leaf, from_children, parse_tree, single_node
+from butcher_kit.conditions import GenerationFlags, symbolic_weights
+from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial
 from butcher_kit.verify import (
     ButcherTableau,
     TableauError,
     load_tableau,
-    residual,
     verify_order,
     weight_value,
-    weight_vector_values,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _bushy(q):
-    return from_children([single_node()] * (q - 1))
+    return RootedTree((RootedTree(),) * (q - 1))
 
 
 def _chain(q):
-    tree = single_node()
+    tree = RootedTree()
     for _ in range(q - 1):
-        tree = from_children([tree])
+        tree = RootedTree((tree,))
     return tree
 
 
@@ -118,6 +116,10 @@ class TestLoading:
         with pytest.raises(TableauError, match="JSON object"):
             load_tableau("[1, 2]")
 
+    def test_nesting_too_deep_to_decode(self):
+        with pytest.raises(TableauError, match="^invalid JSON: nested too deeply$"):
+            load_tableau("[" * 100_000 + "]" * 100_000)
+
     def test_explicit_detection(self):
         assert explicit_euler().explicit
         assert rk4().explicit
@@ -128,26 +130,31 @@ class TestResiduals:
     def test_first_condition_everywhere(self):
         # weight([]) is sum(b); all four fixtures are consistent methods.
         for tableau in (explicit_euler(), implicit_midpoint(), rk4(), butcher6(1, 1)):
-            assert residual(tableau, single_node()) == 0
+            assert tableau.elementary_weights().weight(RootedTree()) == 1
 
     def test_explicit_euler_order_2_residual(self):
-        assert residual(explicit_euler(), parse_tree("[[]]")) == Fraction(-1, 2)
+        tree = parse_tree("[[]]")
+        weight = explicit_euler().elementary_weights().weight(tree)
+        assert weight - Fraction(1, tree_factorial(tree)) == Fraction(-1, 2)
 
     def test_rk4_bushy_order5_residual(self):
         bushy = _bushy(5)
-        assert weight_value(rk4(), bushy) == Fraction(5, 24)
-        assert residual(rk4(), bushy) == Fraction(1, 120)
+        weight = rk4().elementary_weights().weight(bushy)
+        assert weight == weight_value(rk4(), bushy) == Fraction(5, 24)
+        assert weight - Fraction(1, tree_factorial(bushy)) == Fraction(1, 120)
 
     def test_rk4_chain5_is_nilpotent(self):
-        assert weight_value(rk4(), _chain(5)) == 0
-        assert residual(rk4(), _chain(5)) == Fraction(-1, 120)
+        chain = _chain(5)
+        weight = rk4().elementary_weights().weight(chain)
+        assert weight == 0
+        assert weight - Fraction(1, tree_factorial(chain)) == Fraction(-1, 120)
 
     def test_weight_vector_of_one_leaf_child_is_row_sums(self):
-        assert weight_vector_values(rk4(), parse_tree("[[]]")) == rk4().row_sums()
+        assert rk4().elementary_weights().vector(parse_tree("[[]]")) == rk4().row_sums()
 
     def test_explicit_chain_beyond_stages_has_zero_weight(self):
         for tableau in (explicit_euler(), rk4(), butcher6(Fraction(2, 5), Fraction(1, 3))):
-            assert weight_value(tableau, _chain(tableau.stages + 1)) == 0
+            assert tableau.elementary_weights().weight(_chain(tableau.stages + 1)) == 0
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(tableau=random_tableaus())
@@ -170,13 +177,14 @@ class TestResiduals:
         )
         with_c = dict(binding)
         with_c.update({c_var(i): tableau.row_sums()[i - 1] for i in range(1, s + 1)})
-        raw = GenerationFlags(explicit=tableau.explicit)
-        subst_c = GenerationFlags(explicit=tableau.explicit, substitute_c=True)
+        weights = tableau.elementary_weights()
+        raw = symbolic_weights(s, GenerationFlags(explicit=tableau.explicit))
+        subst_c = symbolic_weights(s, GenerationFlags(explicit=tableau.explicit, substitute_c=True))
         for tree in enumerate_by_leaf(5):
-            direct = weight_value(tableau, tree)
-            via_poly = elementary_weight(tree, s, raw).substitute(binding)
+            direct = weights.weight(tree)
+            via_poly = raw.weight(tree).substitute(binding)
             assert via_poly.evaluate_constant() == direct
-            via_c = elementary_weight(tree, s, subst_c).substitute(with_c)
+            via_c = subst_c.weight(tree).substitute(with_c)
             assert via_c.evaluate_constant() == direct
 
 
@@ -254,6 +262,22 @@ class TestVerifyOrder:
         assert not report.residuals[0].passed
         assert report.residuals[0].residual == 10**400 - 1
         assert verify_order(huge, 1, mode="float", tol=math.inf).achieved_order == 1
+
+    def test_failing_order_stops_the_forest(self, monkeypatch):
+        # rk4 fails at order 5, so no tree above order 5 may be built,
+        # however high max_order is.
+        built = []
+        post_init = RootedTree.__post_init__
+
+        def counting(tree):
+            post_init(tree)
+            built.append(tree.order)
+
+        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        report = verify_order(rk4(), 12)
+        assert report.achieved_order == 4
+        assert len(report.residuals) == 17
+        assert built and max(built) == 5
 
     def test_invalid_requests(self):
         with pytest.raises(TableauError):
