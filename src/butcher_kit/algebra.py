@@ -53,6 +53,11 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def numerators_over(values: Iterable[Fraction], denominator: int) -> tuple[int, ...]:
+    """The numerators of values written over a common multiple of their denominators."""
+    return tuple(x.numerator * (denominator // x.denominator) for x in values)
+
+
 _KIND_RANK = {"b": 0, "c": 1, "a": 2}
 
 

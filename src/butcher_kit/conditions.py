@@ -13,8 +13,9 @@ for any scalar ring.  Its inputs are, per stage, the (j, a[i,j]) pairs
 whose entry is not zero and the factor a single-node child contributes
 (sum_j a[i,j], or c[i]), and b; one memo serves every tree it is asked
 about.  symbolic_weights builds one over the CoeffPolynomial variables
-a[i,j], c[i] and b[i]; verify and the oracle build one over a tableau's
-Fraction entries (ButcherTableau.elementary_weights).
+a[i,j], c[i] and b[i].  ButcherTableau.elementary_weights, which verify
+and the oracle use, builds one over the integer numerators of a tableau's
+A and b, each put over one common denominator, and divides once per tree.
 
 GenerationFlags tune the emitted shape:
   * substitute_c: a child that is the single node contributes the factor

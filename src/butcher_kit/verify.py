@@ -8,9 +8,13 @@ single-node child contributing the row sum of A.  So the node vector c
 plays no role in the residuals; tableaus whose c differs from the row sums
 of A are verified all the same and only flagged via row_sum_consistent.
 
-Exact mode compares Fractions; float mode compares |residual| against a
-tolerance after conversion, for tableaus whose entries only approximate a
-method.  A residual too large for a float compares as infinite.
+The recursion runs over integers: A and b are scaled to integer numerators
+over one common denominator each, and each tree's weight is divided back
+into a reduced Fraction once (TableauWeights).  Both modes then compare
+that exact weight against 1/tree_factorial(t): exact mode asks for a zero
+residual, float mode compares |residual| against a tolerance after
+conversion, for tableaus whose entries only approximate a method.  A
+residual too large for a float compares as infinite.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Mapping, Sequence, Union
 
-from .algebra import format_rational, parse_rational
+from .algebra import format_rational, numerators_over, parse_rational
 from .conditions import ElementaryWeights
 from .trees import RootedTree, format_tree, grow_by_leaf, tree_factorial
 
@@ -115,10 +119,9 @@ class ButcherTableau:
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, Fraction(0)) for row in self.a)
 
-    def elementary_weights(self) -> ElementaryWeights:
+    def elementary_weights(self) -> "TableauWeights":
         """Phi and b . Phi over this tableau's entries, one memo throughout."""
-        rows = [[(j, entry) for j, entry in enumerate(row) if entry] for row in self.a]
-        return ElementaryWeights(rows, self.row_sums(), self.b)
+        return TableauWeights(self.a, self.b)
 
     @property
     def row_sum_consistent(self) -> bool:
@@ -132,6 +135,37 @@ class ButcherTableau:
             "b": [format_rational(x) for x in self.b],
             "c": [format_rational(x) for x in self.c],
         }
+
+
+class TableauWeights:
+    """Phi(t) and b . Phi(t) of a tableau as reduced Fractions, from integers.
+
+    A is scaled by D_A, the lcm of its denominators, and b by D_b, so
+    ElementaryWeights runs over integers only.  Each of a tree's |t| - 1
+    edges brings one factor of A (a leaf brings its row sum), so
+    Phi_i(t) = Phi^_i(t) / D_A^(|t|-1) and b . Phi(t) = b^ . Phi^(t) /
+    (D_b * D_A^(|t|-1)): one division per tree instead of one gcd per
+    product and sum.
+    """
+
+    def __init__(self, a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> None:
+        self._d_a = math.lcm(*(x.denominator for row in a for x in row))
+        self._d_b = math.lcm(*(x.denominator for x in b))
+        rows = [
+            [(j, x) for j, x in enumerate(numerators_over(row, self._d_a)) if x] for row in a
+        ]
+        leaf = [sum(x for _, x in row) for row in rows]
+        self._integers = ElementaryWeights(rows, leaf, numerators_over(b, self._d_b))
+
+    def vector(self, tree: RootedTree) -> tuple[Fraction, ...]:
+        """(Phi_1(t), ..., Phi_s(t))."""
+        scale = self._d_a ** (tree.order - 1)
+        return tuple(Fraction(x, scale) for x in self._integers.vector(tree))
+
+    def weight(self, tree: RootedTree) -> Fraction:
+        """sum_i b[i] * Phi_i(t)."""
+        scale = self._d_b * self._d_a ** (tree.order - 1)
+        return Fraction(self._integers.weight(tree), scale)
 
 
 _TABLEAU_FIELDS = {"name", "stages", "A", "b", "c"}

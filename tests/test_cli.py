@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from butcher_kit.cli import main
+from butcher_kit.oracle import MAX_FIELD_DEGREE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RK4 = str(FIXTURES / "rk4.json")
@@ -374,6 +375,27 @@ class TestOracle:
         assert code == 2
         assert out == ""
         assert err == "error: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "component,message",
+        [
+            ("x1 + 1/0", "components[1]: zero denominator (at position 5)"),
+            (
+                "x1^100000",
+                f"components[1]: degree 100000 exceeds the cap of {MAX_FIELD_DEGREE}"
+                " (at position 0)",
+            ),
+        ],
+    )
+    def test_malformed_component_is_positioned_input_error(
+        self, capsys, tmp_path, component, message
+    ):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"dim": 1, "components": [component]}))
+        start = time.monotonic()
+        code, out, err = run(capsys, "oracle", str(path), "--x0", "1/2", "--p", "3")
+        assert time.monotonic() - start < 0.5
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_malformed_point(self, capsys):
         code, _, err = run(capsys, "oracle", LINEAR, "--x0", "huh", "--p", "3")

@@ -10,6 +10,7 @@ repeated directional derivatives of the field.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -27,6 +28,7 @@ from helpers import (
 )
 
 from butcher_kit.oracle import (
+    MAX_FIELD_DEGREE,
     FieldError,
     FieldSyntaxError,
     PolyVectorField,
@@ -154,12 +156,20 @@ class TestComponentParsing:
             ("x1 x2", 3),
             ("2 x1", 2),
             ("*x1", 0),
+            ("x1 + 1/0", 5),
+            (f"x1 - x1^{MAX_FIELD_DEGREE + 1}", 5),
+            (f"x1^{MAX_FIELD_DEGREE // 2}*x2^{MAX_FIELD_DEGREE // 2 + 1}", 0),
         ],
     )
     def test_rejected_with_position(self, text, position):
         with pytest.raises(FieldSyntaxError) as err:
             PolyVectorField.from_strings(2, [text, "x1"])
         assert err.value.position == position
+
+    def test_degree_up_to_the_cap_is_accepted(self):
+        half = MAX_FIELD_DEGREE // 2
+        field = PolyVectorField.from_strings(2, [f"x1^{half}*x2^{MAX_FIELD_DEGREE - half}", "x1"])
+        assert field.components[0].terms() == {(half, MAX_FIELD_DEGREE - half): F(1)}
 
     def test_dim_1_uses_x1_only(self):
         field = PolyVectorField.from_strings(1, ["x1^2"])
@@ -198,6 +208,20 @@ class TestFieldDocuments:
     def test_duplicate_field_in_json_text(self):
         with pytest.raises(FieldError, match="duplicate field"):
             load_field('{"dim": 1, "dim": 1, "components": ["x1"]}')
+
+    def test_zero_denominator_names_component_and_position(self):
+        with pytest.raises(FieldError) as err:
+            load_field({"dim": 2, "components": ["x2", "x1 + 1/0"]})
+        assert str(err.value) == "components[2]: zero denominator (at position 5)"
+
+    def test_degree_above_the_cap_is_refused_at_once(self):
+        start = time.monotonic()
+        with pytest.raises(FieldError) as err:
+            load_field({"dim": 1, "components": ["x1^100000"]})
+        assert time.monotonic() - start < 0.5
+        assert str(err.value) == (
+            f"components[1]: degree 100000 exceeds the cap of {MAX_FIELD_DEGREE} (at position 0)"
+        )
 
     def test_invalid_json(self):
         with pytest.raises(FieldError, match="invalid JSON"):

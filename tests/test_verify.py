@@ -32,7 +32,7 @@ from helpers import (
 )
 
 from butcher_kit.algebra import a_var, b_var, c_var
-from butcher_kit.conditions import GenerationFlags, symbolic_weights
+from butcher_kit.conditions import ElementaryWeights, GenerationFlags, symbolic_weights
 from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial
 from butcher_kit.verify import (
     ButcherTableau,
@@ -186,6 +186,38 @@ class TestResiduals:
             assert via_poly.evaluate_constant() == direct
             via_c = subst_c.weight(tree).substitute(with_c)
             assert via_c.evaluate_constant() == direct
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(tableau=random_tableaus())
+    @example(tableau=ButcherTableau.from_rows("zero A", [[0, 0], [0, 0]], [Fraction(1, 3), 2]))
+    @example(
+        tableau=ButcherTableau.from_rows(
+            "zeros in b", [[0, 0, 0], ["2/3", 0, 0], ["1/4", "3/4", 0]], ["1/4", 0, "3/4"]
+        )
+    )
+    @example(
+        tableau=ButcherTableau.from_rows(
+            "negative", [["-1/2", "3/4"], ["5/6", "-7/3"]], ["-5/2", "7/2"]
+        )
+    )
+    @example(
+        tableau=ButcherTableau.from_rows(
+            "coprime denominators",
+            [[Fraction(1, 2**61 - 1), 0], [Fraction(2, 3**40), Fraction(-1, 5**27)]],
+            [Fraction(1, 7**22), Fraction(3, 2**61 - 1)],
+        )
+    )
+    def test_integer_route_matches_fraction_route(self, tableau):
+        # elementary_weights() runs over integer numerators and divides once
+        # per tree; the reference runs the same recursion over Fractions.
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in tableau.a]
+        reference = ElementaryWeights(rows, tableau.row_sums(), tableau.b)
+        weights = tableau.elementary_weights()
+        for tree in enumerate_by_leaf(6):
+            weight, vector = weights.weight(tree), weights.vector(tree)
+            assert type(weight) is Fraction and weight == reference.weight(tree)
+            assert all(type(x) is Fraction for x in vector)
+            assert vector == reference.vector(tree)
 
 
 class TestVerifyOrder:
