@@ -3,8 +3,12 @@
 The scalar type is fractions.Fraction (always reduced, denominator > 0,
 arbitrary precision); parse_rational/format_rational pin the accepted
 text grammar.  CoeffPolynomial is a sparse multivariate polynomial over the
-variables b[i], c[i], a[i,j] with a fixed monomial order, so rendering and
-iteration are deterministic.
+variables b[i], c[i], a[i,j] with int coefficients (Fractions once scaled
+by one).  Each variable has a small int id that packs its sort key, and a
+monomial is the sorted tuple of its variables' ids, one per power, so
+products, hashing and comparison run in C.  Terms sort by total degree,
+then lexicographically on the variables, higher powers of earlier variables
+first; rendering and iteration are deterministic.
 """
 
 from __future__ import annotations
@@ -59,6 +63,22 @@ def numerators_over(values: Iterable[Fraction], denominator: int) -> tuple[int, 
 
 
 _KIND_RANK = {"b": 0, "c": 1, "a": 2}
+# A variable's id packs its sort key (rank, i, j) into 2 + 14 + 14 bits, so
+# ids order like sort keys and stay one-digit ints, which CPython sorts,
+# hashes and compares fastest.
+_INDEX_BITS = 14
+_INDEX_LIMIT = 1 << _INDEX_BITS
+
+# Interned per variable as it is first built; an entry depends on its id only.
+_VARIABLES: dict[int, "CoeffVar"] = {}  # id -> variable
+_NAMES: dict[str, dict[int, str]] = {"plain": {}, "latex": {}}  # style -> id -> text
+
+
+def _names(style: str) -> dict[int, str]:
+    try:
+        return _NAMES[style]
+    except KeyError:
+        raise ValueError(f"unknown render style: {style!r}") from None
 
 
 @dataclass(frozen=True)
@@ -79,24 +99,25 @@ class CoeffVar:
                 raise ValueError("a-variables need a second index >= 1")
         elif self.j is not None:
             raise ValueError(f"{self.kind}-variables take a single index")
-        # b[1..s] < c[1..s] < a[1,1..s] row-major; precomputed along with the
-        # hash, both sit on the hot path of every monomial merge and insert.
-        object.__setattr__(self, "_skey", (_KIND_RANK[self.kind], self.i, self.j or 0))
-        object.__setattr__(self, "_hash", hash(("CoeffVar", self.kind, self.i, self.j)))
+        if max(self.i, self.j or 0) >= _INDEX_LIMIT:
+            raise ValueError(f"indices must be < {_INDEX_LIMIT}")
+        # b[1..s] < c[1..s] < a[1,1..s] row-major.
+        ident = (_KIND_RANK[self.kind] << 2 * _INDEX_BITS) | (self.i << _INDEX_BITS) | (self.j or 0)
+        object.__setattr__(self, "_id", ident)
+        if ident not in _VARIABLES:
+            _VARIABLES[ident] = self
+            indices = f"{self.i},{self.j}" if self.kind == "a" else str(self.i)
+            _NAMES["plain"][ident] = f"{self.kind}[{indices}]"
+            _NAMES["latex"][ident] = f"{self.kind}_{{{indices}}}"
 
     def __hash__(self) -> int:
-        return self._hash
+        return self._id
 
     def sort_key(self) -> tuple[int, int, int]:
-        return self._skey
+        return (_KIND_RANK[self.kind], self.i, self.j or 0)
 
     def render(self, style: str = "plain") -> str:
-        indices = f"{self.i},{self.j}" if self.kind == "a" else str(self.i)
-        if style == "plain":
-            return f"{self.kind}[{indices}]"
-        if style == "latex":
-            return f"{self.kind}_{{{indices}}}"
-        raise ValueError(f"unknown render style: {style!r}")
+        return _names(style)[self._id]
 
     def __str__(self) -> str:
         return self.render()
@@ -117,89 +138,73 @@ def a_var(i: int, j: int) -> CoeffVar:
     return CoeffVar("a", i, j)
 
 
-# A monomial is a tuple of (variable, exponent) pairs, exponents >= 1,
-# sorted by variable.  The empty tuple is the constant monomial.
+# Public monomials are tuples of (variable, exponent) pairs, exponents >= 1,
+# sorted by variable; the empty tuple is the constant monomial.
 Monomial = tuple[tuple[CoeffVar, int], ...]
 
 ScalarLike = Union[int, Fraction]
-SubstValue = Union[int, Fraction, "CoeffPolynomial"]
+
+# Inside CoeffPolynomial a monomial is the sorted tuple of its variables'
+# ids, each repeated once per power: b[1]*c[2]^2 is (id b[1], id c[2],
+# id c[2]).  A product of monomials is tuple(sorted(m1 + m2)).  Sorting by
+# (len(m), m) is the graded order: by total degree, then lexicographically
+# on the variables, higher powers of earlier variables first.
 
 
-def _monomial_degree(monomial: Monomial) -> int:
-    return sum(exp for _, exp in monomial)
+def _graded(monomials: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    return sorted(sorted(monomials), key=len)  # stable: ties on degree stay lexicographic
 
 
-def _monomial_key(monomial: Monomial) -> tuple:
-    # Graded order: by total degree, then lexicographically on the variable
-    # sequence with higher powers of earlier variables first.
-    return (
-        _monomial_degree(monomial),
-        tuple((var.sort_key(), -exp) for var, exp in monomial),
-    )
+def _runs(monomial: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(id, exponent) for each distinct variable of an id monomial."""
+    return [(var, monomial.count(var)) for var in dict.fromkeys(monomial)]
 
 
-def _merge_monomials(left: Monomial, right: Monomial) -> Monomial:
-    # Two-pointer merge; both inputs are already sorted by variable.
-    out: list[tuple[CoeffVar, int]] = []
-    li, ri = 0, 0
-    while li < len(left) and ri < len(right):
-        lvar, lexp = left[li]
-        rvar, rexp = right[ri]
-        if lvar is rvar or lvar == rvar:
-            out.append((lvar, lexp + rexp))
-            li += 1
-            ri += 1
-        elif lvar._skey < rvar._skey:
-            out.append(left[li])
-            li += 1
-        else:
-            out.append(right[ri])
-            ri += 1
-    out.extend(left[li:])
-    out.extend(right[ri:])
-    return tuple(out)
+def _nonzero(terms: dict) -> dict:
+    return {m: c for m, c in terms.items() if c} if 0 in terms.values() else terms
 
 
 class CoeffPolynomial:
-    """Sparse polynomial in b/c/a variables with Fraction coefficients.
+    """Sparse polynomial in b/c/a variables with exact coefficients.
 
-    Zero coefficients are never stored, so equality of the term maps is
-    equality of polynomials.  Arithmetic goes through the usual operators;
-    scale() is scalar multiplication under its contract name.
+    Coefficients are ints until a caller scales by a Fraction, so every
+    condition polynomial stays over the integers.  Zero coefficients are
+    never stored, so equality of the term maps is equality of polynomials.
+    Arithmetic goes through the usual operators; scale() is scalar
+    multiplication under its contract name.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
-        normalized: dict[Monomial, Fraction] = {}
+        """From {((var, exp), ...): coefficient}, the form sorted_terms() lists."""
+        collected: dict[tuple[int, ...], ScalarLike] = {}
         for monomial, coeff in (terms or {}).items():
-            value = Fraction(coeff)
-            if value:
-                normalized[monomial] = value
-        self._terms = normalized
+            ids = tuple(sorted(var._id for var, exp in monomial for _ in range(exp)))
+            collected[ids] = collected.get(ids, 0) + coeff
+        self._terms = _nonzero(collected)
 
     @classmethod
-    def _from_clean(cls, terms: dict[Monomial, Fraction]) -> "CoeffPolynomial":
-        # Internal fast path: values are known to be Fractions already, so
-        # only zero terms need dropping.
+    def _of(cls, terms: dict) -> "CoeffPolynomial":
+        # Internal fast path: terms are keyed by id monomials and hold no zeros.
         poly = object.__new__(cls)
-        poly._terms = {m: c for m, c in terms.items() if c}
+        poly._terms = terms
         return poly
 
     @classmethod
     def zero(cls) -> "CoeffPolynomial":
-        return cls()
+        return cls._of({})
 
     @classmethod
     def constant(cls, value: ScalarLike) -> "CoeffPolynomial":
-        return cls({(): Fraction(value)})
+        return cls._of({(): value} if value else {})
 
     @classmethod
     def variable(cls, var: CoeffVar) -> "CoeffPolynomial":
-        return cls({((var, 1),): Fraction(1)})
+        return cls._of({(var._id,): 1})
 
     @classmethod
-    def _wrap(cls, value: SubstValue) -> "CoeffPolynomial":
+    def _wrap(cls, value: "ScalarLike | CoeffPolynomial") -> "CoeffPolynomial":
         if isinstance(value, CoeffPolynomial):
             return value
         return cls.constant(value)
@@ -208,129 +213,83 @@ class CoeffPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def free_variables(self) -> set[CoeffVar]:
-        return {var for monomial in self._terms for var, _ in monomial}
+    def sorted_terms(self) -> list[tuple[Monomial, ScalarLike]]:
+        """(monomial, coefficient) pairs in the graded order render uses."""
+        return [
+            (tuple((_VARIABLES[var], exp) for var, exp in _runs(m)), self._terms[m])
+            for m in _graded(self._terms)
+        ]
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda item: _monomial_key(item[0]))
-
-    def coefficient(self, monomial: Monomial) -> Fraction:
-        return self._terms.get(monomial, Fraction(0))
-
-    def __add__(self, other: SubstValue) -> "CoeffPolynomial":
-        other = self._wrap(other)
+    def __add__(self, other: "ScalarLike | CoeffPolynomial") -> "CoeffPolynomial":
         terms = dict(self._terms)
-        for monomial, coeff in other._terms.items():
-            present = terms.get(monomial)
-            terms[monomial] = coeff if present is None else present + coeff
-        return CoeffPolynomial._from_clean(terms)
+        for monomial, coeff in self._wrap(other)._terms.items():
+            coeff += terms.get(monomial, 0)
+            if coeff:
+                terms[monomial] = coeff
+            else:
+                del terms[monomial]
+        return CoeffPolynomial._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoeffPolynomial":
-        return CoeffPolynomial._from_clean({m: -c for m, c in self._terms.items()})
+        return CoeffPolynomial._of({m: -c for m, c in self._terms.items()})
 
-    def __sub__(self, other: SubstValue) -> "CoeffPolynomial":
+    def __sub__(self, other: "ScalarLike | CoeffPolynomial") -> "CoeffPolynomial":
         return self + (-self._wrap(other))
 
-    def __rsub__(self, other: SubstValue) -> "CoeffPolynomial":
+    def __rsub__(self, other: "ScalarLike | CoeffPolynomial") -> "CoeffPolynomial":
         return self._wrap(other) + (-self)
 
-    def __mul__(self, other: SubstValue) -> "CoeffPolynomial":
+    def __mul__(self, other: "ScalarLike | CoeffPolynomial") -> "CoeffPolynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[tuple[int, ...], ScalarLike] = {}
+        get = terms.get
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                merged = _merge_monomials(m1, m2)
-                present = terms.get(merged)
-                product = c1 * c2
-                terms[merged] = product if present is None else present + product
-        return CoeffPolynomial._from_clean(terms)
+                merged = tuple(sorted(m1 + m2))
+                terms[merged] = get(merged, 0) + c1 * c2
+        return CoeffPolynomial._of(_nonzero(terms))
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "CoeffPolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = CoeffPolynomial.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def scale(self, value: ScalarLike) -> "CoeffPolynomial":
-        factor = Fraction(value)
-        return CoeffPolynomial._from_clean({m: c * factor for m, c in self._terms.items()})
-
-    def substitute(self, binding: Mapping[CoeffVar, SubstValue]) -> "CoeffPolynomial":
-        """Replace bound variables and renormalize; partial bindings allowed.
-
-        Values may be rationals or polynomials (a polynomial value is what
-        the row-sum identity c[i] -> sum_j a[i,j] needs).
-        """
-        power_cache: dict[tuple[CoeffVar, int], CoeffPolynomial] = {}
-
-        def bound_power(var: CoeffVar, exp: int) -> CoeffPolynomial:
-            cached = power_cache.get((var, exp))
-            if cached is None:
-                cached = self._wrap(binding[var]) ** exp
-                power_cache[(var, exp)] = cached
-            return cached
-
-        total: dict[Monomial, Fraction] = {}
-        for monomial, coeff in self._terms.items():
-            piece = CoeffPolynomial._from_clean({(): coeff})
-            kept: list[tuple[CoeffVar, int]] = []
-            for var, exp in monomial:
-                if var in binding:
-                    piece = piece * bound_power(var, exp)
-                else:
-                    kept.append((var, exp))
-            if kept:
-                piece = piece * CoeffPolynomial._from_clean({tuple(kept): Fraction(1)})
-            for m, c in piece._terms.items():
-                present = total.get(m)
-                total[m] = c if present is None else present + c
-        return CoeffPolynomial._from_clean(total)
-
-    def evaluate_constant(self) -> Fraction:
-        """The value of a variable-free polynomial; error otherwise."""
-        free = self.free_variables()
-        if free:
-            names = ", ".join(str(v) for v in sorted(free, key=CoeffVar.sort_key))
-            raise ValueError(f"free variables remain: {names}")
-        return self._terms.get((), Fraction(0))
+        if not value:
+            return CoeffPolynomial.zero()
+        return CoeffPolynomial._of({m: c * value for m, c in self._terms.items()})
 
     def render(self, style: str = "plain") -> str:
         """Deterministic text form; "plain" uses b[i]/"^", "latex" b_{i}/"^{}"."""
-        if style not in ("plain", "latex"):
-            raise ValueError(f"unknown render style: {style!r}")
+        names = _names(style)
         if not self._terms:
             return "0"
+        separator, power = ("*", "{}^{}") if style == "plain" else (" ", "{}^{{{}}}")
         pieces: list[str] = []
-        for position, (monomial, coeff) in enumerate(self.sorted_terms()):
-            body = self._render_term(monomial, abs(coeff), style)
-            if position == 0:
-                pieces.append(body if coeff > 0 else "-" + body)
+        for monomial in _graded(self._terms):
+            coeff = self._terms[monomial]
+            if pieces:
+                pieces.append(" + " if coeff > 0 else " - ")
+            elif coeff < 0:
+                pieces.append("-")
+            coeff = abs(coeff)
+            # _runs, inlined: this runs once per printed term.
+            factors = separator.join(
+                [
+                    names[var] if (exp := monomial.count(var)) == 1 else power.format(names[var], exp)
+                    for var in dict.fromkeys(monomial)
+                ]
+            )
+            if factors and coeff == 1:
+                pieces.append(factors)
+                continue
+            if style == "latex" and coeff.denominator != 1:
+                pieces.append(f"\\frac{{{coeff.numerator}}}{{{coeff.denominator}}}")
             else:
-                pieces.append((" + " if coeff > 0 else " - ") + body)
+                pieces.append(str(coeff))
+            if factors:
+                pieces += (separator, factors)
         return "".join(pieces)
-
-    @staticmethod
-    def _render_term(monomial: Monomial, coeff: Fraction, style: str) -> str:
-        factors = []
-        for var, exp in monomial:
-            text = var.render(style)
-            if exp > 1:
-                text += f"^{exp}" if style == "plain" else f"^{{{exp}}}"
-            factors.append(text)
-        if not factors:
-            return _render_coeff(coeff, style)
-        joined = "*".join(factors) if style == "plain" else " ".join(factors)
-        if coeff == 1:
-            return joined
-        separator = "*" if style == "plain" else " "
-        return _render_coeff(coeff, style) + separator + joined
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -349,17 +308,10 @@ class CoeffPolynomial:
         return f"CoeffPolynomial({self.render()})"
 
 
-def _render_coeff(coeff: Fraction, style: str) -> str:
-    if style == "latex" and coeff.denominator != 1:
-        return f"\\frac{{{coeff.numerator}}}{{{coeff.denominator}}}"
-    return format_rational(coeff)
-
-
 def poly_sum(parts: Iterable[CoeffPolynomial]) -> CoeffPolynomial:
     """Sum with the right empty-sum identity (single accumulator pass)."""
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[tuple[int, ...], ScalarLike] = {}
     for part in parts:
         for monomial, coeff in part._terms.items():
-            present = terms.get(monomial)
-            terms[monomial] = coeff if present is None else present + coeff
-    return CoeffPolynomial._from_clean(terms)
+            terms[monomial] = terms.get(monomial, 0) + coeff
+    return CoeffPolynomial._of(_nonzero(terms))

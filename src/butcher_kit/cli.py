@@ -348,31 +348,35 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         _emit_json(document)
         return 0 if agree else 1
 
+    # The whole report is built before any of it is printed: a value too
+    # big to format then leaves stdout empty on exit 2.
     point_text = ", ".join(format_rational(x) for x in point)
-    print(f"field: {args.field} (dim {field.dim})")
-    print(f"x0: ({point_text})")
-    print(f"degree: {args.p}")
-    print("flow series:")
-    print(flow_trees.render_text())
-    if flow_split is None:
-        print("flow trees vs picard: agree")
-    else:
-        print(f"flow trees vs picard: MISMATCH at degree {flow_split}")
+    lines = [
+        f"field: {args.field} (dim {field.dim})",
+        f"x0: ({point_text})",
+        f"degree: {args.p}",
+        "flow series:",
+        flow_trees.render_text(),
+        "flow trees vs picard: "
+        + ("agree" if flow_split is None else f"MISMATCH at degree {flow_split}"),
+    ]
     if tableau is not None:
         kind = "explicit" if tableau.explicit else "implicit"
         name = tableau.name or "(unnamed)"
-        print(f"tableau: {name} ({tableau.stages} stages, {kind})")
-        print("discrete series:")
-        print(discrete_trees.render_text())
-        if discrete_split is None:
-            print("discrete trees vs direct: agree")
-        else:
-            print(f"discrete trees vs direct: MISMATCH at degree {discrete_split}")
         versus_flow = flow_trees.first_difference(discrete_trees)
-        if versus_flow is None:
-            print(f"flow vs discrete: no difference through degree {args.p}")
-        else:
-            print(f"flow vs discrete: first difference at degree {versus_flow}")
+        lines += [
+            f"tableau: {name} ({tableau.stages} stages, {kind})",
+            "discrete series:",
+            discrete_trees.render_text(),
+            "discrete trees vs direct: "
+            + ("agree" if discrete_split is None else f"MISMATCH at degree {discrete_split}"),
+            (
+                f"flow vs discrete: no difference through degree {args.p}"
+                if versus_flow is None
+                else f"flow vs discrete: first difference at degree {versus_flow}"
+            ),
+        ]
+    print("\n".join(lines))
     return 0 if agree else 1
 
 

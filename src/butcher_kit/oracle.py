@@ -200,6 +200,9 @@ MAX_FIELD_DEGREE = 400
 # front of a term.  No parentheses.
 _NUMBER_TOKEN = re.compile(r"\d+(?:/\d+|\.\d+)?")
 _VARIABLE_TOKEN = re.compile(r"x(\d+)(?:\^(\d+))?")
+# A variable index or exponent of more digits is refused before int() reads
+# it: no dimension or degree in range needs that many.
+_MAX_DIGITS = 18
 
 
 def _tokenize_component(text: str, dim: int) -> list[tuple[str, object, int]]:
@@ -217,6 +220,13 @@ def _tokenize_component(text: str, dim: int) -> list[tuple[str, object, int]]:
             continue
         matched = _VARIABLE_TOKEN.match(text, pos)
         if matched:
+            for group, what in ((1, "variable index"), (2, "exponent")):
+                digits = matched.group(group) or ""
+                if len(digits) > _MAX_DIGITS:
+                    raise FieldSyntaxError(
+                        f"{what} has {len(digits)} digits, more than {_MAX_DIGITS}",
+                        matched.start(group),
+                    )
             index = int(matched.group(1))
             if not 1 <= index <= dim:
                 raise FieldSyntaxError(

@@ -1,17 +1,70 @@
-"""Shared exact fixtures: classical tableaus and the 6-stage family.
+"""Shared exact fixtures and reference functions for the tests.
 
 Values are frozen from the standard references, not computed by the code
 under test, so they can serve as oracles.  random_tableaus is the shared
-hypothesis strategy for small random tableaus.
+hypothesis strategy for small random tableaus.  power, free_variables,
+substitute, evaluate_constant and monomial_key are plain references on
+CoeffPolynomial, written against its public surface only.
 """
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from butcher_kit.algebra import CoeffPolynomial
 from butcher_kit.verify import ButcherTableau
 
 F = Fraction
+
+
+def power(poly, exponent):
+    """poly ** exponent by repeated multiplication."""
+    if exponent < 0:
+        raise ValueError("negative powers are not polynomials")
+    result = CoeffPolynomial.constant(1)
+    for _ in range(exponent):
+        result = result * poly
+    return result
+
+
+def free_variables(poly):
+    return {var for monomial, _ in poly.sorted_terms() for var, _ in monomial}
+
+
+def substitute(poly, binding):
+    """Replace bound variables by rationals or polynomials; partial bindings allowed.
+
+    A polynomial value is what the row-sum identity c[i] -> sum_j a[i,j] needs.
+    """
+    total = CoeffPolynomial.zero()
+    for monomial, coeff in poly.sorted_terms():
+        piece = CoeffPolynomial.constant(coeff)
+        for var, exp in monomial:
+            value = binding.get(var, CoeffPolynomial.variable(var))
+            if not isinstance(value, CoeffPolynomial):
+                value = CoeffPolynomial.constant(value)
+            piece = piece * power(value, exp)
+        total = total + piece
+    return total
+
+
+def evaluate_constant(poly):
+    """The value of a variable-free polynomial; error otherwise."""
+    free = free_variables(poly)
+    if free:
+        names = ", ".join(str(v) for v in sorted(free, key=lambda v: v.sort_key()))
+        raise ValueError(f"free variables remain: {names}")
+    return dict(poly.sorted_terms()).get((), 0)
+
+
+def monomial_key(monomial):
+    """Graded order on (variable, exponent) monomials: by total degree, then
+    lexicographically on the variable sequence, higher powers of earlier
+    variables first."""
+    return (
+        sum(exp for _, exp in monomial),
+        tuple((var.sort_key(), -exp) for var, exp in monomial),
+    )
 
 
 def explicit_euler():

@@ -385,6 +385,11 @@ class TestOracle:
                 f"components[1]: degree 100000 exceeds the cap of {MAX_FIELD_DEGREE}"
                 " (at position 0)",
             ),
+            pytest.param(
+                "x1^" + "9" * 5000,
+                "components[1]: exponent has 5000 digits, more than 18 (at position 3)",
+                id="exponent-of-5000-digits",
+            ),
         ],
     )
     def test_malformed_component_is_positioned_input_error(
@@ -396,6 +401,20 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(path), "--x0", "1/2", "--p", "3")
         assert time.monotonic() - start < 0.5
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_value_too_big_to_format_leaves_stdout_empty(self, capsys, tmp_path):
+        # f(x0) = 10^-4400 has a denominator of 4401 digits, beyond Python's
+        # integer-to-text limit: the error comes after the series are
+        # computed, and no partial report may reach stdout before it.
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"dim": 1, "components": ["x1^2"]}))
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "oracle", str(path), "--x0", f"1/{10**2200}", "--p", "1", "--tableau", RK4
+        )
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_malformed_point(self, capsys):
         code, _, err = run(capsys, "oracle", LINEAR, "--x0", "huh", "--p", "3")
@@ -468,6 +487,13 @@ _FIELD_LIKE = st.fixed_dictionaries(
     },
     optional={"extra": _SCALARS},
 )
+# Inputs that fail late or deep: at x0 = 10^-2200 the series of x1^2 holds
+# a value too big to format from degree 1 on, found only after the series
+# are computed; an exponent of 5000 digits is too long for int() to read.
+_TINY_POINT = f"1/{10**2200}"
+_EDGE_FIELDS = st.sampled_from(
+    [json.dumps({"dim": 1, "components": [text]}) for text in ("x1^2", "x1 + x1^" + "9" * 5000)]
+)
 _MALFORMED = st.sampled_from(["", "{", "[1, 2]", "null", "[" * 5000 + "]" * 5000])
 _RATIONALS = st.sampled_from(["1", "0", "-1/2", "0.5", "1/0", "x", "", " 2 "])
 _POINTS = st.one_of(
@@ -498,7 +524,7 @@ def _option(flag, values):
     return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
 
 
-def _commands(tableau_path, field_path):
+def _commands(tableau_path, field_path, edge_path):
     tableau = _path(_TABLEAUS, tableau_path)
     return st.one_of(
         _argv(
@@ -527,6 +553,12 @@ def _commands(tableau_path, field_path):
             _sizes(6).map(lambda p: ["trees", "--order", p]),
             _option("--format", _formats("bracket", "json")),
         ),
+        _argv(
+            st.just(["oracle", edge_path, "--x0", _TINY_POINT]),
+            st.integers(0, 6).map(lambda p: ["--p", str(p)]),
+            _option("--tableau", tableau),
+            _option("--format", _formats("text", "json")),
+        ),
     )
 
 
@@ -543,7 +575,11 @@ class TestFuzz:
         tableau_path, field_path = tmp_path / "tableau.json", tmp_path / "field.json"
         tableau_path.write_text(data.draw(_document(_TABLEAU_LIKE), label="tableau document"))
         field_path.write_text(data.draw(_document(_FIELD_LIKE), label="field document"))
-        argv = data.draw(_commands(str(tableau_path), str(field_path)), label="argv")
+        edge_path = tmp_path / "edge.json"
+        edge_path.write_text(data.draw(_EDGE_FIELDS, label="edge field document"))
+        argv = data.draw(
+            _commands(str(tableau_path), str(field_path), str(edge_path)), label="argv"
+        )
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -551,3 +587,4 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert err.getvalue()
+            assert out.getvalue() == ""

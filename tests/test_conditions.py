@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import free_variables, power, substitute
+
 from butcher_kit.algebra import CoeffPolynomial, a_var, b_var, c_var, poly_sum
 from butcher_kit.conditions import (
     GenerationFlags,
@@ -59,15 +61,15 @@ CLASSICAL_ORDER4_BLOCK = [
     (B(3) * C(2) * A(3, 2) + B(4) * (C(2) * A(4, 2) + C(3) * A(4, 3)), Fraction(1, 6)),
     (B(4) * C(2) * A(3, 2) * A(4, 3), Fraction(1, 24)),
     (
-        B(3) * C(2) ** 2 * A(3, 2) + B(4) * (C(2) ** 2 * A(4, 2) + C(3) ** 2 * A(4, 3)),
+        B(3) * power(C(2), 2) * A(3, 2) + B(4) * (power(C(2), 2) * A(4, 2) + power(C(3), 2) * A(4, 3)),
         Fraction(1, 12),
     ),
-    (B(2) * C(2) ** 2 + B(3) * C(3) ** 2 + B(4) * C(4) ** 2, Fraction(1, 3)),
+    (B(2) * power(C(2), 2) + B(3) * power(C(3), 2) + B(4) * power(C(4), 2), Fraction(1, 3)),
     (
         B(3) * C(2) * C(3) * A(3, 2) + B(4) * C(4) * (C(2) * A(4, 2) + C(3) * A(4, 3)),
         Fraction(1, 8),
     ),
-    (B(2) * C(2) ** 3 + B(3) * C(3) ** 3 + B(4) * C(4) ** 3, Fraction(1, 4)),
+    (B(2) * power(C(2), 3) + B(3) * power(C(3), 3) + B(4) * power(C(4), 3), Fraction(1, 4)),
 ]
 
 
@@ -155,7 +157,7 @@ class TestCSubstitutionConsistency:
         with_c = symbolic_weights(stages, GenerationFlags(substitute_c=True))
         raw = symbolic_weights(stages, RAW)
         for tree in enumerate_by_leaf(5):
-            assert with_c.weight(tree).substitute(binding) == raw.weight(tree)
+            assert substitute(with_c.weight(tree), binding) == raw.weight(tree)
 
     @pytest.mark.parametrize("stages", [1, 2, 3, 4, 5, 6])
     def test_explicit_shape_all_trees_through_order_6(self, stages):
@@ -163,7 +165,7 @@ class TestCSubstitutionConsistency:
         with_c = symbolic_weights(stages, EXPLICIT_C)
         raw = symbolic_weights(stages, GenerationFlags(explicit=True))
         for tree in enumerate_by_leaf(6):
-            assert with_c.weight(tree).substitute(binding) == raw.weight(tree)
+            assert substitute(with_c.weight(tree), binding) == raw.weight(tree)
 
     def test_order_6_spot_checks_at_six_stages(self):
         binding = _row_sum_binding(6, explicit=False)
@@ -171,7 +173,7 @@ class TestCSubstitutionConsistency:
         raw = symbolic_weights(6, RAW)
         for text in ["[[[[[[]]]]]]", "[[],[],[],[],[]]", "[[[],[]],[[]]]"]:
             tree = parse_tree(text)
-            assert with_c.weight(tree).substitute(binding) == raw.weight(tree)
+            assert substitute(with_c.weight(tree), binding) == raw.weight(tree)
 
 
 class TestExplicitShape:
@@ -179,7 +181,7 @@ class TestExplicitShape:
         for flags in (GenerationFlags(explicit=True), EXPLICIT_C):
             weights = symbolic_weights(4, flags)
             for tree in enumerate_by_leaf(5):
-                for var in weights.weight(tree).free_variables():
+                for var in free_variables(weights.weight(tree)):
                     if var.kind == "a":
                         assert var.i > var.j
                     if var.kind == "c":
@@ -215,6 +217,14 @@ class TestConditionSets:
         kept_with_rhs_1_20 = [c for c in conditions if c.rhs == Fraction(1, 20)]
         assert len(kept_with_rhs_1_20) == 1
         assert kept_with_rhs_1_20[0].tree == parse_tree("[[[]],[[]]]")
+
+    @pytest.mark.parametrize(
+        "flags", [RAW, GenerationFlags(explicit=True), GenerationFlags(substitute_c=True), EXPLICIT_C]
+    )
+    def test_coefficients_are_ints(self, flags):
+        # Each coefficient counts index choices, so no Fraction ever appears.
+        for condition in all_order_conditions(6, 3, flags):
+            assert all(type(coeff) is int for _, coeff in condition.lhs.sorted_terms())
 
     def test_orders_ascend_within_output(self):
         conditions = all_order_conditions(5, 3, EXPLICIT_C)

@@ -135,6 +135,7 @@ class TestComponentParsing:
             ("- 1/3", {(0, 0): F(-1, 3)}),
             ("x1^0", {(0, 0): F(1)}),
             ("x1 * x1", {(2, 0): F(1)}),
+            pytest.param("x1^" + "0" * 17 + "2", {(2, 0): F(1)}, id="exponent-of-18-digits"),
         ],
     )
     def test_accepted(self, text, expected_terms):
@@ -159,6 +160,9 @@ class TestComponentParsing:
             ("x1 + 1/0", 5),
             (f"x1 - x1^{MAX_FIELD_DEGREE + 1}", 5),
             (f"x1^{MAX_FIELD_DEGREE // 2}*x2^{MAX_FIELD_DEGREE // 2 + 1}", 0),
+            pytest.param("x1 - x1^" + "9" * 5000, 8, id="exponent-of-5000-digits"),
+            pytest.param("x" + "1" * 5000, 1, id="index-of-5000-digits"),
+            pytest.param("x1^" + "0" * 19 + "2", 3, id="exponent-of-20-digits"),
         ],
     )
     def test_rejected_with_position(self, text, position):
