@@ -46,7 +46,6 @@ from .trees import (
     TreeSyntaxError,
     alpha,
     enumerate_by_leaf,
-    enumerate_by_partitions,
     format_tree,
     grow_by_leaf,
     parse_tree,

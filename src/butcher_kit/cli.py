@@ -40,9 +40,10 @@ SCHEMA = "butcher-kit/1"
 
 _ORACLE_DEGREE_CAP = 6
 
-# Size caps, refused with exit 2 before any work starts.  Enumerating the
-# forest grows about 3x in time and 2x in memory per order: through order 14
-# (53,272 trees) `count` takes 6.6 s and 97 MB on a 2-core Xeon.
+# Size caps, refused with exit 2 before any work starts.  Every subcommand
+# works per tree, and there are about 3x more trees per order: through order
+# 14 (53,272 trees) the heaviest, `conditions --generic --format json`, takes
+# 3.5 s and 150 MB on a 2-core Xeon.
 _ORDER_CAP = 14
 # conditions without --generic: a full A has S^2 variables (--order 2
 # --stages 100: 0.5 s, 28 MB).

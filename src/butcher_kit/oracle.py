@@ -153,16 +153,6 @@ class StatePolynomial:
             result[lowered] = result.get(lowered, Fraction(0)) + coefficient * power
         return StatePolynomial(self.dim, result)
 
-    def directional_derivative(self, vector: Sequence[Fraction]) -> "StatePolynomial":
-        """sum_k vector[k] * d/dx_{k+1}, for a constant vector."""
-        if len(vector) != self.dim:
-            raise ValueError(f"vector has {len(vector)} entries, expected {self.dim}")
-        total = StatePolynomial.zero(self.dim)
-        for k, weight in enumerate(vector, start=1):
-            if weight:
-                total = total + self.partial(k).scale(weight)
-        return total
-
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} entries, expected {self.dim}")

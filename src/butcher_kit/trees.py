@@ -5,6 +5,13 @@ representative stores children sorted under a fixed total order (by order,
 ties broken lexicographically on the children sequences, recursively), so
 structural equality coincides with equality of unordered shapes.
 
+The forest is generated in that order directly (grow_by_leaf): a tree with q
+nodes is a root over a non-decreasing sequence of earlier trees whose orders
+sum to q-1, and the sequences are walked depth-first in lexicographic order,
+so every tree is built once and each group comes out sorted.  For
+canonical-order generation of rooted trees see Beyer and Hedetniemi,
+"Constant time generation of rooted trees", SIAM J. Comput. 9 (1980).
+
 Bracket notation: "[]" is the single node, "[[],[]]" is a root with two
 leaf children.  parse_tree() also accepts the glyph "⊙" for "[]".
 
@@ -30,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import chain, combinations_with_replacement, groupby, islice, product
+from itertools import chain, groupby, islice
 from typing import Iterator
 
 __all__ = [
@@ -42,7 +49,6 @@ __all__ = [
     "alpha",
     "grow_by_leaf",
     "enumerate_by_leaf",
-    "enumerate_by_partitions",
     "parse_tree",
     "format_tree",
 ]
@@ -173,84 +179,54 @@ class TreesByOrder:
 
 
 def grow_by_leaf() -> Iterator[tuple[RootedTree, ...]]:
-    """The sorted groups of trees of order 1, 2, 3, ..., by leaf attachment.
+    """The groups of trees of order 1, 2, 3, ..., each in canonical order.
 
-    Every tree with q nodes arises from some tree with q-1 nodes by
-    grafting one leaf; grafting at every node of every tree of the previous
-    order and deduplicating yields the full next group.  A group is built
-    only when it is asked for, so a caller that stops early never pays for
-    the larger orders.
+    A tree with q nodes is a root over a non-decreasing sequence of earlier
+    trees whose orders sum to q-1, and canonical order on such trees is
+    lexicographic order on those sequences.  Walking the sequences
+    depth-first, each pick taken in canonical order, therefore yields the
+    group already sorted and builds each tree exactly once: no set, no
+    sort.  A group is built only when it is asked for, so a caller that
+    stops early never pays for the larger orders.
+
+    The names grow_by_leaf and enumerate_by_leaf predate this construction.
+    They stay until the benchmark's tracer, which resolves enumerate_by_leaf
+    by name (perfbench/spans.py), moves to a new forest entry point.
     """
-    group: tuple[RootedTree, ...] = (RootedTree(),)
-    graft_memo: dict[RootedTree, tuple[RootedTree, ...]] = {}
+    forest: list[RootedTree] = []
+    # ends[s]: number of trees with at most s nodes; forest[ends[s-1]:ends[s]]
+    # is the group of order s.
+    ends = [0]
+    picked: list[RootedTree] = []
+
+    def child_sequences(first: int, left: int) -> Iterator[tuple[RootedTree, ...]]:
+        if not left:
+            yield tuple(picked)
+            return
+        # Later picks come no earlier than forest[first], so they have at
+        # least as many nodes: a pick of s nodes can be completed only when
+        # the left - s nodes after it are none or at least s.
+        for size in (*range(1, left // 2 + 1), left):
+            for index in range(max(first, ends[size - 1]), ends[size]):
+                picked.append(forest[index])
+                yield from child_sequences(index, left - size)
+                picked.pop()
+
     while True:
+        group = tuple(RootedTree(kids) for kids in child_sequences(0, len(ends) - 1))
+        forest.extend(group)
+        ends.append(len(forest))
         yield group
-        grown: set[RootedTree] = set()
-        for tree in group:
-            grown.update(_graft_leaf_everywhere(tree, graft_memo))
-        group = tuple(sorted(grown))
 
 
 def enumerate_by_leaf(max_order: int) -> TreesByOrder:
-    """All trees of order 1..max_order: the first groups of grow_by_leaf."""
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    return TreesByOrder(tuple(islice(grow_by_leaf(), max_order)))
+    """All trees of order 1..max_order: the first groups of grow_by_leaf.
 
-
-def _graft_leaf_everywhere(
-    tree: RootedTree, memo: dict[RootedTree, tuple[RootedTree, ...]]
-) -> tuple[RootedTree, ...]:
-    # memo lives only as long as one grow_by_leaf generator.
-    cached = memo.get(tree)
-    if cached is not None:
-        return cached
-    results = {RootedTree(tree.children + (RootedTree(),))}
-    for index, kid in enumerate(tree.children):
-        for grown_kid in _graft_leaf_everywhere(kid, memo):
-            replaced = tree.children[:index] + (grown_kid,) + tree.children[index + 1 :]
-            results.add(RootedTree(replaced))
-    out = tuple(sorted(results))
-    memo[tree] = out
-    return out
-
-
-def enumerate_by_partitions(max_order: int) -> TreesByOrder:
-    """All trees of order 1..max_order, by integer partitions.
-
-    A tree with q nodes is a root over a multiset of subtrees whose orders
-    partition q-1.  Independent of the leaf-grafting route, which makes the
-    two enumerations cross-checks for each other.
+    perfbench/spans.py resolves this name, so it stays (see grow_by_leaf).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    groups: list[tuple[RootedTree, ...]] = [(RootedTree(),)]
-    for q in range(2, max_order + 1):
-        batch: set[RootedTree] = set()
-        for parts in _partitions(q - 1):
-            # One multiset of subtrees per way of filling each part size.
-            pools = []
-            for size, run in groupby(parts):
-                multiplicity = len(tuple(run))
-                pools.append(
-                    tuple(combinations_with_replacement(groups[size - 1], multiplicity))
-                )
-            for picks in product(*pools):
-                batch.add(RootedTree(tuple(chain.from_iterable(picks))))
-        groups.append(tuple(sorted(batch)))
-    return TreesByOrder(tuple(groups))
-
-
-def _partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n as non-increasing tuples of positive parts."""
-    if cap is None:
-        cap = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+    return TreesByOrder(tuple(islice(grow_by_leaf(), max_order)))
 
 
 class TreeSyntaxError(ValueError):

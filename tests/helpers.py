@@ -5,6 +5,9 @@ under test, so they can serve as oracles.  random_tableaus is the shared
 hypothesis strategy for small random tableaus.  power, free_variables,
 substitute, evaluate_constant and monomial_key are plain references on
 CoeffPolynomial, written against its public surface only.
+directional_derivative is the same for StatePolynomial.  trees_by_grafting
+enumerates the forest by leaf grafting, independently of the package's
+enumerator, and sorts it with the trees' comparison operators.
 """
 
 from fractions import Fraction
@@ -12,6 +15,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from butcher_kit.algebra import CoeffPolynomial
+from butcher_kit.oracle import StatePolynomial
+from butcher_kit.trees import RootedTree
 from butcher_kit.verify import ButcherTableau
 
 F = Fraction
@@ -65,6 +70,45 @@ def monomial_key(monomial):
         sum(exp for _, exp in monomial),
         tuple((var.sort_key(), -exp) for var, exp in monomial),
     )
+
+
+def directional_derivative(poly, vector):
+    """sum_k vector[k] * d/dx_{k+1} of a StatePolynomial, for a constant vector."""
+    if len(vector) != poly.dim:
+        raise ValueError(f"vector has {len(vector)} entries, expected {poly.dim}")
+    total = StatePolynomial.zero(poly.dim)
+    for k, weight in enumerate(vector, start=1):
+        if weight:
+            total = total + poly.partial(k).scale(weight)
+    return total
+
+
+def trees_by_grafting(max_order):
+    """The groups of trees of order 1..max_order, each sorted.
+
+    Every tree with q nodes arises from a tree with q-1 nodes by grafting
+    one leaf onto one of its nodes, so grafting at every node of every tree
+    of the previous order and deduplicating yields the next group.
+    """
+    grafts = {}  # tree -> every tree one leaf larger
+
+    def graft_leaf_everywhere(tree):
+        if tree not in grafts:
+            grown = {RootedTree(tree.children + (RootedTree(),))}
+            for index, kid in enumerate(tree.children):
+                for grown_kid in graft_leaf_everywhere(kid):
+                    rest = tree.children[:index] + tree.children[index + 1 :]
+                    grown.add(RootedTree(rest + (grown_kid,)))
+            grafts[tree] = grown
+        return grafts[tree]
+
+    groups = [(RootedTree(),)]
+    while len(groups) < max_order:
+        grown = set()
+        for tree in groups[-1]:
+            grown |= graft_leaf_everywhere(tree)
+        groups.append(tuple(sorted(grown)))
+    return tuple(groups)
 
 
 def explicit_euler():

@@ -1,8 +1,9 @@
 """Tree layer checks.
 
 Core claims:
-  * the two independent enumerations (leaf grafting, integer partitions)
-    agree and reproduce the known counts 1,1,2,4,9,20,48,115,286,719;
+  * the enumerator builds each tree once, matches the leaf-grafting
+    reference of tests/helpers.py tree for tree, in order, through order
+    12, and reproduces the known counts 1,1,2,4,9,20,48,115,286,719;
   * coefficient functions hit the worked values (order 8, factorial 192,
     alpha 1/2 for [[[],[[]],[[]]],[]]-shaped input) and closed forms for
     chains and bushy trees;
@@ -11,7 +12,8 @@ Core claims:
   * symmetry_delta agrees with a brute-force distinct-permutation count;
   * construction is child-order invariant and parse/format round-trips,
     on every small tree and on hypothesis-drawn shapes;
-  * the counts through order 12 follow the A000081 recurrence.
+  * the counts through the CLI's order cap (14) follow the A000081
+    recurrence.
 """
 
 import math
@@ -23,14 +25,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butcher_kit.cli import _TREES_OF_ORDER
+from helpers import trees_by_grafting
+
+from butcher_kit.cli import _ORDER_CAP, _TREES_OF_ORDER
 from butcher_kit.trees import (
     MAX_PARSE_DEPTH,
     RootedTree,
     TreeSyntaxError,
     alpha,
     enumerate_by_leaf,
-    enumerate_by_partitions,
     format_tree,
     parse_tree,
     symmetry_delta,
@@ -107,14 +110,22 @@ class TestEnumeration:
         assert enumerate_by_leaf(10).counts() == KNOWN_COUNTS
         assert enumerate_by_leaf(10).total() == 1205
 
-    def test_partition_route_same_counts(self):
-        assert enumerate_by_partitions(10).counts() == KNOWN_COUNTS
+    def test_groups_match_the_grafting_reference_through_order_12(self):
+        # Same trees in the same order: the production groups come out
+        # sorted without a sort, the reference sorts with the operators.
+        assert enumerate_by_leaf(12).per_order == trees_by_grafting(12)
 
-    def test_routes_agree_as_sets_through_order_8(self):
-        by_leaf = enumerate_by_leaf(8)
-        by_parts = enumerate_by_partitions(8)
-        for q in range(1, 9):
-            assert set(by_leaf.trees_of_order(q)) == set(by_parts.trees_of_order(q))
+    def test_each_tree_is_built_once(self, monkeypatch):
+        built = []
+        original = RootedTree.__post_init__
+
+        def counting(tree):
+            built.append(tree)
+            original(tree)
+
+        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        forest = enumerate_by_leaf(10)
+        assert len(built) == forest.total() == 1205
 
     def test_groups_are_sorted_and_duplicate_free(self):
         for group in enumerate_by_leaf(7).per_order:
@@ -123,7 +134,6 @@ class TestEnumeration:
 
     def test_enumeration_is_deterministic(self):
         assert enumerate_by_leaf(6) == enumerate_by_leaf(6)
-        assert enumerate_by_partitions(6) == enumerate_by_partitions(6)
 
     def test_order_accessor_bounds(self):
         forest = enumerate_by_leaf(3)
@@ -137,13 +147,13 @@ class TestEnumeration:
 
     def test_counts_follow_the_a000081_recurrence(self):
         assert _a000081(10) == KNOWN_COUNTS
-        assert enumerate_by_leaf(12).counts() == _a000081(12)
-        assert enumerate_by_partitions(12).counts() == _a000081(12)
-        # The CLI's size caps are priced from its own table of counts.
-        assert _TREES_OF_ORDER == _a000081(len(_TREES_OF_ORDER))
+        # Through the CLI's order cap, whose size limits are priced from
+        # its own table of counts.
+        assert enumerate_by_leaf(_ORDER_CAP).counts() == _a000081(_ORDER_CAP)
+        assert _TREES_OF_ORDER == _a000081(_ORDER_CAP)
 
     def test_every_enumerated_tree_has_its_group_order(self):
-        forest = enumerate_by_partitions(7)
+        forest = enumerate_by_leaf(7)
         for q in range(1, 8):
             assert all(t.order == q for t in forest.trees_of_order(q))
 
