@@ -19,16 +19,20 @@ more children than deg f costs nothing.
 A Runge-Kutta step with tableau (A, b) expands the same way with
 alpha(t) * weight(t) in place of alpha(t)/t!, where weight(t) is the
 tableau's elementary weight b . Phi(t) as defined in conditions; stage i's
-slope takes alpha(t) * Phi_i(t) on tau^(q-1).  Every tree series runs
-through one loop, _tree_series, with its own factor per tree;
-rk_series_trees and stage_series_trees build one ElementaryWeights per
-call, so each subtree's Phi is computed once.
+slope takes alpha(t) * Phi_i(t) on tau^(q-1).  Every tree series comes
+from one walk over the forest, _tree_series, with one differential memo:
+its factor gives each tree one weight per output series, so all stages of
+a tableau share one walk.  rk_series_trees and stage_series_trees build
+one ElementaryWeights per call, so each subtree's Phi is computed once.
 
-Each series is also computed a second, structurally unrelated way: the
-exact flow by Picard iteration (repeated integration), the discrete step
-by fixed-point iteration of the stage equations in the series ring.  The
-tree formulas and the iteration routes share nothing but the field's
-polynomials, so their agreement is a meaningful check, not a tautology.
+Each series is also computed a second, structurally unrelated way, by one
+fixed-point engine, _slopes: it solves k_i = f(x0 + tau * shift_i(k)) in
+the series ring, sweep by sweep.  The stage equations of a tableau take
+shift_i(k) = sum_j A[i][j] k_j, and the step is x0 + tau * sum_i b_i k_i.
+Picard iteration is the one-slope case: the flow's slope solves
+k = f(x0 + integral of k), and the flow is x0 + integral of k.  The tree
+formulas and the iteration share nothing but the field's polynomials, so
+their agreement is a meaningful check, not a tautology.
 
 All arithmetic is exact; series are truncated at a caller-chosen degree.
 """
@@ -39,10 +43,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .algebra import format_rational, numerators_over, parse_rational
-from .trees import RootedTree, alpha, enumerate_by_leaf, tree_factorial
+from .trees import RootedTree, alpha, grow_by_leaf, tree_factorial
 from .verify import ButcherTableau, check_list, read_document, size_field
 
 __all__ = [
@@ -347,6 +353,16 @@ def load_field(source: str | Mapping) -> PolyVectorField:
     return PolyVectorField(dim=dim, components=tuple(components))
 
 
+# An x0 entry whose numerator or denominator has more digits is refused
+# while parsing, before any work.  The coefficient of tau^q is a polynomial
+# of degree 1 + q(d - 1) in x0 for a field of degree d, and Python prints
+# integers of at most 4300 digits: at 100 digits, reports of fields up to
+# degree 7 still print at --p 6 (x1^6 with rk4: 0.2 s on a 2-core Xeon),
+# while x1^6 at an x0 of 2,201 digits computed for 2-4 s and then failed
+# to print.
+MAX_POINT_DIGITS = 100
+
+
 def parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
     """Parse "1, 0" style comma-separated rationals into a point."""
     pieces = text.split(",")
@@ -355,9 +371,15 @@ def parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
     values = []
     for i, piece in enumerate(pieces):
         try:
-            values.append(parse_rational(piece))
+            value = parse_rational(piece)
         except ValueError as err:
             raise ValueError(f"point entry {i + 1}: {err}") from None
+        for part, name in ((value.numerator, "numerator"), (value.denominator, "denominator")):
+            if abs(part) >= 10**MAX_POINT_DIGITS:
+                raise ValueError(
+                    f"point entry {i + 1}: {name} has more than {MAX_POINT_DIGITS} digits"
+                )
+        values.append(value)
     return tuple(values)
 
 
@@ -385,9 +407,6 @@ class TauSeries:
     @property
     def dim(self) -> int:
         return len(self.coeffs[0])
-
-    def coefficient(self, q: int) -> tuple[Fraction, ...]:
-        return self.coeffs[q]
 
     def first_difference(self, other: "TauSeries") -> int | None:
         """Lowest degree where the two series disagree, None if none exists.
@@ -522,16 +541,8 @@ def _arrangements(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-# Scalar series helpers: a series is a tuple of Fractions, index = power,
-# all of one fixed length (degree + 1).
-
-
-def _const_series(value: Fraction, degree: int) -> tuple[Fraction, ...]:
-    return (Fraction(value),) + (Fraction(0),) * degree
-
-
-def _series_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+# Scalar series: a tuple of Fractions, index = power, all of one length
+# (the truncation degree + 1).  A state or a slope holds one per component.
 
 
 def _series_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -547,15 +558,6 @@ def _series_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fract
     return tuple(out)
 
 
-def _series_integrate(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    # Antiderivative with zero constant term; the top coefficient falls off
-    # the truncation.
-    out = [Fraction(0)] * len(a)
-    for q in range(len(a) - 1):
-        out[q + 1] = a[q] / (q + 1)
-    return tuple(out)
-
-
 def _poly_at_series(
     poly: StatePolynomial,
     per_variable: Sequence[tuple[Fraction, ...]],
@@ -563,7 +565,7 @@ def _poly_at_series(
     power_cache: dict[tuple[int, int], tuple[Fraction, ...]],
 ) -> tuple[Fraction, ...]:
     total = [Fraction(0)] * (degree + 1)
-    one = _const_series(Fraction(1), degree)
+    one = (Fraction(1),) + (Fraction(0),) * degree
     for exponents, coefficient in poly.terms().items():
         term = one
         for variable_index, power in enumerate(exponents):
@@ -593,35 +595,99 @@ def _check_point(field: PolyVectorField, point: Sequence[Fraction]) -> tuple[Fra
 
 
 def _tree_series(
-    field: PolyVectorField, point: Sequence[Fraction], degree: int, factor: Callable
-) -> TauSeries:
-    """x0 + sum over trees t of order <= degree of factor(t) * F(t)(x0)."""
+    field: PolyVectorField,
+    point: Sequence[Fraction],
+    degree: int,
+    count: int,
+    factor: Callable[[RootedTree], tuple[Fraction, ...]],
+) -> list[TauSeries]:
+    """x0 + sum over trees t of order <= degree of factor(t)[k] * F(t)(x0), k < count.
+
+    One walk over the forest and one differential memo serve all count
+    series; a tree whose weights are all zero costs no differential.
+    """
     _check_degree(degree)
     x0 = _check_point(field, point)
-    coeffs = [x0]
-    if degree >= 1:
-        forest = enumerate_by_leaf(degree)
-        memo: dict[RootedTree, tuple[Fraction, ...]] = {}
-        for q in range(1, degree + 1):
-            accumulated = [Fraction(0)] * field.dim
-            for tree in forest.trees_of_order(q):
-                weight = factor(tree)
-                if not weight:
-                    continue
-                differential = elementary_differential(field, tree, x0, memo)
-                for c in range(field.dim):
-                    accumulated[c] += weight * differential[c]
-            coeffs.append(tuple(accumulated))
-    return TauSeries(tuple(coeffs))
+    series = [[x0] for _ in range(count)]
+    memo: dict[RootedTree, tuple[Fraction, ...]] = {}
+    for group in islice(grow_by_leaf(), degree):
+        totals = [[Fraction(0)] * field.dim for _ in range(count)]
+        for tree in group:
+            weights = factor(tree)
+            if not any(weights):
+                continue
+            differential = elementary_differential(field, tree, x0, memo)
+            for total, weight in zip(totals, weights):
+                if weight:
+                    for c, value in enumerate(differential):
+                        total[c] += weight * value
+        for coeffs, total in zip(series, totals):
+            coeffs.append(tuple(total))
+    return [TauSeries(tuple(coeffs)) for coeffs in series]
+
+
+def _slopes(
+    field: PolyVectorField,
+    x0: tuple[Fraction, ...],
+    degree: int,
+    shifts: Sequence[Callable],
+) -> list[tuple[tuple[Fraction, ...], ...]]:
+    """Slopes k_1..k_s through tau^degree, solving k_i = f(x0 + tau * shift_i(k)).
+
+    shifts[i] maps all the slopes to one series per component.  The tau
+    factor makes each sweep fix one more power, implicit coupling included,
+    so degree + 1 sweeps reach the truncation, with an early exit once
+    nothing moves.  Degree -1 gives empty slopes.
+    """
+    zero = (Fraction(0),) * (degree + 1)
+    slopes = [tuple(zero for _ in x0) for _ in shifts]
+    for _ in range(degree + 1):
+        updated = []
+        for shift in shifts:
+            argument = [(x,) + series[:degree] for x, series in zip(x0, shift(slopes))]
+            power_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+            updated.append(
+                tuple(
+                    _poly_at_series(component, argument, degree, power_cache)
+                    for component in field.components
+                )
+            )
+        if updated == slopes:
+            break
+        slopes = updated
+    return slopes
+
+
+def _combine(weights: Sequence[Fraction], slopes: list) -> list[tuple[Fraction, ...]]:
+    """sum_j weights[j] * k_j, one series per component."""
+    total = [[Fraction(0)] * len(series) for series in slopes[0]]
+    for weight, slope in zip(weights, slopes):
+        if weight:
+            for row, series in zip(total, slope):
+                for q, x in enumerate(series):
+                    row[q] += weight * x
+    return [tuple(row) for row in total]
+
+
+def _integral(slopes: list) -> list[tuple[Fraction, ...]]:
+    """The one slope's antiderivative divided by tau: coefficient q over q + 1."""
+    (slope,) = slopes
+    return [tuple(x / (q + 1) for q, x in enumerate(series)) for series in slope]
+
+
+def _update(x0: tuple[Fraction, ...], shift: list[tuple[Fraction, ...]]) -> TauSeries:
+    """x0 + tau * shift: the shift's power q lands on tau^(q + 1)."""
+    return TauSeries((x0,) + tuple(zip(*shift)))
 
 
 def flow_series_trees(
     field: PolyVectorField, point: Sequence[Fraction], degree: int
 ) -> TauSeries:
     """Exact-flow expansion assembled tree by tree."""
-    return _tree_series(
-        field, point, degree, lambda tree: alpha(tree) / tree_factorial(tree)
+    (series,) = _tree_series(
+        field, point, degree, 1, lambda tree: (alpha(tree) / tree_factorial(tree),)
     )
+    return series
 
 
 def flow_series_picard(
@@ -629,26 +695,12 @@ def flow_series_picard(
 ) -> TauSeries:
     """Exact-flow expansion by Picard iteration, independent of any trees.
 
-    y <- x0 + integral of f(y); each sweep fixes one more power, so degree
-    sweeps suffice.
+    The flow's slope solves k = f(x0 + integral of k), the one-slope case
+    of the stage equations, and the flow is x0 + integral of k.
     """
     _check_degree(degree)
     x0 = _check_point(field, point)
-    state = [_const_series(value, degree) for value in x0]
-    for _ in range(degree):
-        power_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        image = [
-            _poly_at_series(component, state, degree, power_cache)
-            for component in field.components
-        ]
-        state = [
-            _series_add(_const_series(x0[c], degree), _series_integrate(image[c]))
-            for c in range(field.dim)
-        ]
-    coeffs = tuple(
-        tuple(state[c][q] for c in range(field.dim)) for q in range(degree + 1)
-    )
-    return TauSeries(coeffs)
+    return _update(x0, _integral(_slopes(field, x0, degree - 1, [_integral])))
 
 
 def rk_series_trees(
@@ -659,53 +711,10 @@ def rk_series_trees(
 ) -> TauSeries:
     """One-step expansion assembled from elementary weights, tree by tree."""
     weights = tableau.elementary_weights()
-    return _tree_series(
-        field, point, degree, lambda tree: alpha(tree) * weights.weight(tree)
+    (series,) = _tree_series(
+        field, point, degree, 1, lambda tree: (alpha(tree) * weights.weight(tree),)
     )
-
-
-def _direct_stages(
-    tableau: ButcherTableau,
-    field: PolyVectorField,
-    x0: tuple[Fraction, ...],
-    stage_degree: int,
-) -> list[tuple[tuple[Fraction, ...], ...]]:
-    """Stage slopes k_i as series, by fixed-point iteration.
-
-    k_i = f(x0 + tau * sum_j A[i][j] k_j).  The tau factor makes each sweep
-    fix one more power, implicit tableaus included; stage_degree + 1 sweeps
-    reach the truncation, with an early exit once nothing moves.
-    """
-    s = tableau.stages
-    dim = field.dim
-    zero = _const_series(Fraction(0), stage_degree)
-    stages = [tuple(zero for _ in range(dim)) for _ in range(s)]
-    for _ in range(stage_degree + 1):
-        updated = []
-        for i in range(s):
-            argument = []
-            for c in range(dim):
-                shifted = [Fraction(0)] * (stage_degree + 1)
-                shifted[0] = x0[c]
-                for j in range(s):
-                    entry = tableau.a[i][j]
-                    if not entry:
-                        continue
-                    stage_component = stages[j][c]
-                    for q in range(stage_degree):
-                        shifted[q + 1] += entry * stage_component[q]
-                argument.append(tuple(shifted))
-            power_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-            updated.append(
-                tuple(
-                    _poly_at_series(component, argument, stage_degree, power_cache)
-                    for component in field.components
-                )
-            )
-        if updated == stages:
-            break
-        stages = updated
-    return stages
+    return series
 
 
 def rk_series_direct(
@@ -714,29 +723,11 @@ def rk_series_direct(
     point: Sequence[Fraction],
     degree: int,
 ) -> TauSeries:
-    """One-step expansion by iterating the stage equations; no trees."""
+    """One-step expansion x0 + tau * sum_i b_i k_i from the stage slopes; no trees."""
     _check_degree(degree)
     x0 = _check_point(field, point)
-    if degree == 0:
-        return TauSeries((x0,))
-    stages = _direct_stages(tableau, field, x0, degree - 1)
-    coeffs = [x0]
-    for q in range(1, degree + 1):
-        row = []
-        for c in range(field.dim):
-            # x0 + tau * sum_i b_i k_i: the tau shift moves stage degree
-            # q - 1 into update degree q.
-            row.append(
-                sum(
-                    (
-                        tableau.b[i] * stages[i][c][q - 1]
-                        for i in range(tableau.stages)
-                    ),
-                    Fraction(0),
-                )
-            )
-        coeffs.append(tuple(row))
-    return TauSeries(tuple(coeffs))
+    shifts = [partial(_combine, row) for row in tableau.a]
+    return _update(x0, _combine(tableau.b, _slopes(field, x0, degree - 1, shifts)))
 
 
 def stage_series_direct(
@@ -752,17 +743,9 @@ def stage_series_direct(
     """
     _check_degree(degree)
     x0 = _check_point(field, point)
-    stage_degree = max(degree - 1, 0)
-    stages = _direct_stages(tableau, field, x0, stage_degree)
-    return tuple(
-        TauSeries(
-            tuple(
-                tuple(stage[c][q] for c in range(field.dim))
-                for q in range(stage_degree + 1)
-            )
-        )
-        for stage in stages
-    )
+    shifts = [partial(_combine, row) for row in tableau.a]
+    slopes = _slopes(field, x0, max(degree - 1, 0), shifts)
+    return tuple(TauSeries(tuple(zip(*slope))) for slope in slopes)
 
 
 def stage_series_trees(
@@ -774,15 +757,16 @@ def stage_series_trees(
     """Per-stage slope series from trees: a tree of order q lands on tau^(q-1).
 
     Stage i is the tree series with factor alpha(t) * Phi_i(t), shifted down
-    one power; it is truncated like stage_series_direct.
+    one power; it is truncated like stage_series_direct.  All stages come
+    from one walk over the forest.
     """
     _check_degree(degree)
     weights = tableau.elementary_weights()
-    return tuple(
-        TauSeries(
-            _tree_series(
-                field, point, max(degree, 1), lambda tree: alpha(tree) * weights.vector(tree)[i]
-            ).coeffs[1:]
-        )
-        for i in range(tableau.stages)
+    stages = _tree_series(
+        field,
+        point,
+        max(degree, 1),
+        tableau.stages,
+        lambda tree: tuple(alpha(tree) * phi for phi in weights.vector(tree)),
     )
+    return tuple(TauSeries(series.coeffs[1:]) for series in stages)

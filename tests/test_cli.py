@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from butcher_kit.cli import main
-from butcher_kit.oracle import MAX_FIELD_DEGREE
+from butcher_kit.oracle import MAX_FIELD_DEGREE, MAX_POINT_DIGITS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RK4 = str(FIXTURES / "rk4.json")
@@ -403,18 +403,35 @@ class TestOracle:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_value_too_big_to_format_leaves_stdout_empty(self, capsys, tmp_path):
-        # f(x0) = 10^-4400 has a denominator of 4401 digits, beyond Python's
-        # integer-to-text limit: the error comes after the series are
-        # computed, and no partial report may reach stdout before it.
+        # x0 is within the digit cap, but f(x0) = 10^-4356 has a denominator
+        # of 4357 digits, beyond Python's integer-to-text limit: the error
+        # comes after the series are computed, and no partial report may
+        # reach stdout before it.
         path = tmp_path / "field.json"
-        path.write_text(json.dumps({"dim": 1, "components": ["x1^2"]}))
+        path.write_text(json.dumps({"dim": 1, "components": ["x1^44"]}))
         start = time.monotonic()
         code, out, err = run(
-            capsys, "oracle", str(path), "--x0", f"1/{10**2200}", "--p", "1", "--tableau", RK4
+            capsys, "oracle", str(path), "--x0", f"1/{10**99}", "--p", "1", "--tableau", RK4
         )
         assert time.monotonic() - start < 1
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+    def test_oversized_point_is_refused_before_any_work(self, capsys, tmp_path):
+        # Without the digit cap on x0 this computed for seconds, then failed
+        # to print its report.
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"dim": 1, "components": ["x1^2*x1^2*x1^2"]}))
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "oracle", str(path), "--x0", f"1/{10**2200}", "--p", "6", "--tableau", RK4
+        )
+        assert time.monotonic() - start < 0.5
+        assert (code, out, err) == (
+            2,
+            "",
+            f"error: point entry 1: denominator has more than {MAX_POINT_DIGITS} digits\n",
+        )
 
     def test_malformed_point(self, capsys):
         code, _, err = run(capsys, "oracle", LINEAR, "--x0", "huh", "--p", "3")

@@ -28,8 +28,10 @@ from helpers import (
     rk4,
 )
 
+from butcher_kit import oracle
 from butcher_kit.oracle import (
     MAX_FIELD_DEGREE,
+    MAX_POINT_DIGITS,
     FieldError,
     FieldSyntaxError,
     PolyVectorField,
@@ -248,6 +250,16 @@ class TestFieldDocuments:
             parse_point("1,2", 3)
         with pytest.raises(ValueError, match="point entry 2"):
             parse_point("1,zz", 2)
+        # Numerators and denominators are bounded in digits.
+        largest = 10**MAX_POINT_DIGITS - 1
+        assert parse_point(f"-{largest}/{largest - 1}", 1) == (F(-largest, largest - 1),)
+        with pytest.raises(ValueError, match="^point entry 2: numerator has more than"):
+            parse_point(f"0,-{largest + 1}", 2)
+        with pytest.raises(ValueError, match="^point entry 1: denominator has more than"):
+            parse_point(f"1/{largest + 1},0", 2)
+        # A decimal is bounded by its reduced denominator: here 10^(MAX_POINT_DIGITS + 1).
+        with pytest.raises(ValueError, match="denominator has more than"):
+            parse_point("0." + "0" * MAX_POINT_DIGITS + "1", 1)
 
 
 class TestStatePolynomial:
@@ -433,16 +445,32 @@ class TestDiscreteRoutesAgree:
                 assert trees == direct, tableau.name
 
     def test_stage_series_routes_agree(self):
+        # Degree 0 still gives each stage its tau^0 slope, f(x0).
         rng = random.Random(20260824)
         for _ in range(5):
             field = _random_field(rng)
             point = _random_point(rng)
-            for tableau in self.TABLEAUS:
-                via_trees = stage_series_trees(tableau, field, point, 5)
-                via_direct = stage_series_direct(tableau, field, point, 5)
-                assert via_trees == via_direct, tableau.name
+            for tableau, degree in product(self.TABLEAUS, range(6)):
+                via_trees = stage_series_trees(tableau, field, point, degree)
+                via_direct = stage_series_direct(tableau, field, point, degree)
+                assert via_trees == via_direct, (tableau.name, degree)
                 assert len(via_trees) == tableau.stages
-                assert all(series.degree == 4 for series in via_trees)
+                assert all(series.degree == max(degree - 1, 0) for series in via_trees)
+
+    def test_stage_series_trees_walks_the_forest_once(self, monkeypatch):
+        # One walk means one differential memo, so one derivative table for
+        # all four stages of rk4.
+        built = []
+        table = oracle._DerivativeTable
+
+        def counting(*args):
+            built.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(oracle, "_DerivativeTable", counting)
+        stages = stage_series_trees(rk4(), MIXED, (F(1, 3), F(-1, 2)), 5)
+        assert len(stages) == 4
+        assert len(built) == 1
 
     def test_discrete_matches_flow_through_the_method_order(self):
         point = (F(1, 3), F(-1, 2))
