@@ -218,6 +218,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_conditions(args: argparse.Namespace) -> int:
     _require_order(args.order, "--order")
     if args.generic:
+        # The nested sums are plain text for any stage count and any A.
+        for given, flag in (
+            (args.stages is not None, "--stages"),
+            (args.explicit, "--explicit"),
+            (args.subst_c, "--subst-c"),
+            (args.format == "latex", "--format latex"),
+        ):
+            _require(not given, f"--generic does not take {flag}")
         rows = []
         forest = enumerate_by_leaf(args.order)
         for q in range(1, args.order + 1):

@@ -26,8 +26,9 @@ a tableau share one walk.  rk_series_trees and stage_series_trees build
 one ElementaryWeights per call, so each subtree's Phi is computed once.
 
 Each series is also computed a second, structurally unrelated way, by one
-fixed-point engine, _slopes: it solves k_i = f(x0 + tau * shift_i(k)) in
-the series ring, sweep by sweep.  The stage equations of a tableau take
+engine, _slopes: it solves k_i = f(x0 + tau * shift_i(k)) in the series
+ring one power of tau at a time, each coefficient computed once from the
+ones below it (recursive Taylor coefficients).  The stage equations take
 shift_i(k) = sum_j A[i][j] k_j, and the step is x0 + tau * sum_i b_i k_i.
 Picard iteration is the one-slope case: the flow's slope solves
 k = f(x0 + integral of k), and the flow is x0 + integral of k.  The tree
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .algebra import format_rational, numerators_over, parse_rational
@@ -134,11 +136,6 @@ class StatePolynomial:
             merged[exponents] = merged.get(exponents, Fraction(0)) + coefficient
         return StatePolynomial(self.dim, merged)
 
-    def __sub__(self, other: "StatePolynomial") -> "StatePolynomial":
-        if not isinstance(other, StatePolynomial):
-            return NotImplemented
-        return self + other.scale(-1)
-
     def scale(self, factor) -> "StatePolynomial":
         value = Fraction(factor)
         return StatePolynomial(
@@ -184,11 +181,11 @@ class StatePolynomial:
 
 
 # The highest degree of a term in a field component; a term above it is
-# refused while parsing, before any work.  The iteration routes take every
-# power of the state up to the degree, so time grows about 4x per doubling:
-# at --p 6 on a 2-core Xeon, x1^400 with rk4 takes 5 s and a 2-dimensional
-# field of five degree-400 terms with butcher6 26 s (16 MB); at degree 800
-# they take 25 s and about 130 s.
+# refused while parsing, before any work.  The iteration routes build a
+# monomial of degree e from at most 2 log2(e) series products, so the cost
+# follows the coefficients' digits more than e: at --p 6 on a 2-core Xeon,
+# a 2-dimensional field of five degree-400 terms with butcher6 at x0 =
+# (1/2, 1/3) takes 0.25 s in process (21 MB), and 0.7 s at degree 800.
 MAX_FIELD_DEGREE = 400
 
 # Component grammar: term {("+"|"-") term}, term: factor {"*" factor},
@@ -268,7 +265,7 @@ def _parse_component(text: str, dim: int) -> StatePolynomial:
             return Fraction(1)
         raise FieldSyntaxError(f"expected a factor, found {value!r}", position)
 
-    def parse_term() -> StatePolynomial:
+    def parse_term(sign: int) -> None:
         nonlocal cursor
         first = cursor
         exponents = [0] * dim
@@ -281,22 +278,24 @@ def _parse_component(text: str, dim: int) -> StatePolynomial:
                 f"degree {sum(exponents)} exceeds the cap of {MAX_FIELD_DEGREE}",
                 tokens[first][2],
             )
-        return StatePolynomial(dim, {tuple(exponents): coefficient})
+        key = tuple(exponents)
+        terms[key] = terms.get(key, 0) + sign * coefficient
 
-    total = StatePolynomial.zero(dim)
+    # One dict for all terms: adding each term to a StatePolynomial would
+    # copy every earlier term, quadratic in the component's length.
+    terms: dict[tuple[int, ...], Fraction] = {}
     sign = 1
     if tokens[cursor][0] == "op" and tokens[cursor][1] in "+-":
         sign = -1 if tokens[cursor][1] == "-" else 1
         cursor += 1
-    total = total + parse_term().scale(sign)
+    parse_term(sign)
     while cursor < len(tokens):
         kind, value, position = tokens[cursor]
         if kind != "op" or value not in "+-":
             raise FieldSyntaxError(f"expected '+' or '-', found {value!r}", position)
         cursor += 1
-        sign = -1 if value == "-" else 1
-        total = total + parse_term().scale(sign)
-    return total
+        parse_term(-1 if value == "-" else 1)
+    return StatePolynomial(dim, terms)
 
 
 @dataclass(frozen=True)
@@ -541,48 +540,6 @@ def _arrangements(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-# Scalar series: a tuple of Fractions, index = power, all of one length
-# (the truncation degree + 1).  A state or a slope holds one per component.
-
-
-def _series_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    length = len(a)
-    out = [Fraction(0)] * length
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(length - i):
-            y = b[j]
-            if y:
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _poly_at_series(
-    poly: StatePolynomial,
-    per_variable: Sequence[tuple[Fraction, ...]],
-    degree: int,
-    power_cache: dict[tuple[int, int], tuple[Fraction, ...]],
-) -> tuple[Fraction, ...]:
-    total = [Fraction(0)] * (degree + 1)
-    one = (Fraction(1),) + (Fraction(0),) * degree
-    for exponents, coefficient in poly.terms().items():
-        term = one
-        for variable_index, power in enumerate(exponents):
-            if not power:
-                continue
-            cached = power_cache.get((variable_index, power))
-            if cached is None:
-                cached = per_variable[variable_index]
-                for _ in range(power - 1):
-                    cached = _series_mul(cached, per_variable[variable_index])
-                power_cache[(variable_index, power)] = cached
-            term = _series_mul(term, cached)
-        for q in range(degree + 1):
-            total[q] += coefficient * term[q]
-    return tuple(total)
-
-
 def _check_degree(degree: int) -> None:
     if degree < 0:
         raise ValueError("truncation degree must be >= 0")
@@ -626,35 +583,67 @@ def _tree_series(
     return [TauSeries(tuple(coeffs)) for coeffs in series]
 
 
+def _monomial_products(field: PolyVectorField) -> list:
+    """(m, (left, right)) with m = left * right for every monomial m of degree
+    >= 2 that the field's terms need; left takes half of m's degree, so a
+    power x^e costs at most 2 log2(e) products.  Factors come first."""
+    recipes: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    pending = [monomial for component in field.components for monomial in component.terms()]
+    while pending:
+        monomial = pending.pop()
+        if sum(monomial) > 1 and monomial not in recipes:
+            left, room = [], sum(monomial) // 2
+            for power in monomial:
+                left.append(min(power, room))
+                room -= left[-1]
+            right = tuple(power - taken for power, taken in zip(monomial, left))
+            recipes[monomial] = (tuple(left), right)
+            pending += recipes[monomial]
+    return sorted(recipes.items(), key=lambda item: sum(item[0]))
+
+
 def _slopes(
     field: PolyVectorField,
     x0: tuple[Fraction, ...],
     degree: int,
     shifts: Sequence[Callable],
-) -> list[tuple[tuple[Fraction, ...], ...]]:
+) -> list[tuple[list[Fraction], ...]]:
     """Slopes k_1..k_s through tau^degree, solving k_i = f(x0 + tau * shift_i(k)).
 
     shifts[i] maps all the slopes to one series per component.  The tau
-    factor makes each sweep fix one more power, implicit coupling included,
-    so degree + 1 sweeps reach the truncation, with an early exit once
-    nothing moves.  Degree -1 gives empty slopes.
+    factor makes coefficient q of every slope depend only on the slopes'
+    coefficients below q, implicit coupling included, so one pass over
+    q = 0..degree computes each coefficient once (recursive Taylor
+    coefficients).  Step q extends each stage's argument x0 + tau *
+    shift_i(k) by coefficient q - 1 of the shift, then the series of each
+    monomial of the field at that argument by one Cauchy sum of its two
+    factors' series, then each slope.  Degree -1 gives empty slopes.
     """
-    zero = (Fraction(0),) * (degree + 1)
-    slopes = [tuple(zero for _ in x0) for _ in shifts]
-    for _ in range(degree + 1):
-        updated = []
-        for shift in shifts:
-            argument = [(x,) + series[:degree] for x, series in zip(x0, shift(slopes))]
-            power_cache: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-            updated.append(
-                tuple(
-                    _poly_at_series(component, argument, degree, power_cache)
-                    for component in field.components
+    products = _monomial_products(field)
+    terms = [component.terms().items() for component in field.components]
+    units = [tuple(int(i == v) for i in range(len(x0))) for v in range(len(x0))]
+    constant = [Fraction(1)] + [Fraction(0)] * degree
+    # Per stage, the series of every monomial at the stage's argument; a
+    # variable's series is the argument's component.
+    powers = [
+        {(0,) * len(x0): constant}
+        | {unit: [x] for unit, x in zip(units, x0)}
+        | {monomial: [] for monomial, _ in products}
+        for _ in shifts
+    ]
+    slopes = [tuple([] for _ in x0) for _ in shifts]
+    for q in range(degree + 1):
+        if q:
+            for power, shifted in zip(powers, [shift(slopes) for shift in shifts]):
+                for unit, moved in zip(units, shifted):
+                    power[unit].append(moved[q - 1])
+        for power, slope in zip(powers, slopes):
+            for monomial, (left, right) in products:
+                power[monomial].append(sum(map(mul, power[left], reversed(power[right]))))
+            for series, component in zip(slope, terms):
+                series.append(
+                    sum((c * power[monomial][q] for monomial, c in component), Fraction(0))
                 )
-            )
-        if updated == slopes:
-            break
-        slopes = updated
     return slopes
 
 
@@ -693,10 +682,11 @@ def flow_series_trees(
 def flow_series_picard(
     field: PolyVectorField, point: Sequence[Fraction], degree: int
 ) -> TauSeries:
-    """Exact-flow expansion by Picard iteration, independent of any trees.
+    """Exact-flow expansion from the slope equation, independent of any trees.
 
     The flow's slope solves k = f(x0 + integral of k), the one-slope case
-    of the stage equations, and the flow is x0 + integral of k.
+    of the stage equations and the fixed point of Picard iteration; _slopes
+    solves it one coefficient at a time.  The flow is x0 + integral of k.
     """
     _check_degree(degree)
     x0 = _check_point(field, point)

@@ -162,6 +162,20 @@ class TestConditions:
         assert code == 2
         assert "--stages" in err
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (("--stages", "1"), "--stages"),
+            (("--explicit",), "--explicit"),
+            (("--subst-c",), "--subst-c"),
+            (("--format", "latex"), "--format latex"),
+        ],
+    )
+    def test_generic_refuses_a_flag_it_would_ignore(self, capsys, flags, named):
+        code, out, err = run(capsys, "conditions", "--order", "2", "--generic", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --generic does not take {named}\n"
 
     def test_generic_order_12_names_the_twelfth_level(self, capsys):
         code, out, _ = run(capsys, "conditions", "--order", "12", "--generic")

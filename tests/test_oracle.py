@@ -178,6 +178,25 @@ class TestComponentParsing:
         field = PolyVectorField.from_strings(2, [f"x1^{half}*x2^{MAX_FIELD_DEGREE - half}", "x1"])
         assert field.components[0].terms() == {(half, MAX_FIELD_DEGREE - half): F(1)}
 
+    def test_long_component_parses_in_linear_time(self):
+        # 20,000 terms over 600 distinct monomials, with coefficients 1, 2
+        # and -1/2 summed into each.  A parser that copies the polynomial
+        # per term takes minutes here.
+        weights = (F(1), F(2), F(-1, 2))
+        pieces = []
+        expected: dict = {}
+        for k in range(20_000):
+            exponents = (k % 200, k % 600 // 200)
+            weight = weights[k // 600 % 3]
+            expected[exponents] = expected.get(exponents, F(0)) + weight
+            sign = "-" if weight < 0 else "+"
+            pieces.append(f"{sign} {abs(weight)}*x1^{exponents[0]}*x2^{exponents[1]}")
+        text = " ".join(pieces)
+        start = time.perf_counter()
+        field = PolyVectorField.from_strings(2, [text, "x1"])
+        assert time.perf_counter() - start < 5
+        assert field.components[0].terms() == {e: c for e, c in expected.items() if c}
+
     def test_dim_1_uses_x1_only(self):
         field = PolyVectorField.from_strings(1, ["x1^2"])
         assert field.evaluate((F(3),)) == (F(9),)
@@ -383,11 +402,24 @@ class TestHandExpansions:
         assert flow.coeffs[5][0] == F(1, 120)
 
     def test_implicit_midpoint_linear_stability(self):
-        # (1 + tau/2) / (1 - tau/2) expanded.
-        series = rk_series_direct(implicit_midpoint(), LINEAR_1D, (F(1),), 4)
-        assert [row[0] for row in series.coeffs] == [
-            F(1), F(1), F(1, 2), F(1, 4), F(1, 8),
-        ]
+        # (1 + tau/2) / (1 - tau/2) = 1 + sum_{q>=1} tau^q / 2^(q-1), through
+        # degree 12, twice the CLI's cap; the stage slope 1 / (1 - tau/2)
+        # has coefficients 1 / 2^q.
+        point = (F(1),)
+        expected = [F(1)] + [F(1, 2 ** (q - 1)) for q in range(1, 13)]
+        for route in (rk_series_direct, rk_series_trees):
+            series = route(implicit_midpoint(), LINEAR_1D, point, 12)
+            assert [row[0] for row in series.coeffs] == expected, route.__name__
+        (stage,) = stage_series_direct(implicit_midpoint(), LINEAR_1D, point, 12)
+        assert [row[0] for row in stage.coeffs] == [F(1, 2**q) for q in range(12)]
+
+    def test_quadratic_flow_is_a_geometric_series(self):
+        # x' = x^2 has x(tau) = x0 / (1 - x0 tau), through degree 12.
+        field = PolyVectorField.from_strings(1, ["x1^2"])
+        x0 = F(-2, 3)
+        expected = tuple((x0 ** (q + 1),) for q in range(13))
+        assert flow_series_picard(field, (x0,), 12).coeffs == expected
+        assert flow_series_trees(field, (x0,), 12).coeffs == expected
 
     def test_explicit_euler_truncates_after_tau(self):
         series = rk_series_trees(explicit_euler(), MIXED, (F(1), F(2)), 4)
@@ -490,7 +522,7 @@ class TestRoutesAgreeOnHigherDerivatives:
     # contract third and fourth derivatives, which the degree-2 fields above
     # never do.
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(field_and_point=_random_fields(), tableau=random_tableaus(), degree=st.integers(1, 5))
+    @given(field_and_point=_random_fields(), tableau=random_tableaus(), degree=st.integers(1, 7))
     @example(
         field_and_point=(_DEGREE_4_FIELDS[1], (F(1, 2), F(-2, 3), F(1))),
         tableau=implicit_midpoint(),
