@@ -49,6 +49,7 @@ from .trees import (
     format_tree,
     grow_by_leaf,
     parse_tree,
+    sigma,
     symmetry_delta,
     tree_factorial,
 )

@@ -3,7 +3,7 @@
 For a polynomial field f and a point x0, the exact solution of x' = f(x),
 x(0) = x0 expands as
 
-    x(tau) = x0 + sum_{q>=1} tau^q sum_{order(t)=q} alpha(t)/t! F(t)(x0)
+    x(tau) = x0 + sum_{q>=1} tau^q sum_{order(t)=q} F(t)(x0) / (sigma(t) t!)
 
 where F(t) is the elementary differential of the tree t: F of the single
 node is f(x0), and F([t1..tm]) applies the m-th derivative of f at x0 to
@@ -16,14 +16,21 @@ over the distinct orderings of K.  The table holds the nonzero values only
 and is built once per memo of elementary_differential, so a tree with
 more children than deg f costs nothing.
 
-A Runge-Kutta step with tableau (A, b) expands the same way with
-alpha(t) * weight(t) in place of alpha(t)/t!, where weight(t) is the
+with sigma(t) the tree's symmetry count (alpha(t) = 1/sigma(t)).  A
+Runge-Kutta step with tableau (A, b) expands the same way with
+weight(t)/sigma(t) in place of 1/(sigma(t) t!), where weight(t) is the
 tableau's elementary weight b . Phi(t) as defined in conditions; stage i's
-slope takes alpha(t) * Phi_i(t) on tau^(q-1).  Every tree series comes
-from one walk over the forest, _tree_series, with one differential memo:
-its factor gives each tree one weight per output series, so all stages of
-a tableau share one walk.  rk_series_trees and stage_series_trees build
-one ElementaryWeights per call, so each subtree's Phi is computed once.
+slope takes Phi_i(t)/sigma(t) on tau^(q-1).  Every tree series comes from
+one walk over the forest, _tree_series, with one differential memo: its
+factor gives each tree one weight per output series, so all stages of a
+tableau share one walk.  rk_series_trees and stage_series_trees build one
+ElementaryWeights per call, so each subtree's Phi is computed once.
+
+The tree routes run in integers.  F(t) is kept as integer numerators over
+one unreduced denominator, and each tree's weights as integer numerators
+over sigma(t) t!, or over sigma(t) times the scale of the tableau's
+integer weights.  The trees of one order are summed over the lcm of their
+denominators, so there is one Fraction per component and coefficient.
 
 Each series is also computed a second, structurally unrelated way, by one
 engine, _slopes: it solves k_i = f(x0 + tau * shift_i(k)) in the series
@@ -50,7 +57,7 @@ from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .algebra import format_rational, numerators_over, parse_rational
-from .trees import RootedTree, alpha, grow_by_leaf, tree_factorial
+from .trees import RootedTree, grow_by_leaf, sigma, tree_factorial
 from .verify import ButcherTableau, check_list, read_document, size_field
 
 __all__ = [
@@ -441,20 +448,25 @@ def elementary_differential(
     field: PolyVectorField,
     tree: RootedTree,
     point: Sequence[Fraction],
-    memo: dict[RootedTree, tuple[Fraction, ...]] | None = None,
+    memo: dict | None = None,
 ) -> tuple[Fraction, ...]:
     """F(tree)(point), contracted from the derivatives of the field at point.
 
-    Pass one memo dict across calls when evaluating many trees at the same
-    point: subtrees repeat heavily across a forest, and the memo also keeps
-    the derivative table, so the table is built once per memo.
+    Pass one memo dict across calls when evaluating many trees of the same
+    field at the same point: subtrees repeat heavily across a forest, and
+    the memo also keeps the derivative table, so the table is built once
+    per memo.  A memo whose table belongs to another field or point raises
+    ValueError.
     """
     if memo is None:
         memo = {}
     table = memo.get(_TABLE_KEY)
     if table is None:
         table = memo[_TABLE_KEY] = _DerivativeTable(field, point)
-    return table.differential(tree, memo)
+    elif not table.serves(field, point):
+        raise ValueError("the memo holds the derivative table of another field or point")
+    numerators, denominator = table.differential(tree, memo)
+    return tuple(Fraction(x, denominator) for x in numerators)
 
 
 # The memo entry that holds a memo's derivative table; no tree equals it.
@@ -468,19 +480,25 @@ class _DerivativeTable:
     taking partials of the level m - 1 polynomials along their nonzero
     branches only, so the table never grows past deg f or past what the
     forest needs.  The contraction runs in integers: a level's values are
-    kept over one common denominator, and each child's differential is put
-    over one too, so every product in F(t) has the same denominator and
-    only the final sums become Fractions.
+    kept over one common denominator, and F(t) is kept as integer
+    numerators over one unreduced denominator, the level's times the
+    children's.  No Fraction is built per tree; the callers make one per
+    coefficient they return.
     """
 
     def __init__(self, field: PolyVectorField, point: Sequence[Fraction]) -> None:
-        self._point = point
+        self._field = field
+        self._point = tuple(point)
         self._dim = field.dim
         # Sorted indices K with the polynomials d_K f_c, at the last level built.
         self._frontier = [((), field.components)]
         # levels[m]: (common denominator, rows (distinct arrangements of K,
         # numerators of (d_K f_c(x0))_c)), rows with a nonzero value only.
         self._levels: list[tuple[int, list]] = []
+
+    def serves(self, field: PolyVectorField, point: Sequence[Fraction]) -> bool:
+        """Whether this table was built for field at point."""
+        return field == self._field and tuple(point) == self._point
 
     def _level(self, m: int) -> tuple[int, list]:
         while len(self._levels) <= m and self._frontier:
@@ -499,7 +517,8 @@ class _DerivativeTable:
             self._frontier = frontier
         return self._levels[m] if m < len(self._levels) else (1, [])
 
-    def differential(self, tree: RootedTree, memo: dict) -> tuple[Fraction, ...]:
+    def differential(self, tree: RootedTree, memo: dict) -> tuple[tuple[int, ...], int]:
+        """F(tree)(x0) as (numerators, denominator), memoised in memo by tree."""
         cached = memo.get(tree)
         if cached is not None:
             return cached
@@ -508,9 +527,8 @@ class _DerivativeTable:
         if rows:
             kids = []
             for kid in tree.children:
-                value = self.differential(kid, memo)
-                kid_denominator = math.lcm(*(x.denominator for x in value))
-                kids.append(numerators_over(value, kid_denominator))
+                numerators, kid_denominator = self.differential(kid, memo)
+                kids.append(numerators)
                 denominator *= kid_denominator
             for arrangements, numerators in rows:
                 # sum over arrangements of prod_i F(t_i)[k_i], shared by all components
@@ -523,9 +541,8 @@ class _DerivativeTable:
                 if spread:
                     for c, numerator in enumerate(numerators):
                         totals[c] += numerator * spread
-        value = tuple(Fraction(total, denominator) for total in totals)
-        memo[tree] = value
-        return value
+        cached = memo[tree] = (tuple(totals), denominator)
+        return cached
 
 
 def _arrangements(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -556,30 +573,40 @@ def _tree_series(
     point: Sequence[Fraction],
     degree: int,
     count: int,
-    factor: Callable[[RootedTree], tuple[Fraction, ...]],
+    factor: Callable[[RootedTree], tuple[tuple[int, ...], int]],
 ) -> list[TauSeries]:
-    """x0 + sum over trees t of order <= degree of factor(t)[k] * F(t)(x0), k < count.
+    """x0 + sum over trees t of order <= degree of w_k(t) * F(t)(x0), k < count.
 
-    One walk over the forest and one differential memo serve all count
-    series; a tree whose weights are all zero costs no differential.
+    factor(t) gives the weights as integer numerators over one integer
+    denominator, (w^_1(t), ..., w^_count(t)) and D(t).  One walk over the
+    forest and one differential memo serve all count series; a tree whose
+    weights are all zero costs no differential.  The trees of one order are
+    summed in integers over the lcm of their denominators, so each
+    coefficient is divided once.
     """
     _check_degree(degree)
     x0 = _check_point(field, point)
+    table = _DerivativeTable(field, x0)
+    memo: dict = {}
     series = [[x0] for _ in range(count)]
-    memo: dict[RootedTree, tuple[Fraction, ...]] = {}
     for group in islice(grow_by_leaf(), degree):
-        totals = [[Fraction(0)] * field.dim for _ in range(count)]
+        terms = []
         for tree in group:
-            weights = factor(tree)
-            if not any(weights):
-                continue
-            differential = elementary_differential(field, tree, x0, memo)
+            weights, scale = factor(tree)
+            if any(weights):
+                numerators, denominator = table.differential(tree, memo)
+                terms.append((weights, numerators, scale * denominator))
+        common = math.lcm(*(denominator for _, _, denominator in terms))
+        totals = [[0] * field.dim for _ in range(count)]
+        for weights, numerators, denominator in terms:
+            lift = common // denominator
             for total, weight in zip(totals, weights):
                 if weight:
-                    for c, value in enumerate(differential):
+                    weight *= lift
+                    for c, value in enumerate(numerators):
                         total[c] += weight * value
         for coeffs, total in zip(series, totals):
-            coeffs.append(tuple(total))
+            coeffs.append(tuple(Fraction(x, common) for x in total))
     return [TauSeries(tuple(coeffs)) for coeffs in series]
 
 
@@ -610,8 +637,9 @@ def _slopes(
 ) -> list[tuple[list[Fraction], ...]]:
     """Slopes k_1..k_s through tau^degree, solving k_i = f(x0 + tau * shift_i(k)).
 
-    shifts[i] maps all the slopes to one series per component.  The tau
-    factor makes coefficient q of every slope depend only on the slopes'
+    shifts[i](slopes, q) is coefficient q of shift_i, one entry per
+    component, from the slopes' coefficients through q.  The tau factor
+    makes coefficient q of every slope depend only on the slopes'
     coefficients below q, implicit coupling included, so one pass over
     q = 0..degree computes each coefficient once (recursive Taylor
     coefficients).  Step q extends each stage's argument x0 + tau *
@@ -634,9 +662,9 @@ def _slopes(
     slopes = [tuple([] for _ in x0) for _ in shifts]
     for q in range(degree + 1):
         if q:
-            for power, shifted in zip(powers, [shift(slopes) for shift in shifts]):
+            for power, shifted in zip(powers, [shift(slopes, q - 1) for shift in shifts]):
                 for unit, moved in zip(units, shifted):
-                    power[unit].append(moved[q - 1])
+                    power[unit].append(moved)
         for power, slope in zip(powers, slopes):
             for monomial, (left, right) in products:
                 power[monomial].append(sum(map(mul, power[left], reversed(power[right]))))
@@ -647,34 +675,31 @@ def _slopes(
     return slopes
 
 
-def _combine(weights: Sequence[Fraction], slopes: list) -> list[tuple[Fraction, ...]]:
-    """sum_j weights[j] * k_j, one series per component."""
-    total = [[Fraction(0)] * len(series) for series in slopes[0]]
-    for weight, slope in zip(weights, slopes):
-        if weight:
-            for row, series in zip(total, slope):
-                for q, x in enumerate(series):
-                    row[q] += weight * x
-    return [tuple(row) for row in total]
+def _combine(weights: Sequence[Fraction], slopes: list, q: int) -> tuple[Fraction, ...]:
+    """Coefficient q of sum_j weights[j] * k_j, one entry per component."""
+    return tuple(
+        sum((w * slope[c][q] for w, slope in zip(weights, slopes) if w), Fraction(0))
+        for c in range(len(slopes[0]))
+    )
 
 
-def _integral(slopes: list) -> list[tuple[Fraction, ...]]:
-    """The one slope's antiderivative divided by tau: coefficient q over q + 1."""
+def _integral(slopes: list, q: int) -> tuple[Fraction, ...]:
+    """Coefficient q of the one slope's antiderivative divided by tau: k_q/(q + 1)."""
     (slope,) = slopes
-    return [tuple(x / (q + 1) for q, x in enumerate(series)) for series in slope]
+    return tuple(series[q] / (q + 1) for series in slope)
 
 
-def _update(x0: tuple[Fraction, ...], shift: list[tuple[Fraction, ...]]) -> TauSeries:
-    """x0 + tau * shift: the shift's power q lands on tau^(q + 1)."""
-    return TauSeries((x0,) + tuple(zip(*shift)))
+def _update(x0: tuple[Fraction, ...], shift: Callable, slopes: list, degree: int) -> TauSeries:
+    """x0 + tau * shift(k) through tau^degree: the shift's power q lands on tau^(q + 1)."""
+    return TauSeries((x0,) + tuple(shift(slopes, q) for q in range(degree)))
 
 
 def flow_series_trees(
     field: PolyVectorField, point: Sequence[Fraction], degree: int
 ) -> TauSeries:
-    """Exact-flow expansion assembled tree by tree."""
+    """Exact-flow expansion assembled tree by tree: weight 1/(sigma(t) * t!)."""
     (series,) = _tree_series(
-        field, point, degree, 1, lambda tree: (alpha(tree) / tree_factorial(tree),)
+        field, point, degree, 1, lambda tree: ((1,), sigma(tree) * tree_factorial(tree))
     )
     return series
 
@@ -690,7 +715,7 @@ def flow_series_picard(
     """
     _check_degree(degree)
     x0 = _check_point(field, point)
-    return _update(x0, _integral(_slopes(field, x0, degree - 1, [_integral])))
+    return _update(x0, _integral, _slopes(field, x0, degree - 1, [_integral]), degree)
 
 
 def rk_series_trees(
@@ -699,11 +724,18 @@ def rk_series_trees(
     point: Sequence[Fraction],
     degree: int,
 ) -> TauSeries:
-    """One-step expansion assembled from elementary weights, tree by tree."""
+    """One-step expansion assembled from elementary weights, tree by tree.
+
+    Tree t weighs b . Phi(t) / sigma(t), taken from the tableau's integer
+    weights without reducing.
+    """
     weights = tableau.elementary_weights()
-    (series,) = _tree_series(
-        field, point, degree, 1, lambda tree: (alpha(tree) * weights.weight(tree),)
-    )
+
+    def factor(tree: RootedTree) -> tuple[tuple[int], int]:
+        weight, scale = weights.integer_weight(tree)
+        return (weight,), sigma(tree) * scale
+
+    (series,) = _tree_series(field, point, degree, 1, factor)
     return series
 
 
@@ -717,7 +749,8 @@ def rk_series_direct(
     _check_degree(degree)
     x0 = _check_point(field, point)
     shifts = [partial(_combine, row) for row in tableau.a]
-    return _update(x0, _combine(tableau.b, _slopes(field, x0, degree - 1, shifts)))
+    slopes = _slopes(field, x0, degree - 1, shifts)
+    return _update(x0, partial(_combine, tableau.b), slopes, degree)
 
 
 def stage_series_direct(
@@ -746,17 +779,16 @@ def stage_series_trees(
 ) -> tuple[TauSeries, ...]:
     """Per-stage slope series from trees: a tree of order q lands on tau^(q-1).
 
-    Stage i is the tree series with factor alpha(t) * Phi_i(t), shifted down
-    one power; it is truncated like stage_series_direct.  All stages come
-    from one walk over the forest.
+    Stage i is the tree series with weight Phi_i(t) / sigma(t), shifted
+    down one power; it is truncated like stage_series_direct.  All stages
+    come from one walk over the forest.
     """
     _check_degree(degree)
     weights = tableau.elementary_weights()
-    stages = _tree_series(
-        field,
-        point,
-        max(degree, 1),
-        tableau.stages,
-        lambda tree: tuple(alpha(tree) * phi for phi in weights.vector(tree)),
-    )
+
+    def factor(tree: RootedTree) -> tuple[tuple[int, ...], int]:
+        phis, scale = weights.integer_vector(tree)
+        return phis, sigma(tree) * scale
+
+    stages = _tree_series(field, point, max(degree, 1), tableau.stages, factor)
     return tuple(TauSeries(series.coeffs[1:]) for series in stages)

@@ -21,14 +21,18 @@ For a tree t with children t_1, ..., t_n:
     tree_factorial(t) = order(t) * prod(tree_factorial(t_k))
     symmetry_delta(t) = n! / prod(m_g!)             m_g = multiplicities of
                                                     the distinct children
-    alpha(t)          = symmetry_delta(t)/n! * prod(alpha(t_k))
+    sigma(t)          = prod(m_g!) * prod(sigma(t_k))
+    alpha(t)          = 1 / sigma(t)
 
-symmetry_delta counts the distinct ordered arrangements of the child list.
-alpha(t)/tree_factorial(t) weights the elementary differential of t in the
-Taylor expansion of an exact flow; alpha(t) alone weights the discrete
-(one-step method) expansion.  Both are exact rationals.  Like order,
-tree_factorial and alpha are computed once per tree instance and cached on
-it, so a forest pays for each subtree's factors once.
+symmetry_delta counts the distinct ordered arrangements of the child list;
+sigma counts the tree's symmetries, the permutations of its nodes that fix
+its shape (Butcher, Numerical Methods for ODEs, sections 30-31; Hairer,
+Norsett and Wanner I, section II.2).  alpha(t)/tree_factorial(t) =
+1/(sigma(t) * tree_factorial(t)) weights the elementary differential of t
+in the Taylor expansion of an exact flow; alpha(t) alone weights the
+discrete (one-step method) expansion.  Like order, tree_factorial and
+sigma are integers computed once per tree instance and cached on it, so a
+forest pays for each subtree's factors once.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "TreeSyntaxError",
     "tree_factorial",
     "symmetry_delta",
+    "sigma",
     "alpha",
     "grow_by_leaf",
     "enumerate_by_leaf",
@@ -89,11 +94,10 @@ class RootedTree:
         return self.order * math.prod(kid._factorial for kid in self.children)
 
     @cached_property
-    def _alpha(self) -> Fraction:
-        weight = Fraction(symmetry_delta(self), math.factorial(len(self.children)))
-        for kid in self.children:
-            weight *= kid._alpha
-        return weight
+    def _sigma(self) -> int:
+        # Canonical sorting makes equal children adjacent.
+        runs = math.prod(math.factorial(len(tuple(run))) for _, run in groupby(self.children))
+        return runs * math.prod(kid._sigma for kid in self.children)
 
     @cached_property
     def _key(self) -> tuple:
@@ -140,13 +144,18 @@ def symmetry_delta(tree: RootedTree) -> int:
     return result
 
 
-def alpha(tree: RootedTree) -> Fraction:
-    """Arrangement weight in (0, 1].
+def sigma(tree: RootedTree) -> int:
+    """Number of symmetries of the tree.
 
-    symmetry_delta(t)/n! times the product of the children's weights.  The
-    denominator divides order(t)! and alpha of any chain is 1.
+    prod(m_g!) over the multiplicities m_g of the distinct children, times
+    the children's sigma.  It divides (order(t) - 1)! and is 1 for any chain.
     """
-    return tree._alpha
+    return tree._sigma
+
+
+def alpha(tree: RootedTree) -> Fraction:
+    """Arrangement weight 1/sigma(t), in (0, 1]."""
+    return Fraction(1, tree._sigma)
 
 
 @dataclass(frozen=True)

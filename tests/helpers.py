@@ -8,15 +8,20 @@ CoeffPolynomial, written against its public surface only.
 directional_derivative is the same for StatePolynomial.  trees_by_grafting
 enumerates the forest by leaf grafting, independently of the package's
 enumerator, and sorts it with the trees' comparison operators.
+alpha_by_arrangements, differential_reference and tree_series_reference
+are the oracle's tree routes computed Fraction by Fraction: alpha as a
+product of arrangement weights, F(t) by repeated directional derivatives,
+and every weight, product and sum a reduced Fraction.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from butcher_kit.algebra import CoeffPolynomial
 from butcher_kit.oracle import StatePolynomial
-from butcher_kit.trees import RootedTree
+from butcher_kit.trees import RootedTree, symmetry_delta
 from butcher_kit.verify import ButcherTableau
 
 F = Fraction
@@ -81,6 +86,57 @@ def directional_derivative(poly, vector):
         if weight:
             total = total + poly.partial(k).scale(weight)
     return total
+
+
+def alpha_by_arrangements(tree):
+    """symmetry_delta(t)/n! times the children's alpha, as a Fraction product."""
+    weight = Fraction(symmetry_delta(tree), math.factorial(len(tree.children)))
+    for kid in tree.children:
+        weight *= alpha_by_arrangements(kid)
+    return weight
+
+
+def differential_reference(field, tree, point, memo=None):
+    """F(tree)(point) by repeated directional derivatives, then evaluation.
+
+    Pass one memo dict to share subtrees across calls at one field and point.
+    """
+    if memo is not None and tree in memo:
+        return memo[tree]
+    kids = [differential_reference(field, kid, point, memo) for kid in tree.children]
+    values = []
+    for component in field.components:
+        derived = component
+        for vector in kids:
+            derived = directional_derivative(derived, vector)
+        values.append(derived.evaluate(point))
+    if memo is not None:
+        memo[tree] = tuple(values)
+    return tuple(values)
+
+
+def tree_series_reference(field, point, degree, count, factor):
+    """Coefficient vectors of x0 + sum over trees t of order <= degree of
+    factor(t)[k] * F(t)(x0), k < count, one series per k.
+
+    factor(t) returns count Fractions; the sums are Fraction sums, one tree
+    at a time, over the grafting forest.
+    """
+    x0 = tuple(Fraction(x) for x in point)
+    memo = {}
+    series = [[x0] for _ in range(count)]
+    for group in trees_by_grafting(max(degree, 1))[:degree]:
+        totals = [[Fraction(0)] * field.dim for _ in range(count)]
+        for tree in group:
+            weights = factor(tree)
+            if any(weights):
+                differential = differential_reference(field, tree, x0, memo)
+                for total, weight in zip(totals, weights):
+                    for c, value in enumerate(differential):
+                        total[c] += weight * value
+        for coeffs, total in zip(series, totals):
+            coeffs.append(tuple(total))
+    return [tuple(coeffs) for coeffs in series]
 
 
 def trees_by_grafting(max_order):

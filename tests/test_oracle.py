@@ -6,7 +6,8 @@ iteration for the discrete step.  Exact agreement on random polynomial
 fields is the main claim; hand-computed expansions (rotation, linear
 stability polynomials) pin the normalization.  The contraction behind
 elementary_differential is also checked against the plain formula,
-repeated directional derivatives of the field.
+repeated directional derivatives of the field, and the tree routes, which
+sum in integers, against the same series built Fraction by Fraction.
 """
 
 import random
@@ -20,12 +21,15 @@ from hypothesis import strategies as st
 
 from helpers import (
     BUTCHER6_SAMPLES,
+    alpha_by_arrangements,
     butcher6,
+    differential_reference,
     directional_derivative,
     explicit_euler,
     implicit_midpoint,
     random_tableaus,
     rk4,
+    tree_series_reference,
 )
 
 from butcher_kit import oracle
@@ -47,7 +51,7 @@ from butcher_kit.oracle import (
     stage_series_direct,
     stage_series_trees,
 )
-from butcher_kit.trees import enumerate_by_leaf, parse_tree
+from butcher_kit.trees import enumerate_by_leaf, parse_tree, tree_factorial
 
 F = Fraction
 
@@ -111,18 +115,6 @@ def _random_fields(draw):
     )
     point = tuple(draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(dim))
     return PolyVectorField(dim, components), point
-
-
-def _differential_reference(field, tree, point):
-    """F(tree)(point) by repeated directional derivatives, then evaluation."""
-    kids = [_differential_reference(field, kid, point) for kid in tree.children]
-    values = []
-    for component in field.components:
-        derived = component
-        for vector in kids:
-            derived = directional_derivative(derived, vector)
-        values.append(derived.evaluate(point))
-    return tuple(values)
 
 
 class TestComponentParsing:
@@ -333,6 +325,26 @@ class TestElementaryDifferentials:
         assert first == elementary_differential(MIXED, parse_tree("[[[]]]"), self.POINT)
         assert second == elementary_differential(MIXED, parse_tree("[[],[]]"), self.POINT)
 
+    def test_memo_of_another_point_is_refused(self):
+        square = PolyVectorField.from_strings(1, ["x1^2"])
+        memo = {}
+        assert elementary_differential(square, parse_tree("[]"), (F(1),), memo) == (F(1),)
+        # An equal point, and an equal field built anew, share the memo.
+        same = PolyVectorField.from_strings(1, ["x1^2"])
+        assert elementary_differential(same, parse_tree("[[]]"), [1], memo) == (F(2),)
+        with pytest.raises(ValueError, match="another field or point"):
+            elementary_differential(square, parse_tree("[]"), (F(2),), memo)
+        assert elementary_differential(square, parse_tree("[]"), (F(2),)) == (F(4),)
+
+    def test_memo_of_another_field_is_refused(self):
+        square = PolyVectorField.from_strings(1, ["x1^2"])
+        cube = PolyVectorField.from_strings(1, ["x1^3"])
+        memo = {}
+        assert elementary_differential(square, parse_tree("[]"), (F(2),), memo) == (F(4),)
+        with pytest.raises(ValueError, match="another field or point"):
+            elementary_differential(cube, parse_tree("[[]]"), (F(2),), memo)
+        assert elementary_differential(cube, parse_tree("[[]]"), (F(2),)) == (F(96),)
+
     @pytest.mark.parametrize(
         "field,point",
         [
@@ -346,7 +358,7 @@ class TestElementaryDifferentials:
     def test_contraction_matches_directional_derivatives(self, field, point):
         memo = {}
         for tree in enumerate_by_leaf(6):
-            expected = _differential_reference(field, tree, point)
+            expected = differential_reference(field, tree, point)
             assert elementary_differential(field, tree, point, memo) == expected, tree
             assert elementary_differential(field, tree, point) == expected, tree
 
@@ -534,6 +546,43 @@ class TestRoutesAgreeOnHigherDerivatives:
         assert rk_series_trees(tableau, field, point, degree) == rk_series_direct(
             tableau, field, point, degree
         )
+
+
+class TestTreeRoutesMatchTheFractionReference:
+    # The tree routes sum integer numerators over one denominator per
+    # coefficient; the reference builds every weight, F(t), product and sum
+    # as a reduced Fraction, with alpha from its arrangement recursion.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(field_and_point=_random_fields(), tableau=random_tableaus(), degree=st.integers(0, 7))
+    @example(
+        field_and_point=(_DEGREE_4_FIELDS[1], (F(0), F(-2, 3), F(0))),
+        tableau=implicit_midpoint(),
+        degree=7,
+    )
+    @example(
+        field_and_point=(_DEGREE_4_FIELDS[0], (F(-3, 2),)),
+        tableau=butcher6(*BUTCHER6_SAMPLES[1]),
+        degree=6,
+    )
+    def test_tree_routes_match_fraction_sums(self, field_and_point, tableau, degree):
+        field, point = field_and_point
+        weights = tableau.elementary_weights()
+
+        def reference(count, factor, top=degree):
+            return tree_series_reference(field, point, top, count, factor)
+
+        (flow,) = reference(1, lambda t: (alpha_by_arrangements(t) / tree_factorial(t),))
+        assert flow_series_trees(field, point, degree).coeffs == flow
+        (step,) = reference(1, lambda t: (alpha_by_arrangements(t) * weights.weight(t),))
+        assert rk_series_trees(tableau, field, point, degree).coeffs == step
+        stages = reference(
+            tableau.stages,
+            lambda t: tuple(alpha_by_arrangements(t) * phi for phi in weights.vector(t)),
+            max(degree, 1),
+        )
+        assert [series.coeffs for series in stage_series_trees(tableau, field, point, degree)] == [
+            coeffs[1:] for coeffs in stages
+        ]
 
 
 class TestValidation:

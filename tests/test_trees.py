@@ -10,6 +10,8 @@ Core claims:
   * tree_factorial agrees with a brute-force monotone-labeling count
     (hook length route) on every tree of order <= 5;
   * symmetry_delta agrees with a brute-force distinct-permutation count;
+  * alpha is 1/sigma and matches the arrangement-weight recursion, and
+    sigma satisfies Cayley's formula, through order 10;
   * construction is child-order invariant and parse/format round-trips,
     on every small tree and on hypothesis-drawn shapes;
   * the counts through the CLI's order cap (14) follow the A000081
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import trees_by_grafting
+from helpers import alpha_by_arrangements, trees_by_grafting
 
 from butcher_kit.cli import _ORDER_CAP, _TREES_OF_ORDER
 from butcher_kit.trees import (
@@ -36,6 +38,7 @@ from butcher_kit.trees import (
     enumerate_by_leaf,
     format_tree,
     parse_tree,
+    sigma,
     symmetry_delta,
     tree_factorial,
 )
@@ -213,6 +216,17 @@ class TestCoefficients:
                 for t in forest.trees_of_order(q)
             )
             assert total == math.factorial(q - 1)
+
+    def test_alpha_is_one_over_sigma_through_order_10(self):
+        for tree in enumerate_by_leaf(10):
+            assert alpha(tree) == Fraction(1, sigma(tree)) == alpha_by_arrangements(tree)
+
+    def test_cayley_formula_through_order_10(self):
+        # q!/sigma(t) labelings per shape: q^(q-1) labeled rooted trees.
+        forest = enumerate_by_leaf(10)
+        for q in range(1, 11):
+            total = sum(Fraction(math.factorial(q), sigma(t)) for t in forest.trees_of_order(q))
+            assert total == q ** (q - 1)
 
 
 class TestCanonicalForm:
