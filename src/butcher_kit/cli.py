@@ -43,7 +43,8 @@ _ORACLE_DEGREE_CAP = 6
 # Size caps, refused with exit 2 before any work starts.  Every subcommand
 # works per tree, and there are about 3x more trees per order: through order
 # 14 (53,272 trees) the heaviest, `conditions --generic --format json`, takes
-# 3.5 s and 150 MB on a 2-core Xeon.
+# 3.4-3.8 s and 152 MB peak RSS on a 2-core Xeon (Python 3.11, three runs;
+# 2.3-2.4 s and 57 MB in text).
 _ORDER_CAP = 14
 # conditions without --generic: a full A has S^2 variables (--order 2
 # --stages 100: 0.5 s, 28 MB).
@@ -159,7 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--x0", required=True, help="expansion point, comma-separated rationals"
     )
     oracle_parser.add_argument(
-        "--p", type=int, required=True, metavar="P", help="truncation degree, 0..6"
+        "--p",
+        type=int,
+        required=True,
+        metavar="P",
+        help=f"truncation degree, 0..{_ORACLE_DEGREE_CAP}",
     )
     oracle_parser.add_argument(
         "--tableau", help="also expand one step of this tableau document"
@@ -310,7 +315,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    _require(0 <= args.p <= _ORACLE_DEGREE_CAP, "--p must be between 0 and 6")
+    _require(
+        0 <= args.p <= _ORACLE_DEGREE_CAP,
+        f"--p must be between 0 and {_ORACLE_DEGREE_CAP}",
+    )
     field = load_field(Path(args.field).read_text())
     point = parse_point(args.x0, field.dim)
 

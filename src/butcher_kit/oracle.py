@@ -39,8 +39,10 @@ ones below it (recursive Taylor coefficients).  The stage equations take
 shift_i(k) = sum_j A[i][j] k_j, and the step is x0 + tau * sum_i b_i k_i.
 Picard iteration is the one-slope case: the flow's slope solves
 k = f(x0 + integral of k), and the flow is x0 + integral of k.  The tree
-formulas and the iteration share nothing but the field's polynomials, so
-their agreement is a meaningful check, not a tautology.
+formulas and the iteration share nothing but the field's term tables: the
+tree routes read the derivatives of f at x0 off them, the iteration the
+terms of f itself.  So their agreement is a meaningful check, not a
+tautology.
 
 All arithmetic is exact; series are truncated at a caller-chosen degree.
 """
@@ -63,7 +65,6 @@ from .verify import ButcherTableau, check_list, read_document, size_field
 __all__ = [
     "FieldError",
     "FieldSyntaxError",
-    "StatePolynomial",
     "PolyVectorField",
     "load_field",
     "parse_point",
@@ -88,103 +89,6 @@ class FieldSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class StatePolynomial:
-    """Exact polynomial in the state variables x1..xd.
-
-    Terms map exponent tuples (one entry per variable) to nonzero rational
-    coefficients.  Supports sums, scaling, evaluation, and partial and
-    directional derivatives along constant vectors, which is all the
-    component parser and the series machinery need; the parser builds each
-    term's monomial directly.
-    """
-
-    __slots__ = ("dim", "_terms")
-
-    def __init__(self, dim: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        object.__setattr__(self, "dim", dim)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exponents, coefficient in (terms or {}).items():
-            if len(exponents) != dim:
-                raise ValueError(f"exponent tuple {exponents} does not match dim {dim}")
-            value = Fraction(coefficient)
-            if value:
-                clean[tuple(exponents)] = value
-        object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def zero(cls, dim: int) -> "StatePolynomial":
-        return cls(dim)
-
-    @classmethod
-    def constant(cls, dim: int, value) -> "StatePolynomial":
-        return cls(dim, {(0,) * dim: Fraction(value)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._terms)
-
-    def _require_same_dim(self, other: "StatePolynomial") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "StatePolynomial") -> "StatePolynomial":
-        if not isinstance(other, StatePolynomial):
-            return NotImplemented
-        self._require_same_dim(other)
-        merged = dict(self._terms)
-        for exponents, coefficient in other._terms.items():
-            merged[exponents] = merged.get(exponents, Fraction(0)) + coefficient
-        return StatePolynomial(self.dim, merged)
-
-    def scale(self, factor) -> "StatePolynomial":
-        value = Fraction(factor)
-        return StatePolynomial(
-            self.dim, {exp: coeff * value for exp, coeff in self._terms.items()}
-        )
-
-    def partial(self, index: int) -> "StatePolynomial":
-        """Derivative with respect to x<index>, 1-based."""
-        if not 1 <= index <= self.dim:
-            raise ValueError(f"variable index {index} out of range 1..{self.dim}")
-        k = index - 1
-        result: dict[tuple[int, ...], Fraction] = {}
-        for exponents, coefficient in self._terms.items():
-            power = exponents[k]
-            if power == 0:
-                continue
-            lowered = exponents[:k] + (power - 1,) + exponents[k + 1 :]
-            result[lowered] = result.get(lowered, Fraction(0)) + coefficient * power
-        return StatePolynomial(self.dim, result)
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != self.dim:
-            raise ValueError(f"point has {len(point)} entries, expected {self.dim}")
-        total = Fraction(0)
-        for exponents, coefficient in self._terms.items():
-            value = coefficient
-            for base, power in zip(point, exponents):
-                if power:
-                    value *= Fraction(base) ** power
-            total += value
-        return total
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StatePolynomial):
-            return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"StatePolynomial(dim={self.dim}, terms={self._terms!r})"
 
 
 # The highest degree of a term in a field component; a term above it is
@@ -249,7 +153,13 @@ def _tokenize_component(text: str, dim: int) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def _parse_component(text: str, dim: int) -> StatePolynomial:
+# A term is (exponents, coefficient), one exponent per variable.  A field
+# component is its nonzero terms, sorted by exponents.
+Term = tuple[tuple[int, ...], Fraction]
+Component = tuple[Term, ...]
+
+
+def _parse_component(text: str, dim: int) -> list[Term]:
     tokens = _tokenize_component(text, dim)
     if not tokens:
         raise FieldSyntaxError("empty polynomial", 0)
@@ -285,12 +195,11 @@ def _parse_component(text: str, dim: int) -> StatePolynomial:
                 f"degree {sum(exponents)} exceeds the cap of {MAX_FIELD_DEGREE}",
                 tokens[first][2],
             )
-        key = tuple(exponents)
-        terms[key] = terms.get(key, 0) + sign * coefficient
+        terms.append((tuple(exponents), sign * coefficient))
 
-    # One dict for all terms: adding each term to a StatePolynomial would
-    # copy every earlier term, quadratic in the component's length.
-    terms: dict[tuple[int, ...], Fraction] = {}
+    # The terms as read; PolyVectorField sums like terms in one dict, so a
+    # long component builds in linear time.
+    terms: list[Term] = []
     sign = 1
     if tokens[cursor][0] == "op" and tokens[cursor][1] in "+-":
         sign = -1 if tokens[cursor][1] == "-" else 1
@@ -302,15 +211,22 @@ def _parse_component(text: str, dim: int) -> StatePolynomial:
             raise FieldSyntaxError(f"expected '+' or '-', found {value!r}", position)
         cursor += 1
         parse_term(-1 if value == "-" else 1)
-    return StatePolynomial(dim, terms)
+    return terms
 
 
 @dataclass(frozen=True)
 class PolyVectorField:
-    """A polynomial map f: Q^dim -> Q^dim, one StatePolynomial per component."""
+    """A polynomial map f: Q^dim -> Q^dim, one term table per component.
+
+    Each component is given as a mapping from exponent tuples to rationals,
+    or as (exponents, coefficient) pairs whose like terms are summed, and
+    stored as a Component: exact, immutable and in canonical order, so
+    fields hash, and two fields are equal exactly when their polynomials
+    are.
+    """
 
     dim: int
-    components: tuple[StatePolynomial, ...]
+    components: tuple[Component, ...]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -319,9 +235,19 @@ class PolyVectorField:
             raise ValueError(
                 f"{len(self.components)} components do not match dim {self.dim}"
             )
+        tables = []
         for component in self.components:
-            if component.dim != self.dim:
-                raise ValueError("component dimension does not match the field")
+            terms: dict[tuple[int, ...], Fraction] = {}
+            pairs = component.items() if isinstance(component, Mapping) else component
+            for exponents, coefficient in pairs:
+                if len(exponents) != self.dim:
+                    raise ValueError(
+                        f"exponent tuple {exponents} does not match dim {self.dim}"
+                    )
+                key = tuple(exponents)
+                terms[key] = terms.get(key, 0) + Fraction(coefficient)
+            tables.append(tuple(sorted((key, c) for key, c in terms.items() if c)))
+        object.__setattr__(self, "components", tuple(tables))
 
     @classmethod
     def from_strings(cls, dim: int, component_texts: Sequence[str]) -> "PolyVectorField":
@@ -329,7 +255,10 @@ class PolyVectorField:
         return cls(dim=dim, components=parsed)
 
     def evaluate(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(component.evaluate(point) for component in self.components)
+        if len(point) != self.dim:
+            raise ValueError(f"point has {len(point)} entries, expected {self.dim}")
+        point = tuple(Fraction(x) for x in point)
+        return tuple(_value(component, point) for component in self.components)
 
 
 _FIELD_FIELDS = {"dim", "components"}
@@ -477,7 +406,7 @@ class _DerivativeTable:
     """The nonzero d_K f(x0) for sorted index multisets K, one |K| at a time.
 
     Level m is built the first time a tree with m children asks for it, by
-    taking partials of the level m - 1 polynomials along their nonzero
+    taking partials of the level m - 1 term tables along their nonzero
     branches only, so the table never grows past deg f or past what the
     forest needs.  The contraction runs in integers: a level's values are
     kept over one common denominator, and F(t) is kept as integer
@@ -490,7 +419,7 @@ class _DerivativeTable:
         self._field = field
         self._point = tuple(point)
         self._dim = field.dim
-        # Sorted indices K with the polynomials d_K f_c, at the last level built.
+        # Sorted indices K with the term tables of d_K f_c, at the last level built.
         self._frontier = [((), field.components)]
         # levels[m]: (common denominator, rows (distinct arrangements of K,
         # numerators of (d_K f_c(x0))_c)), rows with a nonzero value only.
@@ -503,13 +432,13 @@ class _DerivativeTable:
     def _level(self, m: int) -> tuple[int, list]:
         while len(self._levels) <= m and self._frontier:
             rows, frontier = [], []
-            for indices, polys in self._frontier:
-                values = tuple(poly.evaluate(self._point) for poly in polys)
+            for indices, tables in self._frontier:
+                values = tuple(_value(table, self._point) for table in tables)
                 if any(values):
                     rows.append((_arrangements(indices), values))
                 for k in range(indices[-1] if indices else 0, self._dim):
-                    partials = tuple(poly.partial(k + 1) for poly in polys)
-                    if not all(poly.is_zero for poly in partials):
+                    partials = tuple(_partial(table, k) for table in tables)
+                    if any(partials):
                         frontier.append((indices + (k,), partials))
             denominator = math.lcm(*(x.denominator for _, values in rows for x in values))
             scaled = [(arr, numerators_over(values, denominator)) for arr, values in rows]
@@ -543,6 +472,30 @@ class _DerivativeTable:
                         totals[c] += numerator * spread
         cached = memo[tree] = (tuple(totals), denominator)
         return cached
+
+
+def _value(table: Component, point: tuple[Fraction, ...]) -> Fraction:
+    """The component with this term table at point."""
+    total = Fraction(0)
+    for exponents, term in table:
+        for base, power in zip(point, exponents):
+            if power:
+                term *= base**power
+        total += term
+    return total
+
+
+def _partial(table: Component, k: int) -> Component:
+    """The term table of the derivative along x<k+1>.
+
+    Lowering the exponent of x<k+1> maps distinct terms to distinct terms
+    and keeps their order, so the table stays canonical with no merging.
+    """
+    return tuple(
+        (exponents[:k] + (power - 1,) + exponents[k + 1 :], coefficient * power)
+        for exponents, coefficient in table
+        if (power := exponents[k])
+    )
 
 
 def _arrangements(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -615,7 +568,7 @@ def _monomial_products(field: PolyVectorField) -> list:
     >= 2 that the field's terms need; left takes half of m's degree, so a
     power x^e costs at most 2 log2(e) products.  Factors come first."""
     recipes: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    pending = [monomial for component in field.components for monomial in component.terms()]
+    pending = [monomial for component in field.components for monomial, _ in component]
     while pending:
         monomial = pending.pop()
         if sum(monomial) > 1 and monomial not in recipes:
@@ -648,7 +601,6 @@ def _slopes(
     factors' series, then each slope.  Degree -1 gives empty slopes.
     """
     products = _monomial_products(field)
-    terms = [component.terms().items() for component in field.components]
     units = [tuple(int(i == v) for i in range(len(x0))) for v in range(len(x0))]
     constant = [Fraction(1)] + [Fraction(0)] * degree
     # Per stage, the series of every monomial at the stage's argument; a
@@ -668,7 +620,7 @@ def _slopes(
         for power, slope in zip(powers, slopes):
             for monomial, (left, right) in products:
                 power[monomial].append(sum(map(mul, power[left], reversed(power[right]))))
-            for series, component in zip(slope, terms):
+            for series, component in zip(slope, field.components):
                 series.append(
                     sum((c * power[monomial][q] for monomial, c in component), Fraction(0))
                 )

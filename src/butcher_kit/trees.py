@@ -19,15 +19,13 @@ For a tree t with children t_1, ..., t_n:
 
     order(t)          = 1 + sum(order(t_k))         number of nodes
     tree_factorial(t) = order(t) * prod(tree_factorial(t_k))
-    symmetry_delta(t) = n! / prod(m_g!)             m_g = multiplicities of
-                                                    the distinct children
     sigma(t)          = prod(m_g!) * prod(sigma(t_k))
     alpha(t)          = 1 / sigma(t)
 
-symmetry_delta counts the distinct ordered arrangements of the child list;
-sigma counts the tree's symmetries, the permutations of its nodes that fix
-its shape (Butcher, Numerical Methods for ODEs, sections 30-31; Hairer,
-Norsett and Wanner I, section II.2).  alpha(t)/tree_factorial(t) =
+with m_g the multiplicities of the distinct children.  sigma counts the
+tree's symmetries, the permutations of its nodes that fix its shape
+(Butcher, Numerical Methods for ODEs, sections 30-31; Hairer, Norsett and
+Wanner I, section II.2).  alpha(t)/tree_factorial(t) =
 1/(sigma(t) * tree_factorial(t)) weights the elementary differential of t
 in the Taylor expansion of an exact flow; alpha(t) alone weights the
 discrete (one-step method) expansion.  Like order, tree_factorial and
@@ -49,7 +47,6 @@ __all__ = [
     "TreesByOrder",
     "TreeSyntaxError",
     "tree_factorial",
-    "symmetry_delta",
     "sigma",
     "alpha",
     "grow_by_leaf",
@@ -129,19 +126,6 @@ class RootedTree:
 def tree_factorial(tree: RootedTree) -> int:
     """order(t) times the factorials of the children."""
     return tree._factorial
-
-
-def symmetry_delta(tree: RootedTree) -> int:
-    """Number of distinct ordered arrangements of the child list.
-
-    n!/prod(m_g!) where the m_g are the multiplicities of the distinct
-    children.  Always a positive integer; 1 for the single node.
-    """
-    result = math.factorial(len(tree.children))
-    # Canonical sorting makes equal children adjacent.
-    for _, run in groupby(tree.children):
-        result //= math.factorial(len(tuple(run)))
-    return result
 
 
 def sigma(tree: RootedTree) -> int:

@@ -128,15 +128,6 @@ class ButcherTableau:
     def row_sum_consistent(self) -> bool:
         return self.c == self.row_sums()
 
-    def to_mapping(self) -> dict:
-        return {
-            "name": self.name,
-            "stages": self.stages,
-            "A": [[format_rational(x) for x in row] for row in self.a],
-            "b": [format_rational(x) for x in self.b],
-            "c": [format_rational(x) for x in self.c],
-        }
-
 
 class TableauWeights:
     """Phi(t) and b . Phi(t) of a tableau as reduced Fractions, from integers.

@@ -5,9 +5,12 @@ under test, so they can serve as oracles.  random_tableaus is the shared
 hypothesis strategy for small random tableaus.  power, free_variables,
 substitute, evaluate_constant and monomial_key are plain references on
 CoeffPolynomial, written against its public surface only.
-directional_derivative is the same for StatePolynomial.  trees_by_grafting
+directional_derivative and evaluate_terms are the calculus of a field
+component, written over plain {exponents: coefficient} dicts so that they
+share no code with the oracle's derivative table.  trees_by_grafting
 enumerates the forest by leaf grafting, independently of the package's
 enumerator, and sorts it with the trees' comparison operators.
+symmetry_delta counts the distinct arrangements of a tree's children.
 alpha_by_arrangements, differential_reference and tree_series_reference
 are the oracle's tree routes computed Fraction by Fraction: alpha as a
 product of arrangement weights, F(t) by repeated directional derivatives,
@@ -16,12 +19,12 @@ and every weight, product and sum a reduced Fraction.
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 from hypothesis import strategies as st
 
 from butcher_kit.algebra import CoeffPolynomial
-from butcher_kit.oracle import StatePolynomial
-from butcher_kit.trees import RootedTree, symmetry_delta
+from butcher_kit.trees import RootedTree
 from butcher_kit.verify import ButcherTableau
 
 F = Fraction
@@ -77,15 +80,42 @@ def monomial_key(monomial):
     )
 
 
-def directional_derivative(poly, vector):
-    """sum_k vector[k] * d/dx_{k+1} of a StatePolynomial, for a constant vector."""
-    if len(vector) != poly.dim:
-        raise ValueError(f"vector has {len(vector)} entries, expected {poly.dim}")
-    total = StatePolynomial.zero(poly.dim)
-    for k, weight in enumerate(vector, start=1):
-        if weight:
-            total = total + poly.partial(k).scale(weight)
+def directional_derivative(terms, vector):
+    """sum_k vector[k] * d/dx_{k+1} of a polynomial, for a constant vector.
+
+    terms maps exponent tuples to coefficients (a dict or its items); so
+    does the result, with its zero coefficients dropped.
+    """
+    total = {}
+    for exponents, coefficient in dict(terms).items():
+        if len(exponents) != len(vector):
+            raise ValueError(f"vector has {len(vector)} entries, expected {len(exponents)}")
+        for k, weight in enumerate(vector):
+            if weight and exponents[k]:
+                lowered = exponents[:k] + (exponents[k] - 1,) + exponents[k + 1 :]
+                total[lowered] = total.get(lowered, 0) + weight * coefficient * exponents[k]
+    return {exponents: value for exponents, value in total.items() if value}
+
+
+def evaluate_terms(terms, point):
+    """The polynomial with these terms (a dict or its items) at point."""
+    total = Fraction(0)
+    for exponents, coefficient in dict(terms).items():
+        total += coefficient * math.prod(Fraction(x) ** e for x, e in zip(point, exponents))
     return total
+
+
+def symmetry_delta(tree):
+    """Number of distinct ordered arrangements of the child list.
+
+    n!/prod(m_g!) where the m_g are the multiplicities of the distinct
+    children.  Always a positive integer; 1 for the single node.
+    """
+    result = math.factorial(len(tree.children))
+    # Canonical sorting makes equal children adjacent.
+    for _, run in groupby(tree.children):
+        result //= math.factorial(len(tuple(run)))
+    return result
 
 
 def alpha_by_arrangements(tree):
@@ -106,10 +136,10 @@ def differential_reference(field, tree, point, memo=None):
     kids = [differential_reference(field, kid, point, memo) for kid in tree.children]
     values = []
     for component in field.components:
-        derived = component
+        derived = dict(component)
         for vector in kids:
             derived = directional_derivative(derived, vector)
-        values.append(derived.evaluate(point))
+        values.append(evaluate_terms(derived, point))
     if memo is not None:
         memo[tree] = tuple(values)
     return tuple(values)

@@ -23,7 +23,6 @@ from butcher_kit.algebra import format_rational
 from butcher_kit.conditions import GenerationFlags, all_order_conditions
 from butcher_kit.oracle import (
     PolyVectorField,
-    StatePolynomial,
     flow_series_picard,
     flow_series_trees,
     rk_series_direct,
@@ -57,7 +56,7 @@ def _sample_fields(count: int, seed: int = 20260822):
                     terms[exponents] = F(rng.randint(-3, 3), rng.randint(1, 4))
             if not any(terms.values()):
                 terms[(1, 0)] = F(1)
-            components.append(StatePolynomial(2, terms))
+            components.append(terms)
         field = PolyVectorField(2, tuple(components))
         point = tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(2))
         samples.append((field, point))

@@ -9,7 +9,8 @@ Core claims:
     chains and bushy trees;
   * tree_factorial agrees with a brute-force monotone-labeling count
     (hook length route) on every tree of order <= 5;
-  * symmetry_delta agrees with a brute-force distinct-permutation count;
+  * the helpers' symmetry_delta, behind the alpha reference, agrees with
+    a brute-force distinct-permutation count;
   * alpha is 1/sigma and matches the arrangement-weight recursion, and
     sigma satisfies Cayley's formula, through order 10;
   * construction is child-order invariant and parse/format round-trips,
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import alpha_by_arrangements, trees_by_grafting
+from helpers import alpha_by_arrangements, symmetry_delta, trees_by_grafting
 
 from butcher_kit.cli import _ORDER_CAP, _TREES_OF_ORDER
 from butcher_kit.trees import (
@@ -39,7 +40,6 @@ from butcher_kit.trees import (
     format_tree,
     parse_tree,
     sigma,
-    symmetry_delta,
     tree_factorial,
 )
 
