@@ -29,8 +29,11 @@ __all__ = [
     "CoeffPolynomial",
 ]
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
-_DECIMAL_RE = re.compile(r"-?\d+\.\d+")
+# An unsigned rational: digits, then optionally "/" digits or "." digits.
+# parse_rational reads it with an optional "-", and the field parser in
+# oracle reads it as a factor.
+UNSIGNED_RATIONAL = r"\d+(?:/\d+|\.\d+)?"
+_RATIONAL_RE = re.compile(f"-?{UNSIGNED_RATIONAL}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -42,14 +45,14 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
     stripped = text.strip()
-    if _RATIONAL_RE.fullmatch(stripped):
-        num, _, den = stripped.partition("/")
-        if den and int(den) == 0:
-            raise ValueError("zero denominator")
-        return Fraction(int(num), int(den or 1))
-    if _DECIMAL_RE.fullmatch(stripped):
+    if not _RATIONAL_RE.fullmatch(stripped):
+        raise ValueError(f"malformed rational: {text!r}")
+    if "." in stripped:
         return Fraction(stripped)  # exact: "0.5" -> 1/2
-    raise ValueError(f"malformed rational: {text!r}")
+    num, _, den = stripped.partition("/")
+    if den and int(den) == 0:
+        raise ValueError("zero denominator")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(value: Fraction) -> str:

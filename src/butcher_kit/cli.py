@@ -24,8 +24,6 @@ from typing import Sequence
 from .algebra import format_rational
 from .conditions import GenerationFlags, all_order_conditions, render_generic
 from .oracle import (
-    FieldError,
-    FieldSyntaxError,
     flow_series_picard,
     flow_series_trees,
     load_field,
@@ -34,7 +32,7 @@ from .oracle import (
     rk_series_trees,
 )
 from .trees import enumerate_by_leaf, format_tree, tree_factorial
-from .verify import TableauError, load_tableau, verify_order
+from .verify import load_tableau, verify_order
 
 SCHEMA = "butcher-kit/1"
 
@@ -414,7 +412,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[parsed.subcommand](parsed)
-    except (TableauError, FieldError, FieldSyntaxError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -58,7 +58,7 @@ from itertools import islice
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .algebra import format_rational, numerators_over, parse_rational
+from .algebra import UNSIGNED_RATIONAL, format_rational, numerators_over, parse_rational
 from .trees import RootedTree, grow_by_leaf, sigma, tree_factorial
 from .verify import ButcherTableau, check_list, read_document, size_field
 
@@ -99,58 +99,20 @@ class FieldSyntaxError(ValueError):
 # (1/2, 1/3) takes 0.25 s in process (21 MB), and 0.7 s at degree 800.
 MAX_FIELD_DEGREE = 400
 
-# Component grammar: term {("+"|"-") term}, term: factor {"*" factor},
-# factor: unsigned rational | x<k> | x<k>^<e>.  A sign is only legal in
-# front of a term.  No parentheses.
-_NUMBER_TOKEN = re.compile(r"\d+(?:/\d+|\.\d+)?")
-_VARIABLE_TOKEN = re.compile(r"x(\d+)(?:\^(\d+))?")
+# Component grammar, read left to right in one pass by _parse_component:
+#   component: ["+"|"-"] term {("+"|"-") term}
+#   term: factor {"*" factor}
+#   factor: unsigned rational ("p", "p/q" or a decimal) | x<k> | x<k>^<e>
+# so a sign stands only in front of a term.  No parentheses; whitespace may
+# stand between any two tokens.  The first error met is raised with its
+# 0-based position in the text.
+_FACTOR = re.compile(
+    rf"\s*(?P<factor>(?P<number>{UNSIGNED_RATIONAL})|x(?P<index>\d+)(?:\^(?P<power>\d+))?)\s*"
+)
+_SPACE = re.compile(r"\s*")
 # A variable index or exponent of more digits is refused before int() reads
 # it: no dimension or degree in range needs that many.
 _MAX_DIGITS = 18
-
-
-def _tokenize_component(text: str, dim: int) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    pos = 0
-    end = len(text)
-    while pos < end:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-*":
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        matched = _VARIABLE_TOKEN.match(text, pos)
-        if matched:
-            for group, what in ((1, "variable index"), (2, "exponent")):
-                digits = matched.group(group) or ""
-                if len(digits) > _MAX_DIGITS:
-                    raise FieldSyntaxError(
-                        f"{what} has {len(digits)} digits, more than {_MAX_DIGITS}",
-                        matched.start(group),
-                    )
-            index = int(matched.group(1))
-            if not 1 <= index <= dim:
-                raise FieldSyntaxError(
-                    f"unknown variable x{index} (dim is {dim})", pos
-                )
-            power = int(matched.group(2)) if matched.group(2) else 1
-            tokens.append(("var", (index, power), pos))
-            pos = matched.end()
-            continue
-        matched = _NUMBER_TOKEN.match(text, pos)
-        if matched:
-            try:
-                number = parse_rational(matched.group())
-            except ValueError as err:  # a zero denominator
-                raise FieldSyntaxError(str(err), pos) from None
-            tokens.append(("num", number, pos))
-            pos = matched.end()
-            continue
-        raise FieldSyntaxError(f"unexpected character {ch!r}", pos)
-    return tokens
 
 
 # A term is (exponents, coefficient), one exponent per variable.  A field
@@ -160,58 +122,71 @@ Component = tuple[Term, ...]
 
 
 def _parse_component(text: str, dim: int) -> list[Term]:
-    tokens = _tokenize_component(text, dim)
-    if not tokens:
+    # One pass with one position: each factor is one match of _FACTOR, and
+    # each check runs where its text is read, so the first error in reading
+    # order is the one raised.  The terms come back as read; PolyVectorField
+    # sums like terms in one dict, so a long component builds in linear time.
+    pos = _SPACE.match(text).end()
+    if pos == len(text):
         raise FieldSyntaxError("empty polynomial", 0)
-    cursor = 0
-
-    def parse_factor(exponents: list[int]) -> Fraction:
-        # A number is returned as the factor's coefficient; x<k>^<e> adds e
-        # to the exponent of x<k> and counts as 1.
-        nonlocal cursor
-        if cursor >= len(tokens):
-            raise FieldSyntaxError("expected a factor", len(text))
-        kind, value, position = tokens[cursor]
-        if kind == "num":
-            cursor += 1
-            return value
-        if kind == "var":
-            cursor += 1
-            index, power = value
-            exponents[index - 1] += power
-            return Fraction(1)
-        raise FieldSyntaxError(f"expected a factor, found {value!r}", position)
-
-    def parse_term(sign: int) -> None:
-        nonlocal cursor
-        first = cursor
+    terms: list[Term] = []
+    op = text[pos]  # the sign in front of the next term, if it is one
+    if op in "+-":
+        pos += 1
+    while True:
+        coefficient = Fraction(-1 if op == "-" else 1)
         exponents = [0] * dim
-        coefficient = parse_factor(exponents)
-        while cursor < len(tokens) and tokens[cursor][:2] == ("op", "*"):
-            cursor += 1
-            coefficient *= parse_factor(exponents)
+        term = pos
+        op = "*"
+        while op == "*":
+            factor = _FACTOR.match(text, pos)
+            if factor is None:
+                raise _misplaced(text, pos, "expected a factor")
+            start = factor.start("factor")
+            number = factor.group("number")
+            if number:
+                try:
+                    coefficient *= parse_rational(number)
+                except ValueError as err:  # a zero denominator
+                    raise FieldSyntaxError(str(err), start) from None
+            else:
+                for group, what in (("index", "variable index"), ("power", "exponent")):
+                    digits = factor.group(group) or ""
+                    if len(digits) > _MAX_DIGITS:
+                        raise FieldSyntaxError(
+                            f"{what} has {len(digits)} digits, more than {_MAX_DIGITS}",
+                            factor.start(group),
+                        )
+                index = int(factor.group("index"))
+                if not 1 <= index <= dim:
+                    raise FieldSyntaxError(f"unknown variable x{index} (dim is {dim})", start)
+                exponents[index - 1] += int(factor.group("power") or 1)
+            pos = factor.end()
+            op = text[pos : pos + 1]
+            pos += 1
         if sum(exponents) > MAX_FIELD_DEGREE:
             raise FieldSyntaxError(
                 f"degree {sum(exponents)} exceeds the cap of {MAX_FIELD_DEGREE}",
-                tokens[first][2],
+                _SPACE.match(text, term).end(),
             )
-        terms.append((tuple(exponents), sign * coefficient))
+        terms.append((tuple(exponents), coefficient))
+        if not op:
+            return terms
+        if op not in "+-":
+            raise _misplaced(text, factor.end(), "expected '+' or '-'")
 
-    # The terms as read; PolyVectorField sums like terms in one dict, so a
-    # long component builds in linear time.
-    terms: list[Term] = []
-    sign = 1
-    if tokens[cursor][0] == "op" and tokens[cursor][1] in "+-":
-        sign = -1 if tokens[cursor][1] == "-" else 1
-        cursor += 1
-    parse_term(sign)
-    while cursor < len(tokens):
-        kind, value, position = tokens[cursor]
-        if kind != "op" or value not in "+-":
-            raise FieldSyntaxError(f"expected '+' or '-', found {value!r}", position)
-        cursor += 1
-        parse_term(-1 if value == "-" else 1)
-    return terms
+
+def _misplaced(text: str, pos: int, expected: str) -> FieldSyntaxError:
+    """The error for the text at pos, past any whitespace, where the grammar
+    expects something else: it quotes an operator or factor found there."""
+    pos = _SPACE.match(text, pos).end()
+    if pos == len(text):
+        return FieldSyntaxError(expected, pos)
+    factor = _FACTOR.match(text, pos)
+    found = factor.group("factor") if factor else text[pos]
+    if factor or found in "+-*":
+        return FieldSyntaxError(f"{expected}, found {found!r}", pos)
+    return FieldSyntaxError(f"unexpected character {found!r}", pos)
 
 
 @dataclass(frozen=True)
@@ -255,9 +230,7 @@ class PolyVectorField:
         return cls(dim=dim, components=parsed)
 
     def evaluate(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(point) != self.dim:
-            raise ValueError(f"point has {len(point)} entries, expected {self.dim}")
-        point = tuple(Fraction(x) for x in point)
+        point = _check_point(self, point)
         return tuple(_value(component, point) for component in self.components)
 
 

@@ -177,6 +177,28 @@ class TestConditions:
         assert out == ""
         assert err == f"error: --generic does not take {named}\n"
 
+    def test_generic_json_matches_the_text_lines(self, capsys):
+        code, text, _ = run(capsys, "conditions", "--order", "6", "--generic")
+        assert code == 0
+        code, out, err = run(
+            capsys, "conditions", "--order", "6", "--generic", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        document = json.loads(out)
+        assert set(document) == {"schema", "max_order", "generic", "conditions"}
+        assert document["schema"] == "butcher-kit/1"
+        assert document["max_order"] == 6
+        assert document["generic"] is True
+        records = document["conditions"]
+        # 1 + 1 + 2 + 4 + 9 + 20 rooted trees through order 6 (OEIS A000081).
+        assert len(records) == 37
+        assert all(set(record) == {"tree", "order", "lhs", "rhs"} for record in records)
+        _, trees, _ = run(capsys, "trees", "--order", "6")
+        assert [record["tree"] for record in records] == trees.splitlines()
+        assert [f"{record['lhs']} == {record['rhs']}" for record in records] == (
+            text.splitlines()
+        )
+
     def test_generic_order_12_names_the_twelfth_level(self, capsys):
         code, out, _ = run(capsys, "conditions", "--order", "12", "--generic")
         assert code == 0
@@ -312,6 +334,33 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            (
+                {"stages": 1, "A": [[True]], "b": ["1"]},
+                "A[1][1]: expected a rational, got a boolean",
+            ),
+            (
+                {"stages": 1, "A": [["0"]], "b": [None]},
+                "b[1]: expected a rational, got NoneType",
+            ),
+            (
+                {"stages": 1, "A": [["0"]], "b": ["1"], "c": [[0]]},
+                "c[1]: expected a rational, got list",
+            ),
+            (
+                {"name": 4, "stages": 1, "A": [["0"]], "b": ["1"]},
+                "'name' must be a string",
+            ),
+        ],
+    )
+    def test_rejected_entry_is_input_error(self, capsys, tmp_path, document, message):
+        path = tmp_path / "tableau.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "verify", str(path), "--max-order", "2")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -404,15 +453,21 @@ class TestOracle:
                 "components[1]: exponent has 5000 digits, more than 18 (at position 3)",
                 id="exponent-of-5000-digits",
             ),
+            # What stands where the grammar expects an operator is quoted as
+            # written, and of two errors the first in reading order is named.
+            ("x1 2", "components[1]: expected '+' or '-', found '2' (at position 3)"),
+            ("x1 x2", "components[1]: expected '+' or '-', found 'x2' (at position 3)"),
+            ("2 x1", "components[1]: expected '+' or '-', found 'x1' (at position 2)"),
+            ("x1 ** x9", "components[1]: expected a factor, found '*' (at position 4)"),
         ],
     )
     def test_malformed_component_is_positioned_input_error(
         self, capsys, tmp_path, component, message
     ):
         path = tmp_path / "field.json"
-        path.write_text(json.dumps({"dim": 1, "components": [component]}))
+        path.write_text(json.dumps({"dim": 2, "components": [component, "x1"]}))
         start = time.monotonic()
-        code, out, err = run(capsys, "oracle", str(path), "--x0", "1/2", "--p", "3")
+        code, out, err = run(capsys, "oracle", str(path), "--x0", "1/2,1/2", "--p", "3")
         assert time.monotonic() - start < 0.5
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -113,7 +113,78 @@ def _random_fields(draw):
     return PolyVectorField(dim, components), point
 
 
+_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _written_rationals(draw):
+    """(value, text) of a signed rational whose magnitude is written as "p",
+    "p/q" or a decimal."""
+    p = draw(st.integers(0, 10**6))
+    form = draw(st.sampled_from(["p", "p/q", "decimal"]))
+    if form == "p/q":
+        text = f"{p}/{draw(st.integers(1, 1000))}"
+    elif form == "decimal":
+        text = f"{p}.{draw(st.from_regex(r'[0-9]{1,6}', fullmatch=True))}"
+    else:
+        text = str(p)
+    value = Fraction(text)
+    return (-value, text) if draw(st.booleans()) else (value, text)
+
+
+@st.composite
+def _spelled_tables(draw):
+    """(dim, term table, component text) with the text spelling the table.
+
+    The text lists the terms in random order, splits some into two like
+    terms, spaces its operators at random, and writes x<k> also as x<k>^1
+    and extra factors x<k>^0; the table maps exponents to coefficients.
+    """
+    dim = draw(st.integers(1, 3))
+    table = {}
+    for _ in range(draw(st.integers(1, 5))):
+        room = MAX_FIELD_DEGREE
+        exponents = []
+        for _ in range(dim):
+            exponents.append(draw(st.integers(0, min(3, room)) | st.integers(0, room)))
+            room -= exponents[-1]
+        table[tuple(draw(st.permutations(exponents)))] = draw(_written_rationals())
+    pieces = []  # (value, magnitude text, exponents), one per piece of text
+    for exponents, (value, text) in table.items():
+        if draw(st.booleans()):
+            part, part_text = draw(_written_rationals())
+            rest = value - part
+            pieces.append((part, part_text, exponents))
+            pieces.append((rest, f"{abs(rest.numerator)}/{rest.denominator}", exponents))
+        else:
+            pieces.append((value, text, exponents))
+    pieces = draw(st.permutations(pieces))
+    text = ""
+    for n, (value, magnitude, exponents) in enumerate(pieces):
+        factors = []
+        for k, e in enumerate(exponents, 1):
+            if e > 1 or (e == 1 and draw(st.booleans())):
+                factors.append(f"x{k}^{e}")
+            elif e == 1:
+                factors.append(f"x{k}")
+            if draw(st.integers(0, 4)) == 0:
+                factors.append(f"x{k}^0")
+        if abs(value) != 1 or not factors or draw(st.booleans()):
+            factors.append(magnitude)
+        star = draw(_SPACES) + "*" + draw(_SPACES)
+        sign = "-" if value < 0 else draw(st.sampled_from(["+", ""])) if n == 0 else "+"
+        text += draw(_SPACES) + sign + draw(_SPACES) + star.join(draw(st.permutations(factors)))
+    return dim, {exponents: value for exponents, (value, _) in table.items()}, text
+
+
 class TestComponentParsing:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(spelled=_spelled_tables())
+    def test_text_round_trips_to_its_term_table(self, spelled):
+        dim, table, text = spelled
+        field = PolyVectorField.from_strings(dim, [text] * dim)
+        assert field.components == PolyVectorField(dim, (table,) * dim).components
+
     @pytest.mark.parametrize(
         "text,expected_terms",
         [

@@ -105,6 +105,20 @@ class TestLoading:
             load_tableau(document)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "a,b,c,message",
+        [
+            ([["0", "0"]], ["1", "0"], None, "A must be 2x2 to match b"),
+            ([["0", "0"], ["1"]], ["1", "0"], None, "A must be 2x2 to match b"),
+            ([["0", "0"], ["1", "0"]], ["1", "0"], ["0"], "c has 1 entries, expected 2"),
+            ([], [], None, "a tableau needs at least one stage"),
+        ],
+    )
+    def test_from_rows_checks_the_shape(self, a, b, c, message):
+        with pytest.raises(TableauError) as err:
+            ButcherTableau.from_rows("shape", a, b, c)
+        assert str(err.value) == message
+
     def test_duplicate_field_in_json_text(self):
         text = '{"stages": 1, "A": [["0"]], "b": ["1"], "b": ["1"]}'
         with pytest.raises(TableauError, match="duplicate field"):
