@@ -14,6 +14,7 @@ first; rendering and iteration are deterministic.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,8 +32,9 @@ __all__ = [
 
 # An unsigned rational: digits, then optionally "/" digits or "." digits.
 # parse_rational reads it with an optional "-", and the field parser in
-# oracle reads it as a factor.
-UNSIGNED_RATIONAL = r"\d+(?:/\d+|\.\d+)?"
+# oracle reads it as a factor.  Digits are ASCII: \d would also match other
+# scripts' decimal digits, which int() reads.
+UNSIGNED_RATIONAL = r"[0-9]+(?:/[0-9]+|\.[0-9]+)?"
 _RATIONAL_RE = re.compile(f"-?{UNSIGNED_RATIONAL}")
 
 
@@ -56,8 +58,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """"p/q", or just "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """"p/q", or just "p" when the denominator is 1.
+
+    A numerator or denominator longer than Python converts to text
+    (sys.get_int_max_str_digits()) is a ValueError that says so.
+    """
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, too many to print;"
+            " lower --p or use a shorter x0"
+        ) from None
 
 
 def numerators_over(values: Iterable[Fraction], denominator: int) -> tuple[int, ...]:

@@ -38,7 +38,16 @@ ring one power of tau at a time, each coefficient computed once from the
 ones below it (recursive Taylor coefficients).  The stage equations take
 shift_i(k) = sum_j A[i][j] k_j, and the step is x0 + tau * sum_i b_i k_i.
 Picard iteration is the one-slope case: the flow's slope solves
-k = f(x0 + integral of k), and the flow is x0 + integral of k.  The tree
+k = f(x0 + integral of k), and the flow is x0 + integral of k.
+
+The iteration runs in integers too, each coefficient over one scale known
+in advance.  With x0 = X/d, the field's coefficients over one denominator
+F, A over one denominator D_A (1 for the flow), E = max(1, deg f) and
+g = D_A F d^(E-1), coefficient r of a stage's argument is an integer over
+d g^r r!, of a degree-e monomial at it over d^e g^r r!, and of a slope
+over F d^E g^r r!.  A product of two series then needs only binomial
+weights, and a shift only integer factors, so nothing is divided until
+each output coefficient becomes one Fraction.  The tree
 formulas and the iteration share nothing but the field's term tables: the
 tree routes read the derivatives of f at x0 off them, the iteration the
 terms of f itself.  So their agreement is a meaningful check, not a
@@ -95,8 +104,9 @@ class FieldSyntaxError(ValueError):
 # refused while parsing, before any work.  The iteration routes build a
 # monomial of degree e from at most 2 log2(e) series products, so the cost
 # follows the coefficients' digits more than e: at --p 6 on a 2-core Xeon,
-# a 2-dimensional field of five degree-400 terms with butcher6 at x0 =
-# (1/2, 1/3) takes 0.25 s in process (21 MB), and 0.7 s at degree 800.
+# the four series routes of a 2-dimensional field of five degree-400 terms
+# with butcher6 at x0 = (1/2, 1/3) take 0.03 s of CPU in process (16 MB),
+# and 0.08 s at degree 800.
 MAX_FIELD_DEGREE = 400
 
 # Component grammar, read left to right in one pass by _parse_component:
@@ -107,7 +117,7 @@ MAX_FIELD_DEGREE = 400
 # stand between any two tokens.  The first error met is raised with its
 # 0-based position in the text.
 _FACTOR = re.compile(
-    rf"\s*(?P<factor>(?P<number>{UNSIGNED_RATIONAL})|x(?P<index>\d+)(?:\^(?P<power>\d+))?)\s*"
+    rf"\s*(?P<factor>(?P<number>{UNSIGNED_RATIONAL})|x(?P<index>[0-9]+)(?:\^(?P<power>[0-9]+))?)\s*"
 )
 _SPACE = re.compile(r"\s*")
 # A variable index or exponent of more digits is refused before int() reads
@@ -265,9 +275,10 @@ def load_field(source: str | Mapping) -> PolyVectorField:
 # while parsing, before any work.  The coefficient of tau^q is a polynomial
 # of degree 1 + q(d - 1) in x0 for a field of degree d, and Python prints
 # integers of at most 4300 digits: at 100 digits, reports of fields up to
-# degree 7 still print at --p 6 (x1^6 with rk4: 0.2 s on a 2-core Xeon),
-# while x1^6 at an x0 of 2,201 digits computed for 2-4 s and then failed
-# to print.
+# degree 7 still print at --p 6 (x1^6 with rk4 at an x0 of 100-digit
+# numerator and denominator: 0.03 s of CPU in process on a 2-core Xeon),
+# while the four series routes of x1^6 at an x0 of 2,201 digits take 2 s,
+# and the report then fails to print.
 MAX_POINT_DIGITS = 100
 
 
@@ -560,63 +571,123 @@ def _slopes(
     x0: tuple[Fraction, ...],
     degree: int,
     shifts: Sequence[Callable],
-) -> list[tuple[list[Fraction], ...]]:
+    lift: int,
+) -> tuple[list[tuple[list[int], ...]], list[int]]:
     """Slopes k_1..k_s through tau^degree, solving k_i = f(x0 + tau * shift_i(k)).
 
-    shifts[i](slopes, q) is coefficient q of shift_i, one entry per
-    component, from the slopes' coefficients through q.  The tau factor
-    makes coefficient q of every slope depend only on the slopes'
-    coefficients below q, implicit coupling included, so one pass over
-    q = 0..degree computes each coefficient once (recursive Taylor
-    coefficients).  Step q extends each stage's argument x0 + tau *
-    shift_i(k) by coefficient q - 1 of the shift, then the series of each
-    monomial of the field at that argument by one Cauchy sum of its two
-    factors' series, then each slope.  Degree -1 gives empty slopes.
+    The tau factor makes coefficient r of every slope depend only on the
+    slopes' coefficients below r, implicit coupling included, so one pass
+    over r = 0..degree computes each coefficient once (recursive Taylor
+    coefficients).  Step r extends each stage's argument by
+    shifts[i](slopes, r - 1), then the series of each monomial of the field
+    at that argument by one Cauchy sum of its two factors' series, then
+    each slope.
+
+    The pass runs in integers, each coefficient over one scale known in
+    advance.  Put x0 = X/d and the field's coefficients as C^/F over one
+    denominator; lift is the common denominator D_A of the weights the
+    shifts apply to the slopes (1 for Picard's integral).  With
+    E = max(1, deg f) and g = lift * F * d^(E - 1), coefficient r
+
+      - of each stage's argument is an integer over d * g^r * r!;
+      - of a monomial of degree e at it is an integer M_r over
+        d^e * g^r * r!, so a product's M_r is the Cauchy sum of its
+        factors' weighted by binomial(r, i), and nothing is divided;
+      - of each slope is K_r = sum_m C^_m * d^(E - e_m) * M_r over
+        F * d^E * g^r * r!.  E bounds every e_m, and E >= 1 keeps g an
+        integer.
+
+    shifts[i](slopes, r) is the integer coefficient r + 1 of stage i's
+    argument, from the K's through r.  Returns (slopes, scales): the K's,
+    and scales[r] = F * d^E * g^r * r!.  Degree -1 gives empty slopes.
     """
+    d = math.lcm(*(x.denominator for x in x0))
+    terms = [term for component in field.components for term in component]
+    f_scale = math.lcm(*(c.denominator for _, c in terms))
+    top = max([1] + [sum(monomial) for monomial, _ in terms])
+    g = lift * f_scale * d ** (top - 1)
+    # Per component, (m, C^_m * d^(E - e_m)) for each of its terms C_m * m.
+    weighted = [
+        [(m, c.numerator * (f_scale // c.denominator) * d ** (top - sum(m))) for m, c in component]
+        for component in field.components
+    ]
     products = _monomial_products(field)
     units = [tuple(int(i == v) for i in range(len(x0))) for v in range(len(x0))]
-    constant = [Fraction(1)] + [Fraction(0)] * degree
+    constant = [1] + [0] * degree
     # Per stage, the series of every monomial at the stage's argument; a
     # variable's series is the argument's component.
     powers = [
         {(0,) * len(x0): constant}
-        | {unit: [x] for unit, x in zip(units, x0)}
+        | {unit: [x] for unit, x in zip(units, numerators_over(x0, d))}
         | {monomial: [] for monomial, _ in products}
         for _ in shifts
     ]
     slopes = [tuple([] for _ in x0) for _ in shifts]
-    for q in range(degree + 1):
-        if q:
-            for power, shifted in zip(powers, [shift(slopes, q - 1) for shift in shifts]):
+    for r in range(degree + 1):
+        if r:
+            for power, shifted in zip(powers, [shift(slopes, r - 1) for shift in shifts]):
                 for unit, moved in zip(units, shifted):
                     power[unit].append(moved)
+        binomials = [math.comb(r, i) for i in range(r + 1)]
         for power, slope in zip(powers, slopes):
             for monomial, (left, right) in products:
-                power[monomial].append(sum(map(mul, power[left], reversed(power[right]))))
-            for series, component in zip(slope, field.components):
-                series.append(
-                    sum((c * power[monomial][q] for monomial, c in component), Fraction(0))
+                power[monomial].append(
+                    sum(map(mul, map(mul, binomials, power[left]), reversed(power[right])))
                 )
-    return slopes
+            for series, component in zip(slope, weighted):
+                series.append(sum(c * power[monomial][r] for monomial, c in component))
+    scales, scale = [], f_scale * d**top
+    for r in range(degree + 1):
+        scales.append(scale)
+        scale *= g * (r + 1)
+    return slopes, scales
 
 
-def _combine(weights: Sequence[Fraction], slopes: list, q: int) -> tuple[Fraction, ...]:
-    """Coefficient q of sum_j weights[j] * k_j, one entry per component."""
+def _over_one(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of rationals as integer rows over one common denominator."""
+    denominator = math.lcm(*(x.denominator for row in rows for x in row))
+    return [numerators_over(row, denominator) for row in rows], denominator
+
+
+def _stage_shift(row: Sequence[int], slopes: list, r: int) -> tuple[int, ...]:
+    """Coefficient r + 1 of x0 + tau * sum_j (row[j] / lift) * k_j, where
+    lift is the denominator row was put over: (r + 1) * sum_j row[j] * K_j,r,
+    the factor r + 1 taking r! to (r + 1)!."""
     return tuple(
-        sum((w * slope[c][q] for w, slope in zip(weights, slopes) if w), Fraction(0))
+        (r + 1) * sum(w * slope[c][r] for w, slope in zip(row, slopes) if w)
         for c in range(len(slopes[0]))
     )
 
 
-def _integral(slopes: list, q: int) -> tuple[Fraction, ...]:
-    """Coefficient q of the one slope's antiderivative divided by tau: k_q/(q + 1)."""
+def _integral(slopes: list, r: int) -> tuple[int, ...]:
+    """Coefficient r + 1 of x0 + integral of the one slope k: k_r / (r + 1),
+    whose scale F * d^E * g^r * (r + 1)! is d * g^(r + 1) * (r + 1)! when
+    lift is 1, so its integer is K_r itself."""
     (slope,) = slopes
-    return tuple(series[q] / (q + 1) for series in slope)
+    return tuple(series[r] for series in slope)
 
 
-def _update(x0: tuple[Fraction, ...], shift: Callable, slopes: list, degree: int) -> TauSeries:
-    """x0 + tau * shift(k) through tau^degree: the shift's power q lands on tau^(q + 1)."""
-    return TauSeries((x0,) + tuple(shift(slopes, q) for q in range(degree)))
+def _update(
+    x0: tuple[Fraction, ...], shift: Callable, lift: int, slopes: list, scales: list[int]
+) -> TauSeries:
+    """x0 + tau * shift(k) through tau^len(scales): coefficient q + 1 is
+    shift(slopes, q) over lift * scales[q] * (q + 1), where lift is the
+    denominator of the shift's weights and scales come from _slopes."""
+    return TauSeries(
+        (x0,)
+        + tuple(
+            tuple(Fraction(x, lift * scale * (q + 1)) for x in shift(slopes, q))
+            for q, scale in enumerate(scales)
+        )
+    )
+
+
+def _stage_slopes(
+    tableau: ButcherTableau, field: PolyVectorField, x0: tuple[Fraction, ...], degree: int
+) -> tuple[list[tuple[list[int], ...]], list[int]]:
+    """The stage slopes of tableau through tau^degree, as _slopes returns them."""
+    a, lift = _over_one(tableau.a)
+    return _slopes(field, x0, degree, [partial(_stage_shift, row) for row in a], lift)
 
 
 def flow_series_trees(
@@ -640,7 +711,8 @@ def flow_series_picard(
     """
     _check_degree(degree)
     x0 = _check_point(field, point)
-    return _update(x0, _integral, _slopes(field, x0, degree - 1, [_integral]), degree)
+    slopes, scales = _slopes(field, x0, degree - 1, [_integral], 1)
+    return _update(x0, _integral, 1, slopes, scales)
 
 
 def rk_series_trees(
@@ -673,9 +745,9 @@ def rk_series_direct(
     """One-step expansion x0 + tau * sum_i b_i k_i from the stage slopes; no trees."""
     _check_degree(degree)
     x0 = _check_point(field, point)
-    shifts = [partial(_combine, row) for row in tableau.a]
-    slopes = _slopes(field, x0, degree - 1, shifts)
-    return _update(x0, partial(_combine, tableau.b), slopes, degree)
+    slopes, scales = _stage_slopes(tableau, field, x0, degree - 1)
+    (b,), lift = _over_one([tableau.b])
+    return _update(x0, partial(_stage_shift, b), lift, slopes, scales)
 
 
 def stage_series_direct(
@@ -691,9 +763,16 @@ def stage_series_direct(
     """
     _check_degree(degree)
     x0 = _check_point(field, point)
-    shifts = [partial(_combine, row) for row in tableau.a]
-    slopes = _slopes(field, x0, max(degree - 1, 0), shifts)
-    return tuple(TauSeries(tuple(zip(*slope))) for slope in slopes)
+    slopes, scales = _stage_slopes(tableau, field, x0, max(degree - 1, 0))
+    return tuple(
+        TauSeries(
+            tuple(
+                tuple(Fraction(x, scale) for x in column)
+                for column, scale in zip(zip(*slope), scales)
+            )
+        )
+        for slope in slopes
+    )
 
 
 def stage_series_trees(

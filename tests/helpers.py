@@ -15,6 +15,9 @@ alpha_by_arrangements, differential_reference and tree_series_reference
 are the oracle's tree routes computed Fraction by Fraction: alpha as a
 product of arrangement weights, F(t) by repeated directional derivatives,
 and every weight, product and sum a reduced Fraction.
+iteration_series_reference is the oracle's iteration routes the same way:
+plain fixed-point sweeps over truncated Fraction series, one more
+coefficient fixed per sweep.
 """
 
 import math
@@ -167,6 +170,70 @@ def tree_series_reference(field, point, degree, count, factor):
         for coeffs, total in zip(series, totals):
             coeffs.append(tuple(total))
     return [tuple(coeffs) for coeffs in series]
+
+
+def _series_product(left, right):
+    """The product of two coefficient lists of one length, truncated to it."""
+    return [
+        sum((left[i] * right[q - i] for i in range(q + 1)), Fraction(0))
+        for q in range(len(left))
+    ]
+
+
+def _field_at_series(field, arguments):
+    """f at a vector of truncated series, one coefficient list per component;
+    each term's powers by repeated multiplication."""
+    length = len(arguments[0])
+    values = []
+    for component in field.components:
+        total = [Fraction(0)] * length
+        for exponents, coefficient in component:
+            term = [Fraction(coefficient)] + [Fraction(0)] * (length - 1)
+            for series, power in zip(arguments, exponents):
+                for _ in range(power):
+                    term = _series_product(term, series)
+            total = [a + b for a, b in zip(total, term)]
+        values.append(total)
+    return values
+
+
+def iteration_series_reference(field, point, degree, tableau=None):
+    """The series of the flow through tau^degree, or with a tableau of its
+    step, by fixed-point iteration over truncated Fraction series.
+
+    The flow sweeps y <- x0 + integral of f(y) from y = x0; the stages sweep
+    k_i <- f(x0 + tau * sum_j a_ij k_j) from zero slopes, every stage from
+    the previous sweep, and the step is x0 + tau * sum_i b_i k_i.  Each
+    sweep fixes one more coefficient.  Returns (coefficient vectors of the
+    flow or step, one tuple of coefficient vectors per stage truncated at
+    max(degree - 1, 0)); there are no stages for the flow.
+    """
+    x0 = [Fraction(x) for x in point]
+    if tableau is None:
+        flow = [[x] + [Fraction(0)] * degree for x in x0]
+        for _ in range(degree):
+            slope = _field_at_series(field, flow)
+            flow = [[x] + [k[q] / (q + 1) for q in range(degree)] for x, k in zip(x0, slope)]
+        return tuple(zip(*flow)), []
+    length = max(degree, 1)  # the stages' truncation max(degree - 1, 0), plus one
+    zero = [[Fraction(0)] * length for _ in x0]
+    stages = [zero] * tableau.stages
+    for _ in range(length):
+        stages = [
+            _field_at_series(
+                field,
+                [
+                    [x] + [sum(a * k[c][q] for a, k in zip(row, stages)) for q in range(length - 1)]
+                    for c, x in enumerate(x0)
+                ],
+            )
+            for row in tableau.a
+        ]
+    step = [
+        [x] + [sum(b * k[c][q] for b, k in zip(tableau.b, stages)) for q in range(degree)]
+        for c, x in enumerate(x0)
+    ]
+    return tuple(zip(*step)), [tuple(zip(*k)) for k in stages]
 
 
 def trees_by_grafting(max_order):

@@ -11,6 +11,7 @@ Core claims:
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,7 +52,10 @@ class TestRationals:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1/0", "1e3", "one", "1 / 2", "+5", ".5", "1.", "1/2/3", "0x2", "1,5", "--1"],
+        [
+            "", "1/0", "1e3", "one", "1 / 2", "+5", ".5", "1.", "1/2/3", "0x2", "1,5", "--1",
+            "\u0661/\u0662", "1.\u0665",
+        ],
     )
     def test_parse_rejects_everything_else(self, text):
         with pytest.raises(ValueError):
@@ -67,6 +71,11 @@ class TestRationals:
         assert format_rational(Fraction(4, 2)) == "2"
         assert format_rational(Fraction(1, 6)) == "1/6"
         assert format_rational(Fraction(0)) == "0"
+
+    def test_format_names_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=f"^a value has more than {limit} digits"):
+            format_rational(Fraction(1, 10**limit))
 
     def test_parse_rejects_zero_denominator(self):
         for text in ("1/0", "-3/00", "0/0"):

@@ -8,6 +8,7 @@ TestFuzz holds the contract over argvs drawn from a small grammar.
 import contextlib
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -25,6 +26,12 @@ BUTCHER6 = str(FIXTURES / "butcher6_u2-5_v1-3.json")
 LINEAR = str(FIXTURES / "linear1d.json")
 QUAD = str(FIXTURES / "quad1d.json")
 ROTATION = str(FIXTURES / "rotation2d.json")
+
+
+_TOO_LONG_TO_PRINT = (
+    f"error: a value has more than {sys.get_int_max_str_digits()} digits, too many to print;"
+    " lower --p or use a shorter x0\n"
+)
 
 
 def run(capsys, *argv):
@@ -353,6 +360,11 @@ class TestVerify:
                 {"name": 4, "stages": 1, "A": [["0"]], "b": ["1"]},
                 "'name' must be a string",
             ),
+            # Digits are ASCII; Arabic-Indic numerals are not read as 1/2.
+            (
+                {"stages": 1, "A": [["\u0661/\u0662"]], "b": ["1"]},
+                "A[1][1]: malformed rational: '\u0661/\u0662'",
+            ),
         ],
     )
     def test_rejected_entry_is_input_error(self, capsys, tmp_path, document, message):
@@ -459,6 +471,7 @@ class TestOracle:
             ("x1 x2", "components[1]: expected '+' or '-', found 'x2' (at position 3)"),
             ("2 x1", "components[1]: expected '+' or '-', found 'x1' (at position 2)"),
             ("x1 ** x9", "components[1]: expected a factor, found '*' (at position 4)"),
+            ("x1 + \u0661", "components[1]: unexpected character '\u0661' (at position 5)"),
         ],
     )
     def test_malformed_component_is_positioned_input_error(
@@ -483,8 +496,20 @@ class TestOracle:
             capsys, "oracle", str(path), "--x0", f"1/{10**99}", "--p", "1", "--tableau", RK4
         )
         assert time.monotonic() - start < 1
-        assert (code, out) == (2, "")
-        assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+        assert (code, out, err) == (2, "", _TOO_LONG_TO_PRINT)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_value_too_long_to_print_names_the_limit(self, capsys, tmp_path, fmt):
+        # x1^400 at x0 = 10^-30: the series compute, but from tau^1 on,
+        # where f(x0) = 10^-12000, their denominators have more digits than
+        # Python prints.  The message names the limit and what to shrink.
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"dim": 1, "components": ["x1^400"]}))
+        code, out, err = run(
+            capsys, "oracle", str(path), "--x0", f"1/{10**30}", "--p", "6",
+            "--tableau", RK4, "--format", fmt,
+        )
+        assert (code, out, err) == (2, "", _TOO_LONG_TO_PRINT)
 
     def test_oversized_point_is_refused_before_any_work(self, capsys, tmp_path):
         # Without the digit cap on x0 this computed for seconds, then failed
@@ -506,6 +531,10 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", LINEAR, "--x0", "huh", "--p", "3")
         assert code == 2
         assert "error:" in err
+
+    def test_point_digits_are_ascii(self, capsys):
+        code, out, err = run(capsys, "oracle", ROTATION, "--x0", "1,\u0662", "--p", "3")
+        assert (code, out, err) == (2, "", "error: point entry 2: malformed rational: '\u0662'\n")
 
 
 class TestArgumentHandling:

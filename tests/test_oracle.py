@@ -6,8 +6,9 @@ iteration for the discrete step.  Exact agreement on random polynomial
 fields is the main claim; hand-computed expansions (rotation, linear
 stability polynomials) pin the normalization.  The contraction behind
 elementary_differential is also checked against the plain formula,
-repeated directional derivatives of the field, and the tree routes, which
-sum in integers, against the same series built Fraction by Fraction.
+repeated directional derivatives of the field.  Both kinds of route run
+in integers, and each is checked against the same series built Fraction by
+Fraction.
 """
 
 import random
@@ -27,6 +28,7 @@ from helpers import (
     directional_derivative,
     explicit_euler,
     implicit_midpoint,
+    iteration_series_reference,
     random_tableaus,
     rk4,
     tree_series_reference,
@@ -96,13 +98,13 @@ _DEGREE_4_FIELDS = (
 
 
 @st.composite
-def _random_fields(draw):
-    """Fields of dim 1-3 with total degree <= 4 and a rational point."""
+def _random_fields(draw, max_degree=4):
+    """Fields of dim 1-3 with total degree <= max_degree and a rational point."""
     dim = draw(st.integers(1, 3))
     monomials = [
         exponents
-        for exponents in product(range(5), repeat=dim)
-        if sum(exponents) <= 4
+        for exponents in product(range(max_degree + 1), repeat=dim)
+        if sum(exponents) <= max_degree
     ]
     coefficients = st.fractions(-3, 3, max_denominator=4).filter(bool)
     components = tuple(
@@ -220,6 +222,9 @@ class TestComponentParsing:
             ("2 x1", 2),
             ("*x1", 0),
             ("x1 + 1/0", 5),
+            ("x\u0661", 0),
+            ("x1^\u0662", 2),
+            ("x1 + \u0661/\u0662", 5),
             (f"x1 - x1^{MAX_FIELD_DEGREE + 1}", 5),
             (f"x1^{MAX_FIELD_DEGREE // 2}*x2^{MAX_FIELD_DEGREE // 2 + 1}", 0),
             pytest.param("x1 - x1^" + "9" * 5000, 8, id="exponent-of-5000-digits"),
@@ -690,6 +695,57 @@ class TestTreeRoutesMatchTheFractionReference:
         assert [series.coeffs for series in stage_series_trees(tableau, field, point, degree)] == [
             coeffs[1:] for coeffs in stages
         ]
+
+
+class TestIterationRoutesMatchTheFractionReference:
+    # The iteration routes run in integers over one scale per coefficient;
+    # the reference sweeps the fixed-point equations with every product and
+    # sum a reduced Fraction.  Constant fields (degree 0) and zero
+    # components test the scales' edge cases.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        field_and_point=_random_fields() | _random_fields(max_degree=0),
+        tableau=random_tableaus(),
+        degree=st.integers(0, 7),
+    )
+    @example(
+        field_and_point=(PolyVectorField.from_strings(2, ["3/2", "-1/3"]), (F(1, 2), F(-2, 3))),
+        tableau=rk4(),
+        degree=5,
+    )
+    @example(
+        field_and_point=(PolyVectorField(2, ({}, {(2, 0): F(-1, 2)})), (F(0), F(-3, 2))),
+        tableau=implicit_midpoint(),
+        degree=6,
+    )
+    @example(
+        field_and_point=(_DEGREE_4_FIELDS[1], (F(-1, 2), F(0), F(2, 3))),
+        tableau=butcher6(*BUTCHER6_SAMPLES[2]),
+        degree=7,
+    )
+    def test_iteration_routes_match_fraction_iteration(self, field_and_point, tableau, degree):
+        field, point = field_and_point
+        flow, _ = iteration_series_reference(field, point, degree)
+        assert flow_series_picard(field, point, degree).coeffs == flow
+        step, stages = iteration_series_reference(field, point, degree, tableau)
+        assert rk_series_direct(tableau, field, point, degree).coeffs == step
+        assert [s.coeffs for s in stage_series_direct(tableau, field, point, degree)] == stages
+
+
+class TestHeavyField:
+    def test_degree_400_field_matches_the_trees_in_time(self):
+        # The worst accepted field: five terms of degree MAX_FIELD_DEGREE.
+        # The bound is loose, about 0.02 s on a 2-core Xeon; products over
+        # reduced Fractions take 0.3 s, powers built one factor at a time 6 s.
+        field = PolyVectorField.from_strings(
+            2, ["x1^400 + x1^200*x2^200 + x2^400", "x1^399*x2 - x1*x2^399"]
+        )
+        tableau = butcher6(*BUTCHER6_SAMPLES[0])
+        point = (F(1, 2), F(1, 3))
+        start = time.perf_counter()
+        direct = rk_series_direct(tableau, field, point, 6)
+        assert time.perf_counter() - start < 2
+        assert direct == rk_series_trees(tableau, field, point, 6)
 
 
 class TestValidation:
