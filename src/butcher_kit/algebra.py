@@ -42,19 +42,26 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p", "p/q", or a finite decimal such as "0.5", exactly.
 
     Grammar: optional "-", digits, then optionally "/" digits or "." digits.
-    Anything else is a ValueError, and so is a zero denominator.
+    Anything else is a ValueError, and so are a zero denominator and a
+    number longer than Python reads (sys.get_int_max_str_digits()).
     """
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
     stripped = text.strip()
     if not _RATIONAL_RE.fullmatch(stripped):
         raise ValueError(f"malformed rational: {text!r}")
-    if "." in stripped:
-        return Fraction(stripped)  # exact: "0.5" -> 1/2
-    num, _, den = stripped.partition("/")
-    if den and int(den) == 0:
+    try:
+        if "." in stripped:
+            return Fraction(stripped)  # exact: "0.5" -> 1/2
+        num, _, den = stripped.partition("/")
+        numerator, denominator = int(num), int(den or 1)
+    except ValueError:  # the grammar holds, so only the length can fail
+        raise ValueError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, too many to read"
+        ) from None
+    if not denominator:
         raise ValueError("zero denominator")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:

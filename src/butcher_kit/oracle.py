@@ -21,7 +21,7 @@ Runge-Kutta step with tableau (A, b) expands the same way with
 weight(t)/sigma(t) in place of 1/(sigma(t) t!), where weight(t) is the
 tableau's elementary weight b . Phi(t) as defined in conditions; stage i's
 slope takes Phi_i(t)/sigma(t) on tau^(q-1).  Every tree series comes from
-one walk over the forest, _tree_series, with one differential memo: its
+one walk over the forest, _tree_series, with one derivative table: its
 factor gives each tree one weight per output series, so all stages of a
 tableau share one walk.  rk_series_trees and stage_series_trees build one
 ElementaryWeights per call, so each subtree's Phi is computed once.
@@ -63,12 +63,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .algebra import UNSIGNED_RATIONAL, format_rational, numerators_over, parse_rational
-from .trees import RootedTree, grow_by_leaf, sigma, tree_factorial
+from .trees import RootedTree, TreesByOrder, sigma, tree_factorial
 from .verify import ButcherTableau, check_list, read_document, size_field
 
 __all__ = [
@@ -157,7 +156,7 @@ def _parse_component(text: str, dim: int) -> list[Term]:
             if number:
                 try:
                     coefficient *= parse_rational(number)
-                except ValueError as err:  # a zero denominator
+                except ValueError as err:  # a zero denominator or too many digits
                     raise FieldSyntaxError(str(err), start) from None
             else:
                 for group, what in (("index", "variable index"), ("power", "exponent")):
@@ -283,22 +282,30 @@ MAX_POINT_DIGITS = 100
 
 
 def parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
-    """Parse "1, 0" style comma-separated rationals into a point."""
+    """Parse "1, 0" style comma-separated rationals into a point.
+
+    A numerator or denominator of more than MAX_POINT_DIGITS digits as
+    written, a decimal being its digits over 10^k, is refused unconverted.
+    """
     pieces = text.split(",")
     if len(pieces) != dim:
         raise ValueError(f"point has {len(pieces)} entries, expected {dim}")
     values = []
     for i, piece in enumerate(pieces):
-        try:
-            value = parse_rational(piece)
-        except ValueError as err:
-            raise ValueError(f"point entry {i + 1}: {err}") from None
-        for part, name in ((value.numerator, "numerator"), (value.denominator, "denominator")):
-            if abs(part) >= 10**MAX_POINT_DIGITS:
+        numerator, _, denominator = piece.strip().removeprefix("-").partition("/")
+        whole, point, decimals = numerator.partition(".")
+        if point:
+            numerator, denominator = whole + decimals, "1" + "0" * len(decimals)
+        for part, name in ((numerator, "numerator"), (denominator, "denominator")):
+            # Malformed text is left to parse_rational to report.
+            if len(part.lstrip("0")) > MAX_POINT_DIGITS and part.isascii() and part.isdigit():
                 raise ValueError(
                     f"point entry {i + 1}: {name} has more than {MAX_POINT_DIGITS} digits"
                 )
-        values.append(value)
+        try:
+            values.append(parse_rational(piece))
+        except ValueError as err:
+            raise ValueError(f"point entry {i + 1}: {err}") from None
     return tuple(values)
 
 
@@ -366,10 +373,10 @@ def elementary_differential(
     """F(tree)(point), contracted from the derivatives of the field at point.
 
     Pass one memo dict across calls when evaluating many trees of the same
-    field at the same point: subtrees repeat heavily across a forest, and
-    the memo also keeps the derivative table, so the table is built once
-    per memo.  A memo whose table belongs to another field or point raises
-    ValueError.
+    field at the same point: the memo keeps the derivative table, which is
+    built once per memo and keeps each subtree's differential, and
+    subtrees repeat heavily across a forest.  A memo whose table belongs to
+    another field or point raises ValueError.
     """
     if memo is None:
         memo = {}
@@ -378,11 +385,11 @@ def elementary_differential(
         table = memo[_TABLE_KEY] = _DerivativeTable(field, point)
     elif not table.serves(field, point):
         raise ValueError("the memo holds the derivative table of another field or point")
-    numerators, denominator = table.differential(tree, memo)
+    numerators, denominator = table.differential(tree)
     return tuple(Fraction(x, denominator) for x in numerators)
 
 
-# The memo entry that holds a memo's derivative table; no tree equals it.
+# The memo entry that holds a memo's derivative table, its only entry.
 _TABLE_KEY = "derivative table"
 
 
@@ -408,6 +415,7 @@ class _DerivativeTable:
         # levels[m]: (common denominator, rows (distinct arrangements of K,
         # numerators of (d_K f_c(x0))_c)), rows with a nonzero value only.
         self._levels: list[tuple[int, list]] = []
+        self._memo: dict[RootedTree, tuple[tuple[int, ...], int]] = {}
 
     def serves(self, field: PolyVectorField, point: Sequence[Fraction]) -> bool:
         """Whether this table was built for field at point."""
@@ -430,9 +438,9 @@ class _DerivativeTable:
             self._frontier = frontier
         return self._levels[m] if m < len(self._levels) else (1, [])
 
-    def differential(self, tree: RootedTree, memo: dict) -> tuple[tuple[int, ...], int]:
-        """F(tree)(x0) as (numerators, denominator), memoised in memo by tree."""
-        cached = memo.get(tree)
+    def differential(self, tree: RootedTree) -> tuple[tuple[int, ...], int]:
+        """F(tree)(x0) as (numerators, denominator), memoised by tree."""
+        cached = self._memo.get(tree)
         if cached is not None:
             return cached
         denominator, rows = self._level(len(tree.children))
@@ -440,7 +448,7 @@ class _DerivativeTable:
         if rows:
             kids = []
             for kid in tree.children:
-                numerators, kid_denominator = self.differential(kid, memo)
+                numerators, kid_denominator = self.differential(kid)
                 kids.append(numerators)
                 denominator *= kid_denominator
             for arrangements, numerators in rows:
@@ -454,7 +462,7 @@ class _DerivativeTable:
                 if spread:
                     for c, numerator in enumerate(numerators):
                         totals[c] += numerator * spread
-        cached = memo[tree] = (tuple(totals), denominator)
+        cached = self._memo[tree] = (tuple(totals), denominator)
         return cached
 
 
@@ -516,7 +524,7 @@ def _tree_series(
 
     factor(t) gives the weights as integer numerators over one integer
     denominator, (w^_1(t), ..., w^_count(t)) and D(t).  One walk over the
-    forest and one differential memo serve all count series; a tree whose
+    forest and one derivative table serve all count series; a tree whose
     weights are all zero costs no differential.  The trees of one order are
     summed in integers over the lcm of their denominators, so each
     coefficient is divided once.
@@ -524,14 +532,13 @@ def _tree_series(
     _check_degree(degree)
     x0 = _check_point(field, point)
     table = _DerivativeTable(field, x0)
-    memo: dict = {}
     series = [[x0] for _ in range(count)]
-    for group in islice(grow_by_leaf(), degree):
+    for group in TreesByOrder(degree).groups():
         terms = []
         for tree in group:
             weights, scale = factor(tree)
             if any(weights):
-                numerators, denominator = table.differential(tree, memo)
+                numerators, denominator = table.differential(tree)
                 terms.append((weights, numerators, scale * denominator))
         common = math.lcm(*(denominator for _, _, denominator in terms))
         totals = [[0] * field.dim for _ in range(count)]

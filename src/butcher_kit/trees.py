@@ -5,12 +5,13 @@ representative stores children sorted under a fixed total order (by order,
 ties broken lexicographically on the children sequences, recursively), so
 structural equality coincides with equality of unordered shapes.
 
-The forest is generated in that order directly (grow_by_leaf): a tree with q
-nodes is a root over a non-decreasing sequence of earlier trees whose orders
-sum to q-1, and the sequences are walked depth-first in lexicographic order,
-so every tree is built once and each group comes out sorted.  For
-canonical-order generation of rooted trees see Beyer and Hedetniemi,
-"Constant time generation of rooted trees", SIAM J. Comput. 9 (1980).
+The forest, TreesByOrder, is generated in that order directly: a tree with
+q nodes is a root over a non-decreasing sequence of earlier trees whose
+orders sum to q-1, and the sequences are walked depth-first in lexicographic
+order, so every tree is built once, each group comes out sorted, and no
+group is built before it is asked for.  For canonical-order generation of
+rooted trees see Beyer and Hedetniemi, "Constant time generation of rooted
+trees", SIAM J. Comput. 9 (1980).
 
 Bracket notation: "[]" is the single node, "[[],[]]" is a root with two
 leaf children.  parse_tree() also accepts the glyph "⊙" for "[]".
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from typing import Iterator
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "tree_factorial",
     "sigma",
     "alpha",
-    "grow_by_leaf",
     "enumerate_by_leaf",
     "parse_tree",
     "format_tree",
@@ -97,12 +97,6 @@ class RootedTree:
         return runs * math.prod(kid._sigma for kid in self.children)
 
     @cached_property
-    def _key(self) -> tuple:
-        # (order, keys of canonical children); injective on canonical trees,
-        # and tuple comparison realizes the documented total order.
-        return (self.order, tuple(kid._key for kid in self.children))
-
-    @cached_property
     def _hash(self) -> int:
         # Equal trees have equal children, so this agrees with __eq__; the
         # children's hashes are cached, so it costs one step per child.
@@ -114,7 +108,7 @@ class RootedTree:
     def __lt__(self, other: "RootedTree") -> bool:
         if not isinstance(other, RootedTree):
             return NotImplemented
-        return self._key < other._key
+        return (self.order, self.children) < (other.order, other.children)
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -142,84 +136,75 @@ def alpha(tree: RootedTree) -> Fraction:
     return Fraction(1, tree._sigma)
 
 
-@dataclass(frozen=True)
 class TreesByOrder:
-    """Trees grouped by order; group q-1 holds the trees with q nodes.
+    """The trees of order 1..max_order; group q holds the trees with q nodes.
 
     Each group is duplicate-free and sorted under the trees' total order,
-    so iteration order is deterministic.
+    so iteration order is deterministic.  Group q and those below it are
+    built when trees_of_order or a groups() iterator first reaches it.
     """
 
-    per_order: tuple[tuple[RootedTree, ...], ...]
+    def __init__(self, max_order: int) -> None:
+        self.max_order = max_order
+        # _trees[_ends[s-1]:_ends[s]] is the group of order s, once built.
+        self._trees: list[RootedTree] = []
+        self._ends = [0]
 
-    @property
-    def max_order(self) -> int:
-        return len(self.per_order)
+    def _grow(self, q: int) -> None:
+        """Build the groups through order q, each sorted as it is walked."""
+        trees, ends = self._trees, self._ends
+        picked: list[RootedTree] = []
+
+        def child_sequences(first: int, left: int) -> Iterator[tuple[RootedTree, ...]]:
+            if not left:
+                yield tuple(picked)
+                return
+            # Later picks come no earlier than trees[first], so they have at
+            # least as many nodes: a pick of s nodes can be completed only
+            # when the left - s nodes after it are none or at least s.
+            for size in (*range(1, left // 2 + 1), left):
+                for index in range(max(first, ends[size - 1]), ends[size]):
+                    picked.append(trees[index])
+                    yield from child_sequences(index, left - size)
+                    picked.pop()
+
+        while len(ends) <= q:
+            # The walk reads only the groups already built, below the new one.
+            trees.extend(RootedTree(kids) for kids in child_sequences(0, len(ends) - 1))
+            ends.append(len(trees))
 
     def trees_of_order(self, q: int) -> tuple[RootedTree, ...]:
-        if not 1 <= q <= len(self.per_order):
-            raise ValueError(f"order {q} outside enumerated range 1..{len(self.per_order)}")
-        return self.per_order[q - 1]
+        if not 1 <= q <= self.max_order:
+            raise ValueError(f"order {q} outside enumerated range 1..{self.max_order}")
+        self._grow(q)
+        return tuple(self._trees[self._ends[q - 1] : self._ends[q]])
+
+    def groups(self) -> Iterator[tuple[RootedTree, ...]]:
+        """The groups of order 1, 2, ..., max_order, each built when reached."""
+        for q in range(1, self.max_order + 1):
+            yield self.trees_of_order(q)
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(group) for group in self.per_order)
+        return tuple(len(group) for group in self.groups())
 
     def total(self) -> int:
-        return sum(len(group) for group in self.per_order)
+        return sum(self.counts())
 
     def __iter__(self) -> Iterator[RootedTree]:
-        return chain.from_iterable(self.per_order)
-
-
-def grow_by_leaf() -> Iterator[tuple[RootedTree, ...]]:
-    """The groups of trees of order 1, 2, 3, ..., each in canonical order.
-
-    A tree with q nodes is a root over a non-decreasing sequence of earlier
-    trees whose orders sum to q-1, and canonical order on such trees is
-    lexicographic order on those sequences.  Walking the sequences
-    depth-first, each pick taken in canonical order, therefore yields the
-    group already sorted and builds each tree exactly once: no set, no
-    sort.  A group is built only when it is asked for, so a caller that
-    stops early never pays for the larger orders.
-
-    The names grow_by_leaf and enumerate_by_leaf predate this construction.
-    They stay until the benchmark's tracer, which resolves enumerate_by_leaf
-    by name (perfbench/spans.py), moves to a new forest entry point.
-    """
-    forest: list[RootedTree] = []
-    # ends[s]: number of trees with at most s nodes; forest[ends[s-1]:ends[s]]
-    # is the group of order s.
-    ends = [0]
-    picked: list[RootedTree] = []
-
-    def child_sequences(first: int, left: int) -> Iterator[tuple[RootedTree, ...]]:
-        if not left:
-            yield tuple(picked)
-            return
-        # Later picks come no earlier than forest[first], so they have at
-        # least as many nodes: a pick of s nodes can be completed only when
-        # the left - s nodes after it are none or at least s.
-        for size in (*range(1, left // 2 + 1), left):
-            for index in range(max(first, ends[size - 1]), ends[size]):
-                picked.append(forest[index])
-                yield from child_sequences(index, left - size)
-                picked.pop()
-
-    while True:
-        group = tuple(RootedTree(kids) for kids in child_sequences(0, len(ends) - 1))
-        forest.extend(group)
-        ends.append(len(forest))
-        yield group
+        return chain.from_iterable(self.groups())
 
 
 def enumerate_by_leaf(max_order: int) -> TreesByOrder:
-    """All trees of order 1..max_order: the first groups of grow_by_leaf.
+    """All trees of order 1..max_order, every group already built.
 
-    perfbench/spans.py resolves this name, so it stays (see grow_by_leaf).
+    perfbench/spans.py resolves this name and times this call as the
+    forest's construction, so it builds eagerly.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    return TreesByOrder(tuple(islice(grow_by_leaf(), max_order)))
+    forest = TreesByOrder(max_order)
+    forest._grow(max_order)
+    return forest
 
 
 class TreeSyntaxError(ValueError):

@@ -24,12 +24,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Mapping, Sequence, Union
 
 from .algebra import format_rational, numerators_over, parse_rational
 from .conditions import ElementaryWeights
-from .trees import RootedTree, format_tree, grow_by_leaf, tree_factorial
+from .trees import RootedTree, TreesByOrder, format_tree, tree_factorial
 
 __all__ = [
     "TableauError",
@@ -378,7 +377,7 @@ def verify_order(
     achieved = max_order
     # The forest grows one order at a time: a failing order ends the climb
     # before any larger tree is built.
-    for q, group in enumerate(islice(grow_by_leaf(), max_order), start=1):
+    for q, group in enumerate(TreesByOrder(max_order).groups(), start=1):
         failed = False
         for tree in group:
             weight = weights.weight(tree)

@@ -54,7 +54,7 @@ class TestRationals:
         "text",
         [
             "", "1/0", "1e3", "one", "1 / 2", "+5", ".5", "1.", "1/2/3", "0x2", "1,5", "--1",
-            "\u0661/\u0662", "1.\u0665",
+            "\u0661/\u0662", "1.\u0665", pytest.param(Fraction(1, 2), id="not-a-string"),
         ],
     )
     def test_parse_rejects_everything_else(self, text):
@@ -76,6 +76,13 @@ class TestRationals:
         limit = sys.get_int_max_str_digits()
         with pytest.raises(ValueError, match=f"^a value has more than {limit} digits"):
             format_rational(Fraction(1, 10**limit))
+
+    def test_parse_names_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        message = f"^a number has more than {limit} digits, too many to read$"
+        for text in ("1" * (limit + 1), "1/" + "3" * (limit + 1), "-0." + "1" * (limit + 1)):
+            with pytest.raises(ValueError, match=message):
+                parse_rational(text)
 
     def test_parse_rejects_zero_denominator(self):
         for text in ("1/0", "-3/00", "0/0"):
@@ -150,6 +157,10 @@ class TestPolynomialRing:
         assert 2 * p == p + p
         assert p * Fraction(1, 2) + p * Fraction(1, 2) == p
         assert (p + 1) - 1 == p
+        assert 1 - p == -(p - 1)
+        assert CoeffPolynomial.constant(3) == 3 != p
+        assert CoeffPolynomial.constant(Fraction(1, 2)) == Fraction(1, 2)
+        assert p != "b[1]"
 
     def test_power(self):
         p = CoeffPolynomial.variable(c_var(2)) + 1
@@ -254,7 +265,8 @@ class TestRendering:
         assert (b1 * power(c1, 2)).scale(Fraction(1, 2)).render() == "1/2*b[1]*c[1]^2"
         assert CoeffPolynomial.variable(a_var(2, 1)).scale(Fraction(-3, 7)).render() == "-3/7*a[2,1]"
         assert (b2 * power(c2, 2)).render() == "b[2]*c[2]^2"
-        assert (b1 - b2).render() == "b[1] - b[2]"
+        assert (b1 - b2).render() == str(b1 - b2) == "b[1] - b[2]"
+        assert repr(b1 - b2) == "CoeffPolynomial(b[1] - b[2])"
         assert CoeffPolynomial.constant(Fraction(1, 6)).render() == "1/6"
 
     def test_pinned_latex_forms(self):

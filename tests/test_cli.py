@@ -32,6 +32,10 @@ _TOO_LONG_TO_PRINT = (
     f"error: a value has more than {sys.get_int_max_str_digits()} digits, too many to print;"
     " lower --p or use a shorter x0\n"
 )
+# A number one digit longer than Python reads from text, and the package's
+# words for it, not Python's advice to raise the limit.
+_TOO_LONG_TO_READ = "1" * (sys.get_int_max_str_digits() + 1)
+_READ_REFUSAL = f"a number has more than {sys.get_int_max_str_digits()} digits, too many to read"
 
 
 def run(capsys, *argv):
@@ -365,6 +369,11 @@ class TestVerify:
                 {"stages": 1, "A": [["\u0661/\u0662"]], "b": ["1"]},
                 "A[1][1]: malformed rational: '\u0661/\u0662'",
             ),
+            pytest.param(
+                {"stages": 1, "A": [["0"]], "b": [_TOO_LONG_TO_READ]},
+                f"b[1]: {_READ_REFUSAL}",
+                id="entry-too-long-to-read",
+            ),
         ],
     )
     def test_rejected_entry_is_input_error(self, capsys, tmp_path, document, message):
@@ -472,6 +481,11 @@ class TestOracle:
             ("2 x1", "components[1]: expected '+' or '-', found 'x1' (at position 2)"),
             ("x1 ** x9", "components[1]: expected a factor, found '*' (at position 4)"),
             ("x1 + \u0661", "components[1]: unexpected character '\u0661' (at position 5)"),
+            pytest.param(
+                f"x1 - {_TOO_LONG_TO_READ}*x2",
+                f"components[1]: {_READ_REFUSAL} (at position 5)",
+                id="coefficient-too-long-to-read",
+            ),
         ],
     )
     def test_malformed_component_is_positioned_input_error(
@@ -525,6 +539,16 @@ class TestOracle:
             2,
             "",
             f"error: point entry 1: denominator has more than {MAX_POINT_DIGITS} digits\n",
+        )
+
+    def test_point_too_long_to_read_meets_the_digit_cap(self, capsys):
+        # The cap applies before any digit is converted, so a number too
+        # long for Python to read gets the cap's message too.
+        code, out, err = run(capsys, "oracle", LINEAR, "--x0", _TOO_LONG_TO_READ, "--p", "3")
+        assert (code, out, err) == (
+            2,
+            "",
+            f"error: point entry 1: numerator has more than {MAX_POINT_DIGITS} digits\n",
         )
 
     def test_malformed_point(self, capsys):

@@ -236,7 +236,7 @@ class TestRendering:
     def test_condition_render_styles(self):
         flags = GenerationFlags(substitute_c=True)
         condition = _conditions_by_tree(2, 2, flags)[parse_tree("[[]]")]
-        assert condition.render() == "b[1]*c[1] + b[2]*c[2] == 1/2"
+        assert condition.render() == str(condition) == "b[1]*c[1] + b[2]*c[2] == 1/2"
         assert condition.render("latex") == "b_{1} c_{1} + b_{2} c_{2} = \\frac{1}{2}"
         with pytest.raises(ValueError):
             condition.render("html")

@@ -52,7 +52,7 @@ from butcher_kit.oracle import (
     stage_series_direct,
     stage_series_trees,
 )
-from butcher_kit.trees import enumerate_by_leaf, parse_tree, tree_factorial
+from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial
 
 F = Fraction
 
@@ -340,13 +340,16 @@ class TestFieldDocuments:
             parse_point(f"0,-{largest + 1}", 2)
         with pytest.raises(ValueError, match="^point entry 1: denominator has more than"):
             parse_point(f"1/{largest + 1},0", 2)
-        # A decimal is bounded by its reduced denominator: here 10^(MAX_POINT_DIGITS + 1).
+        # A decimal's denominator is 10^k for k digits after the point: here
+        # 10^(MAX_POINT_DIGITS + 1).
         with pytest.raises(ValueError, match="denominator has more than"):
             parse_point("0." + "0" * MAX_POINT_DIGITS + "1", 1)
 
 
 class TestPolyVectorField:
     def test_components_are_canonical_immutable_term_tables(self):
+        with pytest.raises(ValueError, match="^dim must be >= 1$"):
+            PolyVectorField(0, ())
         with pytest.raises(ValueError, match="^1 components do not match dim 2$"):
             PolyVectorField(2, ({(1, 0): 1},))
         with pytest.raises(ValueError, match=r"^exponent tuple \(1,\) does not match dim 2$"):
@@ -429,11 +432,27 @@ class TestElementaryDifferentials:
         value = elementary_differential(MIXED, parse_tree("[[[]]]"), self.POINT)
         assert value == (F(4), F(-2))
 
-    def test_memo_is_shared_across_trees(self):
+    def test_memo_is_shared_across_trees(self, monkeypatch):
+        # The memo holds one derivative table, and the table keeps each
+        # subtree's differential: [[[]]] computes [[]] and [] on its way,
+        # so [[],[]] computes itself alone.
+        computed = []
+        differential = oracle._DerivativeTable.differential
+
+        def counting(table, tree):
+            if tree not in table._memo:
+                computed.append(tree)
+            return differential(table, tree)
+
+        monkeypatch.setattr(oracle._DerivativeTable, "differential", counting)
         memo = {}
         first = elementary_differential(MIXED, parse_tree("[[[]]]"), self.POINT, memo)
-        assert parse_tree("[[]]") in memo
+        assert list(memo) == [oracle._TABLE_KEY]
+        table = memo[oracle._TABLE_KEY]
+        assert len(computed) == 3
         second = elementary_differential(MIXED, parse_tree("[[],[]]"), self.POINT, memo)
+        assert memo == {oracle._TABLE_KEY: table}
+        assert computed[3:] == [parse_tree("[[],[]]")]
         assert first == elementary_differential(MIXED, parse_tree("[[[]]]"), self.POINT)
         assert second == elementary_differential(MIXED, parse_tree("[[],[]]"), self.POINT)
 
@@ -558,12 +577,24 @@ class TestHandExpansions:
             F(1), F(1, 2), F(0), F(0), F(0),
         ]
 
-    def test_degree_zero_series_is_the_point(self):
+    def test_degree_zero_series_is_the_point(self, monkeypatch):
+        # The tree routes walk an empty forest: they build no tree.
+        built, leaf = [], RootedTree()
+        post_init = RootedTree.__post_init__
+
+        def counting(tree):
+            post_init(tree)
+            built.append(tree)
+
+        monkeypatch.setattr(RootedTree, "__post_init__", counting)
         point = (F(1, 3), F(-1, 2))
         assert flow_series_trees(MIXED, point, 0).coeffs == (point,)
         assert flow_series_picard(MIXED, point, 0).coeffs == (point,)
         assert rk_series_direct(rk4(), MIXED, point, 0).coeffs == (point,)
+        assert built == []
         assert rk_series_trees(rk4(), MIXED, point, 0).coeffs == (point,)
+        # Only the leaf that seeds the tableau's weight evaluator.
+        assert built == [leaf]
 
 
 class TestFlowRoutesAgree:

@@ -1,9 +1,10 @@
 """Tree layer checks.
 
 Core claims:
-  * the enumerator builds each tree once, matches the leaf-grafting
-    reference of tests/helpers.py tree for tree, in order, through order
-    12, and reproduces the known counts 1,1,2,4,9,20,48,115,286,719;
+  * the forest builds each group when first asked for and each tree
+    once, matches the leaf-grafting reference of tests/helpers.py tree
+    for tree, in order, through order 12, and reproduces the known counts
+    1,1,2,4,9,20,48,115,286,719;
   * coefficient functions hit the worked values (order 8, factorial 192,
     alpha 1/2 for [[[],[[]],[[]]],[]]-shaped input) and closed forms for
     chains and bushy trees;
@@ -34,6 +35,7 @@ from butcher_kit.cli import _ORDER_CAP, _TREES_OF_ORDER
 from butcher_kit.trees import (
     MAX_PARSE_DEPTH,
     RootedTree,
+    TreesByOrder,
     TreeSyntaxError,
     alpha,
     enumerate_by_leaf,
@@ -116,7 +118,7 @@ class TestEnumeration:
     def test_groups_match_the_grafting_reference_through_order_12(self):
         # Same trees in the same order: the production groups come out
         # sorted without a sort, the reference sorts with the operators.
-        assert enumerate_by_leaf(12).per_order == trees_by_grafting(12)
+        assert tuple(enumerate_by_leaf(12).groups()) == trees_by_grafting(12)
 
     def test_each_tree_is_built_once(self, monkeypatch):
         built = []
@@ -131,12 +133,34 @@ class TestEnumeration:
         assert len(built) == forest.total() == 1205
 
     def test_groups_are_sorted_and_duplicate_free(self):
-        for group in enumerate_by_leaf(7).per_order:
+        for group in enumerate_by_leaf(7).groups():
             for left, right in zip(group, group[1:]):
                 assert left < right
 
     def test_enumeration_is_deterministic(self):
-        assert enumerate_by_leaf(6) == enumerate_by_leaf(6)
+        assert list(enumerate_by_leaf(6).groups()) == list(enumerate_by_leaf(6).groups())
+
+    def test_groups_are_built_on_demand_and_once(self, monkeypatch):
+        # Asked out of order, the groups are the eager forest's, and each
+        # tree is built once: order 5 builds orders 1-4 on the way.
+        expected = enumerate_by_leaf(5)
+        built = []
+        original = RootedTree.__post_init__
+
+        def counting(tree):
+            built.append(tree)
+            original(tree)
+
+        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        forest = TreesByOrder(7)
+        assert built == []
+        assert forest.trees_of_order(5) == expected.trees_of_order(5)
+        assert len(built) == expected.total() == 17
+        assert forest.trees_of_order(3) == expected.trees_of_order(3)
+        assert len(built) == 17
+        assert list(forest.groups())[:5] == list(expected.groups())
+        assert len(built) == forest.total() == 17 + 20 + 48
+        assert TreesByOrder(0).total() == 0 and list(TreesByOrder(0)) == []
 
     def test_order_accessor_bounds(self):
         forest = enumerate_by_leaf(3)
@@ -292,6 +316,27 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             RootedTree(("[]",))
 
+    def test_trees_do_not_order_against_other_types(self):
+        with pytest.raises(TypeError):
+            RootedTree() < "[]"
+
+    def test_deep_trees_compare_hash_and_sort(self):
+        # Two trees nested as deep as parse_tree allows, of one order and
+        # differing only at the bottom: comparison recurses through every
+        # level without reaching the recursion limit.
+        depth = MAX_PARSE_DEPTH - 1 - 3
+        low, high = (
+            parse_tree("[" * depth + bottom + "]" * depth)
+            for bottom in ("[[[]],[]]", "[[[],[]]]")
+        )
+        assert low.order == high.order
+        assert low < high and not high < low and high > low
+        assert low != high
+        assert low == parse_tree(format_tree(low))
+        assert hash(low) == hash(parse_tree(format_tree(low)))
+        assert len({low, high, parse_tree(format_tree(high))}) == 2
+        assert sorted([high, low, high]) == [low, high, high]
+
 
 class TestParseFormat:
     def test_round_trip_all_small_trees(self):
@@ -309,6 +354,11 @@ class TestParseFormat:
 
     def test_non_canonical_input_is_canonicalized(self):
         assert format_tree(parse_tree("[[[]],[]]")) == "[[],[[]]]"
+
+    def test_str_and_repr_are_the_bracket_form(self):
+        tree = parse_tree("[[[]],[]]")
+        assert str(tree) == "[[],[[]]]"
+        assert repr(tree) == "RootedTree([[],[[]]])"
 
     def test_nesting_up_to_the_depth_limit_round_trips(self):
         text = "[" * MAX_PARSE_DEPTH + "]" * MAX_PARSE_DEPTH
@@ -329,6 +379,7 @@ class TestParseFormat:
             ("[,[]]", 1),
             ("[[],]", 4),
             ("[] []", 3),
+            ("[[]x]", 3),
         ],
     )
     def test_errors_carry_positions(self, text, position):
