@@ -22,8 +22,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .algebra import format_rational
-from .conditions import GenerationFlags, all_order_conditions, render_generic
+from .conditions import GenerationFlags, OrderCondition, all_order_conditions, render_generic
 from .oracle import (
+    TauSeries,
     flow_series_picard,
     flow_series_trees,
     load_field,
@@ -183,27 +184,24 @@ def _require_order(value: int, flag: str) -> None:
 
 
 def _emit_json(document: dict) -> None:
-    print(json.dumps(document, indent=2))
+    print(json.dumps({"schema": SCHEMA, **document}, indent=2))
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
     _require_order(args.order, "--order")
     forest = enumerate_by_leaf(args.order)
+    orders = [[format_tree(tree) for tree in group] for group in forest.groups()]
     if args.format == "bracket":
-        for q in range(1, args.order + 1):
-            for tree in forest.trees_of_order(q):
-                print(format_tree(tree))
+        print("\n".join(text for row in orders for text in row))
         return 0
-    orders = []
-    for q in range(1, args.order + 1):
-        row = [format_tree(tree) for tree in forest.trees_of_order(q)]
-        orders.append({"order": q, "count": len(row), "trees": row})
     _emit_json(
         {
-            "schema": SCHEMA,
             "max_order": args.order,
             "total": forest.total(),
-            "orders": orders,
+            "orders": [
+                {"order": q, "count": len(row), "trees": row}
+                for q, row in enumerate(orders, start=1)
+            ],
         }
     )
     return 0
@@ -220,6 +218,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_conditions(args: argparse.Namespace) -> int:
     _require_order(args.order, "--order")
+    # Either mode makes one row (tree, lhs text, rhs) per condition; one
+    # writer per format prints the rows.
+    style = "latex" if args.format == "latex" else "plain"
     if args.generic:
         # The nested sums are plain text for any stage count and any A.
         for given, flag in (
@@ -229,69 +230,46 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
             (args.format == "latex", "--format latex"),
         ):
             _require(not given, f"--generic does not take {flag}")
-        rows = []
-        forest = enumerate_by_leaf(args.order)
-        for q in range(1, args.order + 1):
-            for tree in forest.trees_of_order(q):
-                rhs = Fraction(1, tree_factorial(tree))
-                rows.append((tree, q, render_generic(tree), rhs))
-        if args.format == "json":
-            _emit_json(
-                {
-                    "schema": SCHEMA,
-                    "max_order": args.order,
-                    "generic": True,
-                    "conditions": [
-                        {
-                            "tree": format_tree(tree),
-                            "order": q,
-                            "lhs": lhs,
-                            "rhs": format_rational(rhs),
-                        }
-                        for tree, q, lhs, rhs in rows
-                    ],
-                }
-            )
-        else:
-            for _, _, lhs, rhs in rows:
-                print(f"{lhs} == {format_rational(rhs)}")
-        return 0
-
-    _require(args.stages is not None, "--stages is required without --generic")
-    _require(args.stages >= 1, "--stages must be >= 1")
-    _require(args.stages <= _STAGES_CAP, f"--stages must be <= {_STAGES_CAP}")
-    flags = GenerationFlags(explicit=args.explicit, substitute_c=args.subst_c)
-    size, cap = _condition_size(args.order, args.stages, flags)
-    _require(
-        size <= cap,
-        f"--order {args.order} with --stages {args.stages} is too large: "
-        f"its size estimate {size:,} exceeds {cap:,}",
-    )
-    conditions = all_order_conditions(args.order, args.stages, flags)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "max_order": args.order,
-                "stages": args.stages,
-                "explicit": args.explicit,
-                "subst_c": args.subst_c,
-                "generic": False,
-                "conditions": [
-                    {
-                        "tree": format_tree(condition.tree),
-                        "order": condition.order,
-                        "lhs": condition.lhs.render("plain"),
-                        "rhs": format_rational(condition.rhs),
-                    }
-                    for condition in conditions
-                ],
-            }
-        )
+        header = {"generic": True}
+        rows = [
+            (tree, render_generic(tree), Fraction(1, tree_factorial(tree)))
+            for tree in enumerate_by_leaf(args.order)
+        ]
     else:
-        style = "latex" if args.format == "latex" else "plain"
-        for condition in conditions:
-            print(condition.render(style))
+        _require(args.stages is not None, "--stages is required without --generic")
+        _require(args.stages >= 1, "--stages must be >= 1")
+        _require(args.stages <= _STAGES_CAP, f"--stages must be <= {_STAGES_CAP}")
+        flags = GenerationFlags(explicit=args.explicit, substitute_c=args.subst_c)
+        size, cap = _condition_size(args.order, args.stages, flags)
+        _require(
+            size <= cap,
+            f"--order {args.order} with --stages {args.stages} is too large: "
+            f"its size estimate {size:,} exceeds {cap:,}",
+        )
+        header = {
+            "stages": args.stages,
+            "explicit": args.explicit,
+            "subst_c": args.subst_c,
+            "generic": False,
+        }
+        rows = [
+            (condition.tree, condition.lhs.render(style), condition.rhs)
+            for condition in all_order_conditions(args.order, args.stages, flags)
+        ]
+
+    if args.format == "json":
+        conditions = [
+            {
+                "tree": format_tree(tree),
+                "order": tree.order,
+                "lhs": lhs,
+                "rhs": format_rational(rhs),
+            }
+            for tree, lhs, rhs in rows
+        ]
+        _emit_json({"max_order": args.order, **header, "conditions": conditions})
+    else:
+        print("\n".join(OrderCondition.equation(lhs, rhs, style) for _, lhs, rhs in rows))
     return 0
 
 
@@ -306,10 +284,38 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tableau = load_tableau(Path(args.tableau).read_text())
     report = verify_order(tableau, args.max_order, mode=args.mode, tol=args.tol)
     if args.format == "json":
-        _emit_json({"schema": SCHEMA, **report.to_mapping()})
+        _emit_json(report.to_mapping())
     else:
         print(report.render_text())
     return 0 if report.achieved_order >= required else 1
+
+
+class _SeriesPair:
+    """One series by its tree route and by iteration, and their first split.
+
+    name is "flow" or "discrete"; route names the iteration route,
+    "picard" or "direct".
+    """
+
+    def __init__(self, name: str, trees: TauSeries, route: str, iterated: TauSeries):
+        self.name, self.trees, self.route, self.iterated = name, trees, route, iterated
+        self.split = trees.first_difference(iterated)
+
+    def to_mapping(self) -> dict:
+        return {
+            "trees": self.trees.to_mapping(),
+            self.route: self.iterated.to_mapping(),
+            "agree": self.split is None,
+            "first_difference": self.split,
+        }
+
+    def text_lines(self) -> list[str]:
+        verdict = "agree" if self.split is None else f"MISMATCH at degree {self.split}"
+        return [
+            f"{self.name} series:",
+            self.trees.render_text(),
+            f"{self.name} trees vs {self.route}: {verdict}",
+        ]
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -319,79 +325,59 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     )
     field = load_field(Path(args.field).read_text())
     point = parse_point(args.x0, field.dim)
-
-    flow_trees = flow_series_trees(field, point, args.p)
-    flow_picard = flow_series_picard(field, point, args.p)
-    flow_split = flow_trees.first_difference(flow_picard)
-
-    tableau = None
-    discrete_trees = discrete_direct = None
-    discrete_split = None
+    flow = _SeriesPair(
+        "flow",
+        flow_series_trees(field, point, args.p),
+        "picard",
+        flow_series_picard(field, point, args.p),
+    )
+    pairs = [flow]
     if args.tableau is not None:
         tableau = load_tableau(Path(args.tableau).read_text())
-        discrete_trees = rk_series_trees(tableau, field, point, args.p)
-        discrete_direct = rk_series_direct(tableau, field, point, args.p)
-        discrete_split = discrete_trees.first_difference(discrete_direct)
-
-    agree = flow_split is None and discrete_split is None
-
-    if args.format == "json":
-        document = {
-            "schema": SCHEMA,
-            "field": args.field,
-            "dim": field.dim,
-            "x0": [format_rational(x) for x in point],
-            "degree": args.p,
-            "flow": {
-                "trees": flow_trees.to_mapping(),
-                "picard": flow_picard.to_mapping(),
-                "agree": flow_split is None,
-                "first_difference": flow_split,
-            },
-        }
-        if tableau is not None:
-            document["discrete"] = {
-                "tableau": tableau.name,
-                "trees": discrete_trees.to_mapping(),
-                "direct": discrete_direct.to_mapping(),
-                "agree": discrete_split is None,
-                "first_difference": discrete_split,
-            }
-            document["flow_vs_discrete_first_difference"] = (
-                flow_trees.first_difference(discrete_trees)
-            )
-        _emit_json(document)
-        return 0 if agree else 1
+        discrete = _SeriesPair(
+            "discrete",
+            rk_series_trees(tableau, field, point, args.p),
+            "direct",
+            rk_series_direct(tableau, field, point, args.p),
+        )
+        pairs.append(discrete)
+        versus_flow = flow.trees.first_difference(discrete.trees)
+    agree = all(pair.split is None for pair in pairs)
 
     # The whole report is built before any of it is printed: a value too
     # big to format then leaves stdout empty on exit 2.
-    point_text = ", ".join(format_rational(x) for x in point)
-    lines = [
-        f"field: {args.field} (dim {field.dim})",
-        f"x0: ({point_text})",
-        f"degree: {args.p}",
-        "flow series:",
-        flow_trees.render_text(),
-        "flow trees vs picard: "
-        + ("agree" if flow_split is None else f"MISMATCH at degree {flow_split}"),
-    ]
-    if tableau is not None:
-        kind = "explicit" if tableau.explicit else "implicit"
-        name = tableau.name or "(unnamed)"
-        versus_flow = flow_trees.first_difference(discrete_trees)
-        lines += [
-            f"tableau: {name} ({tableau.stages} stages, {kind})",
-            "discrete series:",
-            discrete_trees.render_text(),
-            "discrete trees vs direct: "
-            + ("agree" if discrete_split is None else f"MISMATCH at degree {discrete_split}"),
-            (
-                f"flow vs discrete: no difference through degree {args.p}"
-                if versus_flow is None
-                else f"flow vs discrete: first difference at degree {versus_flow}"
-            ),
+    x0 = [format_rational(x) for x in point]
+    if args.format == "json":
+        document = {
+            "field": args.field,
+            "dim": field.dim,
+            "x0": x0,
+            "degree": args.p,
+            "flow": flow.to_mapping(),
+        }
+        if args.tableau is not None:
+            document["discrete"] = {"tableau": tableau.name, **discrete.to_mapping()}
+            document["flow_vs_discrete_first_difference"] = versus_flow
+        _emit_json(document)
+    else:
+        lines = [
+            f"field: {args.field} (dim {field.dim})",
+            f"x0: ({', '.join(x0)})",
+            f"degree: {args.p}",
+            *flow.text_lines(),
         ]
-    print("\n".join(lines))
+        if args.tableau is not None:
+            kind = "explicit" if tableau.explicit else "implicit"
+            lines += [
+                f"tableau: {tableau.name or '(unnamed)'} ({tableau.stages} stages, {kind})",
+                *discrete.text_lines(),
+                (
+                    f"flow vs discrete: no difference through degree {args.p}"
+                    if versus_flow is None
+                    else f"flow vs discrete: first difference at degree {versus_flow}"
+                ),
+            ]
+        print("\n".join(lines))
     return 0 if agree else 1
 
 

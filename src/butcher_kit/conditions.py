@@ -77,11 +77,19 @@ class OrderCondition:
         return self.lhs.is_zero and self.rhs != 0
 
     def render(self, style: str = "plain") -> str:
+        return self.equation(self.lhs.render(style), self.rhs, style)
+
+    @staticmethod
+    def equation(lhs: str, rhs: Fraction, style: str = "plain") -> str:
+        """The line "lhs == rhs" in plain style, "lhs = rhs" in LaTeX.
+
+        lhs is text already rendered in style; the CLI passes the generic
+        nested sums here too.
+        """
         if style == "plain":
-            return f"{self.lhs.render('plain')} == {format_rational(self.rhs)}"
+            return f"{lhs} == {format_rational(rhs)}"
         if style == "latex":
-            rhs = CoeffPolynomial.constant(self.rhs).render("latex")
-            return f"{self.lhs.render('latex')} = {rhs}"
+            return f"{lhs} = {CoeffPolynomial.constant(rhs).render('latex')}"
         raise ValueError(f"unknown render style: {style!r}")
 
     def __str__(self) -> str:

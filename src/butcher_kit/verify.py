@@ -176,9 +176,10 @@ def read_document(
 ) -> Mapping:
     """The JSON object (text or mapping) behind a kind of document.
 
-    Invalid JSON, nesting too deep for the decoder, duplicate keys, a
-    non-object document, keys outside fields and missing required keys each
-    raise error.  load_tableau and oracle.load_field both read through here.
+    Invalid JSON, nesting too deep for the decoder, an integer literal too
+    long to read, duplicate keys, a non-object document, keys outside fields
+    and missing required keys each raise error.  load_tableau and
+    oracle.load_field both read through here.
     """
 
     def reject_duplicate_keys(pairs):
@@ -189,9 +190,19 @@ def read_document(
             seen.add(key)
         return dict(pairs)
 
+    def read_int(text: str) -> int:
+        # parse_rational reads a JSON integer literal exactly as int() does,
+        # and words the refusal of one too long to read.
+        try:
+            return int(parse_rational(text))
+        except ValueError as err:
+            raise error(str(err)) from None
+
     if isinstance(source, str):
         try:
-            document = json.loads(source, object_pairs_hook=reject_duplicate_keys)
+            document = json.loads(
+                source, object_pairs_hook=reject_duplicate_keys, parse_int=read_int
+            )
         except error:
             raise
         except json.JSONDecodeError as err:
@@ -328,18 +339,11 @@ class OrderReport:
             f"requested order: {self.requested_order}",
             f"achieved order: {self.achieved_order}",
         ]
-        rows = [("order", "tree", "weight", "rhs", "residual", "ok")]
-        for entry in self.residuals:
-            rows.append(
-                (
-                    str(entry.order),
-                    format_tree(entry.tree),
-                    format_rational(entry.weight),
-                    format_rational(entry.rhs),
-                    format_rational(entry.residual),
-                    "pass" if entry.passed else "FAIL",
-                )
-            )
+        columns = ("order", "tree", "weight", "rhs", "residual")
+        rows = [columns + ("ok",)]
+        for entry in map(ResidualEntry.to_mapping, self.residuals):
+            cells = tuple(str(entry[key]) for key in columns)
+            rows.append(cells + ("pass" if entry["pass"] else "FAIL",))
         widths = [max(len(row[col]) for row in rows) for col in range(6)]
         for row in rows:
             lines.append(

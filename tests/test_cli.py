@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from butcher_kit.cli import main
-from butcher_kit.oracle import MAX_FIELD_DEGREE, MAX_POINT_DIGITS
+from butcher_kit.oracle import MAX_FIELD_DEGREE, MAX_FIELD_DIM, MAX_POINT_DIGITS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RK4 = str(FIXTURES / "rk4.json")
@@ -209,6 +209,24 @@ class TestConditions:
         assert [f"{record['lhs']} == {record['rhs']}" for record in records] == (
             text.splitlines()
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--generic",),
+            ("--stages", "2"),
+            ("--stages", "2", "--format", "latex"),
+        ],
+    )
+    def test_text_output_formats_no_tree(self, capsys, monkeypatch, argv):
+        # Only the JSON records name their trees; text formats none.
+        def refuse(tree):
+            raise AssertionError("format_tree called in text mode")
+
+        monkeypatch.setattr("butcher_kit.cli.format_tree", refuse)
+        code, out, err = run(capsys, "conditions", "--order", "4", *argv)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 8
 
     def test_generic_order_12_names_the_twelfth_level(self, capsys):
         code, out, _ = run(capsys, "conditions", "--order", "12", "--generic")
@@ -541,6 +559,21 @@ class TestOracle:
             f"error: point entry 1: denominator has more than {MAX_POINT_DIGITS} digits\n",
         )
 
+    def test_dim_above_the_cap_is_input_error(self, capsys, tmp_path):
+        dim = MAX_FIELD_DIM + 1
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"dim": dim, "components": ["x1"] * dim}))
+        code, out, err = run(capsys, "oracle", str(path), "--x0", ",".join(["1"] * dim), "--p", "1")
+        assert (code, out, err) == (2, "", f"error: 'dim' must be <= {MAX_FIELD_DIM}\n")
+
+    def test_dim_at_the_cap_is_accepted(self, capsys, tmp_path):
+        dim = MAX_FIELD_DIM
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"dim": dim, "components": [f"x{i + 1}" for i in range(dim)]}))
+        code, out, err = run(capsys, "oracle", str(path), "--x0", ",".join(["1"] * dim), "--p", "1")
+        assert (code, err) == (0, "")
+        assert "flow trees vs picard: agree" in out.splitlines()
+
     def test_point_too_long_to_read_meets_the_digit_cap(self, capsys):
         # The cap applies before any digit is converted, so a number too
         # long for Python to read gets the cap's message too.
@@ -559,6 +592,58 @@ class TestOracle:
     def test_point_digits_are_ascii(self, capsys):
         code, out, err = run(capsys, "oracle", ROTATION, "--x0", "1,\u0662", "--p", "3")
         assert (code, out, err) == (2, "", "error: point entry 2: malformed rational: '\u0662'\n")
+
+
+@pytest.mark.parametrize(
+    "argv,document",
+    [
+        (("verify", "{path}", "--max-order", "1"), '{"stages": 1, "A": [["0"]], "b": [%s]}'),
+        (("oracle", "{path}", "--x0", "1", "--p", "1"), '{"dim": %s, "components": ["x1"]}'),
+    ],
+    ids=["tableau-entry", "field-dim"],
+)
+def test_integer_literal_too_long_to_read_is_input_error(capsys, tmp_path, argv, document):
+    # Python's own refusal would advise raising its digit limit.
+    path = tmp_path / "document.json"
+    path.write_text(document % _TOO_LONG_TO_READ)
+    code, out, err = run(capsys, *(part.format(path=path) for part in argv))
+    assert (code, out, err) == (2, "", f"error: {_READ_REFUSAL}\n")
+    assert "set_int_max_str_digits" not in err
+
+
+# Whole outputs, byte for byte, of the reports no perfbench digest covers.
+# Each runs from the fixtures directory, so the field path printed is the
+# fixture's bare name; "unnamed" is rk4 without its "name" field.
+GOLDEN = Path(__file__).parent / "golden"
+_RK4_FIVE = ("verify", "rk4.json", "--max-order", "5")
+_ROTATION = ("oracle", "rotation2d.json", "--x0", "1,0", "--p", "5")
+_WHOLE_OUTPUTS = {
+    "verify_rk4_exact.txt": (1, _RK4_FIVE),
+    "verify_rk4_exact.json": (1, _RK4_FIVE + ("--format", "json")),
+    "verify_rk4_float.txt": (1, _RK4_FIVE + ("--mode", "float")),
+    "verify_rk4_float.json": (1, _RK4_FIVE + ("--mode", "float", "--format", "json")),
+    "oracle_rotation2d.txt": (0, _ROTATION),
+    "oracle_rotation2d.json": (0, _ROTATION + ("--format", "json")),
+    "oracle_rotation2d_rk4.txt": (0, _ROTATION + ("--tableau", "rk4.json")),
+    "oracle_rotation2d_rk4.json": (0, _ROTATION + ("--tableau", "rk4.json", "--format", "json")),
+    "oracle_rotation2d_unnamed.txt": (0, _ROTATION + ("--tableau", "unnamed")),
+    "oracle_rotation2d_unnamed.json": (0, _ROTATION + ("--tableau", "unnamed", "--format", "json")),
+    "conditions_3_2.tex": (0, ("conditions", "--order", "3", "--stages", "2", "--format", "latex")),
+}
+
+
+class TestWholeOutput:
+    @pytest.mark.parametrize("name", sorted(_WHOLE_OUTPUTS))
+    def test_matches_golden_file(self, capsys, monkeypatch, tmp_path, name):
+        unnamed = json.loads((FIXTURES / "rk4.json").read_text())
+        del unnamed["name"]
+        (tmp_path / "unnamed.json").write_text(json.dumps(unnamed))
+        expected_code, argv = _WHOLE_OUTPUTS[name]
+        argv = [str(tmp_path / "unnamed.json") if part == "unnamed" else part for part in argv]
+        monkeypatch.chdir(FIXTURES)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (expected_code, "")
+        assert out == (GOLDEN / name).read_text()
 
 
 class TestArgumentHandling:

@@ -12,6 +12,7 @@ Fraction.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -37,6 +38,7 @@ from helpers import (
 from butcher_kit import oracle
 from butcher_kit.oracle import (
     MAX_FIELD_DEGREE,
+    MAX_FIELD_DIM,
     MAX_POINT_DIGITS,
     FieldError,
     FieldSyntaxError,
@@ -311,6 +313,20 @@ class TestFieldDocuments:
         assert time.monotonic() - start < 0.5
         assert str(err.value) == (
             f"components[1]: degree 100000 exceeds the cap of {MAX_FIELD_DEGREE} (at position 0)"
+        )
+
+    def test_dim_above_the_cap_is_refused_before_any_component(self):
+        # components is malformed too, but the cap on dim is checked first.
+        with pytest.raises(FieldError) as err:
+            load_field({"dim": MAX_FIELD_DIM + 1, "components": 7})
+        assert str(err.value) == f"'dim' must be <= {MAX_FIELD_DIM}"
+
+    def test_integer_literal_too_long_to_read(self):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(FieldError) as err:
+            load_field('{"dim": ' + "1" * digits + ', "components": ["x1"]}')
+        assert str(err.value) == (
+            f"a number has more than {digits - 1} digits, too many to read"
         )
 
     def test_invalid_json(self):

@@ -15,6 +15,7 @@ Core claims:
 import dataclasses
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -135,6 +136,15 @@ class TestLoading:
     def test_nesting_too_deep_to_decode(self):
         with pytest.raises(TableauError, match="^invalid JSON: nested too deeply$"):
             load_tableau("[" * 100_000 + "]" * 100_000)
+
+    def test_integer_literal_too_long_to_read(self):
+        digits = sys.get_int_max_str_digits() + 1
+        text = '{"stages": 1, "A": [["0"]], "b": [' + "1" * digits + "]}"
+        with pytest.raises(TableauError) as err:
+            load_tableau(text)
+        assert str(err.value) == (
+            f"a number has more than {digits - 1} digits, too many to read"
+        )
 
     def test_explicit_detection(self):
         assert explicit_euler().explicit
