@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -183,8 +184,22 @@ def _require_order(value: int, flag: str) -> None:
     _require(value <= _ORDER_CAP, f"{flag} must be <= {_ORDER_CAP}")
 
 
+def _print(text: str) -> None:
+    """print(text) to stdout and flush it.  Once the reader has closed
+    stdout, as `| head -1` does, the rest of the output is dropped: the run
+    goes on quietly to its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at the null device, so that later writes and the
+        # interpreter's last flush of what the pipe refused succeed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit_json(document: dict) -> None:
-    print(json.dumps({"schema": SCHEMA, **document}, indent=2))
+    _print(json.dumps({"schema": SCHEMA, **document}, indent=2))
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
@@ -192,7 +207,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
     forest = enumerate_by_leaf(args.order)
     orders = [[format_tree(tree) for tree in group] for group in forest.groups()]
     if args.format == "bracket":
-        print("\n".join(text for row in orders for text in row))
+        _print("\n".join(text for row in orders for text in row))
         return 0
     _emit_json(
         {
@@ -211,8 +226,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     _require_order(args.order, "--order")
     forest = enumerate_by_leaf(args.order)
     for q, n in enumerate(forest.counts(), start=1):
-        print(f"order {q}: {n}")
-    print(f"total: {forest.total()}")
+        _print(f"order {q}: {n}")
+    _print(f"total: {forest.total()}")
     return 0
 
 
@@ -269,7 +284,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
         ]
         _emit_json({"max_order": args.order, **header, "conditions": conditions})
     else:
-        print("\n".join(OrderCondition.equation(lhs, rhs, style) for _, lhs, rhs in rows))
+        _print("\n".join(OrderCondition.equation(lhs, rhs, style) for _, lhs, rhs in rows))
     return 0
 
 
@@ -286,7 +301,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(report.to_mapping())
     else:
-        print(report.render_text())
+        _print(report.render_text())
     return 0 if report.achieved_order >= required else 1
 
 
@@ -377,7 +392,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                     else f"flow vs discrete: first difference at degree {versus_flow}"
                 ),
             ]
-        print("\n".join(lines))
+        _print("\n".join(lines))
     return 0 if agree else 1
 
 

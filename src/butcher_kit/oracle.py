@@ -5,9 +5,10 @@ x(0) = x0 expands as
 
     x(tau) = x0 + sum_{q>=1} tau^q sum_{order(t)=q} F(t)(x0) / (sigma(t) t!)
 
-where F(t) is the elementary differential of the tree t: F of the single
-node is f(x0), and F([t1..tm]) applies the m-th derivative of f at x0 to
-the child differentials.  That is a contraction of the derivative table,
+with sigma(t) the tree's symmetry count (alpha(t) = 1/sigma(t)) and F(t)
+the elementary differential of the tree t: F of the single node is f(x0),
+and F([t1..tm]) applies the m-th derivative of f at x0 to the child
+differentials.  That is a contraction of the derivative table,
 
     F([t1..tm])_c = sum_K d_K f_c(x0) * sum_(k_1..k_m) prod_i F(t_i)[k_i],
 
@@ -16,20 +17,17 @@ over the distinct orderings of K.  The table holds the nonzero values only
 and is built once per memo of elementary_differential, so a tree with
 more children than deg f costs nothing.
 
-with sigma(t) the tree's symmetry count (alpha(t) = 1/sigma(t)).  A
-Runge-Kutta step with tableau (A, b) expands the same way with
+A Runge-Kutta step with tableau (A, b) expands the same way with
 weight(t)/sigma(t) in place of 1/(sigma(t) t!), where weight(t) is the
-tableau's elementary weight b . Phi(t) as defined in conditions; stage i's
-slope takes Phi_i(t)/sigma(t) on tau^(q-1).  Every tree series comes from
-one walk over the forest, _tree_series, with one derivative table: its
-factor gives each tree one weight per output series, so all stages of a
-tableau share one walk.  rk_series_trees and stage_series_trees build one
-ElementaryWeights per call, so each subtree's Phi is computed once.
+tableau's elementary weight b . Phi(t) as defined in conditions.  Each
+tree series comes from one walk over the forest, _tree_series, with one
+derivative table.  rk_series_trees builds one ElementaryWeights per call,
+so each subtree's Phi is computed once.
 
 The tree routes run in integers.  F(t) is kept as integer numerators over
-one unreduced denominator, and each tree's weights as integer numerators
+one unreduced denominator, and each tree's weight as an integer numerator
 over sigma(t) t!, or over sigma(t) times the scale of the tableau's
-integer weights.  The trees of one order are summed over the lcm of their
+integer weight.  The trees of one order are summed over the lcm of their
 denominators, so there is one Fraction per component and coefficient.
 
 Each series is also computed a second, structurally unrelated way, by one
@@ -82,8 +80,6 @@ __all__ = [
     "flow_series_picard",
     "rk_series_trees",
     "rk_series_direct",
-    "stage_series_trees",
-    "stage_series_direct",
 ]
 
 
@@ -525,41 +521,34 @@ def _tree_series(
     field: PolyVectorField,
     point: Sequence[Fraction],
     degree: int,
-    count: int,
-    factor: Callable[[RootedTree], tuple[tuple[int, ...], int]],
-) -> list[TauSeries]:
-    """x0 + sum over trees t of order <= degree of w_k(t) * F(t)(x0), k < count.
+    factor: Callable[[RootedTree], tuple[int, int]],
+) -> TauSeries:
+    """x0 + sum over trees t of order <= degree of w(t) * F(t)(x0).
 
-    factor(t) gives the weights as integer numerators over one integer
-    denominator, (w^_1(t), ..., w^_count(t)) and D(t).  One walk over the
-    forest and one derivative table serve all count series; a tree whose
-    weights are all zero costs no differential.  The trees of one order are
-    summed in integers over the lcm of their denominators, so each
-    coefficient is divided once.
+    factor(t) gives the weight as an integer numerator over an integer
+    denominator, w^(t) and D(t); a tree of weight zero costs no
+    differential.  The trees of one order are summed in integers over the
+    lcm of their denominators, so each coefficient is divided once.
     """
     _check_degree(degree)
     x0 = _check_point(field, point)
     table = _DerivativeTable(field, x0)
-    series = [[x0] for _ in range(count)]
+    coeffs = [x0]
     for group in TreesByOrder(degree).groups():
         terms = []
         for tree in group:
-            weights, scale = factor(tree)
-            if any(weights):
+            weight, scale = factor(tree)
+            if weight:
                 numerators, denominator = table.differential(tree)
-                terms.append((weights, numerators, scale * denominator))
+                terms.append((weight, numerators, scale * denominator))
         common = math.lcm(*(denominator for _, _, denominator in terms))
-        totals = [[0] * field.dim for _ in range(count)]
-        for weights, numerators, denominator in terms:
-            lift = common // denominator
-            for total, weight in zip(totals, weights):
-                if weight:
-                    weight *= lift
-                    for c, value in enumerate(numerators):
-                        total[c] += weight * value
-        for coeffs, total in zip(series, totals):
-            coeffs.append(tuple(Fraction(x, common) for x in total))
-    return [TauSeries(tuple(coeffs)) for coeffs in series]
+        total = [0] * field.dim
+        for weight, numerators, denominator in terms:
+            weight *= common // denominator
+            for c, value in enumerate(numerators):
+                total[c] += weight * value
+        coeffs.append(tuple(Fraction(x, common) for x in total))
+    return TauSeries(tuple(coeffs))
 
 
 def _monomial_products(field: PolyVectorField) -> list:
@@ -697,22 +686,11 @@ def _update(
     )
 
 
-def _stage_slopes(
-    tableau: ButcherTableau, field: PolyVectorField, x0: tuple[Fraction, ...], degree: int
-) -> tuple[list[tuple[list[int], ...]], list[int]]:
-    """The stage slopes of tableau through tau^degree, as _slopes returns them."""
-    a, lift = _over_one(tableau.a)
-    return _slopes(field, x0, degree, [partial(_stage_shift, row) for row in a], lift)
-
-
 def flow_series_trees(
     field: PolyVectorField, point: Sequence[Fraction], degree: int
 ) -> TauSeries:
     """Exact-flow expansion assembled tree by tree: weight 1/(sigma(t) * t!)."""
-    (series,) = _tree_series(
-        field, point, degree, 1, lambda tree: ((1,), sigma(tree) * tree_factorial(tree))
-    )
-    return series
+    return _tree_series(field, point, degree, lambda tree: (1, sigma(tree) * tree_factorial(tree)))
 
 
 def flow_series_picard(
@@ -743,12 +721,11 @@ def rk_series_trees(
     """
     weights = tableau.elementary_weights()
 
-    def factor(tree: RootedTree) -> tuple[tuple[int], int]:
+    def factor(tree: RootedTree) -> tuple[int, int]:
         weight, scale = weights.integer_weight(tree)
-        return (weight,), sigma(tree) * scale
+        return weight, sigma(tree) * scale
 
-    (series,) = _tree_series(field, point, degree, 1, factor)
-    return series
+    return _tree_series(field, point, degree, factor)
 
 
 def rk_series_direct(
@@ -760,54 +737,8 @@ def rk_series_direct(
     """One-step expansion x0 + tau * sum_i b_i k_i from the stage slopes; no trees."""
     _check_degree(degree)
     x0 = _check_point(field, point)
-    slopes, scales = _stage_slopes(tableau, field, x0, degree - 1)
-    (b,), lift = _over_one([tableau.b])
-    return _update(x0, partial(_stage_shift, b), lift, slopes, scales)
-
-
-def stage_series_direct(
-    tableau: ButcherTableau,
-    field: PolyVectorField,
-    point: Sequence[Fraction],
-    degree: int,
-) -> tuple[TauSeries, ...]:
-    """Per-stage slope series from the fixed-point route.
-
-    Stages are truncated at max(degree - 1, 0): the update multiplies them
-    by tau, so that is all a degree-truncated step can see.
-    """
-    _check_degree(degree)
-    x0 = _check_point(field, point)
-    slopes, scales = _stage_slopes(tableau, field, x0, max(degree - 1, 0))
-    return tuple(
-        TauSeries(
-            tuple(
-                tuple(Fraction(x, scale) for x in column)
-                for column, scale in zip(zip(*slope), scales)
-            )
-        )
-        for slope in slopes
-    )
-
-
-def stage_series_trees(
-    tableau: ButcherTableau,
-    field: PolyVectorField,
-    point: Sequence[Fraction],
-    degree: int,
-) -> tuple[TauSeries, ...]:
-    """Per-stage slope series from trees: a tree of order q lands on tau^(q-1).
-
-    Stage i is the tree series with weight Phi_i(t) / sigma(t), shifted
-    down one power; it is truncated like stage_series_direct.  All stages
-    come from one walk over the forest.
-    """
-    _check_degree(degree)
-    weights = tableau.elementary_weights()
-
-    def factor(tree: RootedTree) -> tuple[tuple[int, ...], int]:
-        phis, scale = weights.integer_vector(tree)
-        return phis, sigma(tree) * scale
-
-    stages = _tree_series(field, point, max(degree, 1), tableau.stages, factor)
-    return tuple(TauSeries(series.coeffs[1:]) for series in stages)
+    a, d_a = _over_one(tableau.a)
+    shifts = [partial(_stage_shift, row) for row in a]
+    slopes, scales = _slopes(field, x0, degree - 1, shifts, d_a)
+    (b,), d_b = _over_one([tableau.b])
+    return _update(x0, partial(_stage_shift, b), d_b, slopes, scales)

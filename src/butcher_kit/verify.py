@@ -10,12 +10,12 @@ of A are verified all the same and only flagged via row_sum_consistent.
 
 The recursion runs over integers: A and b are scaled to integer numerators
 over one common denominator each, and each tree's weight is divided back
-into a reduced Fraction once (TableauWeights, which also hands the
-unreduced integer pairs to the oracle's tree routes).  Both modes then
-compare that exact weight against 1/tree_factorial(t): exact mode asks for
-a zero residual, float mode compares |residual| against a tolerance after
-conversion, for tableaus whose entries only approximate a method.  A
-residual too large for a float compares as infinite.
+into a reduced Fraction once (TableauWeights, whose integer_weight also
+hands the unreduced integer pair to the oracle's tree routes).  Both modes
+then compare that exact weight against 1/tree_factorial(t): exact mode
+asks for a zero residual, float mode compares |residual| against a
+tolerance after conversion, for tableaus whose entries only approximate a
+method.  A residual too large for a float compares as infinite.
 """
 
 from __future__ import annotations
@@ -135,10 +135,10 @@ class TableauWeights:
     ElementaryWeights runs over integers only.  Each of a tree's |t| - 1
     edges brings one factor of A (a leaf brings its row sum), so
     Phi_i(t) = Phi^_i(t) / D_A^(|t|-1) and b . Phi(t) = b^ . Phi^(t) /
-    (D_b * D_A^(|t|-1)).  integer_vector and integer_weight return those
-    unreduced pairs, for callers that keep summing in integers; vector and
-    weight divide the same pairs, one division per tree instead of one gcd
-    per product and sum.
+    (D_b * D_A^(|t|-1)).  integer_weight returns the unreduced pair of
+    b . Phi(t), for callers that keep summing in integers; vector and weight
+    divide by those scales, one division per tree instead of one gcd per
+    product and sum.
     """
 
     def __init__(self, a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> None:
@@ -150,18 +150,14 @@ class TableauWeights:
         leaf = [sum(x for _, x in row) for row in rows]
         self._integers = ElementaryWeights(rows, leaf, numerators_over(b, self._d_b))
 
-    def integer_vector(self, tree: RootedTree) -> tuple[tuple[int, ...], int]:
-        """(Phi^_1(t), ..., Phi^_s(t)) and their common scale D_A^(|t|-1)."""
-        return self._integers.vector(tree), self._d_a ** (tree.order - 1)
-
     def integer_weight(self, tree: RootedTree) -> tuple[int, int]:
         """b^ . Phi^(t) and its scale D_b * D_A^(|t|-1)."""
         return self._integers.weight(tree), self._d_b * self._d_a ** (tree.order - 1)
 
     def vector(self, tree: RootedTree) -> tuple[Fraction, ...]:
         """(Phi_1(t), ..., Phi_s(t))."""
-        numerators, scale = self.integer_vector(tree)
-        return tuple(Fraction(x, scale) for x in numerators)
+        scale = self._d_a ** (tree.order - 1)
+        return tuple(Fraction(x, scale) for x in self._integers.vector(tree))
 
     def weight(self, tree: RootedTree) -> Fraction:
         """sum_i b[i] * Phi_i(t)."""

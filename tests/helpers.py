@@ -17,7 +17,9 @@ product of arrangement weights, F(t) by repeated directional derivatives,
 and every weight, product and sum a reduced Fraction.
 iteration_series_reference is the oracle's iteration routes the same way:
 plain fixed-point sweeps over truncated Fraction series, one more
-coefficient fixed per sweep.
+coefficient fixed per sweep.  tree_field is the field of Butcher's
+theorem, built over the grafting forest: its exact and discrete flows at 0
+carry every 1/t! and every elementary weight.
 """
 
 import math
@@ -27,6 +29,7 @@ from itertools import groupby
 from hypothesis import strategies as st
 
 from butcher_kit.algebra import CoeffPolynomial
+from butcher_kit.oracle import PolyVectorField
 from butcher_kit.trees import RootedTree
 from butcher_kit.verify import ButcherTableau
 
@@ -262,6 +265,26 @@ def trees_by_grafting(max_order):
             grown |= graft_leaf_everywhere(tree)
         groups.append(tuple(sorted(grown)))
     return tuple(groups)
+
+
+def tree_field(max_order):
+    """The trees of order 1..max_order and the field with one variable per tree.
+
+    Variable t (1-based, in the grafting forest's order) has
+    y_t' = prod over the children c of t of y_c, so a leaf's component is 1.
+    At x0 = 0 its flow is y_t = tau^|t| / t!, and one step of a tableau
+    gives y_t = b . Phi(t) tau^|t| exactly (Butcher's theorem, read off the
+    recursions of t! and Phi).
+    """
+    forest = [tree for group in trees_by_grafting(max_order) for tree in group]
+    index = {tree: k for k, tree in enumerate(forest)}
+    components = []
+    for tree in forest:
+        exponents = [0] * len(forest)
+        for kid in tree.children:
+            exponents[index[kid]] += 1
+        components.append({tuple(exponents): 1})
+    return forest, PolyVectorField(len(forest), tuple(components))
 
 
 def explicit_euler():

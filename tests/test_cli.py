@@ -8,6 +8,8 @@ TestFuzz holds the contract over argvs drawn from a small grammar.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -617,6 +619,11 @@ def test_integer_literal_too_long_to_read_is_input_error(capsys, tmp_path, argv,
 GOLDEN = Path(__file__).parent / "golden"
 _RK4_FIVE = ("verify", "rk4.json", "--max-order", "5")
 _ROTATION = ("oracle", "rotation2d.json", "--x0", "1,0", "--p", "5")
+# The field with one variable per tree of order <= 6, at 0: each of its
+# series' coefficients is 1/t! or b . Phi(t) on one tree's component.
+_TREE_FIELD = (
+    "oracle", "tree_field6.json", "--x0", ",".join(["0"] * 37), "--p", "6", "--tableau", "rk4.json"
+)
 _WHOLE_OUTPUTS = {
     "verify_rk4_exact.txt": (1, _RK4_FIVE),
     "verify_rk4_exact.json": (1, _RK4_FIVE + ("--format", "json")),
@@ -629,6 +636,8 @@ _WHOLE_OUTPUTS = {
     "oracle_rotation2d_unnamed.txt": (0, _ROTATION + ("--tableau", "unnamed")),
     "oracle_rotation2d_unnamed.json": (0, _ROTATION + ("--tableau", "unnamed", "--format", "json")),
     "conditions_3_2.tex": (0, ("conditions", "--order", "3", "--stages", "2", "--format", "latex")),
+    "oracle_tree_field6_rk4.txt": (0, _TREE_FIELD),
+    "oracle_tree_field6_rk4.json": (0, _TREE_FIELD + ("--format", "json")),
 }
 
 
@@ -644,6 +653,47 @@ class TestWholeOutput:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (expected_code, "")
         assert out == (GOLDEN / name).read_text()
+
+
+def _cli(argv, **options):
+    """The CLI as its own process, with this checkout's package on the path."""
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.Popen(
+        [sys.executable, "-m", "butcher_kit.cli", *argv], env=env, cwd=FIXTURES, **options
+    )
+
+
+class TestClosedStdout:
+    # A reader that stops early, as `| head -1` does, closes the pipe.  The
+    # rest of the output is dropped without a word on stderr, and the exit
+    # code stays the run's own.
+    def test_reader_leaves_after_the_first_line(self):
+        # Far more output than a pipe buffers, so the writer meets the close.
+        with _cli(["trees", "--order", "12"], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"[]\n"
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+
+    @pytest.mark.parametrize(
+        "code, argv",
+        [
+            (0, ("trees", "--order", "3")),
+            (0, ("count", "--order", "3")),
+            (0, ("conditions", "--order", "3", "--generic", "--format", "json")),
+            (0, ("verify", "rk4.json", "--max-order", "4")),
+            (1, ("verify", "rk4.json", "--max-order", "5")),
+            (0, ("oracle", "rotation2d.json", "--x0", "1,0", "--p", "3", "--tableau", "rk4.json")),
+        ],
+    )
+    def test_reader_gone_before_the_first_byte(self, code, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            with _cli(argv, stdout=write, stderr=subprocess.PIPE) as proc:
+                assert (proc.wait(timeout=60), proc.stderr.read()) == (code, b"")
+        finally:
+            os.close(write)
 
 
 class TestArgumentHandling:

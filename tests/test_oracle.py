@@ -8,7 +8,9 @@ stability polynomials) pin the normalization.  The contraction behind
 elementary_differential is also checked against the plain formula,
 repeated directional derivatives of the field.  Both kinds of route run
 in integers, and each is checked against the same series built Fraction by
-Fraction.
+Fraction.  On the tree field of Butcher's theorem the iteration routes
+recompute every 1/t! and every elementary weight, stage by stage, on
+their own.
 """
 
 import random
@@ -16,6 +18,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +35,7 @@ from helpers import (
     iteration_series_reference,
     random_tableaus,
     rk4,
+    tree_field,
     tree_series_reference,
 )
 
@@ -51,10 +55,9 @@ from butcher_kit.oracle import (
     parse_point,
     rk_series_direct,
     rk_series_trees,
-    stage_series_direct,
-    stage_series_trees,
 )
 from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial
+from butcher_kit.verify import ButcherTableau
 
 F = Fraction
 
@@ -562,15 +565,12 @@ class TestHandExpansions:
 
     def test_implicit_midpoint_linear_stability(self):
         # (1 + tau/2) / (1 - tau/2) = 1 + sum_{q>=1} tau^q / 2^(q-1), through
-        # degree 12, twice the CLI's cap; the stage slope 1 / (1 - tau/2)
-        # has coefficients 1 / 2^q.
+        # degree 12, twice the CLI's cap.
         point = (F(1),)
         expected = [F(1)] + [F(1, 2 ** (q - 1)) for q in range(1, 13)]
         for route in (rk_series_direct, rk_series_trees):
             series = route(implicit_midpoint(), LINEAR_1D, point, 12)
             assert [row[0] for row in series.coeffs] == expected, route.__name__
-        (stage,) = stage_series_direct(implicit_midpoint(), LINEAR_1D, point, 12)
-        assert [row[0] for row in stage.coeffs] == [F(1, 2**q) for q in range(12)]
 
     def test_quadratic_flow_is_a_geometric_series(self):
         # x' = x^2 has x(tau) = x0 / (1 - x0 tau), through degree 12.
@@ -585,13 +585,6 @@ class TestHandExpansions:
         assert series.coeffs[0] == (F(1), F(2))
         assert series.coeffs[1] == MIXED.evaluate((F(1), F(2)))
         assert all(row == (F(0), F(0)) for row in series.coeffs[2:])
-
-    def test_rk4_second_stage_on_linear_field(self):
-        stages = stage_series_trees(rk4(), LINEAR_1D, (F(1),), 5)
-        assert len(stages) == 4
-        assert [row[0] for row in stages[1].coeffs] == [
-            F(1), F(1, 2), F(0), F(0), F(0),
-        ]
 
     def test_degree_zero_series_is_the_point(self, monkeypatch):
         # The tree routes walk an empty forest: they build no tree.
@@ -647,34 +640,6 @@ class TestDiscreteRoutesAgree:
                 direct = rk_series_direct(tableau, field, point, 5)
                 assert trees == direct, tableau.name
 
-    def test_stage_series_routes_agree(self):
-        # Degree 0 still gives each stage its tau^0 slope, f(x0).
-        rng = random.Random(20260824)
-        for _ in range(5):
-            field = _random_field(rng)
-            point = _random_point(rng)
-            for tableau, degree in product(self.TABLEAUS, range(6)):
-                via_trees = stage_series_trees(tableau, field, point, degree)
-                via_direct = stage_series_direct(tableau, field, point, degree)
-                assert via_trees == via_direct, (tableau.name, degree)
-                assert len(via_trees) == tableau.stages
-                assert all(series.degree == max(degree - 1, 0) for series in via_trees)
-
-    def test_stage_series_trees_walks_the_forest_once(self, monkeypatch):
-        # One walk means one differential memo, so one derivative table for
-        # all four stages of rk4.
-        built = []
-        table = oracle._DerivativeTable
-
-        def counting(*args):
-            built.append(args)
-            return table(*args)
-
-        monkeypatch.setattr(oracle, "_DerivativeTable", counting)
-        stages = stage_series_trees(rk4(), MIXED, (F(1, 3), F(-1, 2)), 5)
-        assert len(stages) == 4
-        assert len(built) == 1
-
     def test_discrete_matches_flow_through_the_method_order(self):
         point = (F(1, 3), F(-1, 2))
         flow = flow_series_trees(MIXED, point, 6)
@@ -727,21 +692,14 @@ class TestTreeRoutesMatchTheFractionReference:
         field, point = field_and_point
         weights = tableau.elementary_weights()
 
-        def reference(count, factor, top=degree):
-            return tree_series_reference(field, point, top, count, factor)
+        def reference(factor):
+            (series,) = tree_series_reference(field, point, degree, 1, lambda t: (factor(t),))
+            return series
 
-        (flow,) = reference(1, lambda t: (alpha_by_arrangements(t) / tree_factorial(t),))
+        flow = reference(lambda t: alpha_by_arrangements(t) / tree_factorial(t))
         assert flow_series_trees(field, point, degree).coeffs == flow
-        (step,) = reference(1, lambda t: (alpha_by_arrangements(t) * weights.weight(t),))
+        step = reference(lambda t: alpha_by_arrangements(t) * weights.weight(t))
         assert rk_series_trees(tableau, field, point, degree).coeffs == step
-        stages = reference(
-            tableau.stages,
-            lambda t: tuple(alpha_by_arrangements(t) * phi for phi in weights.vector(t)),
-            max(degree, 1),
-        )
-        assert [series.coeffs for series in stage_series_trees(tableau, field, point, degree)] == [
-            coeffs[1:] for coeffs in stages
-        ]
 
 
 class TestIterationRoutesMatchTheFractionReference:
@@ -774,9 +732,55 @@ class TestIterationRoutesMatchTheFractionReference:
         field, point = field_and_point
         flow, _ = iteration_series_reference(field, point, degree)
         assert flow_series_picard(field, point, degree).coeffs == flow
-        step, stages = iteration_series_reference(field, point, degree, tableau)
+        step, _ = iteration_series_reference(field, point, degree, tableau)
         assert rk_series_direct(tableau, field, point, degree).coeffs == step
-        assert [s.coeffs for s in stage_series_direct(tableau, field, point, degree)] == stages
+
+
+class TestTreeField:
+    # Butcher's theorem as a check.  On the field with one variable per tree
+    # of order <= 6 (helpers.tree_field), the exact flow from 0 is
+    # y_t = tau^|t| / t! and one step is y_t = b . Phi(t) tau^|t|.  The
+    # iteration routes know no trees, so they recompute every 1/t! and every
+    # elementary weight on their own; with b a unit vector e_i, the step
+    # gives stage i's Phi_i(t).  The tree routes must agree with them here
+    # too, sigma and all.
+    FOREST, FIELD = tree_field(6)
+    ZERO = (F(0),) * len(FOREST)
+
+    def _tree_monomials(self, value):
+        """Coefficients through tau^6 with value(t) on component t at tau^|t|
+        and zero elsewhere."""
+        return tuple(
+            tuple(value(tree) if tree.order == q else F(0) for tree in self.FOREST)
+            for q in range(7)
+        )
+
+    def test_fixture_is_the_tree_field(self):
+        text = (Path(__file__).parent / "fixtures" / "tree_field6.json").read_text()
+        assert load_field(text) == self.FIELD
+
+    def test_flow_gives_every_tree_factorial(self):
+        picard = flow_series_picard(self.FIELD, self.ZERO, 6)
+        assert picard.coeffs == self._tree_monomials(lambda t: F(1, tree_factorial(t)))
+        assert flow_series_trees(self.FIELD, self.ZERO, 6) == picard
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(tableau=random_tableaus())
+    @example(tableau=rk4())
+    @example(tableau=implicit_midpoint())
+    @example(tableau=explicit_euler())
+    @example(tableau=butcher6(*BUTCHER6_SAMPLES[0]))
+    def test_step_gives_every_elementary_weight(self, tableau):
+        weights = tableau.elementary_weights()
+        units = [tuple(F(int(i == j)) for j in range(tableau.stages)) for i in range(tableau.stages)]
+        checks = [(tableau.b, weights.weight)] + [
+            (unit, lambda t, i=i: weights.vector(t)[i]) for i, unit in enumerate(units)
+        ]
+        for b, value in checks:
+            method = ButcherTableau(tableau.name, tableau.a, b, tableau.c)
+            direct = rk_series_direct(method, self.FIELD, self.ZERO, 6)
+            assert direct.coeffs == self._tree_monomials(value), b
+            assert rk_series_trees(method, self.FIELD, self.ZERO, 6) == direct, b
 
 
 class TestHeavyField:
