@@ -13,6 +13,7 @@ first; rendering and iteration are deterministic.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -80,9 +81,12 @@ def format_rational(value: Fraction) -> str:
         ) from None
 
 
-def numerators_over(values: Iterable[Fraction], denominator: int) -> tuple[int, ...]:
-    """The numerators of values written over a common multiple of their denominators."""
-    return tuple(x.numerator * (denominator // x.denominator) for x in values)
+def integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of rationals as integer rows over one denominator, the lcm of theirs."""
+    rows = [tuple(row) for row in rows]
+    denominator = math.lcm(*(x.denominator for row in rows for x in row))
+    scaled = [tuple(x.numerator * (denominator // x.denominator) for x in row) for row in rows]
+    return scaled, denominator
 
 
 _KIND_RANK = {"b": 0, "c": 1, "a": 2}

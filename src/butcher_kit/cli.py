@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from .oracle import (
     rk_series_direct,
     rk_series_trees,
 )
-from .trees import enumerate_by_leaf, format_tree, tree_factorial
+from .trees import enumerate_by_leaf, format_tree, tree_counts, tree_factorial
 from .verify import load_tableau, verify_order
 
 SCHEMA = "butcher-kit/1"
@@ -49,18 +50,16 @@ _ORDER_CAP = 14
 # conditions without --generic: a full A has S^2 variables (--order 2
 # --stages 100: 0.5 s, 28 MB).
 _STAGES_CAP = 100
-# Rooted trees of each order 1..14 (OEIS A000081).
-_TREES_OF_ORDER = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973)
 
 
 def _condition_size(order: int, stages: int, flags: GenerationFlags) -> tuple[int, int]:
     """(size estimate, cap) of the order-P conditions without --generic.
 
     A condition sums over k stage indices: k = P, or P - 1 when leaves are
-    written as c[i].  The estimate is trees_of_order(P) times S^k index
-    choices, or C(S + k - 1, k) with explicit A, where every index lies
-    below its parent's.  A leaf written as c[i] costs one variable, not a row
-    sum, hence the larger cap with --subst-c.  Measured on a 2-core Xeon,
+    written as c[i].  The estimate is the number of trees of order P times
+    S^k index choices, or C(S + k - 1, k) with explicit A, where every index
+    lies below its parent's.  A leaf written as c[i] costs one variable, not
+    a row sum, hence the larger cap with --subst-c.  Measured on a 2-core Xeon,
     accepted sizes near the caps take 20-36 s and 200-360 MB (--order 6
     --stages 6; --order 8 --stages 8 --explicit; --order 6 --stages 13
     --subst-c), refused ones just above them 44-80 s and 560-660 MB
@@ -69,7 +68,7 @@ def _condition_size(order: int, stages: int, flags: GenerationFlags) -> tuple[in
     k = order - 1 if flags.substitute_c else order
     choices = math.comb(stages + k - 1, k) if flags.explicit else stages**k
     cap = 10_000_000 if flags.substitute_c else 1_000_000
-    return _TREES_OF_ORDER[order - 1] * choices, cap
+    return tree_counts(order)[-1] * choices, cap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,6 +295,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         required <= args.max_order, "--require-order cannot exceed --max-order"
     )
     _require(args.tol >= 0, "--tol must be >= 0")
+    _require(math.isfinite(args.tol), "--tol must be finite")
     tableau = load_tableau(Path(args.tableau).read_text())
     report = verify_order(tableau, args.max_order, mode=args.mode, tol=args.tol)
     if args.format == "json":
@@ -405,10 +405,27 @@ _COMMANDS = {
 }
 
 
+# argparse takes an argument that starts with "-" for an option unless it
+# reads like "-1" or "-0.5", so a point such as "-2/3" or "-1,0" after
+# --x0 (or its abbreviation --x) would leave the flag without its value.
+_NEGATIVE_POINT = re.compile(r"-[0-9]")
+
+
+def _join_points(argv: Sequence[str]) -> list[str]:
+    """argv with "--x0" and a following negative point as one "--x0=<point>"."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in ("--x", "--x0") and _NEGATIVE_POINT.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        parsed = parser.parse_args(argv)
+        parsed = parser.parse_args(_join_points(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:

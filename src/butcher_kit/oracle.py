@@ -17,18 +17,21 @@ over the distinct orderings of K.  The table holds the nonzero values only
 and is built once per memo of elementary_differential, so a tree with
 more children than deg f costs nothing.
 
-A Runge-Kutta step with tableau (A, b) expands the same way with
-weight(t)/sigma(t) in place of 1/(sigma(t) t!), where weight(t) is the
-tableau's elementary weight b . Phi(t) as defined in conditions.  Each
-tree series comes from one walk over the forest, _tree_series, with one
-derivative table.  rk_series_trees builds one ElementaryWeights per call,
-so each subtree's Phi is computed once.
+A Runge-Kutta step with tableau (A, b) expands the same way, so both are
+one Butcher series, x0 + sum_t tau^|t| w(t) F(t)(x0) / sigma(t), with
+w(t) = 1/t! for the flow and w(t) = b . Phi(t), the tableau's elementary
+weight as defined in conditions, for the step.  Each tree series comes
+from one walk over the forest, _tree_series, with one derivative table;
+a route gives only its w, and the walk applies sigma(t).  rk_series_trees
+builds one ElementaryWeights per call, so each subtree's Phi is computed
+once.
 
 The tree routes run in integers.  F(t) is kept as integer numerators over
-one unreduced denominator, and each tree's weight as an integer numerator
-over sigma(t) t!, or over sigma(t) times the scale of the tableau's
-integer weight.  The trees of one order are summed over the lcm of their
-denominators, so there is one Fraction per component and coefficient.
+one unreduced denominator, and each w(t) as an integer numerator over its
+own scale: t! for the flow, the scale of the tableau's integer weight for
+the step.  The walk multiplies sigma(t) into that scale and sums the trees
+of one order over the lcm of their denominators, so there is one Fraction
+per component and coefficient.
 
 Each series is also computed a second, structurally unrelated way, by one
 engine, _slopes: it solves k_i = f(x0 + tau * shift_i(k)) in the series
@@ -64,7 +67,7 @@ from functools import partial
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .algebra import UNSIGNED_RATIONAL, format_rational, numerators_over, parse_rational
+from .algebra import UNSIGNED_RATIONAL, format_rational, integer_rows, parse_rational
 from .trees import RootedTree, TreesByOrder, sigma, tree_factorial
 from .verify import ButcherTableau, check_list, read_document, size_field
 
@@ -379,8 +382,9 @@ def elementary_differential(
     Pass one memo dict across calls when evaluating many trees of the same
     field at the same point: the memo keeps the derivative table, which is
     built once per memo and keeps each subtree's differential, and
-    subtrees repeat heavily across a forest.  A memo whose table belongs to
-    another field or point raises ValueError.
+    subtrees repeat heavily across a forest.  A point whose length is not
+    the field's dim, or a memo whose table belongs to another field or
+    point, raises ValueError.
     """
     if memo is None:
         memo = {}
@@ -412,7 +416,7 @@ class _DerivativeTable:
 
     def __init__(self, field: PolyVectorField, point: Sequence[Fraction]) -> None:
         self._field = field
-        self._point = tuple(point)
+        self.point = _check_point(field, point)  # x0 as Fractions, one per variable
         self._dim = field.dim
         # Sorted indices K with the term tables of d_K f_c, at the last level built.
         self._frontier = [((), field.components)]
@@ -423,22 +427,22 @@ class _DerivativeTable:
 
     def serves(self, field: PolyVectorField, point: Sequence[Fraction]) -> bool:
         """Whether this table was built for field at point."""
-        return field == self._field and tuple(point) == self._point
+        return field == self._field and tuple(point) == self.point
 
     def _level(self, m: int) -> tuple[int, list]:
         while len(self._levels) <= m and self._frontier:
-            rows, frontier = [], []
+            arrangements, values, frontier = [], [], []
             for indices, tables in self._frontier:
-                values = tuple(_value(table, self._point) for table in tables)
-                if any(values):
-                    rows.append((_arrangements(indices), values))
+                row = tuple(_value(table, self.point) for table in tables)
+                if any(row):
+                    arrangements.append(_arrangements(indices))
+                    values.append(row)
                 for k in range(indices[-1] if indices else 0, self._dim):
                     partials = tuple(_partial(table, k) for table in tables)
                     if any(partials):
                         frontier.append((indices + (k,), partials))
-            denominator = math.lcm(*(x.denominator for _, values in rows for x in values))
-            scaled = [(arr, numerators_over(values, denominator)) for arr, values in rows]
-            self._levels.append((denominator, scaled))
+            numerators, denominator = integer_rows(values)
+            self._levels.append((denominator, list(zip(arrangements, numerators))))
             self._frontier = frontier
         return self._levels[m] if m < len(self._levels) else (1, [])
 
@@ -521,32 +525,32 @@ def _tree_series(
     field: PolyVectorField,
     point: Sequence[Fraction],
     degree: int,
-    factor: Callable[[RootedTree], tuple[int, int]],
+    weight: Callable[[RootedTree], tuple[int, int]],
 ) -> TauSeries:
-    """x0 + sum over trees t of order <= degree of w(t) * F(t)(x0).
+    """The Butcher series x0 + sum over trees t of order <= degree of
+    w(t) / sigma(t) * F(t)(x0), which both tree routes share.
 
-    factor(t) gives the weight as an integer numerator over an integer
-    denominator, w^(t) and D(t); a tree of weight zero costs no
+    weight(t) gives w(t) as an integer numerator over an integer scale, and
+    the walk divides by sigma(t) itself; a tree of weight zero costs no
     differential.  The trees of one order are summed in integers over the
     lcm of their denominators, so each coefficient is divided once.
     """
     _check_degree(degree)
-    x0 = _check_point(field, point)
-    table = _DerivativeTable(field, x0)
-    coeffs = [x0]
+    table = _DerivativeTable(field, point)
+    coeffs = [table.point]
     for group in TreesByOrder(degree).groups():
         terms = []
         for tree in group:
-            weight, scale = factor(tree)
-            if weight:
+            numerator, scale = weight(tree)
+            if numerator:
                 numerators, denominator = table.differential(tree)
-                terms.append((weight, numerators, scale * denominator))
+                terms.append((numerator, numerators, scale * sigma(tree) * denominator))
         common = math.lcm(*(denominator for _, _, denominator in terms))
         total = [0] * field.dim
-        for weight, numerators, denominator in terms:
-            weight *= common // denominator
+        for numerator, numerators, denominator in terms:
+            numerator *= common // denominator
             for c, value in enumerate(numerators):
-                total[c] += weight * value
+                total[c] += numerator * value
         coeffs.append(tuple(Fraction(x, common) for x in total))
     return TauSeries(tuple(coeffs))
 
@@ -605,15 +609,16 @@ def _slopes(
     argument, from the K's through r.  Returns (slopes, scales): the K's,
     and scales[r] = F * d^E * g^r * r!.  Degree -1 gives empty slopes.
     """
-    d = math.lcm(*(x.denominator for x in x0))
-    terms = [term for component in field.components for term in component]
-    f_scale = math.lcm(*(c.denominator for _, c in terms))
-    top = max([1] + [sum(monomial) for monomial, _ in terms])
+    (numerators,), d = integer_rows([x0])
+    coefficients, f_scale = integer_rows(
+        [c for _, c in component] for component in field.components
+    )
+    top = max([1] + [sum(monomial) for component in field.components for monomial, _ in component])
     g = lift * f_scale * d ** (top - 1)
     # Per component, (m, C^_m * d^(E - e_m)) for each of its terms C_m * m.
     weighted = [
-        [(m, c.numerator * (f_scale // c.denominator) * d ** (top - sum(m))) for m, c in component]
-        for component in field.components
+        [(m, c * d ** (top - sum(m))) for (m, _), c in zip(component, row)]
+        for component, row in zip(field.components, coefficients)
     ]
     products = _monomial_products(field)
     units = [tuple(int(i == v) for i in range(len(x0))) for v in range(len(x0))]
@@ -622,7 +627,7 @@ def _slopes(
     # variable's series is the argument's component.
     powers = [
         {(0,) * len(x0): constant}
-        | {unit: [x] for unit, x in zip(units, numerators_over(x0, d))}
+        | {unit: [x] for unit, x in zip(units, numerators)}
         | {monomial: [] for monomial, _ in products}
         for _ in shifts
     ]
@@ -645,12 +650,6 @@ def _slopes(
         scales.append(scale)
         scale *= g * (r + 1)
     return slopes, scales
-
-
-def _over_one(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
-    """Rows of rationals as integer rows over one common denominator."""
-    denominator = math.lcm(*(x.denominator for row in rows for x in row))
-    return [numerators_over(row, denominator) for row in rows], denominator
 
 
 def _stage_shift(row: Sequence[int], slopes: list, r: int) -> tuple[int, ...]:
@@ -689,8 +688,8 @@ def _update(
 def flow_series_trees(
     field: PolyVectorField, point: Sequence[Fraction], degree: int
 ) -> TauSeries:
-    """Exact-flow expansion assembled tree by tree: weight 1/(sigma(t) * t!)."""
-    return _tree_series(field, point, degree, lambda tree: (1, sigma(tree) * tree_factorial(tree)))
+    """Exact-flow expansion assembled tree by tree: w(t) = 1/t!."""
+    return _tree_series(field, point, degree, lambda tree: (1, tree_factorial(tree)))
 
 
 def flow_series_picard(
@@ -716,16 +715,9 @@ def rk_series_trees(
 ) -> TauSeries:
     """One-step expansion assembled from elementary weights, tree by tree.
 
-    Tree t weighs b . Phi(t) / sigma(t), taken from the tableau's integer
-    weights without reducing.
+    w(t) = b . Phi(t), the tableau's integer weight over its scale, unreduced.
     """
-    weights = tableau.elementary_weights()
-
-    def factor(tree: RootedTree) -> tuple[int, int]:
-        weight, scale = weights.integer_weight(tree)
-        return weight, sigma(tree) * scale
-
-    return _tree_series(field, point, degree, factor)
+    return _tree_series(field, point, degree, tableau.elementary_weights().integer_weight)
 
 
 def rk_series_direct(
@@ -737,8 +729,8 @@ def rk_series_direct(
     """One-step expansion x0 + tau * sum_i b_i k_i from the stage slopes; no trees."""
     _check_degree(degree)
     x0 = _check_point(field, point)
-    a, d_a = _over_one(tableau.a)
+    a, d_a = integer_rows(tableau.a)
     shifts = [partial(_stage_shift, row) for row in a]
     slopes, scales = _slopes(field, x0, degree - 1, shifts, d_a)
-    (b,), d_b = _over_one([tableau.b])
+    (b,), d_b = integer_rows([tableau.b])
     return _update(x0, partial(_stage_shift, b), d_b, slopes, scales)

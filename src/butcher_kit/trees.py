@@ -194,6 +194,19 @@ class TreesByOrder:
         return chain.from_iterable(self.groups())
 
 
+def tree_counts(max_order: int) -> tuple[int, ...]:
+    """The number of trees of each order 1..max_order (OEIS A000081),
+    counted without building any: a(1) = 1 and
+
+        a(n+1) = (1/n) sum_{k=1..n} s(k) a(n-k+1),  s(k) = sum_{d | k} d a(d).
+    """
+    a, s = [0, 1], [0]
+    for n in range(1, max_order):
+        s.append(sum(d * a[d] for d in range(1, n + 1) if n % d == 0))
+        a.append(sum(s[k] * a[n - k + 1] for k in range(1, n + 1)) // n)
+    return tuple(a[1 : max_order + 1])
+
+
 def enumerate_by_leaf(max_order: int) -> TreesByOrder:
     """All trees of order 1..max_order, every group already built.
 

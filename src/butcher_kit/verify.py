@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .algebra import format_rational, numerators_over, parse_rational
+from .algebra import format_rational, integer_rows, parse_rational
 from .conditions import ElementaryWeights
 from .trees import RootedTree, TreesByOrder, format_tree, tree_factorial
 
@@ -136,19 +136,18 @@ class TableauWeights:
     edges brings one factor of A (a leaf brings its row sum), so
     Phi_i(t) = Phi^_i(t) / D_A^(|t|-1) and b . Phi(t) = b^ . Phi^(t) /
     (D_b * D_A^(|t|-1)).  integer_weight returns the unreduced pair of
-    b . Phi(t), for callers that keep summing in integers; vector and weight
-    divide by those scales, one division per tree instead of one gcd per
-    product and sum.
+    b . Phi(t), for callers that keep summing in integers: the oracle's tree
+    route takes it as the step's w(t) over its scale unchanged.  vector and
+    weight divide by those scales, one division per tree instead of one gcd
+    per product and sum.
     """
 
     def __init__(self, a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> None:
-        self._d_a = math.lcm(*(x.denominator for row in a for x in row))
-        self._d_b = math.lcm(*(x.denominator for x in b))
-        rows = [
-            [(j, x) for j, x in enumerate(numerators_over(row, self._d_a)) if x] for row in a
-        ]
+        a, self._d_a = integer_rows(a)
+        (b,), self._d_b = integer_rows([b])
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
         leaf = [sum(x for _, x in row) for row in rows]
-        self._integers = ElementaryWeights(rows, leaf, numerators_over(b, self._d_b))
+        self._integers = ElementaryWeights(rows, leaf, b)
 
     def integer_weight(self, tree: RootedTree) -> tuple[int, int]:
         """b^ . Phi^(t) and its scale D_b * D_A^(|t|-1)."""
@@ -357,20 +356,23 @@ def verify_order(
     """Largest order p <= max_order whose conditions all hold.
 
     Ascends order by order and stops at the first order with a failure;
-    residuals for that order are still reported in full.
+    residuals for that order are still reported in full.  A tol that is not
+    finite raises TableauError: an infinite one would pass every residual.
     """
     if max_order < 1:
         raise TableauError("max_order must be >= 1")
     if mode not in ("exact", "float"):
         raise TableauError(f"mode must be 'exact' or 'float', got {mode!r}")
+    if not math.isfinite(tol):
+        raise TableauError(f"tol must be finite, got {tol}")
 
     def passes(value: Fraction) -> bool:
         if mode == "exact":
             return value == 0
         try:
             return abs(float(value)) <= tol
-        except OverflowError:  # beyond float range: infinite
-            return math.inf <= tol
+        except OverflowError:  # beyond float range: infinite, above any tol
+            return False
 
     weights = tableau.elementary_weights()
     entries: list[ResidualEntry] = []

@@ -28,6 +28,7 @@ BUTCHER6 = str(FIXTURES / "butcher6_u2-5_v1-3.json")
 LINEAR = str(FIXTURES / "linear1d.json")
 QUAD = str(FIXTURES / "quad1d.json")
 ROTATION = str(FIXTURES / "rotation2d.json")
+MIDPOINT = str(FIXTURES / "implicit_midpoint.json")
 
 
 _TOO_LONG_TO_PRINT = (
@@ -353,6 +354,19 @@ class TestVerify:
         assert "FAIL" in out
         assert err == ""
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "Infinity"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, tol, fmt):
+        # An infinite tolerance would pass every residual, and JSON has no
+        # literal to write it.
+        code, out, err = run(
+            capsys, "verify", MIDPOINT, "--max-order", "3", "--mode", "float",
+            "--tol", tol, "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --tol must be finite\n"
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "verify", "no-such.json", "--max-order", "2")
         assert code == 2
@@ -585,6 +599,30 @@ class TestOracle:
             "",
             f"error: point entry 1: numerator has more than {MAX_POINT_DIGITS} digits\n",
         )
+
+    @pytest.mark.parametrize(
+        "name,x0,shown",
+        [
+            ("quad1d", "-2/3", "x0: (-2/3)"),
+            ("rotation2d", "-1,0", "x0: (-1, 0)"),
+            ("rotation2d", "-1/2,-0.5", "x0: (-1/2, -1/2)"),
+            ("linear1d", "-1", "x0: (-1)"),
+        ],
+    )
+    def test_negative_first_entry_as_its_own_argument(self, capsys, name, x0, shown):
+        field = str(FIXTURES / f"{name}.json")
+        code, out, err = run(capsys, "oracle", field, "--x0", x0, "--p", "2")
+        assert (code, err) == (0, "")
+        assert shown in out.splitlines()
+        assert run(capsys, "oracle", field, f"--x0={x0}", "--p", "2") == (code, out, err)
+        assert run(capsys, "oracle", field, "--x", x0, "--p", "2") == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [["--x0"], ["--x0", "--p", "2"], ["--p", "2", "--x0"]])
+    def test_x0_without_a_value_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "oracle", ROTATION, *argv)
+        assert code == 2
+        assert out == ""
+        assert "argument --x0: expected one argument" in err
 
     def test_malformed_point(self, capsys):
         code, _, err = run(capsys, "oracle", LINEAR, "--x0", "huh", "--p", "3")

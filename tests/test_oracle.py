@@ -495,6 +495,16 @@ class TestElementaryDifferentials:
             elementary_differential(cube, parse_tree("[[]]"), (F(2),), memo)
         assert elementary_differential(cube, parse_tree("[[]]"), (F(2),)) == (F(96),)
 
+    def test_point_of_another_length_is_refused(self):
+        # (x1*x2, x2) at a point of one entry has no x2 to read.
+        field = PolyVectorField.from_strings(2, ["x1*x2", "x2"])
+        for point in ((F(2),), (F(2), F(1), F(0))):
+            with pytest.raises(ValueError, match=f"^point has {len(point)} entries, expected 2$"):
+                elementary_differential(field, parse_tree("[]"), point)
+            with pytest.raises(ValueError, match="expected 2"):
+                elementary_differential(field, parse_tree("[[]]"), point, {})
+        assert elementary_differential(field, parse_tree("[]"), (F(2), F(1))) == (F(2), F(1))
+
     @pytest.mark.parametrize(
         "field,point",
         [

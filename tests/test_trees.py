@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from helpers import alpha_by_arrangements, symmetry_delta, trees_by_grafting
 
-from butcher_kit.cli import _ORDER_CAP, _TREES_OF_ORDER
+from butcher_kit.cli import _ORDER_CAP
 from butcher_kit.trees import (
     MAX_PARSE_DEPTH,
     RootedTree,
@@ -42,10 +42,13 @@ from butcher_kit.trees import (
     format_tree,
     parse_tree,
     sigma,
+    tree_counts,
     tree_factorial,
 )
 
 KNOWN_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)
+# OEIS A000081 at orders 1..14.
+A000081 = KNOWN_COUNTS + (1842, 4766, 12486, 32973)
 
 # A tree shape with its children in a given order: a tuple of shapes.
 ORDERED_SHAPES = st.recursive(
@@ -62,20 +65,6 @@ def _build(shape, rng=None):
 
 def _text_in_given_order(shape):
     return "[" + ",".join(_text_in_given_order(kid) for kid in shape) + "]"
-
-
-def _a000081(n):
-    """Rooted trees with 1..n nodes, by a(m+1) = (1/m) sum_k s(k) a(m-k+1),
-    where s(k) is the sum of d * a(d) over the divisors d of k."""
-    a = [0, 1]
-    for m in range(1, n):
-        total = sum(
-            sum(d * a[d] for d in range(1, k + 1) if k % d == 0) * a[m - k + 1]
-            for k in range(1, m + 1)
-        )
-        assert total % m == 0
-        a.append(total // m)
-    return tuple(a[1:])
 
 
 def _chain(q):
@@ -173,11 +162,13 @@ class TestEnumeration:
             enumerate_by_leaf(0)
 
     def test_counts_follow_the_a000081_recurrence(self):
-        assert _a000081(10) == KNOWN_COUNTS
+        for p in range(13):
+            assert tree_counts(p) == TreesByOrder(p).counts()
         # Through the CLI's order cap, whose size limits are priced from
-        # its own table of counts.
-        assert enumerate_by_leaf(_ORDER_CAP).counts() == _a000081(_ORDER_CAP)
-        assert _TREES_OF_ORDER == _a000081(_ORDER_CAP)
+        # the recurrence.
+        assert len(A000081) >= _ORDER_CAP
+        assert tree_counts(_ORDER_CAP) == A000081[:_ORDER_CAP]
+        assert enumerate_by_leaf(_ORDER_CAP).counts() == A000081[:_ORDER_CAP]
 
     def test_every_enumerated_tree_has_its_group_order(self):
         forest = enumerate_by_leaf(7)

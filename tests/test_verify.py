@@ -317,7 +317,11 @@ class TestVerifyOrder:
         assert report.achieved_order == 0
         assert not report.residuals[0].passed
         assert report.residuals[0].residual == 10**400 - 1
-        assert verify_order(huge, 1, mode="float", tol=math.inf).achieved_order == 1
+
+    @pytest.mark.parametrize("tol", [math.inf, float("1e400"), -math.inf, math.nan])
+    def test_non_finite_tolerance_is_refused(self, tol):
+        with pytest.raises(TableauError, match="^tol must be finite"):
+            verify_order(implicit_midpoint(), 3, mode="float", tol=tol)
 
     def test_failing_order_stops_the_forest(self, monkeypatch):
         # rk4 fails at order 5, so no tree above order 5 may be built,
