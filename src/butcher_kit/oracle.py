@@ -13,9 +13,12 @@ differentials.  That is a contraction of the derivative table,
     F([t1..tm])_c = sum_K d_K f_c(x0) * sum_(k_1..k_m) prod_i F(t_i)[k_i],
 
 with K running over the sorted index multisets of size m and (k_1..k_m)
-over the distinct orderings of K.  The table holds the nonzero values only
-and is built once per memo of elementary_differential, so a tree with
-more children than deg f costs nothing.
+over the distinct orderings of K.  Each level m of the table is read off
+the field's terms: for every j <= e with |j| = m, a term c x^e adds
+c prod_k perm(e_k, j_k) x0_k^(e_k - j_k) to d_K f at the K that holds
+each k j_k times.  The table holds the nonzero values only and is built
+once per memo of elementary_differential, so a tree with more children
+than deg f costs nothing.
 
 A Runge-Kutta step with tableau (A, b) expands the same way, so both are
 one Butcher series, x0 + sum_t tau^|t| w(t) F(t)(x0) / sigma(t), with
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -108,12 +112,13 @@ class FieldSyntaxError(ValueError):
 MAX_FIELD_DEGREE = 400
 
 # The largest field dimension; a larger "dim" is refused right after it is
-# read, before any component is parsed.  Work grows about as dim^2 to
-# dim^3: on a 2-core Xeon, the field x<i+2>^2 + x<i+1> (wrapping around)
-# at x0 = (1/2, ...) with butcher6 at --p 6 takes 0.3 s at dim 50, 1.8 s at
-# dim 100 and 4.8 s at dim 150 (one CLI run each, in process).  With rk4
-# at --p 2, 1,000 components "x1" take 3.1 s, and 4,000 took 76 s and
-# 268 MB.
+# read, before any component is parsed.  Work grows about as dim to dim^2:
+# on a 2-core Xeon, the field x<i+2>^2 + x<i+1> (wrapping around) at
+# x0 = (1/2, ...) with butcher6 at --p 6 takes 0.05 s at dim 50, 0.10 s at
+# dim 100 and 0.23 s at dim 150 (CPU time of one CLI run each, in process).
+# With rk4 at --p 2, 1,000 components "x1" take 1.0 s, and 4,000 took 11 s
+# and 269 MB.  Denser fields cost far more: with 50 degree-5 terms per
+# component at dim 100, each tree route takes 12-15 s and 217 MB.
 MAX_FIELD_DIM = 100
 
 # Component grammar, read left to right in one pass by _parse_component:
@@ -237,6 +242,8 @@ class PolyVectorField:
                         f"exponent tuple {exponents} does not match dim {self.dim}"
                     )
                 key = tuple(exponents)
+                if not all(type(e) is int and e >= 0 for e in key):
+                    raise ValueError(f"exponent tuple {key} must hold non-negative ints")
                 terms[key] = terms.get(key, 0) + Fraction(coefficient)
             tables.append(tuple(sorted((key, c) for key, c in terms.items() if c)))
         object.__setattr__(self, "components", tuple(tables))
@@ -247,8 +254,7 @@ class PolyVectorField:
         return cls(dim=dim, components=parsed)
 
     def evaluate(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        point = _check_point(self, point)
-        return tuple(_value(component, point) for component in self.components)
+        return elementary_differential(self, RootedTree(), point)
 
 
 _FIELD_FIELDS = {"dim", "components"}
@@ -404,11 +410,11 @@ _TABLE_KEY = "derivative table"
 class _DerivativeTable:
     """The nonzero d_K f(x0) for sorted index multisets K, one |K| at a time.
 
-    Level m is built the first time a tree with m children asks for it, by
-    taking partials of the level m - 1 term tables along their nonzero
-    branches only, so the table never grows past deg f or past what the
-    forest needs.  The contraction runs in integers: a level's values are
-    kept over one common denominator, and F(t) is kept as integer
+    Level m is built the first time a tree with m children asks for it,
+    straight from the terms of degree m or more, so the table never grows
+    past deg f or past what the forest needs.  Everything runs in integers:
+    with x0 = X/d and the coefficients over one denominator F, level m is
+    kept over F d^(top - m), top the field's degree, and F(t) as integer
     numerators over one unreduced denominator, the level's times the
     children's.  No Fraction is built per tree; the callers make one per
     coefficient they return.
@@ -418,11 +424,22 @@ class _DerivativeTable:
         self._field = field
         self.point = _check_point(field, point)  # x0 as Fractions, one per variable
         self._dim = field.dim
-        # Sorted indices K with the term tables of d_K f_c, at the last level built.
-        self._frontier = [((), field.components)]
-        # levels[m]: (common denominator, rows (distinct arrangements of K,
-        # numerators of (d_K f_c(x0))_c)), rows with a nonzero value only.
-        self._levels: list[tuple[int, list]] = []
+        # x0 = X / d, and the coefficients are integers C over one scale F.
+        (self._x,), self._d = integer_rows([self.point])
+        coefficients, self._scale = integer_rows(
+            [c for _, c in terms] for terms in field.components
+        )
+        self._top = max((sum(e) for terms in field.components for e, _ in terms), default=0)
+        # Each term of each component c as (c, degree, its nonzero
+        # (variable, power) pairs in variable order, C).
+        self._terms = [
+            (c, sum(e), tuple((k, power) for k, power in enumerate(e) if power), numerator)
+            for c, (terms, row) in enumerate(zip(field.components, coefficients))
+            for (e, _), numerator in zip(terms, row)
+        ]
+        # levels[m]: (denominator F d^(top - m), rows (distinct arrangements
+        # of K, numerators of (d_K f_c(x0))_c)), rows with a nonzero value only.
+        self._levels: dict[int, tuple[int, list]] = {}
         self._memo: dict[RootedTree, tuple[tuple[int, ...], int]] = {}
 
     def serves(self, field: PolyVectorField, point: Sequence[Fraction]) -> bool:
@@ -430,21 +447,33 @@ class _DerivativeTable:
         return field == self._field and tuple(point) == self.point
 
     def _level(self, m: int) -> tuple[int, list]:
-        while len(self._levels) <= m and self._frontier:
-            arrangements, values, frontier = [], [], []
-            for indices, tables in self._frontier:
-                row = tuple(_value(table, self.point) for table in tables)
-                if any(row):
-                    arrangements.append(_arrangements(indices))
-                    values.append(row)
-                for k in range(indices[-1] if indices else 0, self._dim):
-                    partials = tuple(_partial(table, k) for table in tables)
-                    if any(partials):
-                        frontier.append((indices + (k,), partials))
-            numerators, denominator = integer_rows(values)
-            self._levels.append((denominator, list(zip(arrangements, numerators))))
-            self._frontier = frontier
-        return self._levels[m] if m < len(self._levels) else (1, [])
+        level = self._levels.get(m)
+        if level is None:
+            # Over F d^(top - m), a term of degree D starts from C d^(top - D).
+            rows: dict[tuple[int, ...], list] = defaultdict(lambda: [0] * self._dim)
+            for c, degree, pairs, numerator in self._terms:
+                if degree < m:
+                    continue
+                # (K so far, its value so far, |j| left to place), one
+                # variable at a time; degree becomes the total power of the
+                # variables after k, which must cover what is left.
+                partials = [((), numerator * self._d ** (self._top - degree), m)]
+                for k, power in pairs:
+                    degree -= power
+                    x = self._x[k]
+                    partials = [
+                        (key + (k,) * j, value * math.perm(power, j) * x ** (power - j), left - j)
+                        for key, value, left in partials
+                        for j in range(max(0, left - degree), min(power, left) + 1)
+                    ]
+                for key, value, _ in partials:
+                    if value:
+                        rows[key][c] += value
+            level = self._levels[m] = (
+                self._scale * self._d ** max(0, self._top - m),
+                [(_arrangements(key), row) for key, row in rows.items() if any(row)],
+            )
+        return level
 
     def differential(self, tree: RootedTree) -> tuple[tuple[int, ...], int]:
         """F(tree)(x0) as (numerators, denominator), memoised by tree."""
@@ -472,30 +501,6 @@ class _DerivativeTable:
                         totals[c] += numerator * spread
         cached = self._memo[tree] = (tuple(totals), denominator)
         return cached
-
-
-def _value(table: Component, point: tuple[Fraction, ...]) -> Fraction:
-    """The component with this term table at point."""
-    total = Fraction(0)
-    for exponents, term in table:
-        for base, power in zip(point, exponents):
-            if power:
-                term *= base**power
-        total += term
-    return total
-
-
-def _partial(table: Component, k: int) -> Component:
-    """The term table of the derivative along x<k+1>.
-
-    Lowering the exponent of x<k+1> maps distinct terms to distinct terms
-    and keeps their order, so the table stays canonical with no merging.
-    """
-    return tuple(
-        (exponents[:k] + (power - 1,) + exponents[k + 1 :], coefficient * power)
-        for exponents, coefficient in table
-        if (power := exponents[k])
-    )
 
 
 def _arrangements(indices: tuple[int, ...]) -> list[tuple[int, ...]]:

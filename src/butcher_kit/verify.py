@@ -358,6 +358,7 @@ def verify_order(
     Ascends order by order and stops at the first order with a failure;
     residuals for that order are still reported in full.  A tol that is not
     finite raises TableauError: an infinite one would pass every residual.
+    So does a negative tol, which no residual could pass.
     """
     if max_order < 1:
         raise TableauError("max_order must be >= 1")
@@ -365,6 +366,8 @@ def verify_order(
         raise TableauError(f"mode must be 'exact' or 'float', got {mode!r}")
     if not math.isfinite(tol):
         raise TableauError(f"tol must be finite, got {tol}")
+    if tol < 0:
+        raise TableauError(f"tol must be >= 0, got {tol}")
 
     def passes(value: Fraction) -> bool:
         if mode == "exact":

@@ -662,6 +662,12 @@ _ROTATION = ("oracle", "rotation2d.json", "--x0", "1,0", "--p", "5")
 _TREE_FIELD = (
     "oracle", "tree_field6.json", "--x0", ",".join(["0"] * 37), "--p", "6", "--tableau", "rk4.json"
 )
+# A degree-5 field of dim 6 at a point with no zero entry, so every
+# derivative level through 5 has rows fed by many terms.
+_WIDE = (
+    "oracle", "wide6d.json", "--x0", "1/2,-2/3,3/2,-1,1/3,2", "--p", "6",
+    "--tableau", "butcher6_u2-5_v1-3.json",
+)
 _WHOLE_OUTPUTS = {
     "verify_rk4_exact.txt": (1, _RK4_FIVE),
     "verify_rk4_exact.json": (1, _RK4_FIVE + ("--format", "json")),
@@ -676,6 +682,8 @@ _WHOLE_OUTPUTS = {
     "conditions_3_2.tex": (0, ("conditions", "--order", "3", "--stages", "2", "--format", "latex")),
     "oracle_tree_field6_rk4.txt": (0, _TREE_FIELD),
     "oracle_tree_field6_rk4.json": (0, _TREE_FIELD + ("--format", "json")),
+    "oracle_wide6d_butcher6.txt": (0, _WIDE),
+    "oracle_wide6d_butcher6.json": (0, _WIDE + ("--format", "json")),
 }
 
 

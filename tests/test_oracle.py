@@ -64,6 +64,7 @@ F = Fraction
 ROTATION = PolyVectorField.from_strings(2, ["x2", "-x1"])
 LINEAR_1D = PolyVectorField.from_strings(1, ["x1"])
 MIXED = PolyVectorField.from_strings(2, ["x2", "x1^2 - 1/2*x2"])
+WIDE_6D = load_field((Path(__file__).parent / "fixtures" / "wide6d.json").read_text())
 
 # Exponent grid for dim 2, total degree <= 2.
 _EXPONENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -404,6 +405,16 @@ class TestPolyVectorField:
             assert [elementary_differential(other, tree, point, memo) for tree in trees] == values
         assert memo[oracle._TABLE_KEY] is table
 
+    @pytest.mark.parametrize("exponent", [-1, 1.5, True, F(1), "1", None])
+    def test_exponent_that_is_not_a_non_negative_int_is_refused(self, exponent):
+        # x1^-1 is no polynomial: the tree routes would give its Laurent
+        # coefficients while the iteration routes fail, so it never gets in.
+        cases = (({(exponent, 0): 1}, (exponent, 0)), ([([1, exponent], 1)], (1, exponent)))
+        for component, key in cases:
+            with pytest.raises(ValueError) as refused:
+                PolyVectorField(2, (component, {(0, 0): 1}))
+            assert str(refused.value) == f"exponent tuple {key} must hold non-negative ints"
+
     def test_partials_and_values_through_the_public_routes(self):
         # MIXED is (x2, x1^2 - 1/2*x2).  Where f(x0) = s * e_k, F([[]]) =
         # f'(x0) f(x0) is s times the partials of f along x_k at x0.
@@ -513,6 +524,9 @@ class TestElementaryDifferentials:
             (_DEGREE_4_FIELDS[0], (F(3, 2),)),
             (_DEGREE_4_FIELDS[1], (F(1, 2), F(-2, 3), F(1))),
             (_DEGREE_4_FIELDS[1], (F(0), F(0), F(0))),
+            # Degree 5 with powers up to 5 at a point with no zero entry:
+            # every level through 5 has rows from many terms at once.
+            (WIDE_6D, (F(1, 2), F(-2, 3), F(3, 2), F(-1), F(1, 3), F(2))),
         ],
     )
     def test_contraction_matches_directional_derivatives(self, field, point):

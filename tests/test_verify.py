@@ -323,6 +323,13 @@ class TestVerifyOrder:
         with pytest.raises(TableauError, match="^tol must be finite"):
             verify_order(implicit_midpoint(), 3, mode="float", tol=tol)
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("tol", [-1, -1e-300])
+    def test_negative_tolerance_is_refused(self, mode, tol):
+        # No residual could pass it: rk4 would seem to fail order 1.
+        with pytest.raises(TableauError, match=f"^tol must be >= 0, got {tol}$"):
+            verify_order(rk4(), 4, mode=mode, tol=tol)
+
     def test_failing_order_stops_the_forest(self, monkeypatch):
         # rk4 fails at order 5, so no tree above order 5 may be built,
         # however high max_order is.
