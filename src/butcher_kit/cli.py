@@ -204,7 +204,8 @@ def _emit_json(document: dict) -> None:
 def _cmd_trees(args: argparse.Namespace) -> int:
     _require_order(args.order, "--order")
     forest = enumerate_by_leaf(args.order)
-    orders = [[format_tree(tree) for tree in group] for group in forest.groups()]
+    texts: dict = {}  # one memo: each subtree is formatted once
+    orders = [[format_tree(tree, texts) for tree in group] for group in forest.groups()]
     if args.format == "bracket":
         _print("\n".join(text for row in orders for text in row))
         return 0
@@ -245,8 +246,9 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
         ):
             _require(not given, f"--generic does not take {flag}")
         header = {"generic": True}
+        sums: dict = {}  # one memo: each subtree is rendered once per depth
         rows = [
-            (tree, render_generic(tree), Fraction(1, tree_factorial(tree)))
+            (tree, render_generic(tree, sums), Fraction(1, tree_factorial(tree)))
             for tree in enumerate_by_leaf(args.order)
         ]
     else:
@@ -272,9 +274,10 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
         ]
 
     if args.format == "json":
+        texts: dict = {}
         conditions = [
             {
-                "tree": format_tree(tree),
+                "tree": format_tree(tree, texts),
                 "order": tree.order,
                 "lhs": lhs,
                 "rhs": format_rational(rhs),

@@ -33,11 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby
 from operator import mul
 
 from .algebra import CoeffPolynomial, a_var, b_var, c_var, format_rational, poly_sum
-from .trees import RootedTree, enumerate_by_leaf, tree_factorial
+from .trees import LEAF_ID, RootedTree, child_runs, enumerate_by_leaf, tree_factorial, tree_id
 
 __all__ = [
     "ElementaryWeights",
@@ -97,30 +96,37 @@ class OrderCondition:
 
 
 class ElementaryWeights:
-    """Phi(t) and b . Phi(t) from rows, leaf and b; rows hold 0-based j."""
+    """Phi(t) and b . Phi(t) from rows, leaf and b; rows hold 0-based j.
+
+    The memo is keyed by tree id, and each tree is read through its runs of
+    equal children, so a repeated child costs one factor computation.
+    """
 
     def __init__(self, rows, leaf, b) -> None:
         self._rows, self._leaf, self._b = rows, leaf, b
         # The ring's zero and one, in the entries' own type.
         self._zero = leaf[0] * 0
-        self._memo = {RootedTree(): (self._zero + 1,) * len(b)}
+        self._memo = {LEAF_ID: (self._zero + 1,) * len(b)}
 
     def vector(self, tree: RootedTree) -> tuple:
         """(Phi_1(t), ..., Phi_s(t))."""
-        cached = self._memo.get(tree)
+        return self._vector(tree_id(tree))
+
+    def _vector(self, i: int) -> tuple:
+        cached = self._memo.get(i)
         if cached is None:
             columns = []
-            for kid, run in groupby(tree.children):
-                columns += [self._times_a(kid)] * len(tuple(run))
+            for kid, count in child_runs(i):
+                columns += [self._times_a(kid)] * count
             cached = tuple(reduce(mul, stage) for stage in zip(*columns))
-            self._memo[tree] = cached
+            self._memo[i] = cached
         return cached
 
-    def _times_a(self, kid: RootedTree) -> tuple:
+    def _times_a(self, kid: int) -> tuple:
         # Stage i's factor for one child: sum_j a[i,j] * Phi_j(kid).
-        if not kid.children:
+        if kid == LEAF_ID:
             return self._leaf
-        phi = self.vector(kid)
+        phi = self._vector(kid)
         return tuple(sum((a * phi[j] for j, a in row), self._zero) for row in self._rows)
 
     def weight(self, tree: RootedTree):
@@ -182,24 +188,29 @@ def _index_name(depth: int) -> str:
     return f"i_{{{depth + 1}}}"
 
 
-def render_generic(tree: RootedTree) -> str:
+def render_generic(tree: RootedTree, memo: dict | None = None) -> str:
     """Nested-sum text of the weight for symbolic stage count s.
 
     The single node renders as "sum_{i=1}^{s} b_i"; every child contributes
     a parenthesized factor one index deeper, and repeated children group
-    into a power.
+    into a power.  Pass one memo dict across calls when rendering many
+    trees: it keeps the factors of each subtree by (id, depth), since the
+    index names depend on the depth, so each is rendered once.
     """
-    return " ".join(["sum_{i=1}^{s} b_i"] + _generic_factors(tree, 0))
+    factors = _generic_factors(tree_id(tree), 0, {} if memo is None else memo)
+    return f"sum_{{i=1}}^{{s}} b_i {factors}" if factors else "sum_{i=1}^{s} b_i"
 
 
-def _generic_factors(tree: RootedTree, depth: int) -> list[str]:
-    if not tree.children:
-        return []
-    parent, child = _index_name(depth), _index_name(depth + 1)
-    factors = []
-    for kid, run in groupby(tree.children):
-        multiplicity = len(tuple(run))
+def _generic_factors(i: int, depth: int, memo: dict) -> str:
+    """The factors of tree i's children, whose root has index depth."""
+    text = memo.get((i, depth))
+    if text is None:
+        parent, child = _index_name(depth), _index_name(depth + 1)
         head = f"sum_{{{child}=1}}^{{s}} a_{{{parent},{child}}}"
-        inner = " ".join([head] + _generic_factors(kid, depth + 1))
-        factors.append(f"({inner})" + (f"^{multiplicity}" if multiplicity > 1 else ""))
-    return factors
+        factors = []
+        for kid, count in child_runs(i):
+            inner = _generic_factors(kid, depth + 1, memo)
+            factor = f"({head} {inner})" if inner else f"({head})"
+            factors.append(factor + (f"^{count}" if count > 1 else ""))
+        text = memo[(i, depth)] = " ".join(factors)
+    return text

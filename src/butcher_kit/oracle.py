@@ -24,10 +24,12 @@ A Runge-Kutta step with tableau (A, b) expands the same way, so both are
 one Butcher series, x0 + sum_t tau^|t| w(t) F(t)(x0) / sigma(t), with
 w(t) = 1/t! for the flow and w(t) = b . Phi(t), the tableau's elementary
 weight as defined in conditions, for the step.  Each tree series comes
-from one walk over the forest, _tree_series, with one derivative table;
-a route gives only its w, and the walk applies sigma(t).  rk_series_trees
-builds one ElementaryWeights per call, so each subtree's Phi is computed
-once.
+from one walk over the process's one forest (see trees), _tree_series,
+with one derivative table that keeps F(t) by tree id; a route gives only
+its w, and the walk reads sigma(t) by id and applies it.  The forest is
+grown once per process, so a second series, or a second job, walks trees
+already built.  rk_series_trees builds one ElementaryWeights per call, so
+each subtree's Phi is computed once per call.
 
 The tree routes run in integers.  F(t) is kept as integer numerators over
 one unreduced denominator, and each w(t) as an integer numerator over its
@@ -72,7 +74,7 @@ from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .algebra import UNSIGNED_RATIONAL, format_rational, integer_rows, parse_rational
-from .trees import RootedTree, TreesByOrder, sigma, tree_factorial
+from .trees import RootedTree, TreesByOrder, child_runs, sigma_of, tree_factorial, tree_id
 from .verify import ButcherTableau, check_list, read_document, size_field
 
 __all__ = [
@@ -399,7 +401,7 @@ def elementary_differential(
         table = memo[_TABLE_KEY] = _DerivativeTable(field, point)
     elif not table.serves(field, point):
         raise ValueError("the memo holds the derivative table of another field or point")
-    numerators, denominator = table.differential(tree)
+    numerators, denominator = table.differential(tree_id(tree))
     return tuple(Fraction(x, denominator) for x in numerators)
 
 
@@ -416,8 +418,9 @@ class _DerivativeTable:
     with x0 = X/d and the coefficients over one denominator F, level m is
     kept over F d^(top - m), top the field's degree, and F(t) as integer
     numerators over one unreduced denominator, the level's times the
-    children's.  No Fraction is built per tree; the callers make one per
-    coefficient they return.
+    children's, memoised by tree id and computed from the children's runs.
+    No Fraction is built per tree; the callers make one per coefficient
+    they return.
     """
 
     def __init__(self, field: PolyVectorField, point: Sequence[Fraction]) -> None:
@@ -440,7 +443,7 @@ class _DerivativeTable:
         # levels[m]: (denominator F d^(top - m), rows (distinct arrangements
         # of K, numerators of (d_K f_c(x0))_c)), rows with a nonzero value only.
         self._levels: dict[int, tuple[int, list]] = {}
-        self._memo: dict[RootedTree, tuple[tuple[int, ...], int]] = {}
+        self._memo: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def serves(self, field: PolyVectorField, point: Sequence[Fraction]) -> bool:
         """Whether this table was built for field at point."""
@@ -475,19 +478,21 @@ class _DerivativeTable:
             )
         return level
 
-    def differential(self, tree: RootedTree) -> tuple[tuple[int, ...], int]:
-        """F(tree)(x0) as (numerators, denominator), memoised by tree."""
-        cached = self._memo.get(tree)
+    def differential(self, i: int) -> tuple[tuple[int, ...], int]:
+        """F(t)(x0) of the tree t of id i as (numerators, denominator),
+        memoised by id."""
+        cached = self._memo.get(i)
         if cached is not None:
             return cached
-        denominator, rows = self._level(len(tree.children))
+        runs = child_runs(i)
+        denominator, rows = self._level(sum(count for _, count in runs))
         totals = [0] * self._dim
         if rows:
             kids = []
-            for kid in tree.children:
+            for kid, count in runs:
                 numerators, kid_denominator = self.differential(kid)
-                kids.append(numerators)
-                denominator *= kid_denominator
+                kids += [numerators] * count
+                denominator *= kid_denominator**count
             for arrangements, numerators in rows:
                 # sum over arrangements of prod_i F(t_i)[k_i], shared by all components
                 spread = 0
@@ -499,7 +504,7 @@ class _DerivativeTable:
                 if spread:
                     for c, numerator in enumerate(numerators):
                         totals[c] += numerator * spread
-        cached = self._memo[tree] = (tuple(totals), denominator)
+        cached = self._memo[i] = (tuple(totals), denominator)
         return cached
 
 
@@ -535,9 +540,10 @@ def _tree_series(
     """The Butcher series x0 + sum over trees t of order <= degree of
     w(t) / sigma(t) * F(t)(x0), which both tree routes share.
 
-    weight(t) gives w(t) as an integer numerator over an integer scale, and
-    the walk divides by sigma(t) itself; a tree of weight zero costs no
-    differential.  The trees of one order are summed in integers over the
+    The walk reads the groups of the process's one forest.  weight(t) gives
+    w(t) as an integer numerator over an integer scale, and the walk reads
+    sigma(t) by the tree's id and divides by it itself; a tree of weight
+    zero costs no differential.  The trees of one order are summed in integers over the
     lcm of their denominators, so each coefficient is divided once.
     """
     _check_degree(degree)
@@ -548,8 +554,9 @@ def _tree_series(
         for tree in group:
             numerator, scale = weight(tree)
             if numerator:
-                numerators, denominator = table.differential(tree)
-                terms.append((numerator, numerators, scale * sigma(tree) * denominator))
+                i = tree_id(tree)
+                numerators, denominator = table.differential(i)
+                terms.append((numerator, numerators, scale * sigma_of(i) * denominator))
         common = math.lcm(*(denominator for _, _, denominator in terms))
         total = [0] * field.dim
         for numerator, numerators, denominator in terms:

@@ -5,13 +5,27 @@ representative stores children sorted under a fixed total order (by order,
 ties broken lexicographically on the children sequences, recursively), so
 structural equality coincides with equality of unordered shapes.
 
-The forest, TreesByOrder, is generated in that order directly: a tree with
-q nodes is a root over a non-decreasing sequence of earlier trees whose
-orders sum to q-1, and the sequences are walked depth-first in lexicographic
-order, so every tree is built once, each group comes out sorted, and no
-group is built before it is asked for.  For canonical-order generation of
-rooted trees see Beyer and Hedetniemi, "Constant time generation of rooted
-trees", SIAM J. Comput. 9 (1980).
+Every shape has an int id, one id space per process: a shape is keyed by
+the ids of its children in canonical order, so two equal trees, whether
+grown in the forest, built by hand or parsed, share one id, and the id of
+a tree outside the forest costs one lookup per node.  Per id the module
+keeps the children's ids and order; the runs of equal children, as
+(child id, multiplicity) pairs, and the factors below are computed from
+the children's entries when first asked for.  The evaluators
+(conditions.ElementaryWeights, the oracle's derivative table) key their
+memos by id and walk the runs, so a subtree shared by many trees is
+evaluated once per memo, and a deep parsed tree in time linear in its
+size.
+
+One forest serves the whole process, and TreesByOrder and
+enumerate_by_leaf are views of it.  It is append-only and grows by one
+order at a time, under one lock, only when a caller first asks for an
+order: a tree with q nodes is a root over a non-decreasing sequence of
+earlier trees whose orders sum to q-1, and the sequences are walked
+depth-first in lexicographic order, so every tree is built once, each
+group comes out sorted, and no group is built before it is asked for.
+For canonical-order generation of rooted trees see Beyer and Hedetniemi,
+"Constant time generation of rooted trees", SIAM J. Comput. 9 (1980).
 
 Bracket notation: "[]" is the single node, "[[],[]]" is a root with two
 leaf children.  parse_tree() also accepts the glyph "⊙" for "[]".
@@ -29,18 +43,18 @@ tree's symmetries, the permutations of its nodes that fix its shape
 Wanner I, section II.2).  alpha(t)/tree_factorial(t) =
 1/(sigma(t) * tree_factorial(t)) weights the elementary differential of t
 in the Taylor expansion of an exact flow; alpha(t) alone weights the
-discrete (one-step method) expansion.  Like order, tree_factorial and
-sigma are integers computed once per tree instance and cached on it, so a
-forest pays for each subtree's factors once.
+discrete (one-step method) expansion.  tree_factorial and sigma are
+integers kept per id, so the process pays for each shape's factors once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import chain, groupby
+from itertools import chain
 from typing import Iterator
 
 __all__ = [
@@ -56,6 +70,30 @@ __all__ = [
 ]
 
 _LEAF_GLYPH = "⊙"
+
+# The id space.  _IDS maps the child ids of a shape, in canonical order, to
+# the shape's id; _KIDS[id] is that tuple and _ORDERS[id] the shape's order.
+# Ids are handed out under _LOCK, in the order shapes are first met, and
+# never change.  The single node is LEAF_ID.
+LEAF_ID = 0
+_LOCK = threading.Lock()
+_IDS: dict[tuple[int, ...], int] = {(): LEAF_ID}
+_KIDS: list[tuple[int, ...]] = [()]
+_ORDERS: list[int] = [1]
+# Filled on first use from the children's entries; two threads that race
+# on an entry write the same value.
+_RUNS: dict[int, tuple[tuple[int, int], ...]] = {}
+_FACTORIALS: dict[int, int] = {}
+_SIGMAS: dict[int, int] = {}
+
+
+def _intern(kids: tuple[int, ...], order: int) -> int:
+    """The id of the shape over child ids kids; the caller holds _LOCK."""
+    i = _IDS.setdefault(kids, len(_KIDS))
+    if i == len(_KIDS):
+        _KIDS.append(kids)
+        _ORDERS.append(order)
+    return i
 
 
 @total_ordering
@@ -87,14 +125,12 @@ class RootedTree:
         return 1 + sum(kid.order for kid in self.children)
 
     @cached_property
-    def _factorial(self) -> int:
-        return self.order * math.prod(kid._factorial for kid in self.children)
-
-    @cached_property
-    def _sigma(self) -> int:
-        # Canonical sorting makes equal children adjacent.
-        runs = math.prod(math.factorial(len(tuple(run))) for _, run in groupby(self.children))
-        return runs * math.prod(kid._sigma for kid in self.children)
+    def _id(self) -> int:
+        # A forest tree is given its id as it is grown; any other tree looks
+        # its shape up here, once.
+        kids = tuple([kid._id for kid in self.children])
+        with _LOCK:
+            return _intern(kids, self.order)
 
     @cached_property
     def _hash(self) -> int:
@@ -110,6 +146,11 @@ class RootedTree:
             return NotImplemented
         return (self.order, self.children) < (other.order, other.children)
 
+    def __reduce__(self):
+        # Pickled and copied as its children alone: an id is valid only in
+        # the process that handed it out.
+        return RootedTree, (self.children,)
+
     def __str__(self) -> str:
         return format_tree(self)
 
@@ -117,9 +158,48 @@ class RootedTree:
         return f"RootedTree({format_tree(self)})"
 
 
+def tree_id(tree: RootedTree) -> int:
+    """The id of the tree's shape."""
+    return tree._id
+
+
+def child_runs(i: int) -> tuple[tuple[int, int], ...]:
+    """(child id, multiplicity) for each distinct child of shape i."""
+    runs = _RUNS.get(i)
+    if runs is None:
+        kids = _KIDS[i]
+        counts = dict.fromkeys(kids, 0)  # in canonical order
+        for kid in kids:
+            counts[kid] += 1
+        runs = _RUNS[i] = tuple(counts.items())
+    return runs
+
+
+def factorial_of(i: int) -> int:
+    """tree_factorial of shape i."""
+    value = _FACTORIALS.get(i)
+    if value is None:
+        value = _ORDERS[i]
+        for kid, count in child_runs(i):
+            value *= factorial_of(kid) ** count
+        _FACTORIALS[i] = value
+    return value
+
+
+def sigma_of(i: int) -> int:
+    """sigma of shape i."""
+    value = _SIGMAS.get(i)
+    if value is None:
+        value = 1
+        for kid, count in child_runs(i):
+            value *= math.factorial(count) * sigma_of(kid) ** count
+        _SIGMAS[i] = value
+    return value
+
+
 def tree_factorial(tree: RootedTree) -> int:
     """order(t) times the factorials of the children."""
-    return tree._factorial
+    return factorial_of(tree._id)
 
 
 def sigma(tree: RootedTree) -> int:
@@ -128,36 +208,47 @@ def sigma(tree: RootedTree) -> int:
     prod(m_g!) over the multiplicities m_g of the distinct children, times
     the children's sigma.  It divides (order(t) - 1)! and is 1 for any chain.
     """
-    return tree._sigma
+    return sigma_of(tree._id)
 
 
 def alpha(tree: RootedTree) -> Fraction:
     """Arrangement weight 1/sigma(t), in (0, 1]."""
-    return Fraction(1, tree._sigma)
+    return Fraction(1, sigma_of(tree._id))
 
 
-class TreesByOrder:
-    """The trees of order 1..max_order; group q holds the trees with q nodes.
+class _Forest:
+    """The trees of order 1, 2, ..., in canonical order, grown by order.
 
-    Each group is duplicate-free and sorted under the trees' total order,
-    so iteration order is deterministic.  Group q and those below it are
-    built when trees_of_order or a groups() iterator first reaches it.
+    trees[ends[q-1]:ends[q]] is the group of order q once it is built, and
+    ids[k] is the id of trees[k].  The lists only grow, and each grows
+    before ends records the new group, so a group a reader can see is
+    complete.
     """
 
-    def __init__(self, max_order: int) -> None:
-        self.max_order = max_order
-        # _trees[_ends[s-1]:_ends[s]] is the group of order s, once built.
-        self._trees: list[RootedTree] = []
-        self._ends = [0]
+    def __init__(self) -> None:
+        self.trees: list[RootedTree] = []
+        self.ids: list[int] = []
+        self.ends = [0]
+
+    def group(self, q: int) -> tuple[RootedTree, ...]:
+        """The trees of order q, building every group through q first."""
+        if len(self.ends) <= q:
+            with _LOCK:
+                self._grow(q)
+        return tuple(self.trees[self.ends[q - 1] : self.ends[q]])
 
     def _grow(self, q: int) -> None:
-        """Build the groups through order q, each sorted as it is walked."""
-        trees, ends = self._trees, self._ends
-        picked: list[RootedTree] = []
+        """Build the groups through order q, each sorted as it is walked.
 
-        def child_sequences(first: int, left: int) -> Iterator[tuple[RootedTree, ...]]:
+        The caller holds _LOCK.
+        """
+        trees, ids, ends = self.trees, self.ids, self.ends
+        picked: list[RootedTree] = []
+        picked_ids: list[int] = []
+
+        def child_sequences(first: int, left: int) -> Iterator[tuple[tuple, tuple]]:
             if not left:
-                yield tuple(picked)
+                yield tuple(picked), tuple(picked_ids)
                 return
             # Later picks come no earlier than trees[first], so they have at
             # least as many nodes: a pick of s nodes can be completed only
@@ -165,19 +256,45 @@ class TreesByOrder:
             for size in (*range(1, left // 2 + 1), left):
                 for index in range(max(first, ends[size - 1]), ends[size]):
                     picked.append(trees[index])
+                    picked_ids.append(ids[index])
                     yield from child_sequences(index, left - size)
                     picked.pop()
+                    picked_ids.pop()
 
         while len(ends) <= q:
             # The walk reads only the groups already built, below the new one.
-            trees.extend(RootedTree(kids) for kids in child_sequences(0, len(ends) - 1))
+            order = len(ends)
+            for kids, kid_ids in child_sequences(0, order - 1):
+                tree = RootedTree(kids)
+                i = _intern(kid_ids, order)
+                object.__setattr__(tree, "order", order)
+                object.__setattr__(tree, "_id", i)
+                trees.append(tree)
+                ids.append(i)
             ends.append(len(trees))
+
+
+# The process's one forest.
+_FOREST = _Forest()
+
+
+class TreesByOrder:
+    """The trees of order 1..max_order; group q holds the trees with q nodes.
+
+    A view of the process's one forest, which is append-only: group q and
+    those below it are built when trees_of_order or a groups() iterator
+    first reaches it, in this view or any other, and are then shared by
+    every view.  Each group is duplicate-free and sorted under the trees'
+    total order, so iteration order is deterministic.
+    """
+
+    def __init__(self, max_order: int) -> None:
+        self.max_order = max_order
 
     def trees_of_order(self, q: int) -> tuple[RootedTree, ...]:
         if not 1 <= q <= self.max_order:
             raise ValueError(f"order {q} outside enumerated range 1..{self.max_order}")
-        self._grow(q)
-        return tuple(self._trees[self._ends[q - 1] : self._ends[q]])
+        return _FOREST.group(q)
 
     def groups(self) -> Iterator[tuple[RootedTree, ...]]:
         """The groups of order 1, 2, ..., max_order, each built when reached."""
@@ -210,13 +327,15 @@ def tree_counts(max_order: int) -> tuple[int, ...]:
 def enumerate_by_leaf(max_order: int) -> TreesByOrder:
     """All trees of order 1..max_order, every group already built.
 
+    A view of the process's one forest, like TreesByOrder, grown through
+    max_order if it is not yet: a second call builds no tree.
     perfbench/spans.py resolves this name and times this call as the
     forest's construction, so it builds eagerly.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     forest = TreesByOrder(max_order)
-    forest._grow(max_order)
+    forest.trees_of_order(max_order)
     return forest
 
 
@@ -287,6 +406,21 @@ def parse_tree(text: str) -> RootedTree:
     return tree
 
 
-def format_tree(tree: RootedTree) -> str:
-    """Canonical bracket string, no whitespace; inverse of parse_tree."""
-    return "[" + ",".join(format_tree(kid) for kid in tree.children) + "]"
+def format_tree(tree: RootedTree, memo: dict | None = None) -> str:
+    """Canonical bracket string, no whitespace; inverse of parse_tree.
+
+    Pass one memo dict across calls when formatting many trees: it keeps
+    each shape's text by id, so a subtree shared by many trees is formatted
+    once, and each tree's text is joined from its children's.
+    """
+    return _bracket(tree._id, {} if memo is None else memo)
+
+
+def _bracket(i: int, memo: dict) -> str:
+    text = memo.get(i)
+    if text is None:
+        parts: list[str] = []
+        for kid, count in child_runs(i):
+            parts += [_bracket(kid, memo)] * count
+        text = memo[i] = "[" + ",".join(parts) + "]"
+    return text

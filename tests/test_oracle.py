@@ -56,8 +56,8 @@ from butcher_kit.oracle import (
     rk_series_direct,
     rk_series_trees,
 )
-from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial
-from butcher_kit.verify import ButcherTableau
+from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial, tree_id
+from butcher_kit.verify import ButcherTableau, verify_order
 
 F = Fraction
 
@@ -464,15 +464,15 @@ class TestElementaryDifferentials:
 
     def test_memo_is_shared_across_trees(self, monkeypatch):
         # The memo holds one derivative table, and the table keeps each
-        # subtree's differential: [[[]]] computes [[]] and [] on its way,
-        # so [[],[]] computes itself alone.
+        # subtree's differential by tree id: [[[]]] computes [[]] and [] on
+        # its way, so [[],[]] computes itself alone.
         computed = []
         differential = oracle._DerivativeTable.differential
 
-        def counting(table, tree):
-            if tree not in table._memo:
-                computed.append(tree)
-            return differential(table, tree)
+        def counting(table, i):
+            if i not in table._memo:
+                computed.append(i)
+            return differential(table, i)
 
         monkeypatch.setattr(oracle._DerivativeTable, "differential", counting)
         memo = {}
@@ -482,7 +482,7 @@ class TestElementaryDifferentials:
         assert len(computed) == 3
         second = elementary_differential(MIXED, parse_tree("[[],[]]"), self.POINT, memo)
         assert memo == {oracle._TABLE_KEY: table}
-        assert computed[3:] == [parse_tree("[[],[]]")]
+        assert computed[3:] == [tree_id(parse_tree("[[],[]]"))]
         assert first == elementary_differential(MIXED, parse_tree("[[[]]]"), self.POINT)
         assert second == elementary_differential(MIXED, parse_tree("[[],[]]"), self.POINT)
 
@@ -612,7 +612,7 @@ class TestHandExpansions:
 
     def test_degree_zero_series_is_the_point(self, monkeypatch):
         # The tree routes walk an empty forest: they build no tree.
-        built, leaf = [], RootedTree()
+        built = []
         post_init = RootedTree.__post_init__
 
         def counting(tree):
@@ -626,8 +626,8 @@ class TestHandExpansions:
         assert rk_series_direct(rk4(), MIXED, point, 0).coeffs == (point,)
         assert built == []
         assert rk_series_trees(rk4(), MIXED, point, 0).coeffs == (point,)
-        # Only the leaf that seeds the tableau's weight evaluator.
-        assert built == [leaf]
+        # Not even a leaf: the weight evaluator seeds its memo by the leaf's id.
+        assert built == []
 
 
 class TestFlowRoutesAgree:
@@ -805,6 +805,29 @@ class TestTreeField:
             direct = rk_series_direct(method, self.FIELD, self.ZERO, 6)
             assert direct.coeffs == self._tree_monomials(value), b
             assert rk_series_trees(method, self.FIELD, self.ZERO, 6) == direct, b
+
+
+class TestSharedForest:
+    def test_results_do_not_depend_on_what_the_forest_holds(self, fresh_forest):
+        # The tree routes and verify_order walk the process's one forest and
+        # key their memos by tree id; what earlier calls grew must not change
+        # what they return.
+        tableau = butcher6(*BUTCHER6_SAMPLES[0])
+        point = (F(1, 2), F(-2, 3), F(3, 2), F(-1), F(1, 3), F(2))
+
+        def results():
+            return (
+                flow_series_trees(WIDE_6D, point, 6),
+                rk_series_trees(tableau, WIDE_6D, point, 6),
+                verify_order(tableau, 8),
+            )
+
+        fresh = results()
+        assert fresh[2].achieved_order == 5
+        assert len(fresh_forest.ends) - 1 == 6
+        enumerate_by_leaf(12)
+        assert len(fresh_forest.ends) - 1 == 12
+        assert results() == fresh
 
 
 class TestHeavyField:

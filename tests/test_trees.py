@@ -5,6 +5,12 @@ Core claims:
     once, matches the leaf-grafting reference of tests/helpers.py tree
     for tree, in order, through order 12, and reproduces the known counts
     1,1,2,4,9,20,48,115,286,719;
+  * the forest is one per process: a second call builds nothing, views
+    read interleaved give what separate forests give, and four threads
+    growing it at once leave the grafting reference's groups;
+  * trees far above the grown forest (a chain 200 deep, a broom) meet
+    closed forms for every factor, text, weight and differential
+    without growing it;
   * coefficient functions hit the worked values (order 8, factorial 192,
     alpha 1/2 for [[[],[[]],[[]]],[]]-shaped input) and closed forms for
     chains and bushy trees;
@@ -20,18 +26,28 @@ Core claims:
     recurrence.
 """
 
+import copy
 import math
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import alpha_by_arrangements, symmetry_delta, trees_by_grafting
+from helpers import alpha_by_arrangements, power, rk4, symmetry_delta, trees_by_grafting
 
+from butcher_kit import trees
+from butcher_kit.algebra import CoeffPolynomial, a_var, b_var
 from butcher_kit.cli import _ORDER_CAP
+from butcher_kit.conditions import render_generic, symbolic_weights
+from butcher_kit.oracle import elementary_differential, load_field
+from butcher_kit.verify import weight_value
 from butcher_kit.trees import (
     MAX_PARSE_DEPTH,
     RootedTree,
@@ -109,7 +125,7 @@ class TestEnumeration:
         # sorted without a sort, the reference sorts with the operators.
         assert tuple(enumerate_by_leaf(12).groups()) == trees_by_grafting(12)
 
-    def test_each_tree_is_built_once(self, monkeypatch):
+    def test_each_tree_is_built_once(self, monkeypatch, fresh_forest):
         built = []
         original = RootedTree.__post_init__
 
@@ -120,6 +136,9 @@ class TestEnumeration:
         monkeypatch.setattr(RootedTree, "__post_init__", counting)
         forest = enumerate_by_leaf(10)
         assert len(built) == forest.total() == 1205
+        # The forest is shared: a second call builds no tree.
+        assert enumerate_by_leaf(10).total() == 1205
+        assert len(built) == 1205
 
     def test_groups_are_sorted_and_duplicate_free(self):
         for group in enumerate_by_leaf(7).groups():
@@ -129,10 +148,11 @@ class TestEnumeration:
     def test_enumeration_is_deterministic(self):
         assert list(enumerate_by_leaf(6).groups()) == list(enumerate_by_leaf(6).groups())
 
-    def test_groups_are_built_on_demand_and_once(self, monkeypatch):
+    def test_groups_are_built_on_demand_and_once(self, monkeypatch, request):
         # Asked out of order, the groups are the eager forest's, and each
         # tree is built once: order 5 builds orders 1-4 on the way.
-        expected = enumerate_by_leaf(5)
+        expected = tuple(enumerate_by_leaf(5).groups())
+        request.getfixturevalue("fresh_forest")
         built = []
         original = RootedTree.__post_init__
 
@@ -143,11 +163,11 @@ class TestEnumeration:
         monkeypatch.setattr(RootedTree, "__post_init__", counting)
         forest = TreesByOrder(7)
         assert built == []
-        assert forest.trees_of_order(5) == expected.trees_of_order(5)
-        assert len(built) == expected.total() == 17
-        assert forest.trees_of_order(3) == expected.trees_of_order(3)
+        assert forest.trees_of_order(5) == expected[4]
+        assert len(built) == sum(map(len, expected)) == 17
+        assert forest.trees_of_order(3) == expected[2]
         assert len(built) == 17
-        assert list(forest.groups())[:5] == list(expected.groups())
+        assert list(forest.groups())[:5] == list(expected)
         assert len(built) == forest.total() == 17 + 20 + 48
         assert TreesByOrder(0).total() == 0 and list(TreesByOrder(0)) == []
 
@@ -174,6 +194,117 @@ class TestEnumeration:
         forest = enumerate_by_leaf(7)
         for q in range(1, 8):
             assert all(t.order == q for t in forest.trees_of_order(q))
+
+
+class TestSharedForest:
+    """One forest per process: every view reads it, and it grows once."""
+
+    def test_interleaved_views_yield_what_separate_forests_yield(self, monkeypatch):
+        alone = {}
+        for p in (6, 9):
+            monkeypatch.setattr(trees, "_FOREST", trees._Forest())
+            alone[p] = list(TreesByOrder(p).groups())
+        monkeypatch.setattr(trees, "_FOREST", trees._Forest())
+        iterators = {p: TreesByOrder(p).groups() for p in (6, 9)}
+        seen = {6: [], 9: []}
+        # The longer view grows the forest first, then each reads groups
+        # the other built, and the longer one grows it again past order 6.
+        for p in (9, 9, 6, 6, 6, 9, 6, 9, 6, 9, 6, 9, 9, 9, 9):
+            seen[p].append(next(iterators[p]))
+        for iterator in iterators.values():
+            assert next(iterator, None) is None
+        assert seen == alone
+        assert alone[9] == list(trees_by_grafting(9))
+
+    def test_four_threads_grow_one_forest(self, fresh_forest):
+        # A short switch interval makes the threads interleave inside the
+        # growth; a group built twice, or a tree lost, changes the groups.
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def grow(slot):
+            start.wait(timeout=10)
+            results[slot] = tuple(enumerate_by_leaf(9).groups())
+
+        threads = [threading.Thread(target=grow, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = trees_by_grafting(9)
+        assert results == [expected] * 4
+        assert tuple(TreesByOrder(9).groups()) == expected
+        assert len(fresh_forest.trees) == sum(KNOWN_COUNTS[:9])
+        assert len({trees.tree_id(tree) for tree in fresh_forest.trees}) == sum(KNOWN_COUNTS[:9])
+
+
+class TestTreesOutsideTheForest:
+    """Trees far above the grown forest evaluate in time linear in size.
+
+    The chain nests as deep as parse_tree allows; the broom is a chain of
+    150 nodes whose last node carries 20 leaves.  Each is checked against
+    closed forms, and none of the calls grows the forest.
+    """
+
+    CHAIN = "[" * MAX_PARSE_DEPTH + "]" * MAX_PARSE_DEPTH
+    BROOM = "[" * 150 + ",".join(["[]"] * 20) + "]" * 150
+
+    @staticmethod
+    def _generic(nodes, leaves):
+        # render_generic of a chain of nodes whose last node has leaves
+        # leaves, built inside out; index names as conditions documents.
+        def name(depth):
+            return "ijklmpqruvw"[depth] if depth < 11 else f"i_{{{depth + 1}}}"
+
+        def head(depth):
+            return f"sum_{{{name(depth + 1)}=1}}^{{s}} a_{{{name(depth)},{name(depth + 1)}}}"
+
+        text = f"({head(nodes - 1)})^{leaves}" if leaves else ""
+        for depth in range(nodes - 2, -1, -1):
+            text = f"({head(depth)} {text})" if text else f"({head(depth)})"
+        return f"sum_{{i=1}}^{{s}} b_i {text}" if text else "sum_{i=1}^{s} b_i"
+
+    def test_closed_forms_without_growing_the_forest(self, monkeypatch):
+        chain, broom = parse_tree(self.CHAIN), parse_tree(self.BROOM)
+        built = []
+        post_init = RootedTree.__post_init__
+
+        def counting(tree):
+            post_init(tree)
+            built.append(tree)
+
+        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        linear = load_field((Path(__file__).parent / "fixtures" / "linear1d.json").read_text())
+        x0 = (Fraction(3, 7),)
+        weights, numeric = symbolic_weights(1), rk4().elementary_weights()
+        a, b = CoeffPolynomial.variable(a_var(1, 1)), CoeffPolynomial.variable(b_var(1))
+        cases = (
+            (chain, self.CHAIN, 200, math.factorial(200), 1, (MAX_PARSE_DEPTH, 0), x0),
+            (broom, self.BROOM, 170, math.factorial(170) // math.factorial(20),
+             math.factorial(20), (150, 20), (Fraction(0),)),
+        )
+        for tree, text, order, factorial, symmetries, shape, differential in cases:
+            assert tree.order == order
+            assert tree_factorial(tree) == factorial
+            assert sigma(tree) == symmetries
+            assert alpha(tree) == Fraction(1, symmetries)
+            assert format_tree(tree) == text
+            assert render_generic(tree) == self._generic(*shape)
+            # One stage: each of the order - 1 edges brings one a[1,1].
+            assert weights.weight(tree) == b * power(a, order - 1)
+            # rk4's A is strictly lower triangular, so A^4 = 0.
+            assert numeric.weight(tree) == 0
+            assert weight_value(rk4(), tree) == 0
+            # F of the linear field: x0 down a chain, 0 past 20 children.
+            assert elementary_differential(linear, tree, x0) == differential
+        # Nothing grew the forest: no tree was built but single nodes.
+        assert all(tree.order == 1 for tree in built)
 
 
 class TestCoefficients:
@@ -302,6 +433,16 @@ class TestCanonicalForm:
             assert other == tree
             assert hash(other) == hash(tree)
             assert format_tree(other) == format_tree(tree)
+
+    def test_pickles_carry_no_id(self):
+        # Ids belong to one process's id space, so a pickled tree is rebuilt
+        # from its children and looks its id up again where it is loaded.
+        tree = enumerate_by_leaf(6).trees_of_order(6)[7]
+        for copied in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+            assert "_id" not in vars(copied)
+            assert copied == tree and copied is not tree
+            assert trees.tree_id(copied) == trees.tree_id(tree)
+            assert tree_factorial(copied) == tree_factorial(tree)
 
     def test_children_require_tree_type(self):
         with pytest.raises(TypeError):

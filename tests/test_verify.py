@@ -330,7 +330,7 @@ class TestVerifyOrder:
         with pytest.raises(TableauError, match=f"^tol must be >= 0, got {tol}$"):
             verify_order(rk4(), 4, mode=mode, tol=tol)
 
-    def test_failing_order_stops_the_forest(self, monkeypatch):
+    def test_failing_order_stops_the_forest(self, monkeypatch, fresh_forest):
         # rk4 fails at order 5, so no tree above order 5 may be built,
         # however high max_order is.
         built = []
