@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import format_rational
 from .conditions import GenerationFlags, OrderCondition, all_order_conditions, render_generic
@@ -44,8 +44,8 @@ _ORACLE_DEGREE_CAP = 6
 # Size caps, refused with exit 2 before any work starts.  Every subcommand
 # works per tree, and there are about 3x more trees per order: through order
 # 14 (53,272 trees) the heaviest, `conditions --generic --format json`, takes
-# 3.4-3.8 s and 152 MB peak RSS on a 2-core Xeon (Python 3.11, three runs;
-# 2.3-2.4 s and 57 MB in text).
+# 1.0-1.2 s and 90 MB peak RSS on a 2-core Xeon (Python 3.11, three runs;
+# 0.8-1.3 s and 82 MB in text, six runs).
 _ORDER_CAP = 14
 # conditions without --generic: a full A has S^2 variables (--order 2
 # --stages 100: 0.5 s, 28 MB).
@@ -183,12 +183,15 @@ def _require_order(value: int, flag: str) -> None:
     _require(value <= _ORDER_CAP, f"{flag} must be <= {_ORDER_CAP}")
 
 
-def _print(text: str) -> None:
-    """print(text) to stdout and flush it.  Once the reader has closed
-    stdout, as `| head -1` does, the rest of the output is dropped: the run
-    goes on quietly to its own exit code."""
+def _write(parts: Iterable[str]) -> None:
+    """Write each part to stdout as it comes, then flush.  Once the reader
+    has closed stdout, as `| head -1` does, the rest of the output is
+    dropped: the run goes on quietly to its own exit code."""
+    write = sys.stdout.write
     try:
-        print(text, flush=True)
+        for part in parts:
+            write(part)
+        sys.stdout.flush()
     except BrokenPipeError:
         # Point stdout at the null device, so that later writes and the
         # interpreter's last flush of what the pipe refused succeed.
@@ -197,44 +200,80 @@ def _print(text: str) -> None:
         os.close(devnull)
 
 
-def _emit_json(document: dict) -> None:
-    _print(json.dumps({"schema": SCHEMA, **document}, indent=2))
+def _print(text: str) -> None:
+    """print(text) to stdout and flush it, as _write does."""
+    _write((text, "\n"))
+
+
+# A JSON string literal as json.dumps writes it: ensure_ascii, so the C
+# encoder's ASCII variant.
+_string = json.encoder.encode_basestring_ascii
+
+
+def _emit_json(document: dict, streamed: tuple[str, Iterable[str]] | None = None) -> None:
+    """Print {"schema": SCHEMA, **document} as json.dumps(indent=2) does.
+
+    streamed, if given, is (key, elements): the document goes on with key,
+    whose value is a list written element by element as the elements come,
+    so it is never held whole.  Each element is already encoded as
+    json.dumps(indent=2) lays out an element of a list under a top-level
+    key: its lines after the first indented by 4 more spaces.
+    """
+    text = json.dumps({"schema": SCHEMA, **document}, indent=2)
+    if streamed is None:
+        _print(text)
+        return
+    key, elements = streamed
+
+    def parts() -> Iterator[str]:
+        yield f"{text[:-2]},\n  {_string(key)}: ["
+        separator = "\n    "
+        for element in elements:
+            yield separator
+            yield element
+            separator = ",\n    "
+        yield "]\n}\n" if separator == "\n    " else "\n  ]\n}\n"
+
+    _write(parts())
+
+
+# The records of the streamed lists, laid out as json.dumps(indent=2) lays
+# out the same dicts there.
+_ORDER_RECORD = '{\n      "order": %d,\n      "count": %d,\n      "trees": [\n        %s\n      ]\n    }'
+_CONDITION_RECORD = '{\n      "tree": %s,\n      "order": %d,\n      "lhs": %s,\n      "rhs": %s\n    }'
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
     _require_order(args.order, "--order")
-    forest = enumerate_by_leaf(args.order)
+    groups = enumerate_by_leaf(args.order).groups()
     texts: dict = {}  # one memo: each subtree is formatted once
-    orders = [[format_tree(tree, texts) for tree in group] for group in forest.groups()]
+    orders = ([format_tree(tree, texts) for tree in group] for group in groups)
     if args.format == "bracket":
-        _print("\n".join(text for row in orders for text in row))
+        _write(f"{text}\n" for row in orders for text in row)
         return 0
-    _emit_json(
-        {
-            "max_order": args.order,
-            "total": forest.total(),
-            "orders": [
-                {"order": q, "count": len(row), "trees": row}
-                for q, row in enumerate(orders, start=1)
-            ],
-        }
+    records = (
+        _ORDER_RECORD % (q, len(row), ",\n        ".join(map(_string, row)))
+        for q, row in enumerate(orders, start=1)
     )
+    header = {"max_order": args.order, "total": sum(tree_counts(args.order))}
+    _emit_json(header, ("orders", records))
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    # The counting recurrence: no tree is built.
     _require_order(args.order, "--order")
-    forest = enumerate_by_leaf(args.order)
-    for q, n in enumerate(forest.counts(), start=1):
-        _print(f"order {q}: {n}")
-    _print(f"total: {forest.total()}")
+    counts = tree_counts(args.order)
+    lines = [f"order {q}: {n}" for q, n in enumerate(counts, start=1)]
+    _print("\n".join([*lines, f"total: {sum(counts)}"]))
     return 0
 
 
 def _cmd_conditions(args: argparse.Namespace) -> int:
     _require_order(args.order, "--order")
     # Either mode makes one row (tree, lhs text, rhs) per condition; one
-    # writer per format prints the rows.
+    # writer per format prints the rows as they are made.  Every refusal
+    # comes before the first row.
     style = "latex" if args.format == "latex" else "plain"
     if args.generic:
         # The nested sums are plain text for any stage count and any A.
@@ -247,10 +286,10 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
             _require(not given, f"--generic does not take {flag}")
         header = {"generic": True}
         sums: dict = {}  # one memo: each subtree is rendered once per depth
-        rows = [
+        rows = (
             (tree, render_generic(tree, sums), Fraction(1, tree_factorial(tree)))
             for tree in enumerate_by_leaf(args.order)
-        ]
+        )
     else:
         _require(args.stages is not None, "--stages is required without --generic")
         _require(args.stages >= 1, "--stages must be >= 1")
@@ -268,25 +307,22 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
             "subst_c": args.subst_c,
             "generic": False,
         }
-        rows = [
+        # Dropping duplicates needs every condition before the first row.
+        rows = (
             (condition.tree, condition.lhs.render(style), condition.rhs)
             for condition in all_order_conditions(args.order, args.stages, flags)
-        ]
+        )
 
     if args.format == "json":
         texts: dict = {}
-        conditions = [
-            {
-                "tree": format_tree(tree, texts),
-                "order": tree.order,
-                "lhs": lhs,
-                "rhs": format_rational(rhs),
-            }
+        records = (
+            _CONDITION_RECORD
+            % (_string(format_tree(tree, texts)), tree.order, _string(lhs), _string(format_rational(rhs)))
             for tree, lhs, rhs in rows
-        ]
-        _emit_json({"max_order": args.order, **header, "conditions": conditions})
+        )
+        _emit_json({"max_order": args.order, **header}, ("conditions", records))
     else:
-        _print("\n".join(OrderCondition.equation(lhs, rhs, style) for _, lhs, rhs in rows))
+        _write(f"{OrderCondition.equation(lhs, rhs, style)}\n" for _, lhs, rhs in rows)
     return 0
 
 

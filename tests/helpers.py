@@ -1,7 +1,8 @@
 """Shared exact fixtures and reference functions for the tests.
 
 Values are frozen from the standard references, not computed by the code
-under test, so they can serve as oracles.  random_tableaus is the shared
+under test, so they can serve as oracles: A000081 holds the number of
+rooted trees of each order through 14 (OEIS).  random_tableaus is the shared
 hypothesis strategy for small random tableaus.  power, free_variables,
 substitute, evaluate_constant and monomial_key are plain references on
 CoeffPolynomial, written against its public surface only.
@@ -34,6 +35,9 @@ from butcher_kit.trees import RootedTree
 from butcher_kit.verify import ButcherTableau
 
 F = Fraction
+
+# OEIS A000081 at orders 1..14.
+A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973)
 
 
 def power(poly, exponent):

@@ -18,8 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from butcher_kit.cli import main
+from helpers import A000081
+
+from butcher_kit import cli
+from butcher_kit.cli import _ORDER_CAP, main
 from butcher_kit.oracle import MAX_FIELD_DEGREE, MAX_FIELD_DIM, MAX_POINT_DIGITS
+from butcher_kit.trees import RootedTree, TreesByOrder
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RK4 = str(FIXTURES / "rk4.json")
@@ -104,6 +108,36 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--order", "1")
         assert code == 0
         assert out == "order 1: 1\ntotal: 1\n"
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_counts_equal_the_enumerated_forest(self, capsys, p):
+        # count uses the counting recurrence; the forest checks it.
+        forest = TreesByOrder(p)
+        lines = [f"order {q}: {n}" for q, n in enumerate(forest.counts(), start=1)]
+        expected = "\n".join([*lines, f"total: {forest.total()}"]) + "\n"
+        assert run(capsys, "count", "--order", str(p)) == (0, expected, "")
+
+    def test_counts_through_the_cap_are_a000081(self, capsys):
+        code, out, _ = run(capsys, "count", "--order", str(_ORDER_CAP))
+        assert code == 0
+        assert out.splitlines() == [
+            *(f"order {q}: {n}" for q, n in enumerate(A000081[:_ORDER_CAP], start=1)),
+            f"total: {sum(A000081[:_ORDER_CAP])}",
+        ]
+
+    def test_builds_no_tree(self, capsys, monkeypatch, fresh_forest):
+        built = []
+        original = RootedTree.__post_init__
+
+        def counting(tree):
+            built.append(tree)
+            original(tree)
+
+        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        code, out, _ = run(capsys, "count", "--order", "14")
+        assert code == 0
+        assert out.endswith(f"total: {sum(A000081[:14])}\n")
+        assert built == [] and fresh_forest.trees == []
 
 
 class TestConditions:
@@ -237,6 +271,116 @@ class TestConditions:
         lines = out.splitlines()
         assert len(lines) == 7813
         assert "(sum_{i_{12}=1}^{s} a_{w,i_{12}})" in lines[-1]
+
+
+_FLAG_SETS = ((), ("--explicit",), ("--subst-c",), ("--explicit", "--subst-c"))
+
+
+def _is_stdlib_json(out):
+    """out is what json.dumps(indent=2) writes for the document it holds."""
+    return out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestJsonWriter:
+    # trees and conditions write their lists record by record; the bytes
+    # are the standard library's all the same.
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_trees(self, capsys, p):
+        code, out, err = run(capsys, "trees", "--order", str(p), "--format", "json")
+        assert (code, err) == (0, "")
+        assert _is_stdlib_json(out)
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_generic_conditions(self, capsys, p):
+        code, out, err = run(capsys, "conditions", "--order", str(p), "--generic", "--format", "json")
+        assert (code, err) == (0, "")
+        assert _is_stdlib_json(out)
+
+    @pytest.mark.parametrize("flags", _FLAG_SETS)
+    @pytest.mark.parametrize("stages", range(1, 4))
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_concrete_conditions(self, capsys, p, stages, flags):
+        argv = ("conditions", "--order", str(p), "--stages", str(stages), *flags, "--format", "json")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert _is_stdlib_json(out)
+
+    _TEXTS = ['"', "\\", 'say "⊙\\"', "\x00\x1f\x7f\n\t\r\b\f", "⊙", "\U0001d4ae", "a/b"]
+
+    def test_strings_are_the_stdlib_literals(self):
+        for text in self._TEXTS:
+            assert cli._string(text) == json.dumps(text)
+
+    def test_streamed_list_is_the_stdlib_layout(self, capsys):
+        for texts in (self._TEXTS, []):
+            cli._emit_json({"n": 1, "on": True}, ("texts", map(cli._string, texts)))
+            expected = {"schema": cli.SCHEMA, "n": 1, "on": True, "texts": texts}
+            assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    def test_each_element_is_written_before_the_next_is_made(self, monkeypatch):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        seen = []
+
+        def elements():
+            for text in ("a", "b", "c"):
+                seen.append(out.getvalue())
+                yield cli._string(text)
+
+        cli._emit_json({}, ("texts", elements()))
+        head = '{\n  "schema": "butcher-kit/1",\n  "texts": ['
+        assert seen == [head, head + '\n    "a"', head + '\n    "a",\n    "b"']
+        assert out.getvalue() == head + '\n    "a",\n    "b",\n    "c"\n  ]\n}\n'
+
+
+class TestRefusals:
+    # Every refusal of a streaming subcommand comes before its first byte
+    # and before any tree is built.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                (*command, "--order", p)
+                for p in ("0", "15")
+                for command in (
+                    ("trees",),
+                    ("trees", "--format", "json"),
+                    ("count",),
+                    ("conditions", "--generic"),
+                    ("conditions", "--generic", "--format", "json"),
+                    ("conditions", "--stages", "2"),
+                    ("conditions", "--stages", "2", "--format", "json"),
+                )
+            ),
+            *(
+                ("conditions", "--order", "3", *stages, *flags, "--format", fmt)
+                for stages in ((), ("--stages", "0"), ("--stages", "101"))
+                for flags in _FLAG_SETS
+                for fmt in ("text", "latex", "json")
+            ),
+            *(
+                ("conditions", "--order", p, "--stages", s, *flags, "--format", fmt)
+                for p, s, flags in (
+                    ("7", "5", ()),
+                    ("9", "9", ("--explicit",)),
+                    ("7", "13", ("--subst-c",)),
+                    ("10", "10", ("--explicit", "--subst-c")),
+                )
+                for fmt in ("text", "latex", "json")
+            ),
+            *(
+                ("conditions", "--order", "3", "--generic", *flag, "--format", fmt)
+                for flag in (("--stages", "2"), ("--explicit",), ("--subst-c",))
+                for fmt in ("text", "json")
+            ),
+            ("conditions", "--order", "3", "--generic", "--format", "latex"),
+        ],
+    )
+    def test_exit_2_with_empty_stdout(self, capsys, fresh_forest, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert fresh_forest.trees == []
 
 
 class TestSizeCaps:
@@ -718,6 +862,20 @@ class TestClosedStdout:
         # Far more output than a pipe buffers, so the writer meets the close.
         with _cli(["trees", "--order", "12"], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline() == b"[]\n"
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+
+    @pytest.mark.parametrize(
+        "argv, first",
+        [
+            (("trees", "--order", "12", "--format", "json"), b"{\n"),
+            (("conditions", "--order", "12", "--generic"), b"sum_{i=1}^{s} b_i == 1\n"),
+            (("conditions", "--order", "12", "--generic", "--format", "json"), b"{\n"),
+        ],
+    )
+    def test_reader_leaves_a_streamed_list_after_the_first_line(self, argv, first):
+        with _cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == first
             proc.stdout.close()
             assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
 

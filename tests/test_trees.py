@@ -40,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import alpha_by_arrangements, power, rk4, symmetry_delta, trees_by_grafting
+from helpers import A000081, alpha_by_arrangements, power, rk4, symmetry_delta, trees_by_grafting
 
 from butcher_kit import trees
 from butcher_kit.algebra import CoeffPolynomial, a_var, b_var
@@ -62,9 +62,7 @@ from butcher_kit.trees import (
     tree_factorial,
 )
 
-KNOWN_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)
-# OEIS A000081 at orders 1..14.
-A000081 = KNOWN_COUNTS + (1842, 4766, 12486, 32973)
+KNOWN_COUNTS = A000081[:10]
 
 # A tree shape with its children in a given order: a tuple of shapes.
 ORDERED_SHAPES = st.recursive(
