@@ -140,9 +140,6 @@ class CoeffVar:
     def __hash__(self) -> int:
         return self._id
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (_KIND_RANK[self.kind], self.i, self.j or 0)
-
     def render(self, style: str = "plain") -> str:
         return _names(style)[self._id]
 

@@ -44,8 +44,8 @@ _ORACLE_DEGREE_CAP = 6
 # Size caps, refused with exit 2 before any work starts.  Every subcommand
 # works per tree, and there are about 3x more trees per order: through order
 # 14 (53,272 trees) the heaviest, `conditions --generic --format json`, takes
-# 1.0-1.2 s and 90 MB peak RSS on a 2-core Xeon (Python 3.11, three runs;
-# 0.8-1.3 s and 82 MB in text, six runs).
+# 0.9-1.0 s and 61 MB peak RSS on a 2-core Xeon (Python 3.11, five runs;
+# 0.7-0.9 s and 53 MB in text, five runs).
 _ORDER_CAP = 14
 # conditions without --generic: a full A has S^2 variables (--order 2
 # --stages 100: 0.5 s, 28 MB).

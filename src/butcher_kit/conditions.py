@@ -69,12 +69,6 @@ class OrderCondition:
     def order(self) -> int:
         return self.tree.order
 
-    @property
-    def unsatisfiable(self) -> bool:
-        # A zero left side with a nonzero right side can never hold; such
-        # conditions are kept to mark the order barrier.
-        return self.lhs.is_zero and self.rhs != 0
-
     def render(self, style: str = "plain") -> str:
         return self.equation(self.lhs.render(style), self.rhs, style)
 
@@ -194,8 +188,9 @@ def render_generic(tree: RootedTree, memo: dict | None = None) -> str:
     The single node renders as "sum_{i=1}^{s} b_i"; every child contributes
     a parenthesized factor one index deeper, and repeated children group
     into a power.  Pass one memo dict across calls when rendering many
-    trees: it keeps the factors of each subtree by (id, depth), since the
-    index names depend on the depth, so each is rendered once.
+    trees: it keeps the factors of each child subtree by (id, depth), since
+    the index names depend on the depth, so each is rendered once.  A
+    root's own factors are not kept: a tree is a child only below depth 0.
     """
     factors = _generic_factors(tree_id(tree), 0, {} if memo is None else memo)
     return f"sum_{{i=1}}^{{s}} b_i {factors}" if factors else "sum_{i=1}^{s} b_i"
@@ -203,14 +198,13 @@ def render_generic(tree: RootedTree, memo: dict | None = None) -> str:
 
 def _generic_factors(i: int, depth: int, memo: dict) -> str:
     """The factors of tree i's children, whose root has index depth."""
-    text = memo.get((i, depth))
-    if text is None:
-        parent, child = _index_name(depth), _index_name(depth + 1)
-        head = f"sum_{{{child}=1}}^{{s}} a_{{{parent},{child}}}"
-        factors = []
-        for kid, count in child_runs(i):
-            inner = _generic_factors(kid, depth + 1, memo)
-            factor = f"({head} {inner})" if inner else f"({head})"
-            factors.append(factor + (f"^{count}" if count > 1 else ""))
-        text = memo[(i, depth)] = " ".join(factors)
-    return text
+    parent, child = _index_name(depth), _index_name(depth + 1)
+    head = f"sum_{{{child}=1}}^{{s}} a_{{{parent},{child}}}"
+    factors = []
+    for kid, count in child_runs(i):
+        inner = memo.get((kid, depth + 1))
+        if inner is None:
+            inner = memo[(kid, depth + 1)] = _generic_factors(kid, depth + 1, memo)
+        factor = f"({head} {inner})" if inner else f"({head})"
+        factors.append(factor + (f"^{count}" if count > 1 else ""))
+    return " ".join(factors)

@@ -255,9 +255,6 @@ class PolyVectorField:
         parsed = tuple(_parse_component(text, dim) for text in component_texts)
         return cls(dim=dim, components=parsed)
 
-    def evaluate(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return elementary_differential(self, RootedTree(), point)
-
 
 _FIELD_FIELDS = {"dim", "components"}
 

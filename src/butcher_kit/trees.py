@@ -5,17 +5,18 @@ representative stores children sorted under a fixed total order (by order,
 ties broken lexicographically on the children sequences, recursively), so
 structural equality coincides with equality of unordered shapes.
 
-Every shape has an int id, one id space per process: a shape is keyed by
-the ids of its children in canonical order, so two equal trees, whether
-grown in the forest, built by hand or parsed, share one id, and the id of
-a tree outside the forest costs one lookup per node.  Per id the module
-keeps the children's ids and order; the runs of equal children, as
-(child id, multiplicity) pairs, and the factors below are computed from
-the children's entries when first asked for.  The evaluators
-(conditions.ElementaryWeights, the oracle's derivative table) key their
-memos by id and walk the runs, so a subtree shared by many trees is
-evaluated once per memo, and a deep parsed tree in time linear in its
-size.
+Each shape is stored once, under an int id, one id space per process: a
+shape is keyed by the ids of its children in canonical order, and per id
+the module keeps the children's ids, the order and the shape's one
+RootedTree, a handle that holds the id and nothing else.  So two equal
+trees, whether grown in the forest, built by hand or parsed, are the same
+object, and a tree outside the forest costs one lookup per node.  The runs
+of equal children, as (child id, multiplicity) pairs, and the factors below
+are computed from the children's entries when first asked for, and kept in
+flat lists indexed by id.  The evaluators (conditions.ElementaryWeights,
+the oracle's derivative table) key their memos by id and walk the runs, so
+a subtree shared by many trees is evaluated once per memo, and a deep
+parsed tree in time linear in its size.
 
 One forest serves the whole process, and TreesByOrder and
 enumerate_by_leaf are views of it.  It is append-only and grows by one
@@ -51,11 +52,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "RootedTree",
@@ -71,84 +71,85 @@ __all__ = [
 
 _LEAF_GLYPH = "⊙"
 
-# The id space.  _IDS maps the child ids of a shape, in canonical order, to
-# the shape's id; _KIDS[id] is that tuple and _ORDERS[id] the shape's order.
-# Ids are handed out under _LOCK, in the order shapes are first met, and
+# The id store, the one place a shape is kept.  _IDS maps the child ids of a
+# shape, in canonical order, to the shape's id; _KIDS[id] is that tuple,
+# _ORDERS[id] the shape's order and _TREES[id] its one RootedTree.  Ids are
+# handed out by _intern under _LOCK, in the order shapes are first met, and
 # never change.  The single node is LEAF_ID.
 LEAF_ID = 0
 _LOCK = threading.Lock()
-_IDS: dict[tuple[int, ...], int] = {(): LEAF_ID}
-_KIDS: list[tuple[int, ...]] = [()]
-_ORDERS: list[int] = [1]
-# Filled on first use from the children's entries; two threads that race
-# on an entry write the same value.
-_RUNS: dict[int, tuple[tuple[int, int], ...]] = {}
-_FACTORIALS: dict[int, int] = {}
-_SIGMAS: dict[int, int] = {}
+_IDS: dict[tuple[int, ...], int] = {}
+_KIDS: list[tuple[int, ...]] = []
+_ORDERS: list[int] = []
+_TREES: list[RootedTree] = []
+# None until first asked for, then filled from the children's entries; two
+# threads that race on an entry write the same value.
+_RUNS: list[tuple[tuple[int, int], ...] | None] = []
+_FACTORIALS: list[int | None] = []
+_SIGMAS: list[int | None] = []
 
 
-def _intern(kids: tuple[int, ...], order: int) -> int:
-    """The id of the shape over child ids kids; the caller holds _LOCK."""
+def _intern(kids: tuple[int, ...], order: int) -> RootedTree:
+    """The tree over child ids kids, stored first if the shape is new.
+
+    Every tree, grown, built or parsed, comes from here; the caller holds
+    _LOCK.
+    """
     i = _IDS.setdefault(kids, len(_KIDS))
     if i == len(_KIDS):
+        tree = object.__new__(RootedTree)
+        tree._id = i
         _KIDS.append(kids)
         _ORDERS.append(order)
-    return i
+        _TREES.append(tree)
+        _RUNS.append(None)
+        _FACTORIALS.append(None)
+        _SIGMAS.append(None)
+    return _TREES[i]
 
 
 @total_ordering
-@dataclass(frozen=True)
 class RootedTree:
-    """Canonical unordered rooted tree.
+    """Canonical unordered rooted tree, one object per shape.
 
     RootedTree() is the single node "[]"; RootedTree(children) roots a new
-    node over the given subtrees, in any order: the constructor sorts them,
-    so two trees compare equal exactly when they are the same unordered
-    shape.  The comparison operators realize the total order used
-    everywhere: by order, ties broken lexicographically on the canonical
-    children sequences, recursively.
+    node over the given subtrees, in any order: the constructor sorts them
+    and returns the one tree of that shape, so two trees are equal exactly
+    when they are the same object.  The comparison operators realize the
+    total order used everywhere: by order, ties broken lexicographically on
+    the canonical children sequences, recursively.
     """
 
-    children: tuple["RootedTree", ...] = ()
+    __slots__ = ("_id",)
 
-    def __post_init__(self) -> None:
-        kids = tuple(self.children)
+    def __new__(cls, children: Iterable[RootedTree] = ()) -> RootedTree:
+        kids = tuple(children)
         for kid in kids:
             if not isinstance(kid, RootedTree):
                 raise TypeError(f"child is not a RootedTree: {kid!r}")
-        # Sorting here is what makes equality order-insensitive.
-        object.__setattr__(self, "children", tuple(sorted(kids)))
+        # Sorting here is what makes the shape order-insensitive.
+        ids = tuple([kid._id for kid in sorted(kids)])
+        with _LOCK:
+            return _intern(ids, 1 + sum([_ORDERS[i] for i in ids]))
 
-    @cached_property
+    @property
     def order(self) -> int:
         """Number of nodes."""
-        return 1 + sum(kid.order for kid in self.children)
+        return _ORDERS[self._id]
 
-    @cached_property
-    def _id(self) -> int:
-        # A forest tree is given its id as it is grown; any other tree looks
-        # its shape up here, once.
-        kids = tuple([kid._id for kid in self.children])
-        with _LOCK:
-            return _intern(kids, self.order)
+    @property
+    def children(self) -> tuple[RootedTree, ...]:
+        """The subtrees, in canonical order."""
+        return tuple([_TREES[kid] for kid in _KIDS[self._id]])
 
-    @cached_property
-    def _hash(self) -> int:
-        # Equal trees have equal children, so this agrees with __eq__; the
-        # children's hashes are cached, so it costs one step per child.
-        return hash(self.children)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "RootedTree") -> bool:
+    def __lt__(self, other: RootedTree) -> bool:
         if not isinstance(other, RootedTree):
             return NotImplemented
         return (self.order, self.children) < (other.order, other.children)
 
     def __reduce__(self):
-        # Pickled and copied as its children alone: an id is valid only in
-        # the process that handed it out.
+        # Pickled as its children alone: an id is valid only in the process
+        # that handed it out.
         return RootedTree, (self.children,)
 
     def __str__(self) -> str:
@@ -158,6 +159,9 @@ class RootedTree:
         return f"RootedTree({format_tree(self)})"
 
 
+_intern((), 1)  # the single node, LEAF_ID
+
+
 def tree_id(tree: RootedTree) -> int:
     """The id of the tree's shape."""
     return tree._id
@@ -165,7 +169,7 @@ def tree_id(tree: RootedTree) -> int:
 
 def child_runs(i: int) -> tuple[tuple[int, int], ...]:
     """(child id, multiplicity) for each distinct child of shape i."""
-    runs = _RUNS.get(i)
+    runs = _RUNS[i]
     if runs is None:
         kids = _KIDS[i]
         counts = dict.fromkeys(kids, 0)  # in canonical order
@@ -177,7 +181,7 @@ def child_runs(i: int) -> tuple[tuple[int, int], ...]:
 
 def factorial_of(i: int) -> int:
     """tree_factorial of shape i."""
-    value = _FACTORIALS.get(i)
+    value = _FACTORIALS[i]
     if value is None:
         value = _ORDERS[i]
         for kid, count in child_runs(i):
@@ -188,7 +192,7 @@ def factorial_of(i: int) -> int:
 
 def sigma_of(i: int) -> int:
     """sigma of shape i."""
-    value = _SIGMAS.get(i)
+    value = _SIGMAS[i]
     if value is None:
         value = 1
         for kid, count in child_runs(i):
@@ -219,15 +223,13 @@ def alpha(tree: RootedTree) -> Fraction:
 class _Forest:
     """The trees of order 1, 2, ..., in canonical order, grown by order.
 
-    trees[ends[q-1]:ends[q]] is the group of order q once it is built, and
-    ids[k] is the id of trees[k].  The lists only grow, and each grows
-    before ends records the new group, so a group a reader can see is
-    complete.
+    trees[ends[q-1]:ends[q]] is the group of order q once it is built.  The
+    list only grows, and grows before ends records the new group, so a group
+    a reader can see is complete.
     """
 
     def __init__(self) -> None:
         self.trees: list[RootedTree] = []
-        self.ids: list[int] = []
         self.ends = [0]
 
     def group(self, q: int) -> tuple[RootedTree, ...]:
@@ -242,35 +244,27 @@ class _Forest:
 
         The caller holds _LOCK.
         """
-        trees, ids, ends = self.trees, self.ids, self.ends
-        picked: list[RootedTree] = []
-        picked_ids: list[int] = []
+        trees, ends = self.trees, self.ends
+        picked: list[int] = []
 
-        def child_sequences(first: int, left: int) -> Iterator[tuple[tuple, tuple]]:
+        def child_sequences(first: int, left: int) -> Iterator[tuple[int, ...]]:
             if not left:
-                yield tuple(picked), tuple(picked_ids)
+                yield tuple(picked)
                 return
             # Later picks come no earlier than trees[first], so they have at
             # least as many nodes: a pick of s nodes can be completed only
             # when the left - s nodes after it are none or at least s.
             for size in (*range(1, left // 2 + 1), left):
                 for index in range(max(first, ends[size - 1]), ends[size]):
-                    picked.append(trees[index])
-                    picked_ids.append(ids[index])
+                    picked.append(trees[index]._id)
                     yield from child_sequences(index, left - size)
                     picked.pop()
-                    picked_ids.pop()
 
         while len(ends) <= q:
             # The walk reads only the groups already built, below the new one.
             order = len(ends)
-            for kids, kid_ids in child_sequences(0, order - 1):
-                tree = RootedTree(kids)
-                i = _intern(kid_ids, order)
-                object.__setattr__(tree, "order", order)
-                object.__setattr__(tree, "_id", i)
-                trees.append(tree)
-                ids.append(i)
+            for kids in child_sequences(0, order - 1):
+                trees.append(_intern(kids, order))
             ends.append(len(trees))
 
 

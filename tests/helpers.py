@@ -20,7 +20,10 @@ iteration_series_reference is the oracle's iteration routes the same way:
 plain fixed-point sweeps over truncated Fraction series, one more
 coefficient fixed per sweep.  tree_field is the field of Butcher's
 theorem, built over the grafting forest: its exact and discrete flows at 0
-carry every 1/t! and every elementary weight.
+carry every 1/t! and every elementary weight.  record_interns counts the
+trees a call asks the id store for.  field_value, unsatisfiable and
+var_sort_key are the test-only readings of a field, a condition and a
+variable.
 """
 
 import math
@@ -29,8 +32,9 @@ from itertools import groupby
 
 from hypothesis import strategies as st
 
+from butcher_kit import trees
 from butcher_kit.algebra import CoeffPolynomial
-from butcher_kit.oracle import PolyVectorField
+from butcher_kit.oracle import PolyVectorField, elementary_differential
 from butcher_kit.trees import RootedTree
 from butcher_kit.verify import ButcherTableau
 
@@ -38,6 +42,38 @@ F = Fraction
 
 # OEIS A000081 at orders 1..14.
 A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973)
+
+
+def record_interns(monkeypatch):
+    """The order of every tree asked of the id store from now on, in a list.
+
+    Every tree, grown in the forest, built or parsed, comes from
+    trees._intern, once per tree built, whether its shape is new or not.
+    """
+    built = []
+    intern = trees._intern
+
+    def counting(kids, order):
+        built.append(order)
+        return intern(kids, order)
+
+    monkeypatch.setattr(trees, "_intern", counting)
+    return built
+
+
+def field_value(field, point):
+    """f(point): the elementary differential of the single node."""
+    return elementary_differential(field, RootedTree(), point)
+
+
+def unsatisfiable(condition):
+    """A zero left side with a nonzero right side, which can never hold."""
+    return condition.lhs.is_zero and condition.rhs != 0
+
+
+def var_sort_key(var):
+    """b[1..s] < c[1..s] < a[1,1..s] row-major."""
+    return ("bca".index(var.kind), var.i, var.j or 0)
 
 
 def power(poly, exponent):
@@ -75,7 +111,7 @@ def evaluate_constant(poly):
     """The value of a variable-free polynomial; error otherwise."""
     free = free_variables(poly)
     if free:
-        names = ", ".join(str(v) for v in sorted(free, key=lambda v: v.sort_key()))
+        names = ", ".join(str(v) for v in sorted(free, key=var_sort_key))
         raise ValueError(f"free variables remain: {names}")
     return dict(poly.sorted_terms()).get((), 0)
 
@@ -86,7 +122,7 @@ def monomial_key(monomial):
     variables first."""
     return (
         sum(exp for _, exp in monomial),
-        tuple((var.sort_key(), -exp) for var, exp in monomial),
+        tuple((var_sort_key(var), -exp) for var, exp in monomial),
     )
 
 

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import evaluate_constant, free_variables, monomial_key, power, substitute
+from helpers import evaluate_constant, free_variables, monomial_key, power, substitute, var_sort_key
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,7 +105,10 @@ class TestCoeffVar:
 
     def test_variable_order_is_b_then_c_then_a_row_major(self):
         ordered = [b_var(1), b_var(2), c_var(1), c_var(2), a_var(1, 2), a_var(2, 1)]
-        assert sorted(ordered, key=CoeffVar.sort_key) == ordered
+        assert sorted(ordered, key=var_sort_key) == ordered
+        # The package's own term order puts degree-one terms in this order.
+        total = poly_sum(CoeffPolynomial.variable(var) for var in reversed(ordered))
+        assert [monomial[0][0] for monomial, _ in total.sorted_terms()] == ordered
 
     @pytest.mark.parametrize(
         "kind,i,j",
@@ -301,7 +304,7 @@ _POOL = (b_var(1), b_var(2), c_var(1), c_var(2), c_var(3), a_var(2, 1), a_var(3,
 # Up to three variables with exponents 1-3: many monomials tie on degree,
 # and many on their leading variable and its power.
 _MONOMIALS = st.dictionaries(st.sampled_from(_POOL), st.integers(1, 3), max_size=3).map(
-    lambda powers: tuple(sorted(powers.items(), key=lambda item: item[0].sort_key()))
+    lambda powers: tuple(sorted(powers.items(), key=lambda item: var_sort_key(item[0])))
 )
 
 

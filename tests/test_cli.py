@@ -18,12 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import A000081
+from helpers import A000081, record_interns
 
 from butcher_kit import cli
 from butcher_kit.cli import _ORDER_CAP, main
 from butcher_kit.oracle import MAX_FIELD_DEGREE, MAX_FIELD_DIM, MAX_POINT_DIGITS
-from butcher_kit.trees import RootedTree, TreesByOrder
+from butcher_kit.trees import TreesByOrder
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RK4 = str(FIXTURES / "rk4.json")
@@ -126,14 +126,7 @@ class TestCount:
         ]
 
     def test_builds_no_tree(self, capsys, monkeypatch, fresh_forest):
-        built = []
-        original = RootedTree.__post_init__
-
-        def counting(tree):
-            built.append(tree)
-            original(tree)
-
-        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        built = record_interns(monkeypatch)
         code, out, _ = run(capsys, "count", "--order", "14")
         assert code == 0
         assert out.endswith(f"total: {sum(A000081[:14])}\n")
@@ -486,6 +479,14 @@ class TestVerify:
         )
         assert float_code == 0
         assert "tolerance 1e-12" in out
+
+    def test_float_mode_zero_tolerance_passes_exact_residuals(self, capsys):
+        # A residual equal to --tol passes: rk4's are 0 through order 4.
+        code, out, err = run(
+            capsys, "verify", RK4, "--max-order", "4", "--mode", "float", "--tol", "0"
+        )
+        assert (code, err) == (0, "")
+        assert "achieved order: 4" in out
 
     def test_float_mode_overflowing_residual_fails_the_order(self, capsys, tmp_path):
         path = tmp_path / "huge.json"

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import free_variables, power, substitute
+from helpers import free_variables, power, substitute, unsatisfiable
 
 from butcher_kit.algebra import CoeffPolynomial, a_var, b_var, c_var, poly_sum
 from butcher_kit.conditions import (
@@ -194,11 +194,11 @@ class TestExplicitShape:
             explicit = GenerationFlags(explicit=True)
             condition = _conditions_by_tree(stages + 1, stages, explicit)[_chain(stages + 1)]
             assert condition.lhs.is_zero
-            assert condition.unsatisfiable
+            assert unsatisfiable(condition)
 
     def test_satisfiable_conditions_are_not_flagged(self):
         for condition in all_order_conditions(4, 4, EXPLICIT_C):
-            assert not condition.unsatisfiable
+            assert not unsatisfiable(condition)
 
 
 class TestConditionSets:
@@ -263,3 +263,11 @@ class TestRendering:
         deepest = "(sum_{w=1}^{s} a_{v,w} (sum_{i_{12}=1}^{s} a_{w,i_{12}}))"
         assert twelve.endswith(deepest + ")" * 9)
         assert "(sum_{i_{13}=1}^{s} a_{i_{12},i_{13}})" in render_generic(_chain(13))
+
+    def test_generic_memo_keeps_child_factors_only(self):
+        # One memo across a forest renders what a fresh memo per tree does,
+        # and holds no root entry: a tree is a child only below depth 0.
+        memo = {}
+        for tree in enumerate_by_leaf(8):
+            assert render_generic(tree, memo) == render_generic(tree)
+        assert memo and min(depth for _, depth in memo) == 1

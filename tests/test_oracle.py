@@ -31,9 +31,11 @@ from helpers import (
     differential_reference,
     directional_derivative,
     explicit_euler,
+    field_value,
     implicit_midpoint,
     iteration_series_reference,
     random_tableaus,
+    record_interns,
     rk4,
     tree_field,
     tree_series_reference,
@@ -56,7 +58,7 @@ from butcher_kit.oracle import (
     rk_series_direct,
     rk_series_trees,
 )
-from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial, tree_id
+from butcher_kit.trees import enumerate_by_leaf, parse_tree, tree_factorial, tree_id
 from butcher_kit.verify import ButcherTableau, verify_order
 
 F = Fraction
@@ -269,7 +271,7 @@ class TestComponentParsing:
 
     def test_dim_1_uses_x1_only(self):
         field = PolyVectorField.from_strings(1, ["x1^2"])
-        assert field.evaluate((F(3),)) == (F(9),)
+        assert field_value(field, (F(3),)) == (F(9),)
         with pytest.raises(FieldSyntaxError):
             PolyVectorField.from_strings(1, ["x2"])
 
@@ -418,14 +420,14 @@ class TestPolyVectorField:
     def test_partials_and_values_through_the_public_routes(self):
         # MIXED is (x2, x1^2 - 1/2*x2).  Where f(x0) = s * e_k, F([[]]) =
         # f'(x0) f(x0) is s times the partials of f along x_k at x0.
-        assert MIXED.evaluate((F(1), F(2))) == (F(2), F(0))
+        assert field_value(MIXED, (F(1), F(2))) == (F(2), F(0))
         assert elementary_differential(MIXED, parse_tree("[[]]"), (F(1), F(2))) == (F(0), F(4))
-        assert MIXED.evaluate((1, 0)) == (F(0), F(1))
+        assert field_value(MIXED, (1, 0)) == (F(0), F(1))
         assert elementary_differential(MIXED, parse_tree("[[]]"), (F(1), F(0))) == (F(1), F(-1, 2))
 
     def test_evaluate_checks_the_point_length(self):
         with pytest.raises(ValueError, match="^point has 1 entries, expected 2$"):
-            MIXED.evaluate((F(1),))
+            field_value(MIXED, (F(1),))
 
 
 class TestDifferentialReference:
@@ -607,19 +609,12 @@ class TestHandExpansions:
     def test_explicit_euler_truncates_after_tau(self):
         series = rk_series_trees(explicit_euler(), MIXED, (F(1), F(2)), 4)
         assert series.coeffs[0] == (F(1), F(2))
-        assert series.coeffs[1] == MIXED.evaluate((F(1), F(2)))
+        assert series.coeffs[1] == field_value(MIXED, (F(1), F(2)))
         assert all(row == (F(0), F(0)) for row in series.coeffs[2:])
 
     def test_degree_zero_series_is_the_point(self, monkeypatch):
         # The tree routes walk an empty forest: they build no tree.
-        built = []
-        post_init = RootedTree.__post_init__
-
-        def counting(tree):
-            post_init(tree)
-            built.append(tree)
-
-        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        built = record_interns(monkeypatch)
         point = (F(1, 3), F(-1, 2))
         assert flow_series_trees(MIXED, point, 0).coeffs == (point,)
         assert flow_series_picard(MIXED, point, 0).coeffs == (point,)

@@ -21,15 +21,18 @@ Core claims:
   * alpha is 1/sigma and matches the arrangement-weight recursion, and
     sigma satisfies Cayley's formula, through order 10;
   * construction is child-order invariant and parse/format round-trips,
-    on every small tree and on hypothesis-drawn shapes;
+    on every small tree and on hypothesis-drawn shapes, and equal shapes,
+    however made, are one slotted object;
   * the counts through the CLI's order cap (14) follow the A000081
     recurrence.
 """
 
 import copy
 import math
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -40,7 +43,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import A000081, alpha_by_arrangements, power, rk4, symmetry_delta, trees_by_grafting
+from helpers import (
+    A000081,
+    alpha_by_arrangements,
+    power,
+    record_interns,
+    rk4,
+    symmetry_delta,
+    trees_by_grafting,
+)
 
 from butcher_kit import trees
 from butcher_kit.algebra import CoeffPolynomial, a_var, b_var
@@ -124,14 +135,7 @@ class TestEnumeration:
         assert tuple(enumerate_by_leaf(12).groups()) == trees_by_grafting(12)
 
     def test_each_tree_is_built_once(self, monkeypatch, fresh_forest):
-        built = []
-        original = RootedTree.__post_init__
-
-        def counting(tree):
-            built.append(tree)
-            original(tree)
-
-        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        built = record_interns(monkeypatch)
         forest = enumerate_by_leaf(10)
         assert len(built) == forest.total() == 1205
         # The forest is shared: a second call builds no tree.
@@ -151,14 +155,7 @@ class TestEnumeration:
         # tree is built once: order 5 builds orders 1-4 on the way.
         expected = tuple(enumerate_by_leaf(5).groups())
         request.getfixturevalue("fresh_forest")
-        built = []
-        original = RootedTree.__post_init__
-
-        def counting(tree):
-            built.append(tree)
-            original(tree)
-
-        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        built = record_interns(monkeypatch)
         forest = TreesByOrder(7)
         assert built == []
         assert forest.trees_of_order(5) == expected[4]
@@ -270,14 +267,7 @@ class TestTreesOutsideTheForest:
 
     def test_closed_forms_without_growing_the_forest(self, monkeypatch):
         chain, broom = parse_tree(self.CHAIN), parse_tree(self.BROOM)
-        built = []
-        post_init = RootedTree.__post_init__
-
-        def counting(tree):
-            post_init(tree)
-            built.append(tree)
-
-        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        built = record_interns(monkeypatch)
         linear = load_field((Path(__file__).parent / "fixtures" / "linear1d.json").read_text())
         x0 = (Fraction(3, 7),)
         weights, numeric = symbolic_weights(1), rk4().elementary_weights()
@@ -302,7 +292,7 @@ class TestTreesOutsideTheForest:
             # F of the linear field: x0 down a chain, 0 past 20 children.
             assert elementary_differential(linear, tree, x0) == differential
         # Nothing grew the forest: no tree was built but single nodes.
-        assert all(tree.order == 1 for tree in built)
+        assert all(order == 1 for order in built)
 
 
 class TestCoefficients:
@@ -434,13 +424,49 @@ class TestCanonicalForm:
 
     def test_pickles_carry_no_id(self):
         # Ids belong to one process's id space, so a pickled tree is rebuilt
-        # from its children and looks its id up again where it is loaded.
+        # from its children and looks its id up again where it is loaded:
+        # here it is the one tree of its shape.  A fresh interpreter first
+        # gives ids 0..i+1 to chains, so the shape (not a chain) gets an id
+        # above this process's i there, and the text still matches.
         tree = enumerate_by_leaf(6).trees_of_order(6)[7]
-        for copied in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
-            assert "_id" not in vars(copied)
-            assert copied == tree and copied is not tree
-            assert trees.tree_id(copied) == trees.tree_id(tree)
-            assert tree_factorial(copied) == tree_factorial(tree)
+        assert len(tree.children) > 1
+        for copied in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+            assert copied is tree
+        loader = (
+            "import pickle, sys\n"
+            "from butcher_kit.trees import RootedTree, enumerate_by_leaf, format_tree, tree_id\n"
+            "chain = RootedTree()\n"
+            "for _ in range(int(sys.argv[1]) + 1):\n"
+            "    chain = RootedTree((chain,))\n"
+            "tree = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert tree is enumerate_by_leaf(6).trees_of_order(6)[7]\n"
+            "print(format_tree(tree), tree_id(tree))\n"
+        )
+        paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        loaded = subprocess.run(
+            [sys.executable, "-c", loader, str(trees.tree_id(tree))],
+            input=pickle.dumps(tree), env=env, capture_output=True, check=True, timeout=60,
+        )
+        text, loaded_id = loaded.stdout.decode().split()
+        assert text == format_tree(tree)
+        assert int(loaded_id) > trees.tree_id(tree)
+
+    def test_equal_shapes_are_one_object(self):
+        # Built by hand in any child order, parsed or grown, a shape is one
+        # object, which carries its id and nothing else.
+        grown = enumerate_by_leaf(6).trees_of_order(6)
+        leaf = RootedTree()
+        by_hand = RootedTree((RootedTree((leaf,)), leaf, RootedTree((leaf,))))
+        shuffled = RootedTree([leaf, RootedTree([leaf]), RootedTree([leaf])])
+        parsed = parse_tree("[[[]],[],[[]]]")
+        assert by_hand is shuffled is parsed is grown[grown.index(parsed)]
+        assert RootedTree() is leaf is parse_tree("⊙") is enumerate_by_leaf(1).trees_of_order(1)[0]
+        for tree in (by_hand, leaf, *grown):
+            assert not hasattr(tree, "__dict__")
+            with pytest.raises(AttributeError):
+                tree.label = "x"
+        assert RootedTree.__slots__ == ("_id",)
 
     def test_children_require_tree_type(self):
         with pytest.raises(TypeError):

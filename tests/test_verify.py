@@ -30,6 +30,7 @@ from helpers import (
     explicit_euler,
     implicit_midpoint,
     random_tableaus,
+    record_interns,
     rk4,
     substitute,
 )
@@ -311,6 +312,13 @@ class TestVerifyOrder:
         assert verify_order(close, 1, mode="float").achieved_order == 1
         assert verify_order(close, 1, mode="float", tol=1e-20).achieved_order == 0
 
+    def test_float_mode_residual_equal_to_tol_passes(self):
+        # rk4's residuals through order 4 are exactly 0 in floats, so a
+        # residual passes when it equals tol, not only when it is below it.
+        report = verify_order(rk4(), 4, mode="float", tol=0)
+        assert report.achieved_order == 4
+        assert all(entry.passed for entry in report.residuals)
+
     def test_float_mode_residual_beyond_float_range_is_infinite(self):
         huge = ButcherTableau.from_rows("huge b", [["0"]], ["1" + "0" * 400])
         report = verify_order(huge, 1, mode="float")
@@ -333,14 +341,7 @@ class TestVerifyOrder:
     def test_failing_order_stops_the_forest(self, monkeypatch, fresh_forest):
         # rk4 fails at order 5, so no tree above order 5 may be built,
         # however high max_order is.
-        built = []
-        post_init = RootedTree.__post_init__
-
-        def counting(tree):
-            post_init(tree)
-            built.append(tree.order)
-
-        monkeypatch.setattr(RootedTree, "__post_init__", counting)
+        built = record_interns(monkeypatch)
         report = verify_order(rk4(), 12)
         assert report.achieved_order == 4
         assert len(report.residuals) == 17
