@@ -9,6 +9,11 @@ monomial is the sorted tuple of its variables' ids, one per power, so
 products, hashing and comparison run in C.  Terms sort by total degree,
 then lexicographically on the variables, higher powers of earlier variables
 first; rendering and iteration are deterministic.
+
+A linear combination sum_j a_j * x_j of polynomials, the shape of both
+sums in the elementary-weight recursion, is poly_dot: it adds each product
+term straight into one term map, where the operators would build every
+product a_j * x_j and copy the partial sum at each "+".
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "parse_rational",
@@ -29,6 +34,7 @@ __all__ = [
     "c_var",
     "a_var",
     "CoeffPolynomial",
+    "poly_dot",
 ]
 
 # An unsigned rational: digits, then optionally "/" digits or "." digits.
@@ -268,13 +274,7 @@ class CoeffPolynomial:
     def __mul__(self, other: "ScalarLike | CoeffPolynomial") -> "CoeffPolynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        terms: dict[tuple[int, ...], ScalarLike] = {}
-        get = terms.get
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                merged = tuple(sorted(m1 + m2))
-                terms[merged] = get(merged, 0) + c1 * c2
-        return CoeffPolynomial._of(_nonzero(terms))
+        return _products(((self._terms, other._terms),))
 
     __rmul__ = __mul__
 
@@ -334,8 +334,30 @@ class CoeffPolynomial:
 
 def poly_sum(parts: Iterable[CoeffPolynomial]) -> CoeffPolynomial:
     """Sum with the right empty-sum identity (single accumulator pass)."""
+    return _products((part._terms, _ONE) for part in parts)
+
+
+def poly_dot(
+    row: Iterable[tuple[int, CoeffPolynomial]], vector: Sequence[CoeffPolynomial]
+) -> CoeffPolynomial:
+    """Sum of a * vector[j] over the (j, a) pairs of row; zero if row is empty.
+
+    The products go straight into one term map: no product polynomial is
+    built per pair and no partial sum is copied.
+    """
+    return _products((a._terms, vector[j]._terms) for j, a in row)
+
+
+_ONE = {(): 1}  # the term map of the constant 1
+
+
+def _products(pairs: Iterable[tuple[dict, dict]]) -> CoeffPolynomial:
+    # Sum of the products of each pair of term maps, in one accumulator.
     terms: dict[tuple[int, ...], ScalarLike] = {}
-    for part in parts:
-        for monomial, coeff in part._terms.items():
-            terms[monomial] = terms.get(monomial, 0) + coeff
+    get = terms.get
+    for left, right in pairs:
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
+                merged = tuple(sorted(m1 + m2))
+                terms[merged] = get(merged, 0) + c1 * c2
     return CoeffPolynomial._of(_nonzero(terms))

@@ -59,11 +59,12 @@ def _condition_size(order: int, stages: int, flags: GenerationFlags) -> tuple[in
     written as c[i].  The estimate is the number of trees of order P times
     S^k index choices, or C(S + k - 1, k) with explicit A, where every index
     lies below its parent's.  A leaf written as c[i] costs one variable, not
-    a row sum, hence the larger cap with --subst-c.  Measured on a 2-core Xeon,
-    accepted sizes near the caps take 20-36 s and 200-360 MB (--order 6
-    --stages 6; --order 8 --stages 8 --explicit; --order 6 --stages 13
-    --subst-c), refused ones just above them 44-80 s and 560-660 MB
-    (--order 7 --stages 5; --order 6 --stages 14 --subst-c).
+    a row sum, hence the larger cap with --subst-c.  Measured on a 2-core Xeon
+    with Python 3.11, text output: accepted sizes near the caps take 1.8-3.8 s
+    and 150-230 MB (--order 6 --stages 6; --order 8 --stages 8 --explicit;
+    --order 6 --stages 13 --subst-c), and sizes just above them would take
+    3.3-7.3 s and 280-490 MB (--order 6 --stages 14 --subst-c; --order 7
+    --stages 5), most of the time in rendering the polynomials.
     """
     k = order - 1 if flags.substitute_c else order
     choices = math.comb(stages + k - 1, k) if flags.explicit else stages**k

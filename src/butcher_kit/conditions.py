@@ -13,9 +13,12 @@ for any scalar ring.  Its inputs are, per stage, the (j, a[i,j]) pairs
 whose entry is not zero and the factor a single-node child contributes
 (sum_j a[i,j], or c[i]), and b; one memo serves every tree it is asked
 about.  symbolic_weights builds one over the CoeffPolynomial variables
-a[i,j], c[i] and b[i].  ButcherTableau.elementary_weights, which verify
-and the oracle use, builds one over the integer numerators of a tableau's
-A and b, each put over one common denominator, and divides once per tree.
+a[i,j], c[i] and b[i]; there each sum over j, and b . Phi, is one
+algebra.poly_dot, which adds the products into a single term map.
+ButcherTableau.elementary_weights, which verify and the oracle use, builds
+one over the integer numerators of a tableau's A and b, each put over one
+common denominator, and divides once per tree; its sums stay inline sum()
+expressions.
 
 GenerationFlags tune the emitted shape:
   * substitute_c: a child that is the single node contributes the factor
@@ -35,7 +38,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from .algebra import CoeffPolynomial, a_var, b_var, c_var, format_rational, poly_sum
+from .algebra import CoeffPolynomial, a_var, b_var, c_var, format_rational, poly_dot, poly_sum
 from .trees import LEAF_ID, RootedTree, child_runs, enumerate_by_leaf, tree_factorial, tree_id
 
 __all__ = [
@@ -101,6 +104,11 @@ class ElementaryWeights:
         # The ring's zero and one, in the entries' own type.
         self._zero = leaf[0] * 0
         self._memo = {LEAF_ID: (self._zero + 1,) * len(b)}
+        # Over polynomials each sum of products is one poly_dot, with b as
+        # the row of (i, b[i]) pairs; over numbers it stays an inline sum(),
+        # since a call per row would only slow the integer route down.
+        self._fused = isinstance(self._zero, CoeffPolynomial)
+        self._b_row = tuple(enumerate(b))
 
     def vector(self, tree: RootedTree) -> tuple:
         """(Phi_1(t), ..., Phi_s(t))."""
@@ -121,11 +129,16 @@ class ElementaryWeights:
         if kid == LEAF_ID:
             return self._leaf
         phi = self._vector(kid)
+        if self._fused:
+            return tuple([poly_dot(row, phi) for row in self._rows])
         return tuple(sum((a * phi[j] for j, a in row), self._zero) for row in self._rows)
 
     def weight(self, tree: RootedTree):
         """sum_i b[i] * Phi_i(t)."""
-        return sum((b * phi for b, phi in zip(self._b, self.vector(tree))), self._zero)
+        phi = self.vector(tree)
+        if self._fused:
+            return poly_dot(self._b_row, phi)
+        return sum((b * x for b, x in zip(self._b, phi)), self._zero)
 
 
 def symbolic_weights(

@@ -11,9 +11,10 @@ the module keeps the children's ids, the order and the shape's one
 RootedTree, a handle that holds the id and nothing else.  So two equal
 trees, whether grown in the forest, built by hand or parsed, are the same
 object, and a tree outside the forest costs one lookup per node.  The runs
-of equal children, as (child id, multiplicity) pairs, and the factors below
-are computed from the children's entries when first asked for, and kept in
-flat lists indexed by id.  The evaluators (conditions.ElementaryWeights,
+of equal children, as (child id, multiplicity) pairs, each pair one object
+shared by every shape it occurs in, and the factors below are computed
+from the children's entries when first asked for, and kept in flat lists
+indexed by id.  The evaluators (conditions.ElementaryWeights,
 the oracle's derivative table) key their memos by id and walk the runs, so
 a subtree shared by many trees is evaluated once per memo, and a deep
 parsed tree in time linear in its size.
@@ -85,6 +86,9 @@ _TREES: list[RootedTree] = []
 # None until first asked for, then filled from the children's entries; two
 # threads that race on an entry write the same value.
 _RUNS: list[tuple[tuple[int, int], ...] | None] = []
+# Every (child id, multiplicity) pair of a run, kept once: a pair recurs in
+# the runs of many shapes.
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 _FACTORIALS: list[int | None] = []
 _SIGMAS: list[int | None] = []
 
@@ -172,10 +176,11 @@ def child_runs(i: int) -> tuple[tuple[int, int], ...]:
     runs = _RUNS[i]
     if runs is None:
         kids = _KIDS[i]
-        counts = dict.fromkeys(kids, 0)  # in canonical order
-        for kid in kids:
-            counts[kid] += 1
-        runs = _RUNS[i] = tuple(counts.items())
+        pairs = []
+        for kid in dict.fromkeys(kids):  # the distinct children, in canonical order
+            pair = kid, kids.count(kid)
+            pairs.append(_PAIRS.setdefault(pair, pair))
+        runs = _RUNS[i] = tuple(pairs)
     return runs
 
 

@@ -398,10 +398,10 @@ BUTCHER6_SAMPLES = ((F(2, 5), F(1, 3)), (F(1, 2), F(1, 4)), (F(1, 3), F(2, 7)))
 
 
 @st.composite
-def random_tableaus(draw):
-    """Rational tableaus of 1-3 stages, explicit or implicit."""
-    stages = draw(st.integers(1, 3))
-    explicit = draw(st.booleans())
+def random_tableaus(draw, stages=st.integers(1, 3), explicit=st.booleans()):
+    """Rational tableaus; stages and explicit are strategies (by default 1-3 stages, either kind)."""
+    stages = draw(stages)
+    explicit = draw(explicit)
     entries = st.fractions(-2, 2, max_denominator=5)
     a = [
         [draw(entries) if j < i or not explicit else 0 for j in range(stages)]

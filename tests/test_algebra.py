@@ -27,6 +27,7 @@ from butcher_kit.algebra import (
     c_var,
     format_rational,
     parse_rational,
+    poly_dot,
     poly_sum,
 )
 
@@ -329,3 +330,45 @@ class TestTermOrder:
         for _ in range(60):
             p = _random_poly(rng)
             assert CoeffPolynomial(dict(p.sorted_terms())) == p
+
+
+# Polynomials over _MONOMIALS with int or Fraction coefficients.
+_COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+_POLYS = st.dictionaries(_MONOMIALS, _COEFFS, max_size=4).map(CoeffPolynomial)
+
+
+def _operator_dot(row, vector):
+    total = CoeffPolynomial.zero()
+    for j, a in row:
+        total = total + a * vector[j]
+    return total
+
+
+class TestPolyDot:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(vector=st.lists(_POLYS, min_size=1, max_size=4), data=st.data())
+    def test_equals_the_operator_sum(self, vector, data):
+        row = data.draw(st.lists(st.tuples(st.integers(0, len(vector) - 1), _POLYS), max_size=5))
+        dot = poly_dot(row, vector)
+        assert dot == _operator_dot(row, vector)
+        assert all(coeff != 0 for _, coeff in dot.sorted_terms())
+
+    def test_empty_row_is_zero(self):
+        dot = poly_dot([], [CoeffPolynomial.variable(b_var(1))])
+        assert dot.is_zero and dot == CoeffPolynomial.zero()
+        assert dot.render() == "0"
+
+    def test_cancelled_terms_are_not_stored(self):
+        b1, c1 = CoeffPolynomial.variable(b_var(1)), CoeffPolynomial.variable(c_var(1))
+        assert poly_dot([(0, b1), (1, -b1)], [c1 + 1, c1 + 1]).is_zero
+        # b1*(c1 + 1) + b1*(-c1): the b1*c1 terms cancel, b1 is left.
+        dot = poly_dot([(0, b1), (1, b1)], [c1 + 1, -c1])
+        assert dot.sorted_terms() == [(((b_var(1), 1),), 1)]
+
+    def test_fraction_scaled_coefficients(self):
+        b1, c1 = CoeffPolynomial.variable(b_var(1)), CoeffPolynomial.variable(c_var(1))
+        row = [(0, b1.scale(Fraction(1, 3))), (1, b1.scale(Fraction(2, 3))), (0, c1 * Fraction(-1, 2))]
+        vector = [c1, c1.scale(Fraction(3, 4))]
+        dot = poly_dot(row, vector)
+        assert dot == _operator_dot(row, vector)
+        assert dot.render() == "5/6*b[1]*c[1] - 1/2*c[1]^2"

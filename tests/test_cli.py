@@ -6,6 +6,7 @@ TestFuzz holds the contract over argvs drawn from a small grammar.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -832,7 +833,18 @@ _WHOLE_OUTPUTS = {
 }
 
 
+# SHA-256 of the stdout of every conditions and trees run the benchmark
+# checks, keyed by its argv joined with spaces.
+DIGESTS = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+
+
 class TestWholeOutput:
+    @pytest.mark.parametrize("key", sorted(DIGESTS))
+    def test_matches_benchmark_digest(self, capsys, key):
+        code, out, err = run(capsys, *key.split(" "))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[key]
+
     @pytest.mark.parametrize("name", sorted(_WHOLE_OUTPUTS))
     def test_matches_golden_file(self, capsys, monkeypatch, tmp_path, name):
         unnamed = json.loads((FIXTURES / "rk4.json").read_text())

@@ -35,6 +35,7 @@ import random
 import subprocess
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -71,6 +72,7 @@ from butcher_kit.trees import (
     sigma,
     tree_counts,
     tree_factorial,
+    tree_id,
 )
 
 KNOWN_COUNTS = A000081[:10]
@@ -361,6 +363,19 @@ class TestCoefficients:
         for q in range(1, 11):
             total = sum(Fraction(math.factorial(q), sigma(t)) for t in forest.trees_of_order(q))
             assert total == q ** (q - 1)
+
+    def test_runs_share_equal_pairs(self):
+        # Each (child id, multiplicity) pair is one object in every run that
+        # holds it, and each run still counts a shape's distinct children in
+        # canonical order.
+        shared, held = {}, 0
+        for tree in enumerate_by_leaf(9):
+            runs = trees.child_runs(tree_id(tree))
+            assert runs == tuple(Counter(tree_id(kid) for kid in tree.children).items())
+            for pair in runs:
+                assert shared.setdefault(pair, pair) is pair
+            held += len(runs)
+        assert len(shared) < held / 2  # most pairs recur
 
 
 class TestCanonicalForm:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     BUTCHER6_SAMPLES,
@@ -58,6 +59,18 @@ def _chain(q):
     for _ in range(q - 1):
         tree = RootedTree((tree,))
     return tree
+
+
+def _binding(tableau, with_c=False):
+    """b[i] and a[i,j] bound to the tableau's entries, and c[i] to its row sums if asked."""
+    s = tableau.stages
+    binding = {b_var(i): tableau.b[i - 1] for i in range(1, s + 1)}
+    binding.update(
+        {a_var(i, j): tableau.a[i - 1][j - 1] for i in range(1, s + 1) for j in range(1, s + 1)}
+    )
+    if with_c:
+        binding.update({c_var(i): tableau.row_sums()[i - 1] for i in range(1, s + 1)})
+    return binding
 
 
 class TestLoading:
@@ -194,16 +207,7 @@ class TestResiduals:
         # the tableau must give the same weights, in the raw form and, with
         # c[i] bound to the row sums, in the substitute_c form.
         s = tableau.stages
-        binding = {b_var(i): tableau.b[i - 1] for i in range(1, s + 1)}
-        binding.update(
-            {
-                a_var(i, j): tableau.a[i - 1][j - 1]
-                for i in range(1, s + 1)
-                for j in range(1, s + 1)
-            }
-        )
-        with_c = dict(binding)
-        with_c.update({c_var(i): tableau.row_sums()[i - 1] for i in range(1, s + 1)})
+        binding, with_c = _binding(tableau), _binding(tableau, with_c=True)
         weights = tableau.elementary_weights()
         raw = symbolic_weights(s, GenerationFlags(explicit=tableau.explicit))
         subst_c = symbolic_weights(s, GenerationFlags(explicit=tableau.explicit, substitute_c=True))
@@ -211,6 +215,20 @@ class TestResiduals:
             direct = weights.weight(tree)
             assert evaluate_constant(substitute(raw.weight(tree), binding)) == direct
             assert evaluate_constant(substitute(subst_c.weight(tree), with_c)) == direct
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(tableau=random_tableaus(stages=st.just(4), explicit=st.just(True)))
+    @example(tableau=rk4())
+    def test_explicit_subst_c_polynomials_match_at_four_stages(self, tableau):
+        # The --explicit --subst-c polynomials at s = 4, stage by stage and
+        # summed with b, bound to a 4-stage explicit tableau with c[i] its
+        # row sums, give the integer route's weights through order 5.
+        symbolic = symbolic_weights(4, GenerationFlags(explicit=True, substitute_c=True))
+        weights, binding = tableau.elementary_weights(), _binding(tableau, with_c=True)
+        for tree in enumerate_by_leaf(5):
+            stages = [evaluate_constant(substitute(x, binding)) for x in symbolic.vector(tree)]
+            assert tuple(stages) == weights.vector(tree)
+            assert evaluate_constant(substitute(symbolic.weight(tree), binding)) == weights.weight(tree)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(tableau=random_tableaus())
