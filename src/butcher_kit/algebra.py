@@ -176,7 +176,8 @@ ScalarLike = Union[int, Fraction]
 
 # Inside CoeffPolynomial a monomial is the sorted tuple of its variables'
 # ids, each repeated once per power: b[1]*c[2]^2 is (id b[1], id c[2],
-# id c[2]).  A product of monomials is tuple(sorted(m1 + m2)).  Sorting by
+# id c[2]).  A product of monomials is m1 + m2 sorted, which _products
+# skips when the two already meet in order.  Sorting by
 # (len(m), m) is the graded order: by total degree, then lexicographically
 # on the variables, higher powers of earlier variables first.
 
@@ -358,6 +359,15 @@ def _products(pairs: Iterable[tuple[dict, dict]]) -> CoeffPolynomial:
     for left, right in pairs:
         for m1, c1 in left.items():
             for m2, c2 in right.items():
-                merged = tuple(sorted(m1 + m2))
+                # Joined without a sort when one side ends no later than
+                # the other starts: b[i] * Phi, whose b ids sort first, and
+                # a[i,j] * Phi_j for explicit A without c, whose a[i,j]
+                # sorts after every variable of Phi_j.
+                if not m1 or not m2 or m1[-1] <= m2[0]:
+                    merged = m1 + m2
+                elif m2[-1] <= m1[0]:
+                    merged = m2 + m1
+                else:
+                    merged = tuple(sorted(m1 + m2))
                 terms[merged] = get(merged, 0) + c1 * c2
     return CoeffPolynomial._of(_nonzero(terms))

@@ -12,9 +12,13 @@ ElementaryWeights is the package's one implementation of this recursion,
 for any scalar ring.  Its inputs are, per stage, the (j, a[i,j]) pairs
 whose entry is not zero and the factor a single-node child contributes
 (sum_j a[i,j], or c[i]), and b; one memo serves every tree it is asked
-about.  symbolic_weights builds one over the CoeffPolynomial variables
-a[i,j], c[i] and b[i]; there each sum over j, and b . Phi, is one
-algebra.poly_dot, which adds the products into a single term map.
+about.  The factor a child t_k brings, sum_j a[i,j] * Phi_j(t_k), is
+itself Phi of the planted tree [t_k], t_k alone under a new root; so the
+memo keeps it like any tree's, and each distinct child costs one row sum
+over A per evaluator however many trees share it.  symbolic_weights
+builds one over the CoeffPolynomial variables a[i,j], c[i] and b[i];
+there each sum over j, and b . Phi, is one algebra.poly_dot, which adds
+the products into a single term map.
 ButcherTableau.elementary_weights, which verify and the oracle use, builds
 one over the integer numerators of a tableau's A and b, each put over one
 common denominator, and divides once per tree; its sums stay inline sum()
@@ -39,7 +43,15 @@ from functools import reduce
 from operator import mul
 
 from .algebra import CoeffPolynomial, a_var, b_var, c_var, format_rational, poly_dot, poly_sum
-from .trees import LEAF_ID, RootedTree, child_runs, enumerate_by_leaf, tree_factorial, tree_id
+from .trees import (
+    LEAF_ID,
+    RootedTree,
+    child_runs,
+    enumerate_by_leaf,
+    planted_id,
+    tree_factorial,
+    tree_id,
+)
 
 __all__ = [
     "ElementaryWeights",
@@ -96,11 +108,16 @@ class ElementaryWeights:
     """Phi(t) and b . Phi(t) from rows, leaf and b; rows hold 0-based j.
 
     The memo is keyed by tree id, and each tree is read through its runs of
-    equal children, so a repeated child costs one factor computation.
+    equal children.  A tree with one child, [kid], has Phi([kid]) =
+    A . Phi(kid), one row sum per stage (the leaf vector when kid is the
+    single node); every other tree takes each child's column from
+    Phi([kid]), found by trees.planted_id and memoised as a tree of its own.
+    [kid] has no more nodes than any tree with kid as a child, so over a
+    whole forest, as conditions and verify ask, its Phi is needed anyway.
     """
 
     def __init__(self, rows, leaf, b) -> None:
-        self._rows, self._leaf, self._b = rows, leaf, b
+        self._rows, self._leaf, self._b = rows, tuple(leaf), b
         # The ring's zero and one, in the entries' own type.
         self._zero = leaf[0] * 0
         self._memo = {LEAF_ID: (self._zero + 1,) * len(b)}
@@ -117,10 +134,17 @@ class ElementaryWeights:
     def _vector(self, i: int) -> tuple:
         cached = self._memo.get(i)
         if cached is None:
-            columns = []
-            for kid, count in child_runs(i):
-                columns += [self._times_a(kid)] * count
-            cached = tuple(reduce(mul, stage) for stage in zip(*columns))
+            runs = child_runs(i)
+            if len(runs) == 1 and runs[0][1] == 1:
+                # [kid]: its Phi is kid's factor itself.
+                cached = self._times_a(runs[0][0])
+            else:
+                # Each child's factor is Phi of the child planted, [kid],
+                # kept in the memo like any other tree's.
+                columns = []
+                for kid, count in runs:
+                    columns += [self._vector(planted_id(kid))] * count
+                cached = tuple(reduce(mul, stage) for stage in zip(*columns))
             self._memo[i] = cached
         return cached
 

@@ -69,8 +69,12 @@ def _coerce_entry(value: object, where: str) -> Fraction:
 class ButcherTableau:
     """Coefficients of an s-stage method; all entries exact rationals.
 
-    c defaults to the row sums of A when omitted.  explicit is derived:
-    true exactly when A is strictly lower triangular.
+    c defaults to the row sums of A when omitted (None).  The row sums are
+    read once per tableau, off A's integer rows (algebra.integer_rows): each
+    is the sum of its row's numerators over the one common denominator, so
+    s Fractions are built instead of s^2 Fraction additions.  They serve
+    both the default c and row_sums().  explicit is derived: true exactly
+    when A is strictly lower triangular.
     """
 
     name: str
@@ -84,6 +88,11 @@ class ButcherTableau:
             raise TableauError("a tableau needs at least one stage")
         if len(self.a) != s or any(len(row) != s for row in self.a):
             raise TableauError(f"A must be {s}x{s} to match b")
+        rows, denominator = integer_rows(self.a)
+        sums = tuple([Fraction(sum(row), denominator) for row in rows])
+        object.__setattr__(self, "_row_sums", sums)
+        if self.c is None:
+            object.__setattr__(self, "c", sums)
         if len(self.c) != s:
             raise TableauError(f"c has {len(self.c)} entries, expected {s}")
 
@@ -100,10 +109,9 @@ class ButcherTableau:
             for i, row in enumerate(a)
         )
         b_row = tuple(_coerce_entry(entry, f"b[{i + 1}]") for i, entry in enumerate(b))
-        if c is None:
-            c_row = tuple(sum(row, Fraction(0)) for row in a_rows)
-        else:
-            c_row = tuple(_coerce_entry(entry, f"c[{i + 1}]") for i, entry in enumerate(c))
+        c_row = None if c is None else tuple(
+            _coerce_entry(entry, f"c[{i + 1}]") for i, entry in enumerate(c)
+        )
         return cls(name=name, a=a_rows, b=b_row, c=c_row)
 
     @property
@@ -117,7 +125,7 @@ class ButcherTableau:
         )
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.a)
+        return self._row_sums
 
     def elementary_weights(self) -> "TableauWeights":
         """Phi and b . Phi over this tableau's entries, one memo throughout."""
@@ -125,7 +133,7 @@ class ButcherTableau:
 
     @property
     def row_sum_consistent(self) -> bool:
-        return self.c == self.row_sums()
+        return self.c == self._row_sums
 
 
 class TableauWeights:
@@ -139,7 +147,9 @@ class TableauWeights:
     b . Phi(t), for callers that keep summing in integers: the oracle's tree
     route takes it as the step's w(t) over its scale unchanged.  vector and
     weight divide by those scales, one division per tree instead of one gcd
-    per product and sum.
+    per product and sum.  The leaf vector, a single node's factor, is the
+    integer rows' sums, the row sums of A scaled by D_A; every other child's
+    factor is the integer Phi of the child planted (see ElementaryWeights).
     """
 
     def __init__(self, a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> None:

@@ -831,6 +831,21 @@ _WHOLE_OUTPUTS = {
     "oracle_wide6d_butcher6.txt": (0, _WIDE),
     "oracle_wide6d_butcher6.json": (0, _WIDE + ("--format", "json")),
 }
+# verify on a tableau without c, whose c is the row sums of A, and on one
+# with c, each in both modes and both formats; both fail their last order.
+_WHOLE_OUTPUTS.update(
+    {
+        f"verify_{name}_{mode}.{ext}": (
+            1, ("verify", fixture, "--max-order", order, "--mode", mode) + format_flags
+        )
+        for name, fixture, order in (
+            ("extrapolated_euler_123", "extrapolated_euler_123.json", "4"),
+            ("butcher6", "butcher6_u2-5_v1-3.json", "6"),
+        )
+        for mode in ("exact", "float")
+        for ext, format_flags in (("txt", ()), ("json", ("--format", "json")))
+    }
+)
 
 
 # SHA-256 of the stdout of every conditions and trees run the benchmark

@@ -8,6 +8,8 @@ Core claims:
   * the explicit flag removes a[i,j] with i <= j and c[1] entirely;
   * duplicate conditions collapse, unsatisfiable ones survive and are
     flagged;
+  * each evaluator sums a row over A once per distinct non-leaf child,
+    however many trees share that child;
   * render_generic reproduces the pinned nested-sum strings and names
     levels beyond the index alphabet with subscripts.
 """
@@ -16,16 +18,25 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import free_variables, power, substitute, unsatisfiable
+from helpers import free_variables, power, rk4, substitute, unsatisfiable
 
 from butcher_kit.algebra import CoeffPolynomial, a_var, b_var, c_var, poly_sum
 from butcher_kit.conditions import (
+    ElementaryWeights,
     GenerationFlags,
     all_order_conditions,
     render_generic,
     symbolic_weights,
 )
-from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial
+from butcher_kit.trees import (
+    LEAF_ID,
+    RootedTree,
+    enumerate_by_leaf,
+    parse_tree,
+    tree_factorial,
+    tree_id,
+)
+from butcher_kit.verify import verify_order
 
 EXPLICIT_C = GenerationFlags(explicit=True, substitute_c=True)
 RAW = GenerationFlags()
@@ -136,6 +147,47 @@ class TestWeightVectors:
     def test_stage_count_must_be_positive(self):
         with pytest.raises(ValueError):
             symbolic_weights(0)
+
+
+class TestChildFactorsOnce:
+    """Each distinct child's factor, one row sum over A per stage, is
+    computed once per evaluator: it is Phi of the child planted, [kid],
+    which the memo keeps."""
+
+    @staticmethod
+    def _row_sums(monkeypatch):
+        """(evaluator, child id) of every row sum over a non-leaf child from now on."""
+        calls = []
+        times_a = ElementaryWeights._times_a
+
+        def counting(self, kid):
+            if kid != LEAF_ID:
+                calls.append((id(self), kid))
+            return times_a(self, kid)
+
+        monkeypatch.setattr(ElementaryWeights, "_times_a", counting)
+        return calls
+
+    @staticmethod
+    def _non_leaf_children(forest):
+        return {tree_id(kid) for tree in forest for kid in tree.children if kid.order > 1}
+
+    def test_symbolic_conditions(self, monkeypatch):
+        calls = self._row_sums(monkeypatch)
+        all_order_conditions(6, 3)
+        assert len({evaluator for evaluator, _ in calls}) == 1
+        assert sorted(kid for _, kid in calls) == sorted(
+            self._non_leaf_children(enumerate_by_leaf(6))
+        )
+
+    def test_integer_weights_of_a_verify_run(self, monkeypatch):
+        calls = self._row_sums(monkeypatch)
+        report = verify_order(rk4(), 8)
+        assert report.achieved_order == 4
+        assert len({evaluator for evaluator, _ in calls}) == 1
+        assert sorted(kid for _, kid in calls) == sorted(
+            self._non_leaf_children(entry.tree for entry in report.residuals)
+        )
 
 
 def _row_sum_binding(stages, explicit):

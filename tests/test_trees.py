@@ -11,6 +11,8 @@ Core claims:
   * trees far above the grown forest (a chain 200 deep, a broom) meet
     closed forms for every factor, text, weight and differential
     without growing it;
+  * planted_id finds [t] of a forest tree t without interning anything,
+    and interns [t] of a parsed tree outside the forest once;
   * coefficient functions hit the worked values (order 8, factorial 192,
     alpha 1/2 for [[[],[[]],[[]]],[]]-shaped input) and closed forms for
     chains and bushy trees;
@@ -69,6 +71,7 @@ from butcher_kit.trees import (
     enumerate_by_leaf,
     format_tree,
     parse_tree,
+    planted_id,
     sigma,
     tree_counts,
     tree_factorial,
@@ -295,6 +298,29 @@ class TestTreesOutsideTheForest:
             assert elementary_differential(linear, tree, x0) == differential
         # Nothing grew the forest: no tree was built but single nodes.
         assert all(order == 1 for order in built)
+
+
+class TestPlanted:
+    """planted_id(i) is the id of [t], t under a new root, for shape i."""
+
+    def test_forest_trees_find_their_plant_in_the_forest(self, monkeypatch):
+        forest = enumerate_by_leaf(7)
+        below = [tree for tree in forest if tree.order <= 6]
+        built = record_interns(monkeypatch)
+        planted = [planted_id(tree_id(tree)) for tree in below]
+        assert built == []
+        assert planted == [tree_id(RootedTree((tree,))) for tree in below]
+
+    def test_a_parsed_tree_outside_the_forest_interns_its_plant(self, monkeypatch):
+        # A shape no other test builds: a root over 23 brooms [[],[[]]].
+        tree = parse_tree("[" + ",".join(["[[],[[]]]"] * 23) + "]")
+        built = record_interns(monkeypatch)
+        planted = planted_id(tree_id(tree))
+        assert built == [tree.order + 1]
+        assert planted_id(tree_id(tree)) == planted
+        assert built == [tree.order + 1]
+        assert planted == tree_id(RootedTree((tree,)))
+        assert RootedTree((tree,)).children == (tree,)
 
 
 class TestCoefficients:

@@ -34,11 +34,18 @@ from helpers import (
     record_interns,
     rk4,
     substitute,
+    weight_reference,
 )
 
 from butcher_kit.algebra import a_var, b_var, c_var
 from butcher_kit.conditions import ElementaryWeights, GenerationFlags, symbolic_weights
-from butcher_kit.trees import RootedTree, enumerate_by_leaf, parse_tree, tree_factorial
+from butcher_kit.trees import (
+    MAX_PARSE_DEPTH,
+    RootedTree,
+    enumerate_by_leaf,
+    parse_tree,
+    tree_factorial,
+)
 from butcher_kit.verify import (
     ButcherTableau,
     TableauError,
@@ -160,6 +167,34 @@ class TestLoading:
             f"a number has more than {digits - 1} digits, too many to read"
         )
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(tableau=random_tableaus(stages=st.integers(1, 6)))
+    @example(tableau=ButcherTableau.from_rows("zero A", [[0, 0], [0, 0]], [1, 0]))
+    @example(
+        tableau=ButcherTableau.from_rows(
+            "mixed", [["-1/2", "3/4", 0], ["5/6", "-7/3", "2"], [0, "-1/9", "1/9"]], [1, 0, 0]
+        )
+    )
+    @example(
+        tableau=ButcherTableau.from_rows(
+            "coprime denominators",
+            [
+                [Fraction(1, 2**61 - 1), Fraction(-1, 3**40)],
+                [Fraction(2, 3**40), Fraction(-1, 5**27)],
+            ],
+            [1, 0],
+        )
+    )
+    def test_row_sums_are_the_fraction_sums(self, tableau):
+        # random_tableaus omits c, so c is the row sums too.
+        sums = tuple(sum(row, Fraction(0)) for row in tableau.a)
+        assert tableau.row_sums() == sums and tableau.c == sums
+        assert all(type(x) is Fraction for x in tableau.row_sums())
+        assert tableau.row_sum_consistent
+        given_c = ButcherTableau.from_rows("given c", tableau.a, tableau.b, [7] * tableau.stages)
+        assert given_c.row_sums() == sums and given_c.c == (7,) * tableau.stages
+        assert given_c.row_sum_consistent == (sums == given_c.c)
+
     def test_explicit_detection(self):
         assert explicit_euler().explicit
         assert rk4().explicit
@@ -191,6 +226,22 @@ class TestResiduals:
 
     def test_weight_vector_of_one_leaf_child_is_row_sums(self):
         assert rk4().elementary_weights().vector(parse_tree("[[]]")) == rk4().row_sums()
+
+    def test_bushy_tree_at_the_parse_depth_limit(self):
+        # [[],[[],...]] nested MAX_PARSE_DEPTH deep: every level has a leaf
+        # and one deeper child, so the integer route takes each child's
+        # factor from the child planted.  An implicit tableau, whose weights
+        # do not vanish with depth.
+        text = "[]"
+        for _ in range(MAX_PARSE_DEPTH - 1):
+            text = f"[[],{text}]"
+        tree = parse_tree(text)
+        tableau = ButcherTableau.from_rows(
+            "implicit", [["1/4", "-1/3"], ["1/2", "2/5"]], ["1/2", "1/2"]
+        )
+        weight = tableau.elementary_weights().weight(tree)
+        assert weight != 0
+        assert weight == weight_reference(tableau, tree)
 
     def test_explicit_chain_beyond_stages_has_zero_weight(self):
         for tableau in (explicit_euler(), rk4(), butcher6(Fraction(2, 5), Fraction(1, 3))):
