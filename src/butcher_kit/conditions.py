@@ -155,14 +155,15 @@ class ElementaryWeights:
         phi = self._vector(kid)
         if self._fused:
             return tuple([poly_dot(row, phi) for row in self._rows])
-        return tuple(sum((a * phi[j] for j, a in row), self._zero) for row in self._rows)
+        zero = self._zero
+        return tuple([sum([a * phi[j] for j, a in row], zero) for row in self._rows])
 
     def weight(self, tree: RootedTree):
         """sum_i b[i] * Phi_i(t)."""
         phi = self.vector(tree)
         if self._fused:
             return poly_dot(self._b_row, phi)
-        return sum((b * x for b, x in zip(self._b, phi)), self._zero)
+        return sum(map(mul, self._b, phi), self._zero)
 
 
 def symbolic_weights(

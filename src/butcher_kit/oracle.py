@@ -16,8 +16,8 @@ with K running over the sorted index multisets of size m and (k_1..k_m)
 over the distinct orderings of K.  Each level m of the table is read off
 the field's terms: for every j <= e with |j| = m, a term c x^e adds
 c prod_k perm(e_k, j_k) x0_k^(e_k - j_k) to d_K f at the K that holds
-each k j_k times.  The table holds the nonzero values only and is built
-once per memo of elementary_differential, so a tree with more children
+each k j_k times.  The table holds the nonzero values only, and builds a
+level the first time a tree asks for it, so a tree with more children
 than deg f costs nothing.
 
 A Runge-Kutta step with tableau (A, b) expands the same way, so both are
@@ -25,11 +25,18 @@ one Butcher series, x0 + sum_t tau^|t| w(t) F(t)(x0) / sigma(t), with
 w(t) = 1/t! for the flow and w(t) = b . Phi(t), the tableau's elementary
 weight as defined in conditions, for the step.  Each tree series comes
 from one walk over the process's one forest (see trees), _tree_series,
-with one derivative table that keeps F(t) by tree id; a route gives only
-its w, and the walk reads sigma(t) by id and applies it.  The forest is
-grown once per process, so a second series, or a second job, walks trees
-already built.  rk_series_trees builds one ElementaryWeights per call, so
-each subtree's Phi is computed once per call.
+which reads F(t) off the field's one derivative table; a route gives only
+its w, and the walk reads sigma(t) by id and applies it.  The table keeps
+F(t) by tree id, and each field keeps one, for the last point a tree
+route expanded it at: so the flow and the step at one field and point
+share every F(t), which is the paper's point, and a second series at
+that point computes only the differentials the first did not need.  The
+tables are kept in a dict that holds each field weakly, and a table holds
+no reference to its field, so it lives exactly as long as the field does;
+a new point replaces it.  The forest is grown once per process, so a
+second series, or a second job, walks trees already built.
+rk_series_trees builds one ElementaryWeights per call, so each subtree's
+Phi is computed once per call.
 
 The tree routes run in integers.  F(t) is kept as integer numerators over
 one unreduced denominator, and each w(t) as an integer numerator over its
@@ -56,8 +63,9 @@ weights, and a shift only integer factors, so nothing is divided until
 each output coefficient becomes one Fraction.  The tree
 formulas and the iteration share nothing but the field's term tables: the
 tree routes read the derivatives of f at x0 off them, the iteration the
-terms of f itself.  So their agreement is a meaningful check, not a
-tautology.
+terms of f itself, and never the derivative table.  So their agreement is
+a meaningful check, not a tautology, and a wrong F(t) shows in both
+comparisons.
 
 All arithmetic is exact; series are truncated at a caller-chosen degree.
 """
@@ -66,6 +74,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -387,23 +396,43 @@ def elementary_differential(
     Pass one memo dict across calls when evaluating many trees of the same
     field at the same point: the memo keeps the derivative table, which is
     built once per memo and keeps each subtree's differential, and
-    subtrees repeat heavily across a forest.  A point whose length is not
-    the field's dim, or a memo whose table belongs to another field or
-    point, raises ValueError.
+    subtrees repeat heavily across a forest.  Without a memo the field's
+    own table is read, the one the tree routes share.  A point whose
+    length is not the field's dim, or a memo whose table belongs to
+    another field or point, raises ValueError.
     """
     if memo is None:
-        memo = {}
-    table = memo.get(_TABLE_KEY)
-    if table is None:
-        table = memo[_TABLE_KEY] = _DerivativeTable(field, point)
-    elif not table.serves(field, point):
-        raise ValueError("the memo holds the derivative table of another field or point")
+        table = _field_table(field, point)
+    else:
+        table = memo.get(_TABLE_KEY)
+        if table is None:
+            table = memo[_TABLE_KEY] = _DerivativeTable(field, point)
+        elif not table.serves(field, point):
+            raise ValueError("the memo holds the derivative table of another field or point")
     numerators, denominator = table.differential(tree_id(tree))
     return tuple(Fraction(x, denominator) for x in numerators)
 
 
 # The memo entry that holds a memo's derivative table, its only entry.
 _TABLE_KEY = "derivative table"
+
+# Each field's derivative table, at the last point it was asked for.  The
+# field is held weakly, and the table holds no reference to it, so an entry
+# goes when its field does; a field's own attributes, and so its equality,
+# hash and pickle, are left alone.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _field_table(field: PolyVectorField, point: Sequence[Fraction]) -> _DerivativeTable:
+    """The field's derivative table at point: the one kept for the field if
+    it was built at point, else a new one, which replaces it.  Threads that
+    ask at two points may replace each other's table; each keeps the one it
+    got, so the worst a race costs is a table built twice."""
+    point = _check_point(field, point)
+    table = _TABLES.get(field)
+    if table is None or table.point != point:
+        table = _TABLES[field] = _DerivativeTable(field, point)
+    return table
 
 
 class _DerivativeTable:
@@ -417,11 +446,15 @@ class _DerivativeTable:
     numerators over one unreduced denominator, the level's times the
     children's, memoised by tree id and computed from the children's runs.
     No Fraction is built per tree; the callers make one per coefficient
-    they return.
+    they return.  Threads may share a table: a level or an F(t) is stored
+    whole once computed, so a race computes a value twice, never reads a
+    half-made one.
     """
 
     def __init__(self, field: PolyVectorField, point: Sequence[Fraction]) -> None:
-        self._field = field
+        # The components, not the field: the table is kept in _TABLES,
+        # whose entry must not keep its own key alive.
+        self._components = field.components
         self.point = _check_point(field, point)  # x0 as Fractions, one per variable
         self._dim = field.dim
         # x0 = X / d, and the coefficients are integers C over one scale F.
@@ -444,7 +477,7 @@ class _DerivativeTable:
 
     def serves(self, field: PolyVectorField, point: Sequence[Fraction]) -> bool:
         """Whether this table was built for field at point."""
-        return field == self._field and tuple(point) == self.point
+        return field.components == self._components and tuple(point) == self.point
 
     def _level(self, m: int) -> tuple[int, list]:
         level = self._levels.get(m)
@@ -537,14 +570,16 @@ def _tree_series(
     """The Butcher series x0 + sum over trees t of order <= degree of
     w(t) / sigma(t) * F(t)(x0), which both tree routes share.
 
-    The walk reads the groups of the process's one forest.  weight(t) gives
-    w(t) as an integer numerator over an integer scale, and the walk reads
-    sigma(t) by the tree's id and divides by it itself; a tree of weight
-    zero costs no differential.  The trees of one order are summed in integers over the
-    lcm of their denominators, so each coefficient is divided once.
+    The walk reads the groups of the process's one forest, and F(t) off
+    the field's derivative table at point, which the other tree route at
+    that point shares.  weight(t) gives w(t) as an integer numerator over
+    an integer scale, and the walk reads sigma(t) by the tree's id and
+    divides by it itself; a tree of weight zero costs no differential.  The
+    trees of one order are summed in integers over the lcm of their
+    denominators, so each coefficient is divided once.
     """
     _check_degree(degree)
-    table = _DerivativeTable(field, point)
+    table = _field_table(field, point)
     coeffs = [table.point]
     for group in TreesByOrder(degree).groups():
         terms = []

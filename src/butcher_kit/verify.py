@@ -104,14 +104,26 @@ class ButcherTableau:
         b: Sequence[EntryLike],
         c: Sequence[EntryLike] | None = None,
     ) -> "ButcherTableau":
-        a_rows = tuple(
-            tuple(_coerce_entry(entry, f"A[{i + 1}][{j + 1}]") for j, entry in enumerate(row))
-            for i, row in enumerate(a)
-        )
-        b_row = tuple(_coerce_entry(entry, f"b[{i + 1}]") for i, entry in enumerate(b))
-        c_row = None if c is None else tuple(
-            _coerce_entry(entry, f"c[{i + 1}]") for i, entry in enumerate(c)
-        )
+        # Each distinct entry string is parsed once per document, a zero
+        # written in every empty cell included.  Only str entries are kept:
+        # True == 1, so an int key could hand a boolean an int's entry.
+        parsed: dict[str, Fraction] = {}
+
+        def coerce(entries: Sequence[EntryLike], where) -> tuple[Fraction, ...]:
+            row = []
+            for k, entry in enumerate(entries, start=1):
+                if type(entry) is str:
+                    value = parsed.get(entry)
+                    if value is None:
+                        value = parsed[entry] = _coerce_entry(entry, where(k))
+                else:
+                    value = _coerce_entry(entry, where(k))
+                row.append(value)
+            return tuple(row)
+
+        a_rows = tuple(coerce(row, f"A[{i}][{{}}]".format) for i, row in enumerate(a, start=1))
+        b_row = coerce(b, "b[{}]".format)
+        c_row = None if c is None else coerce(c, "c[{}]".format)
         return cls(name=name, a=a_rows, b=b_row, c=c_row)
 
     @property
@@ -291,9 +303,11 @@ class ResidualEntry:
     residual: Fraction
     passed: bool
 
-    def to_mapping(self) -> dict:
+    def to_mapping(self, memo: dict | None = None) -> dict:
+        """The entry as JSON-ready values; memo is format_tree's, for
+        callers that format many entries."""
         return {
-            "tree": format_tree(self.tree),
+            "tree": format_tree(self.tree, memo),
             "order": self.order,
             "weight": format_rational(self.weight),
             "rhs": format_rational(self.rhs),
@@ -308,6 +322,9 @@ class OrderReport:
 
     residuals covers every tree of order <= min(requested_order,
     achieved_order + 1), so the first failing condition is always visible.
+    The report keeps one format_tree memo, which render_text and
+    to_mapping share: each tree's text is joined from its children's,
+    once per report.
     """
 
     tableau_name: str
@@ -320,6 +337,9 @@ class OrderReport:
     achieved_order: int
     residuals: tuple[ResidualEntry, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_tree_texts", {})
+
     def to_mapping(self) -> dict:
         return {
             "tableau": self.tableau_name,
@@ -330,7 +350,7 @@ class OrderReport:
             "tolerance": self.tolerance,
             "requested_order": self.requested_order,
             "achieved_order": self.achieved_order,
-            "residuals": [entry.to_mapping() for entry in self.residuals],
+            "residuals": [entry.to_mapping(self._tree_texts) for entry in self.residuals],
         }
 
     def render_text(self) -> str:
@@ -346,7 +366,8 @@ class OrderReport:
         ]
         columns = ("order", "tree", "weight", "rhs", "residual")
         rows = [columns + ("ok",)]
-        for entry in map(ResidualEntry.to_mapping, self.residuals):
+        for residual in self.residuals:
+            entry = residual.to_mapping(self._tree_texts)
             cells = tuple(str(entry[key]) for key in columns)
             rows.append(cells + ("pass" if entry["pass"] else "FAIL",))
         widths = [max(len(row[col]) for row in rows) for col in range(6)]

@@ -13,10 +13,15 @@ recompute every 1/t! and every elementary weight, stage by stage, on
 their own.
 """
 
+import gc
+import pickle
 import random
 import sys
+import threading
 import time
+import weakref
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -823,6 +828,133 @@ class TestSharedForest:
         enumerate_by_leaf(12)
         assert len(fresh_forest.ends) - 1 == 12
         assert results() == fresh
+
+
+def _with_fresh_tables(route, *args):
+    """route(*args) read off derivative tables built for this call alone."""
+    kept = oracle._TABLES
+    oracle._TABLES = weakref.WeakKeyDictionary()
+    try:
+        return route(*args)
+    finally:
+        oracle._TABLES = kept
+
+
+class TestFieldTable:
+    # The tree routes read F(t) off one derivative table per field, kept for
+    # the last point a route asked for and held weakly: the flow and the
+    # step at one field and point share it, a new point replaces it, and it
+    # goes when its field does.  Each test builds its own field, so no other
+    # test's table is kept for it.
+    POINTS = ((F(1, 2), F(-1, 3)), (F(2), F(1)))
+
+    @staticmethod
+    def _field():
+        return PolyVectorField.from_strings(2, ["x2^3 - 1/2*x1*x2", "x1^2*x2 + 3/4"])
+
+    def test_flow_and_step_at_one_point_build_one_table(self, monkeypatch):
+        built, computed = [], []
+        init, differential = oracle._DerivativeTable.__init__, oracle._DerivativeTable.differential
+
+        def counting_init(table, field, point):
+            built.append(tuple(point))
+            init(table, field, point)
+
+        def counting_differential(table, i):
+            if i not in table._memo:
+                computed.append(i)
+            return differential(table, i)
+
+        monkeypatch.setattr(oracle._DerivativeTable, "__init__", counting_init)
+        monkeypatch.setattr(oracle._DerivativeTable, "differential", counting_differential)
+        field, (here, there) = self._field(), self.POINTS
+        flow = flow_series_trees(field, here, 6)
+        step = rk_series_trees(rk4(), field, here, 6)
+        assert built == [here]
+        # Every F(t) the step needs, the flow computed: none is computed twice.
+        assert len(computed) == len(set(computed)) == len(list(enumerate_by_leaf(6)))
+        tree = parse_tree("[[],[[]]]")
+        assert elementary_differential(field, tree, here) == elementary_differential(
+            field, tree, here, {}
+        )
+        assert built == [here, here]  # the explicit memo built its own
+        # A new point builds a second table, which the step shares too, and
+        # the first point after it a third.
+        assert flow_series_trees(field, there, 6) == _with_fresh_tables(
+            flow_series_trees, field, there, 6
+        )
+        rk_series_trees(rk4(), field, there, 6)
+        assert built[2:] == [there, there]  # the second is the fresh one
+        assert rk_series_trees(rk4(), field, here, 6) == step
+        assert flow_series_trees(field, here, 6) == flow
+        assert built[4:] == [here]
+
+    def test_table_goes_with_its_field(self):
+        field = self._field()
+        flow_series_trees(field, self.POINTS[0], 5)
+        table = weakref.ref(oracle._TABLES[field])
+        assert table() is not None
+        del field
+        gc.collect()
+        assert table() is None
+
+    def test_field_is_left_as_it_was(self):
+        # The table lives beside the field, not in it: the field's
+        # attributes, and so its pickle, hash and equality, stay the same.
+        field = self._field()
+        before = pickle.dumps(field), hash(field), dict(vars(field))
+        flow_series_trees(field, self.POINTS[0], 5)
+        rk_series_trees(rk4(), field, self.POINTS[0], 5)
+        elementary_differential(field, parse_tree("[[]]"), self.POINTS[1])
+        assert (pickle.dumps(field), hash(field), dict(vars(field))) == before
+        assert field == self._field()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        calls=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 1), st.booleans(), st.integers(0, 6)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_interleaved_fields_and_points_match_fresh_tables(self, calls):
+        fields = (self._field(), WIDE_6D)
+        points = (self.POINTS, tuple(tuple(F(k - i, 3) for k in range(6)) for i in (1, 2)))
+        tableau = butcher6(*BUTCHER6_SAMPLES[1])
+        for f, p, step, degree in calls:
+            route = partial(rk_series_trees, tableau) if step else flow_series_trees
+            args = fields[f], points[f][p], degree
+            assert route(*args) == _with_fresh_tables(route, *args), (f, p, step, degree)
+
+    def test_four_threads_at_two_points_give_the_single_thread_series(self):
+        # A short switch interval makes the threads interleave inside the
+        # routes, so one replaces the table another is still reading.
+        field, tableau = self._field(), butcher6(*BUTCHER6_SAMPLES[0])
+
+        def series(point):
+            return flow_series_trees(field, point, 6), rk_series_trees(tableau, field, point, 6)
+
+        expected = [_with_fresh_tables(series, point) for point in self.POINTS]
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def run(slot):
+            start.wait(timeout=10)
+            results[slot] = [series(self.POINTS[(slot + r) % 2]) for r in range(4)]
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot, got in enumerate(results):
+            assert got == [expected[(slot + r) % 2] for r in range(4)], slot
 
 
 class TestHeavyField:

@@ -37,6 +37,7 @@ from helpers import (
     weight_reference,
 )
 
+from butcher_kit import verify
 from butcher_kit.algebra import a_var, b_var, c_var
 from butcher_kit.conditions import ElementaryWeights, GenerationFlags, symbolic_weights
 from butcher_kit.trees import (
@@ -140,6 +141,45 @@ class TestLoading:
         with pytest.raises(TableauError) as err:
             ButcherTableau.from_rows("shape", a, b, c)
         assert str(err.value) == message
+
+    def test_each_distinct_entry_string_is_parsed_once_per_document(self, monkeypatch):
+        parsed = []
+        parse = verify.parse_rational
+
+        def counting(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(verify, "parse_rational", counting)
+        document = {
+            "stages": 3,
+            "A": [["0", "0", "0"], ["1/2", "0", "0"], [0, "1/2", "0"]],
+            "b": ["1/6", "2/3", "1/6"],
+            "c": ["0", "1/2", 1],
+        }
+        loaded = load_tableau(document)
+        assert parsed == ["0", "1/2", "1/6", "2/3"]
+        assert loaded.a[2] == (Fraction(0), Fraction(1, 2), Fraction(0))
+        assert loaded.c == (Fraction(0), Fraction(1, 2), Fraction(1))
+        # The memo is the document's: a second load parses again.
+        assert load_tableau(document) == loaded
+        assert parsed[4:] == parsed[:4]
+
+    @pytest.mark.parametrize(
+        "a,where",
+        [
+            # True == 1 and hash(True) == hash(1), but a boolean is never
+            # read as the int before it, nor as an equal string.
+            ([[1, "0"], ["0", True]], "A[2][2]"),
+            ([["1", True], ["0", "0"]], "A[1][2]"),
+            # A bad entry written twice is named where it first stands.
+            ([["0", "1/0"], ["1/0", "0"]], "A[1][2]"),
+        ],
+    )
+    def test_repeated_entries_are_still_refused_where_they_stand(self, a, where):
+        with pytest.raises(TableauError) as err:
+            load_tableau({"stages": 2, "A": a, "b": ["1", "0"]})
+        assert str(err.value).startswith(f"{where}: ")
 
     def test_duplicate_field_in_json_text(self):
         text = '{"stages": 1, "A": [["0"]], "b": ["1"], "b": ["1"]}'
@@ -449,3 +489,23 @@ class TestReportShapes:
             "pass": True,
         }
         json.dumps(mapping)  # stays serializable
+
+    def test_one_tree_text_memo_per_report(self, monkeypatch):
+        # render_text and to_mapping share the report's memo, so each shape
+        # is joined from its children's once per report, not per call.
+        memos = []
+        format_tree = verify.format_tree
+
+        def recording(tree, memo=None):
+            memos.append(memo)
+            return format_tree(tree, memo)
+
+        monkeypatch.setattr(verify, "format_tree", recording)
+        report = verify_order(rk4(), 6)
+        text, mapping = report.render_text(), report.to_mapping()
+        assert len({id(memo) for memo in memos}) == 1
+        assert memos[0] is not None and len(memos) == 2 * len(report.residuals)
+        assert sorted(memos[0].values()) == sorted(entry["tree"] for entry in mapping["residuals"])
+        other = verify_order(rk4(), 6)
+        assert other.to_mapping() == mapping and other.render_text() == text
+        assert memos[-1] is not memos[0]
