@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
+
+from ._record import Record, set_field
 
 __all__ = [
     "parse_rational",
@@ -114,34 +115,34 @@ def _names(style: str) -> dict[int, str]:
         raise ValueError(f"unknown render style: {style!r}") from None
 
 
-@dataclass(frozen=True)
-class CoeffVar:
+class CoeffVar(Record):
     """One tableau coefficient: b[i], c[i], or a[i,j].  Indices are 1-based."""
 
-    kind: str
-    i: int
-    j: int | None = None
+    _fields = ("kind", "i", "j")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"variable kind must be 'b', 'c', or 'a', got {self.kind!r}")
-        if self.i < 1:
-            raise ValueError(f"index must be >= 1, got {self.i}")
-        if self.kind == "a":
-            if self.j is None or self.j < 1:
+    def __init__(self, kind: str, i: int, j: int | None = None) -> None:
+        if kind not in _KIND_RANK:
+            raise ValueError(f"variable kind must be 'b', 'c', or 'a', got {kind!r}")
+        if i < 1:
+            raise ValueError(f"index must be >= 1, got {i}")
+        if kind == "a":
+            if j is None or j < 1:
                 raise ValueError("a-variables need a second index >= 1")
-        elif self.j is not None:
-            raise ValueError(f"{self.kind}-variables take a single index")
-        if max(self.i, self.j or 0) >= _INDEX_LIMIT:
+        elif j is not None:
+            raise ValueError(f"{kind}-variables take a single index")
+        if max(i, j or 0) >= _INDEX_LIMIT:
             raise ValueError(f"indices must be < {_INDEX_LIMIT}")
         # b[1..s] < c[1..s] < a[1,1..s] row-major.
-        ident = (_KIND_RANK[self.kind] << 2 * _INDEX_BITS) | (self.i << _INDEX_BITS) | (self.j or 0)
-        object.__setattr__(self, "_id", ident)
+        ident = (_KIND_RANK[kind] << 2 * _INDEX_BITS) | (i << _INDEX_BITS) | (j or 0)
+        set_field(self, "kind", kind)
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "_id", ident)
         if ident not in _VARIABLES:
             _VARIABLES[ident] = self
-            indices = f"{self.i},{self.j}" if self.kind == "a" else str(self.i)
-            _NAMES["plain"][ident] = f"{self.kind}[{indices}]"
-            _NAMES["latex"][ident] = f"{self.kind}_{{{indices}}}"
+            indices = f"{i},{j}" if kind == "a" else str(i)
+            _NAMES["plain"][ident] = f"{kind}[{indices}]"
+            _NAMES["latex"][ident] = f"{kind}_{{{indices}}}"
 
     def __hash__(self) -> int:
         return self._id

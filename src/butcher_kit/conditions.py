@@ -37,11 +37,11 @@ the substitute_c polynomial into the raw one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 
+from ._record import Record, set_field
 from .algebra import CoeffPolynomial, a_var, b_var, c_var, format_rational, poly_dot, poly_sum
 from .trees import (
     LEAF_ID,
@@ -63,22 +63,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenerationFlags:
-    explicit: bool = False
-    substitute_c: bool = False
+class GenerationFlags(Record):
+    _fields = ("explicit", "substitute_c")
+
+    def __init__(self, explicit: bool = False, substitute_c: bool = False) -> None:
+        set_field(self, "explicit", explicit)
+        set_field(self, "substitute_c", substitute_c)
 
 
 _DEFAULT_FLAGS = GenerationFlags()
 
 
-@dataclass(frozen=True)
-class OrderCondition:
+class OrderCondition(Record):
     """One equation weight(tree) == 1/tree_factorial(tree)."""
 
-    tree: RootedTree
-    lhs: CoeffPolynomial
-    rhs: Fraction
+    _fields = ("tree", "lhs", "rhs")
+
+    def __init__(self, tree: RootedTree, lhs: CoeffPolynomial, rhs: Fraction) -> None:
+        set_field(self, "tree", tree)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
     @property
     def order(self) -> int:

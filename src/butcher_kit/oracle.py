@@ -76,12 +76,12 @@ import math
 import re
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
+from ._record import Record, set_field
 from .algebra import UNSIGNED_RATIONAL, format_rational, integer_rows, parse_rational
 from .trees import RootedTree, TreesByOrder, child_runs, sigma_of, tree_factorial, tree_id
 from .verify import ButcherTableau, check_list, read_document, size_field
@@ -222,42 +222,48 @@ def _misplaced(text: str, pos: int, expected: str) -> FieldSyntaxError:
     return FieldSyntaxError(f"unexpected character {found!r}", pos)
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
+class PolyVectorField(Record):
     """A polynomial map f: Q^dim -> Q^dim, one term table per component.
 
     Each component is given as a mapping from exponent tuples to rationals,
     or as (exponents, coefficient) pairs whose like terms are summed, and
     stored as a Component: exact, immutable and in canonical order, so
     fields hash, and two fields are equal exactly when their polynomials
-    are.
+    are.  The hash is computed once, here: the oracle looks a field up by
+    it for every series it expands, and hashing every coefficient of a
+    large field costs far more than the lookup.
     """
 
-    dim: int
-    components: tuple[Component, ...]
+    _fields = ("dim", "components")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, components: tuple[Component, ...]) -> None:
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        if len(self.components) != self.dim:
+        if len(components) != dim:
             raise ValueError(
-                f"{len(self.components)} components do not match dim {self.dim}"
+                f"{len(components)} components do not match dim {dim}"
             )
         tables = []
-        for component in self.components:
+        for component in components:
             terms: dict[tuple[int, ...], Fraction] = {}
             pairs = component.items() if isinstance(component, Mapping) else component
             for exponents, coefficient in pairs:
-                if len(exponents) != self.dim:
+                if len(exponents) != dim:
                     raise ValueError(
-                        f"exponent tuple {exponents} does not match dim {self.dim}"
+                        f"exponent tuple {exponents} does not match dim {dim}"
                     )
                 key = tuple(exponents)
                 if not all(type(e) is int and e >= 0 for e in key):
                     raise ValueError(f"exponent tuple {key} must hold non-negative ints")
                 terms[key] = terms.get(key, 0) + Fraction(coefficient)
             tables.append(tuple(sorted((key, c) for key, c in terms.items() if c)))
-        object.__setattr__(self, "components", tuple(tables))
+        components = tuple(tables)
+        set_field(self, "dim", dim)
+        set_field(self, "components", components)
+        set_field(self, "_hash", hash((dim, components)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_strings(cls, dim: int, component_texts: Sequence[str]) -> "PolyVectorField":
@@ -333,22 +339,22 @@ def parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class TauSeries:
+class TauSeries(Record):
     """A truncated power series in the step size with vector coefficients.
 
     coeffs[q] is the coefficient vector of tau^q; the truncation degree is
     len(coeffs) - 1.  Exact rationals throughout.
     """
 
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[tuple[Fraction, ...], ...]) -> None:
+        if not coeffs:
             raise ValueError("a series needs at least the degree-0 coefficient")
-        width = len(self.coeffs[0])
-        if width < 1 or any(len(row) != width for row in self.coeffs):
+        width = len(coeffs[0])
+        if width < 1 or any(len(row) != width for row in coeffs):
             raise ValueError("all coefficient vectors must share one dimension")
+        set_field(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from ._record import Record, set_field
 from .algebra import format_rational, integer_rows, parse_rational
 from .conditions import ElementaryWeights
 from .trees import RootedTree, TreesByOrder, format_tree, tree_factorial
@@ -65,8 +65,7 @@ def _coerce_entry(value: object, where: str) -> Fraction:
     raise TableauError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class ButcherTableau:
+class ButcherTableau(Record):
     """Coefficients of an s-stage method; all entries exact rationals.
 
     c defaults to the row sums of A when omitted (None).  The row sums are
@@ -77,24 +76,31 @@ class ButcherTableau:
     when A is strictly lower triangular.
     """
 
-    name: str
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
+    _fields = ("name", "a", "b", "c")
 
-    def __post_init__(self) -> None:
-        s = len(self.b)
+    def __init__(
+        self,
+        name: str,
+        a: tuple[tuple[Fraction, ...], ...],
+        b: tuple[Fraction, ...],
+        c: tuple[Fraction, ...] | None,
+    ) -> None:
+        s = len(b)
         if s == 0:
             raise TableauError("a tableau needs at least one stage")
-        if len(self.a) != s or any(len(row) != s for row in self.a):
+        if len(a) != s or any(len(row) != s for row in a):
             raise TableauError(f"A must be {s}x{s} to match b")
-        rows, denominator = integer_rows(self.a)
+        rows, denominator = integer_rows(a)
         sums = tuple([Fraction(sum(row), denominator) for row in rows])
-        object.__setattr__(self, "_row_sums", sums)
-        if self.c is None:
-            object.__setattr__(self, "c", sums)
-        if len(self.c) != s:
-            raise TableauError(f"c has {len(self.c)} entries, expected {s}")
+        if c is None:
+            c = sums
+        if len(c) != s:
+            raise TableauError(f"c has {len(c)} entries, expected {s}")
+        set_field(self, "name", name)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "_row_sums", sums)
 
     @classmethod
     def from_rows(
@@ -263,8 +269,9 @@ def load_tableau(source: str | Mapping) -> ButcherTableau:
 
     Schema: {"name"?: str, "stages": int, "A": [[entry]], "b": [entry],
     "c"?: [entry]} with entries written as rational strings (or JSON
-    integers).  Dimension mismatches, malformed rationals, duplicate and
-    unknown fields each get their own diagnostic.
+    integers), and a name of printable characters only (str.isprintable).
+    Dimension mismatches, malformed rationals, duplicate and unknown
+    fields each get their own diagnostic.
     """
     document = read_document(
         source, TableauError, "tableau", _TABLEAU_FIELDS, ("stages", "A", "b")
@@ -274,6 +281,12 @@ def load_tableau(source: str | Mapping) -> ButcherTableau:
     name = document.get("name", "")
     if not isinstance(name, str):
         raise TableauError("'name' must be a string")
+    if not name.isprintable():
+        # A line break in the name would start a line of the text report
+        # of its own, such as a forged "achieved order: 9", and a lone
+        # surrogate cannot be written out at all.
+        bad = next(ch for ch in name if not ch.isprintable())
+        raise TableauError(f"'name' holds a character that is not printable: {bad!r}")
 
     matrix, weights, nodes = document["A"], document["b"], document.get("c")
     check_list(matrix, "'A'", stages, TableauError, "a list of rows", "rows")
@@ -294,14 +307,24 @@ def weight_value(tableau: ButcherTableau, tree: RootedTree) -> Fraction:
     return tableau.elementary_weights().weight(tree)
 
 
-@dataclass(frozen=True)
-class ResidualEntry:
-    tree: RootedTree
-    order: int
-    weight: Fraction
-    rhs: Fraction
-    residual: Fraction
-    passed: bool
+class ResidualEntry(Record):
+    _fields = ("tree", "order", "weight", "rhs", "residual", "passed")
+
+    def __init__(
+        self,
+        tree: RootedTree,
+        order: int,
+        weight: Fraction,
+        rhs: Fraction,
+        residual: Fraction,
+        passed: bool,
+    ) -> None:
+        set_field(self, "tree", tree)
+        set_field(self, "order", order)
+        set_field(self, "weight", weight)
+        set_field(self, "rhs", rhs)
+        set_field(self, "residual", residual)
+        set_field(self, "passed", passed)
 
     def to_mapping(self, memo: dict | None = None) -> dict:
         """The entry as JSON-ready values; memo is format_tree's, for
@@ -316,8 +339,7 @@ class ResidualEntry:
         }
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(Record):
     """Result of verify_order.
 
     residuals covers every tree of order <= min(requested_order,
@@ -327,18 +349,40 @@ class OrderReport:
     once per report.
     """
 
-    tableau_name: str
-    stages: int
-    explicit: bool
-    row_sum_consistent: bool
-    mode: str
-    tolerance: float | None
-    requested_order: int
-    achieved_order: int
-    residuals: tuple[ResidualEntry, ...]
+    _fields = (
+        "tableau_name",
+        "stages",
+        "explicit",
+        "row_sum_consistent",
+        "mode",
+        "tolerance",
+        "requested_order",
+        "achieved_order",
+        "residuals",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_tree_texts", {})
+    def __init__(
+        self,
+        tableau_name: str,
+        stages: int,
+        explicit: bool,
+        row_sum_consistent: bool,
+        mode: str,
+        tolerance: float | None,
+        requested_order: int,
+        achieved_order: int,
+        residuals: tuple[ResidualEntry, ...],
+    ) -> None:
+        set_field(self, "tableau_name", tableau_name)
+        set_field(self, "stages", stages)
+        set_field(self, "explicit", explicit)
+        set_field(self, "row_sum_consistent", row_sum_consistent)
+        set_field(self, "mode", mode)
+        set_field(self, "tolerance", tolerance)
+        set_field(self, "requested_order", requested_order)
+        set_field(self, "achieved_order", achieved_order)
+        set_field(self, "residuals", residuals)
+        set_field(self, "_tree_texts", {})
 
     def to_mapping(self) -> dict:
         return {

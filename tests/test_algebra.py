@@ -9,10 +9,14 @@ Core claims:
     injective (a test-only parser recovers the polynomial).
 """
 
+import os
+import pickle
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import evaluate_constant, free_variables, monomial_key, power, substitute, var_sort_key
@@ -126,6 +130,24 @@ class TestCoeffVar:
     def test_validation(self, kind, i, j):
         with pytest.raises(ValueError):
             CoeffVar(kind, i, j)
+
+
+    def test_pickled_variable_renders_in_a_fresh_interpreter(self):
+        # A variable's name is kept per process, by its id, as it is first
+        # built; a pickle rebuilds the variable, so the loading process
+        # names it too, though it built no variable of its own.
+        loader = (
+            "import pickle, sys\n"
+            "variable = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(variable.render(), variable.render('latex'))\n"
+        )
+        paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        loaded = subprocess.run(
+            [sys.executable, "-c", loader],
+            input=pickle.dumps(a_var(13, 12)), env=env, capture_output=True, check=True, timeout=60,
+        )
+        assert loaded.stdout.decode() == "a[13,12] a_{13,12}\n"
 
 
 def _random_poly(rng):

@@ -562,6 +562,26 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path), "--max-order", "2")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("name", ["x\nachieved order: 9\ny", "lone \ud800 surrogate"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "{}", "--max-order", "2"),
+            ("verify", "{}", "--max-order", "2", "--format", "json"),
+            ("oracle", ROTATION, "--x0", "1,0", "--p", "2", "--tableau", "{}"),
+        ],
+        ids=["verify-text", "verify-json", "oracle"],
+    )
+    def test_name_that_is_not_printable_is_input_error(self, capsys, tmp_path, name, argv):
+        # A forged "achieved order: 9" line would come first in the text
+        # report, where scripts read the order; a lone surrogate cannot be
+        # written to stdout at all.  Both are refused before any output.
+        path = tmp_path / "tableau.json"
+        path.write_text(json.dumps({"name": name, "stages": 1, "A": [["0"]], "b": ["1"]}))
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'name' holds a character that is not printable: ")
+
     def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -909,6 +909,34 @@ class TestFieldTable:
         assert (pickle.dumps(field), hash(field), dict(vars(field))) == before
         assert field == self._field()
 
+    def test_field_is_hashed_once(self, monkeypatch):
+        # The table is looked up by the field's hash on every series; a field
+        # is immutable, so it hashes its coefficients once, when built.
+        field, point = self._field(), self.POINTS[0]
+        value = hash(field)
+        table = oracle._field_table(field, point)
+        hashed = []
+        fraction_hash = Fraction.__hash__
+
+        def counting_hash(number):
+            hashed.append(number)
+            return fraction_hash(number)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+        assert hash(field) == value
+        assert oracle._TABLES.get(field) is table
+        assert oracle._field_table(field, point) is table
+        assert hashed == []
+        monkeypatch.undo()
+        # Equal fields hash alike, built from items or from text, and a
+        # pickled field comes back equal, with the same hash.
+        items = PolyVectorField(
+            2, ({(0, 3): 1, (1, 1): F(-1, 2)}, {(2, 1): 1, (0, 0): F(3, 4)})
+        )
+        assert items == field and hash(items) == value
+        copied = pickle.loads(pickle.dumps(field))
+        assert copied == field and hash(copied) == value
+
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
         calls=st.lists(

@@ -12,7 +12,7 @@ Core claims:
     malformed rationals, duplicate and unknown fields.
 """
 
-import dataclasses
+import importlib.util
 import json
 import math
 import sys
@@ -56,6 +56,7 @@ from butcher_kit.verify import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def _bushy(q):
@@ -91,7 +92,8 @@ class TestLoading:
     def test_mapping_source(self):
         document = {"stages": 1, "A": [["1/2"]], "b": ["1"], "c": ["1/2"]}
         loaded = load_tableau(document)
-        assert loaded == dataclasses.replace(implicit_midpoint(), name="")
+        m = implicit_midpoint()
+        assert loaded == ButcherTableau("", m.a, m.b, m.c)
 
     def test_c_defaults_to_row_sums(self):
         loaded = load_tableau((FIXTURES / "explicit_euler.json").read_text())
@@ -180,6 +182,38 @@ class TestLoading:
         with pytest.raises(TableauError) as err:
             load_tableau({"stages": 2, "A": a, "b": ["1", "0"]})
         assert str(err.value).startswith(f"{where}: ")
+
+    @pytest.mark.parametrize(
+        "name,shown",
+        [
+            # A line break would start a forged line of the text report.
+            ("x\nachieved order: 9\ny", "'\\n'"),
+            ("lone \ud800 surrogate", "'\\ud800'"),
+            ("tab\tstop", "'\\t'"),
+            ("\x1b[2Jclear", "'\\x1b'"),
+        ],
+    )
+    def test_name_that_is_not_printable_is_refused(self, name, shown):
+        with pytest.raises(TableauError) as err:
+            load_tableau({"name": name, "stages": 1, "A": [["0"]], "b": ["1"]})
+        assert str(err.value) == f"'name' holds a character that is not printable: {shown}"
+
+    def test_every_fixture_and_benchmark_name_is_accepted(self):
+        names = set()
+        for path in sorted(FIXTURES.glob("*.json")):
+            document = json.loads(path.read_text())
+            if "stages" in document:
+                names.add(load_tableau(document).name)
+        spec = importlib.util.spec_from_file_location("gen", PERFBENCH / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        for workload in ("conditions", "verify", "oracle", "forest"):
+            for seed in (1, 2, 3):
+                for document in gen.job_list(workload, seed)[1].values():
+                    if "stages" in document:
+                        names.add(load_tableau(document).name)
+        assert {"rk4", "implicit midpoint", "butcher6 u=2/5 v=1/3"} <= names
+        assert any(name.startswith("kutta4 ") for name in names)
 
     def test_duplicate_field_in_json_text(self):
         text = '{"stages": 1, "A": [["0"]], "b": ["1"], "b": ["1"]}'
