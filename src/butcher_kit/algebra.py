@@ -327,6 +327,10 @@ class CoeffPolynomial:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
+    def __reduce__(self):
+        # As its public terms: loading builds, and so names, each variable.
+        return CoeffPolynomial, (dict(self.sorted_terms()),)
+
     def __str__(self) -> str:
         return self.render()
 

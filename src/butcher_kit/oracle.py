@@ -8,17 +8,18 @@ x(0) = x0 expands as
 with sigma(t) the tree's symmetry count (alpha(t) = 1/sigma(t)) and F(t)
 the elementary differential of the tree t: F of the single node is f(x0),
 and F([t1..tm]) applies the m-th derivative of f at x0 to the child
-differentials.  That is a contraction of the derivative table,
+differentials.  That is a contraction of the derivative table, one child
+at a time: from T_0 = d^m f(x0), level m of the table,
 
-    F([t1..tm])_c = sum_K d_K f_c(x0) * sum_(k_1..k_m) prod_i F(t_i)[k_i],
+    T_i[K]_c = sum_k T_(i-1)[K + k]_c * F(t_i)[k],   F([t1..tm]) = T_m[()],
 
-with K running over the sorted index multisets of size m and (k_1..k_m)
-over the distinct orderings of K.  Each level m of the table is read off
-the field's terms: for every j <= e with |j| = m, a term c x^e adds
-c prod_k perm(e_k, j_k) x0_k^(e_k - j_k) to d_K f at the K that holds
-each k j_k times.  The table holds the nonzero values only, and builds a
-level the first time a tree asks for it, so a tree with more children
-than deg f costs nothing.
+with K running over the sorted index multisets of size m - i (each T_i is
+symmetric).  Level m is read off the field's terms: for every j <= e with
+|j| = m, a term c x^e adds c prod_k perm(e_k, j_k) x0_k^(e_k - j_k) to
+d_K f at the K that holds each k j_k times.  The table holds the nonzero
+values only, builds a level the first time a tree asks for it, so a tree
+with more children than deg f costs nothing, and keeps T_i under m and
+t1..ti, so trees whose children share a prefix share its contractions.
 
 A Runge-Kutta step with tableau (A, b) expands the same way, so both are
 one Butcher series, x0 + sum_t tau^|t| w(t) F(t)(x0) / sigma(t), with
@@ -27,14 +28,14 @@ weight as defined in conditions, for the step.  Each tree series comes
 from one walk over the process's one forest (see trees), _tree_series,
 which reads F(t) off the field's one derivative table; a route gives only
 its w, and the walk reads sigma(t) by id and applies it.  The table keeps
-F(t) by tree id, and each field keeps one, for the last point a tree
-route expanded it at: so the flow and the step at one field and point
-share every F(t), which is the paper's point, and a second series at
-that point computes only the differentials the first did not need.  The
-tables are kept in a dict that holds each field weakly, and a table holds
-no reference to its field, so it lives exactly as long as the field does;
-a new point replaces it.  The forest is grown once per process, so a
-second series, or a second job, walks trees already built.
+F(t) under the tree's children, and each field keeps one, for the last
+point a tree route expanded it at: so the flow and the step at one field
+and point share every F(t), which is the paper's point, and a second
+series at that point computes only the differentials the first did not
+need.  The tables are kept in a dict that holds each field weakly, and a
+table holds no reference to its field, so it lives exactly as long as the
+field does; a new point replaces it.  The forest is grown once per
+process, so a second series, or a second job, walks trees already built.
 rk_series_trees builds one ElementaryWeights per call, so each subtree's
 Phi is computed once per call.
 
@@ -83,7 +84,7 @@ from typing import Callable, Mapping, Sequence
 
 from ._record import Record, set_field
 from .algebra import UNSIGNED_RATIONAL, format_rational, integer_rows, parse_rational
-from .trees import RootedTree, TreesByOrder, child_runs, sigma_of, tree_factorial, tree_id
+from .trees import RootedTree, TreesByOrder, child_ids, sigma_of, tree_factorial, tree_id
 from .verify import ButcherTableau, check_list, read_document, size_field
 
 __all__ = [
@@ -129,7 +130,7 @@ MAX_FIELD_DEGREE = 400
 # dim 100 and 0.23 s at dim 150 (CPU time of one CLI run each, in process).
 # With rk4 at --p 2, 1,000 components "x1" take 1.0 s, and 4,000 took 11 s
 # and 269 MB.  Denser fields cost far more: with 50 degree-5 terms per
-# component at dim 100, each tree route takes 12-15 s and 217 MB.
+# component at dim 100, rk4 at --p 6 takes 4.5 s and 264 MB through the CLI.
 MAX_FIELD_DIM = 100
 
 # Component grammar, read left to right in one pass by _parse_component:
@@ -442,19 +443,19 @@ def _field_table(field: PolyVectorField, point: Sequence[Fraction]) -> _Derivati
 
 
 class _DerivativeTable:
-    """The nonzero d_K f(x0) for sorted index multisets K, one |K| at a time.
+    """The nonzero d_K f(x0), contracted with one child's F(t) at a time.
 
-    Level m is built the first time a tree with m children asks for it,
-    straight from the terms of degree m or more, so the table never grows
-    past deg f or past what the forest needs.  Everything runs in integers:
-    with x0 = X/d and the coefficients over one denominator F, level m is
-    kept over F d^(top - m), top the field's degree, and F(t) as integer
-    numerators over one unreduced denominator, the level's times the
-    children's, memoised by tree id and computed from the children's runs.
-    No Fraction is built per tree; the callers make one per coefficient
-    they return.  Threads may share a table: a level or an F(t) is stored
-    whole once computed, so a race computes a value twice, never reads a
-    half-made one.
+    One memo holds it all.  Entry (m, kids) is level m with F(kid) put into
+    its first len(kids) arguments, as {rest of K: numerators} over one
+    integer denominator, zero rows only where terms cancel; (m, kids[:-1])
+    contracted with F(kids[-1]) gives it.  Entry (m, ()) is the level,
+    built from the terms of degree m or more the first time a tree with m
+    children asks, and F(t) is the () row of (len(kids), kids).  With
+    x0 = X/d and the coefficients over one denominator F, level m is kept
+    over F d^(top - m), top the field's degree, and a contraction over its
+    entry's denominator times the child's; no Fraction is built per tree.
+    Threads may share a table: an entry is stored whole once computed, so a
+    race computes a value twice, never reads a half-made one.
     """
 
     def __init__(self, field: PolyVectorField, point: Sequence[Fraction]) -> None:
@@ -462,7 +463,6 @@ class _DerivativeTable:
         # whose entry must not keep its own key alive.
         self._components = field.components
         self.point = _check_point(field, point)  # x0 as Fractions, one per variable
-        self._dim = field.dim
         # x0 = X / d, and the coefficients are integers C over one scale F.
         (self._x,), self._d = integer_rows([self.point])
         coefficients, self._scale = integer_rows(
@@ -476,84 +476,75 @@ class _DerivativeTable:
             for c, (terms, row) in enumerate(zip(field.components, coefficients))
             for (e, _), numerator in zip(terms, row)
         ]
-        # levels[m]: (denominator F d^(top - m), rows (distinct arrangements
-        # of K, numerators of (d_K f_c(x0))_c)), rows with a nonzero value only.
-        self._levels: dict[int, tuple[int, list]] = {}
-        self._memo: dict[int, tuple[tuple[int, ...], int]] = {}
+        self._zeros = (0,) * field.dim
+        self._memo: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
 
     def serves(self, field: PolyVectorField, point: Sequence[Fraction]) -> bool:
         """Whether this table was built for field at point."""
         return field.components == self._components and tuple(point) == self.point
 
-    def _level(self, m: int) -> tuple[int, list]:
-        level = self._levels.get(m)
-        if level is None:
-            # Over F d^(top - m), a term of degree D starts from C d^(top - D).
-            rows: dict[tuple[int, ...], list] = defaultdict(lambda: [0] * self._dim)
-            for c, degree, pairs, numerator in self._terms:
-                if degree < m:
-                    continue
-                # (K so far, its value so far, |j| left to place), one
-                # variable at a time; degree becomes the total power of the
-                # variables after k, which must cover what is left.
-                partials = [((), numerator * self._d ** (self._top - degree), m)]
-                for k, power in pairs:
-                    degree -= power
-                    x = self._x[k]
-                    partials = [
-                        (key + (k,) * j, value * math.perm(power, j) * x ** (power - j), left - j)
-                        for key, value, left in partials
-                        for j in range(max(0, left - degree), min(power, left) + 1)
-                    ]
-                for key, value, _ in partials:
-                    if value:
-                        rows[key][c] += value
-            level = self._levels[m] = (
-                self._scale * self._d ** max(0, self._top - m),
-                [(_arrangements(key), row) for key, row in rows.items() if any(row)],
-            )
-        return level
+    def _level(self, m: int) -> tuple[dict, int]:
+        # Over F d^(top - m), a term of degree D starts from C d^(top - D).
+        rows: dict[tuple[int, ...], list] = defaultdict(lambda: list(self._zeros))
+        for c, degree, pairs, numerator in self._terms:
+            if degree < m:
+                continue
+            # (K so far, its value so far, |j| left to place), one
+            # variable at a time; degree becomes the total power of the
+            # variables after k, which must cover what is left.
+            partials = [((), numerator * self._d ** (self._top - degree), m)]
+            for k, power in pairs:
+                degree -= power
+                x = self._x[k]
+                partials = [
+                    (key + (k,) * j, value * math.perm(power, j) * x ** (power - j), left - j)
+                    for key, value, left in partials
+                    for j in range(max(0, left - degree), min(power, left) + 1)
+                ]
+            for key, value, _ in partials:
+                if value:
+                    rows[key][c] += value
+        rows = {key: row for key, row in rows.items() if any(row)}
+        return rows, self._scale * self._d ** max(0, self._top - m)
 
-    def differential(self, i: int) -> tuple[tuple[int, ...], int]:
-        """F(t)(x0) of the tree t of id i as (numerators, denominator),
-        memoised by id."""
-        cached = self._memo.get(i)
-        if cached is not None:
-            return cached
-        runs = child_runs(i)
-        denominator, rows = self._level(sum(count for _, count in runs))
-        totals = [0] * self._dim
-        if rows:
-            kids = []
-            for kid, count in runs:
-                numerators, kid_denominator = self.differential(kid)
-                kids += [numerators] * count
-                denominator *= kid_denominator**count
-            for arrangements, numerators in rows:
-                # sum over arrangements of prod_i F(t_i)[k_i], shared by all components
-                spread = 0
-                for arrangement in arrangements:
-                    term = 1
-                    for kid, k in zip(kids, arrangement):
-                        term *= kid[k]
-                    spread += term
-                if spread:
-                    for c, numerator in enumerate(numerators):
-                        totals[c] += numerator * spread
-        cached = self._memo[i] = (tuple(totals), denominator)
-        return cached
+    def differential(self, i: int) -> tuple[Sequence[int], int]:
+        """F(t)(x0) of the tree of id i as (numerators, denominator); the longest
+        kept prefix of its kids is extended in a loop, one stack frame a level."""
+        kids = child_ids(i)
+        m = n = len(kids)
+        entry = self._memo.get((m, kids))
+        if entry is None:
+            while entry is None and n:
+                n -= 1
+                entry = self._memo.get((m, kids[:n]))
+            if entry is None:
+                entry = self._memo[(m, ())] = self._level(m)
+            for n in range(n, m):
+                if entry[0]:  # an empty entry stays empty, and needs no F(kid)
+                    entry = _contract(entry, self.differential(kids[n]))
+                self._memo[(m, kids[: n + 1])] = entry
+        return entry[0].get((), self._zeros), entry[1]
 
 
-def _arrangements(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The distinct orderings of a multiset of indices."""
-    if not indices:
-        return [()]
-    out = []
-    for first in sorted(set(indices)):
-        rest = list(indices)
-        rest.remove(first)
-        out += [(first,) + tail for tail in _arrangements(tuple(rest))]
-    return out
+def _contract(entry: tuple[dict, int], kid: tuple[Sequence[int], int]) -> tuple[dict, int]:
+    """T'[K'] = sum_k T[K' + k] F[k] over the product of the denominators, for
+    T an entry of the derivative table and F a child's differential: each row
+    K of T gives to K less one k, once per distinct k in K.  Most entries of
+    a row are zero, and a zero costs no product."""
+    (rows, denominator), (vector, kid_denominator) = entry, kid
+    contracted: dict[tuple[int, ...], list] = {}
+    for key, row in rows.items():
+        for p, k in enumerate(key):
+            x = vector[k]
+            if not x or (p and key[p - 1] == k):
+                continue
+            rest = key[:p] + key[p + 1 :]
+            total = contracted.get(rest)
+            if total is None:
+                contracted[rest] = [value * x for value in row]
+            else:
+                contracted[rest] = [t + value * x if value else t for t, value in zip(total, row)]
+    return contracted, denominator * kid_denominator
 
 
 def _check_degree(degree: int) -> None:

@@ -193,6 +193,11 @@ def planted_id(i: int) -> int:
     return planted
 
 
+def child_ids(i: int) -> tuple[int, ...]:
+    """The ids of the children of shape i, in canonical order."""
+    return _KIDS[i]
+
+
 def child_runs(i: int) -> tuple[tuple[int, int], ...]:
     """(child id, multiplicity) for each distinct child of shape i."""
     runs = _RUNS[i]

@@ -34,6 +34,7 @@ from butcher_kit.algebra import (
     poly_dot,
     poly_sum,
 )
+from butcher_kit.conditions import all_order_conditions
 
 
 class TestRationals:
@@ -148,6 +149,47 @@ class TestCoeffVar:
             input=pickle.dumps(a_var(13, 12)), env=env, capture_output=True, check=True, timeout=60,
         )
         assert loaded.stdout.decode() == "a[13,12] a_{13,12}\n"
+
+
+class TestPickling:
+    def test_pickled_conditions_render_in_a_fresh_interpreter(self):
+        # A polynomial keeps its monomials as variable ids, whose names a
+        # process learns as it builds each variable; the loading process
+        # builds none of its own, so a pickle must carry the variables.
+        conditions = all_order_conditions(3, 2)
+        loader = (
+            "import pickle, sys\n"
+            "conditions = pickle.loads(sys.stdin.buffer.read())\n"
+            "for condition in conditions:\n"
+            "    lhs = condition.lhs\n"
+            "    print(lhs.render(), lhs.render('latex'), lhs.sorted_terms())\n"
+        )
+        paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        loaded = subprocess.run(
+            [sys.executable, "-c", loader],
+            input=pickle.dumps(conditions), env=env, capture_output=True, timeout=60,
+        )
+        assert loaded.stderr.decode() == ""
+        expected = "".join(
+            f"{c.lhs.render()} {c.lhs.render('latex')} {c.lhs.sorted_terms()}\n" for c in conditions
+        )
+        assert loaded.stdout.decode() == expected
+
+    def test_round_trip_keeps_terms_and_coefficient_types(self):
+        b1_squared = power(CoeffPolynomial.variable(b_var(1)), 2)
+        polys = [
+            CoeffPolynomial.zero(),
+            CoeffPolynomial.constant(Fraction(-2, 3)),
+            CoeffPolynomial.variable(a_var(3, 2)) * b1_squared * Fraction(1, 2) - 5,
+        ]
+        for poly in polys:
+            loaded = pickle.loads(pickle.dumps(poly))
+            assert loaded == poly and hash(loaded) == hash(poly)
+            assert loaded.sorted_terms() == poly.sorted_terms()
+            assert [type(c) for _, c in loaded.sorted_terms()] == [
+                type(c) for _, c in poly.sorted_terms()
+            ]
 
 
 def _random_poly(rng):

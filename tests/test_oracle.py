@@ -63,7 +63,14 @@ from butcher_kit.oracle import (
     rk_series_direct,
     rk_series_trees,
 )
-from butcher_kit.trees import enumerate_by_leaf, parse_tree, tree_factorial, tree_id
+from butcher_kit.trees import (
+    RootedTree,
+    child_ids,
+    enumerate_by_leaf,
+    parse_tree,
+    tree_factorial,
+    tree_id,
+)
 from butcher_kit.verify import ButcherTableau, verify_order
 
 F = Fraction
@@ -72,6 +79,13 @@ ROTATION = PolyVectorField.from_strings(2, ["x2", "-x1"])
 LINEAR_1D = PolyVectorField.from_strings(1, ["x1"])
 MIXED = PolyVectorField.from_strings(2, ["x2", "x1^2 - 1/2*x2"])
 WIDE_6D = load_field((Path(__file__).parent / "fixtures" / "wide6d.json").read_text())
+
+
+def _differential_key(i):
+    """The key under which a derivative table keeps F(t) of the tree of id
+    i: the level of its child count with every child put in."""
+    return len(child_ids(i)), child_ids(i)
+
 
 # Exponent grid for dim 2, total degree <= 2.
 _EXPONENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -471,13 +485,13 @@ class TestElementaryDifferentials:
 
     def test_memo_is_shared_across_trees(self, monkeypatch):
         # The memo holds one derivative table, and the table keeps each
-        # subtree's differential by tree id: [[[]]] computes [[]] and [] on
-        # its way, so [[],[]] computes itself alone.
+        # subtree's differential under its children: [[[]]] computes [[]]
+        # and [] on its way, so [[],[]] computes itself alone.
         computed = []
         differential = oracle._DerivativeTable.differential
 
         def counting(table, i):
-            if i not in table._memo:
+            if _differential_key(i) not in table._memo:
                 computed.append(i)
             return differential(table, i)
 
@@ -542,6 +556,67 @@ class TestElementaryDifferentials:
             expected = differential_reference(field, tree, point)
             assert elementary_differential(field, tree, point, memo) == expected, tree
             assert elementary_differential(field, tree, point) == expected, tree
+
+    # Degree-5 monomials of five distinct variables, and x1^2*x2*x3 in two
+    # components: the rows of levels 3 to 5 mix repeated and distinct
+    # indices, and a child's F(t) is contracted into each.
+    DISTINCT = PolyVectorField.from_strings(
+        6,
+        [
+            "x1*x2*x3*x4*x5 - 2*x2*x3*x4*x5*x6 + x1^2*x2*x3",
+            "1/2*x1*x3*x4*x5*x6 + x1*x2*x3*x4*x6",
+            "x1*x2*x4*x5*x6 - 3*x1^2*x2*x3",
+            "-x1*x2*x3*x5*x6 + 2/3*x2*x3*x4*x5*x6",
+            "x1*x2*x3*x4*x5 + x1*x2*x3*x4*x6 + x1*x2*x3*x5*x6",
+            "x1*x3*x4*x5*x6 - x1*x2*x4*x5*x6",
+        ],
+    )
+    DISTINCT_POINT = (F(1, 2), F(-2, 3), F(3, 2), F(-1), F(1, 3), F(2))
+
+    def test_contraction_mixes_repeated_and_distinct_indices(self):
+        # Through order 6, then a tree over five distinct children of
+        # orders 1 to 4: level 5 with no repeated child.
+        distinct_kids = parse_tree("[[],[[]],[[[]]],[[],[]],[[[[]]]]]")
+        assert len(set(distinct_kids.children)) == 5
+        memo, reference = {}, {}
+        for tree in [*enumerate_by_leaf(6), distinct_kids]:
+            expected = differential_reference(self.DISTINCT, tree, self.DISTINCT_POINT, reference)
+            assert any(expected), tree
+            value = elementary_differential(self.DISTINCT, tree, self.DISTINCT_POINT, memo)
+            assert value == expected, tree
+
+    def test_each_entry_is_built_once_across_a_shared_prefix(self):
+        # [[], [[]], [[[]]]] and [[], [[]], [[],[]]] share their first two
+        # children, so the second contracts only its last child into the
+        # entry the first left at (3, its first two children).
+        stored = []
+
+        class Recording(dict):
+            def __setitem__(self, key, value):
+                stored.append(key)
+                super().__setitem__(key, value)
+
+        table = oracle._DerivativeTable(self.DISTINCT, self.DISTINCT_POINT)
+        table._memo = Recording()
+        first, second = parse_tree("[[],[[]],[[[]]]]"), parse_tree("[[],[[]],[[],[]]]")
+        kids, other = child_ids(tree_id(first)), child_ids(tree_id(second))
+        assert kids[:2] == other[:2] and kids != other
+        for tree in (first, second):
+            numerators, denominator = table.differential(tree_id(tree))
+            expected = differential_reference(self.DISTINCT, tree, self.DISTINCT_POINT)
+            assert tuple(F(x, denominator) for x in numerators) == expected
+        assert len(stored) == len(set(stored))
+        assert (3, kids[:2]) in stored[: stored.index((3, kids))]
+        assert [key for key in stored[stored.index((3, kids)) + 1 :] if key[0] == 3] == [(3, other)]
+
+    def test_nesting_costs_one_stack_frame_per_level(self):
+        # The chain of order n under the field 2*x1 + 1 at 1 is f'^(n-1) f.
+        order = sys.getrecursionlimit() * 7 // 10
+        chain = parse_tree("[]")
+        for _ in range(order - 1):
+            chain = RootedTree([chain])
+        field = PolyVectorField.from_strings(1, ["2*x1 + 1"])
+        assert elementary_differential(field, chain, (F(1),)) == (F(3 * 2 ** (order - 1)),)
 
 
 class TestTauSeries:
@@ -861,7 +936,7 @@ class TestFieldTable:
             init(table, field, point)
 
         def counting_differential(table, i):
-            if i not in table._memo:
+            if _differential_key(i) not in table._memo:
                 computed.append(i)
             return differential(table, i)
 
