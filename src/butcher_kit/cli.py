@@ -72,105 +72,83 @@ def _condition_size(order: int, stages: int, flags: GenerationFlags) -> tuple[in
     return tree_counts(order)[-1] * choices, cap
 
 
+# Each subcommand's arguments, added to its parser by one function: under
+# build_parser()'s full parser, or alone when main needs only that one.
+_ORDER_HELP = f"highest tree order, 1..{_ORDER_CAP}"
+
+
+def _add_order(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--order", type=int, required=True, metavar="P", help=_ORDER_HELP)
+
+
+def _add_trees_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_order(parser)
+    parser.add_argument("--format", choices=("bracket", "json"), default="bracket")
+
+
+def _add_conditions_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_order(parser)
+    parser.add_argument(
+        "--stages", type=int, metavar="S", help=f"1..{_STAGES_CAP}; larger P need fewer stages"
+    )
+    parser.add_argument(
+        "--explicit", action="store_true", help="drop weights a[i,j] with j >= i and fix c[1] = 0"
+    )
+    parser.add_argument(
+        "--subst-c", action="store_true", help="write sum_j a[i,j] as c[i] under leaves"
+    )
+    parser.add_argument("--format", choices=("text", "latex", "json"), default="text")
+    parser.add_argument(
+        "--generic",
+        action="store_true",
+        help="print nested-sum conditions for symbolic stage count instead",
+    )
+
+
+def _add_verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("tableau", help="path to a tableau JSON document")
+    parser.add_argument("--max-order", type=int, required=True, metavar="P", help=_ORDER_HELP)
+    parser.add_argument(
+        "--require-order",
+        type=int,
+        metavar="Q",
+        help="exit 0 only if the achieved order is at least Q (default: P)",
+    )
+    parser.add_argument("--mode", choices=("exact", "float"), default="exact")
+    parser.add_argument(
+        "--tol", type=float, default=1e-12, help="residual tolerance in float mode (default 1e-12)"
+    )
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("field", help="path to a vector-field JSON document")
+    parser.add_argument("--x0", required=True, help="expansion point, comma-separated rationals")
+    parser.add_argument(
+        "--p", type=int, required=True, metavar="P", help=f"truncation degree, 0..{_ORACLE_DEGREE_CAP}"
+    )
+    parser.add_argument("--tableau", help="also expand one step of this tableau document")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand of _COMMANDS, under "butcher-kit"."""
     parser = argparse.ArgumentParser(
         prog="butcher-kit",
         description="Rooted trees, Runge-Kutta order conditions, and exact "
         "verification of Butcher tableaus.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        add_arguments(subparsers.add_parser(name, help=help_line))
+    return parser
 
-    trees_parser = subparsers.add_parser(
-        "trees", help="list all rooted trees of order 1 through P"
-    )
-    order_help = f"highest tree order, 1..{_ORDER_CAP}"
-    trees_parser.add_argument(
-        "--order", type=int, required=True, metavar="P", help=order_help
-    )
-    trees_parser.add_argument(
-        "--format", choices=("bracket", "json"), default="bracket"
-    )
 
-    count_parser = subparsers.add_parser(
-        "count", help="tree counts per order and their total"
-    )
-    count_parser.add_argument(
-        "--order", type=int, required=True, metavar="P", help=order_help
-    )
-
-    conditions_parser = subparsers.add_parser(
-        "conditions", help="order conditions for trees of order 1 through P"
-    )
-    conditions_parser.add_argument(
-        "--order", type=int, required=True, metavar="P", help=order_help
-    )
-    conditions_parser.add_argument(
-        "--stages",
-        type=int,
-        metavar="S",
-        help=f"1..{_STAGES_CAP}; larger P need fewer stages",
-    )
-    conditions_parser.add_argument(
-        "--explicit",
-        action="store_true",
-        help="drop weights a[i,j] with j >= i and fix c[1] = 0",
-    )
-    conditions_parser.add_argument(
-        "--subst-c",
-        action="store_true",
-        help="write sum_j a[i,j] as c[i] under leaves",
-    )
-    conditions_parser.add_argument(
-        "--format", choices=("text", "latex", "json"), default="text"
-    )
-    conditions_parser.add_argument(
-        "--generic",
-        action="store_true",
-        help="print nested-sum conditions for symbolic stage count instead",
-    )
-
-    verify_parser = subparsers.add_parser(
-        "verify", help="check what order a tableau document achieves"
-    )
-    verify_parser.add_argument("tableau", help="path to a tableau JSON document")
-    verify_parser.add_argument(
-        "--max-order", type=int, required=True, metavar="P", help=order_help
-    )
-    verify_parser.add_argument(
-        "--require-order",
-        type=int,
-        metavar="Q",
-        help="exit 0 only if the achieved order is at least Q (default: P)",
-    )
-    verify_parser.add_argument("--mode", choices=("exact", "float"), default="exact")
-    verify_parser.add_argument(
-        "--tol",
-        type=float,
-        default=1e-12,
-        help="residual tolerance in float mode (default 1e-12)",
-    )
-    verify_parser.add_argument("--format", choices=("text", "json"), default="text")
-
-    oracle_parser = subparsers.add_parser(
-        "oracle",
-        help="expand exact and discrete flows two independent ways and compare",
-    )
-    oracle_parser.add_argument("field", help="path to a vector-field JSON document")
-    oracle_parser.add_argument(
-        "--x0", required=True, help="expansion point, comma-separated rationals"
-    )
-    oracle_parser.add_argument(
-        "--p",
-        type=int,
-        required=True,
-        metavar="P",
-        help=f"truncation degree, 0..{_ORACLE_DEGREE_CAP}",
-    )
-    oracle_parser.add_argument(
-        "--tableau", help="also expand one step of this tableau document"
-    )
-    oracle_parser.add_argument("--format", choices=("text", "json"), default="text")
-
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand name's parser alone, as build_parser() makes it under its
+    own prog: usage, help and errors read the same."""
+    parser = argparse.ArgumentParser(prog=f"butcher-kit {name}")
+    _COMMANDS[name][1](parser)
     return parser
 
 
@@ -436,12 +414,20 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
+# Each subcommand's help line, the function that adds its arguments to a
+# parser, and the function that runs it on the parsed arguments.
 _COMMANDS = {
-    "trees": _cmd_trees,
-    "count": _cmd_count,
-    "conditions": _cmd_conditions,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
+    "trees": ("list all rooted trees of order 1 through P", _add_trees_arguments, _cmd_trees),
+    "count": ("tree counts per order and their total", _add_order, _cmd_count),
+    "conditions": (
+        "order conditions for trees of order 1 through P", _add_conditions_arguments, _cmd_conditions
+    ),
+    "verify": ("check what order a tableau document achieves", _add_verify_arguments, _cmd_verify),
+    "oracle": (
+        "expand exact and discrete flows two independent ways and compare",
+        _add_oracle_arguments,
+        _cmd_oracle,
+    ),
 }
 
 
@@ -463,13 +449,26 @@ def _join_points(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the CLI on argv (sys.argv[1:] by default); return the exit code.
+
+    Two parse routes give the same stdout, stderr and exit code.  When the
+    first word names a subcommand, only that subcommand's parser is built.
+    Anything else (no word, -h, an unknown word, an option first), and any
+    word that parser leaves unrecognised, goes through build_parser()'s
+    full parser, which prints the top-level usage or error.
+    """
+    argv = _join_points(sys.argv[1:] if argv is None else argv)
     try:
-        parsed = parser.parse_args(_join_points(sys.argv[1:] if argv is None else argv))
+        parsed = extras = None
+        if argv and argv[0] in _COMMANDS:
+            parsed, extras = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
+            parsed.subcommand = argv[0]
+        if parsed is None or extras:
+            parsed = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
-        return _COMMANDS[parsed.subcommand](parsed)
+        return _COMMANDS[parsed.subcommand][2](parsed)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

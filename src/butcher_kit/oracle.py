@@ -450,7 +450,9 @@ class _DerivativeTable:
     integer denominator, zero rows only where terms cancel; (m, kids[:-1])
     contracted with F(kids[-1]) gives it.  Entry (m, ()) is the level,
     built from the terms of degree m or more the first time a tree with m
-    children asks, and F(t) is the () row of (len(kids), kids).  With
+    children asks.  With all m children put in, only the () row is left,
+    and no other tree shares that prefix: F(t) is kept under t's id as
+    (numerators, denominator), so that a hit is one lookup of an int.  With
     x0 = X/d and the coefficients over one denominator F, level m is kept
     over F d^(top - m), top the field's degree, and a contraction over its
     entry's denominator times the child's; no Fraction is built per tree.
@@ -477,7 +479,7 @@ class _DerivativeTable:
             for (e, _), numerator in zip(terms, row)
         ]
         self._zeros = (0,) * field.dim
-        self._memo: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
+        self._memo: dict[int | tuple[int, tuple[int, ...]], tuple] = {}
 
     def serves(self, field: PolyVectorField, point: Sequence[Fraction]) -> bool:
         """Whether this table was built for field at point."""
@@ -510,10 +512,11 @@ class _DerivativeTable:
     def differential(self, i: int) -> tuple[Sequence[int], int]:
         """F(t)(x0) of the tree of id i as (numerators, denominator); the longest
         kept prefix of its kids is extended in a loop, one stack frame a level."""
-        kids = child_ids(i)
-        m = n = len(kids)
-        entry = self._memo.get((m, kids))
-        if entry is None:
+        value = self._memo.get(i)
+        if value is None:
+            kids = child_ids(i)
+            m = n = len(kids)
+            entry = None
             while entry is None and n:
                 n -= 1
                 entry = self._memo.get((m, kids[:n]))
@@ -522,8 +525,10 @@ class _DerivativeTable:
             for n in range(n, m):
                 if entry[0]:  # an empty entry stays empty, and needs no F(kid)
                     entry = _contract(entry, self.differential(kids[n]))
-                self._memo[(m, kids[: n + 1])] = entry
-        return entry[0].get((), self._zeros), entry[1]
+                if n + 1 < m:
+                    self._memo[(m, kids[: n + 1])] = entry
+            value = self._memo[i] = entry[0].get((), self._zeros), entry[1]
+        return value
 
 
 def _contract(entry: tuple[dict, int], kid: tuple[Sequence[int], int]) -> tuple[dict, int]:

@@ -25,16 +25,18 @@ theorem, built over the grafting forest: its exact and discrete flows at 0
 carry every 1/t! and every elementary weight.  record_interns counts the
 trees a call asks the id store for.  field_value, unsatisfiable and
 var_sort_key are the test-only readings of a field, a condition and a
-variable.
+variable.  main_by_full_parser is the CLI with every argv parsed by
+build_parser()'s full parser, the reference for main's two parse routes.
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import groupby
 
 from hypothesis import strategies as st
 
-from butcher_kit import trees
+from butcher_kit import cli, trees
 from butcher_kit.algebra import CoeffPolynomial
 from butcher_kit.oracle import PolyVectorField, elementary_differential
 from butcher_kit.trees import RootedTree
@@ -61,6 +63,20 @@ def record_interns(monkeypatch):
 
     monkeypatch.setattr(trees, "_intern", counting)
     return built
+
+
+def main_by_full_parser(argv):
+    """cli.main(argv) with the whole argv parsed by cli.build_parser(), and
+    dispatched through the same command table: the exit code."""
+    try:
+        parsed = cli.build_parser().parse_args(cli._join_points(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return cli._COMMANDS[parsed.subcommand][2](parsed)
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 def field_value(field, point):

@@ -2,11 +2,13 @@
 
 The exit-code contract is load-bearing for scripting: 0 success, 1 semantic
 failure (order not reached, series mismatch), 2 usage or input errors.
-TestFuzz holds the contract over argvs drawn from a small grammar.
+TestFuzz holds the contract over argvs drawn from a small grammar, and
+holds main's two parse routes to the output of the full parser.
 """
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -16,10 +18,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import A000081, record_interns
+from helpers import A000081, main_by_full_parser, record_interns
 
 from butcher_kit import cli
 from butcher_kit.cli import _ORDER_CAP, main
@@ -964,6 +966,44 @@ class TestArgumentHandling:
         assert "trees" in out and "verify" in out and "oracle" in out
 
 
+class _FullParserBuilt(Exception):
+    pass
+
+
+class TestParseRoutes:
+    # main builds the full parser only for an argv whose first word names
+    # no subcommand, or whose words that subcommand's parser leaves over.
+    def test_a_subcommand_is_parsed_without_the_full_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise _FullParserBuilt
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        expected = "order 1: 1\norder 2: 1\norder 3: 2\ntotal: 4\n"
+        assert run(capsys, "count", "--order", "3") == (0, expected, "")
+        for argv in ([], ["frobnicate"], ["-h"], ["--order", "3", "count"], ["count", "--order", "3", "x"]):
+            with pytest.raises(_FullParserBuilt):
+                main(argv)
+
+    def test_build_parser_takes_no_argument_and_parses_every_subcommand(self):
+        # perfbench's tracer wraps cli.build_parser as a function of no
+        # argument and times parse_args on the parser it returns.
+        assert inspect.signature(cli.build_parser).parameters == {}
+        argvs = {
+            "trees": ["--order", "3"],
+            "count": ["--order", "3"],
+            "conditions": ["--order", "3", "--generic"],
+            "verify": [RK4, "--max-order", "3"],
+            "oracle": [LINEAR, "--x0", "1", "--p", "2"],
+        }
+        assert list(argvs) == list(cli._COMMANDS)
+        parser = cli.build_parser()
+        for name, argv in argvs.items():
+            parsed = parser.parse_args([name, *argv])
+            fast, extras = cli._subcommand_parser(name).parse_known_args(argv)
+            assert (parsed.subcommand, extras) == (name, [])
+            assert vars(parsed) == {**vars(fast), "subcommand": name}
+
+
 # -- fuzzing ---------------------------------------------------------------
 
 # Sizes are mostly in range but small, so that every argv runs in
@@ -1088,6 +1128,35 @@ def _commands(tableau_path, field_path, edge_path):
     )
 
 
+# Words put anywhere in a drawn argv: a subcommand's name, options of the
+# full parser, of a subcommand's or of none, a bare "--" and stray values.
+_JUNK = st.sampled_from(
+    ["extra", "--", "-h", "--help", "-x", "--bogus", "--ord", "--order", "3", "-1,0", "--x", "@x", "", *cli._COMMANDS]
+)
+# The documents written for each test: a tableau, a field and an edge field.
+_DOCUMENTS = st.tuples(_document(_TABLEAU_LIKE), _document(_FIELD_LIKE), _EDGE_FIELDS)
+_PLACEHOLDERS = ("<tableau>", "<field>", "<edge>")
+
+
+def _outputs(entry, argv):
+    """(exit code, stdout, stderr) of entry(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _route_examples(*argvs):
+    """An example of the route test for each argv, with no junk added."""
+
+    def decorate(test):
+        for argv in reversed(argvs):
+            test = example(documents=("", "", ""), argv=argv.split(" "), junk=[])(test)
+        return test
+
+    return decorate
+
+
 class TestFuzz:
     @settings(
         max_examples=200,
@@ -1106,11 +1175,45 @@ class TestFuzz:
         argv = data.draw(
             _commands(str(tableau_path), str(field_path), str(edge_path)), label="argv"
         )
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out, err = _outputs(main, argv)
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
         if code == 2:
-            assert err.getvalue()
-            assert out.getvalue() == ""
+            assert err
+            assert out == ""
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(
+        documents=_DOCUMENTS,
+        argv=_commands(*_PLACEHOLDERS),
+        junk=st.lists(st.tuples(st.integers(0, 12), _JUNK), max_size=3),
+    )
+    @_route_examples(
+        "trees --order 3 extra",
+        "count --order 4 count",
+        "--order 3 count",
+        "trees --ord 3",
+        "trees -- --order 3",
+        "count --order",
+        *(f"{name} -h" for name in cli._COMMANDS),
+        "oracle f.json --x -1,0 --p 2",
+    )
+    def test_parse_routes_match_the_full_parser(
+        self, monkeypatch, tmp_path, columns, documents, argv, junk
+    ):
+        # argparse wraps usage and help to the terminal's width.
+        monkeypatch.setenv("COLUMNS", columns)
+        paths = {name: tmp_path / f"{name[1:-1]}.json" for name in _PLACEHOLDERS}
+        for name, document in zip(_PLACEHOLDERS, documents):
+            paths[name].write_text(document)
+        argv = [str(paths.get(token, token)) for token in argv]
+        for position, token in junk:
+            argv.insert(position, token)
+        assert _outputs(main, argv) == _outputs(main_by_full_parser, argv)

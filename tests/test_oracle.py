@@ -81,12 +81,6 @@ MIXED = PolyVectorField.from_strings(2, ["x2", "x1^2 - 1/2*x2"])
 WIDE_6D = load_field((Path(__file__).parent / "fixtures" / "wide6d.json").read_text())
 
 
-def _differential_key(i):
-    """The key under which a derivative table keeps F(t) of the tree of id
-    i: the level of its child count with every child put in."""
-    return len(child_ids(i)), child_ids(i)
-
-
 # Exponent grid for dim 2, total degree <= 2.
 _EXPONENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
@@ -491,7 +485,7 @@ class TestElementaryDifferentials:
         differential = oracle._DerivativeTable.differential
 
         def counting(table, i):
-            if _differential_key(i) not in table._memo:
+            if i not in table._memo:
                 computed.append(i)
             return differential(table, i)
 
@@ -588,7 +582,8 @@ class TestElementaryDifferentials:
     def test_each_entry_is_built_once_across_a_shared_prefix(self):
         # [[], [[]], [[[]]]] and [[], [[]], [[],[]]] share their first two
         # children, so the second contracts only its last child into the
-        # entry the first left at (3, its first two children).
+        # entry the first left at (3, its first two children).  Each F(t)
+        # is kept under the tree's id.
         stored = []
 
         class Recording(dict):
@@ -606,8 +601,10 @@ class TestElementaryDifferentials:
             expected = differential_reference(self.DISTINCT, tree, self.DISTINCT_POINT)
             assert tuple(F(x, denominator) for x in numerators) == expected
         assert len(stored) == len(set(stored))
-        assert (3, kids[:2]) in stored[: stored.index((3, kids))]
-        assert [key for key in stored[stored.index((3, kids)) + 1 :] if key[0] == 3] == [(3, other)]
+        later = stored.index(tree_id(first)) + 1
+        assert (3, kids[:2]) in stored[:later]
+        assert stored[-1] == tree_id(second)
+        assert [key for key in stored[later:] if isinstance(key, tuple) and key[0] == 3] == []
 
     def test_nesting_costs_one_stack_frame_per_level(self):
         # The chain of order n under the field 2*x1 + 1 at 1 is f'^(n-1) f.
@@ -936,7 +933,7 @@ class TestFieldTable:
             init(table, field, point)
 
         def counting_differential(table, i):
-            if _differential_key(i) not in table._memo:
+            if i not in table._memo:
                 computed.append(i)
             return differential(table, i)
 
