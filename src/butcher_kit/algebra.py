@@ -82,10 +82,15 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        raise ValueError(
-            f"a value has more than {sys.get_int_max_str_digits()} digits, too many to print;"
-            " lower --p or use a shorter x0"
-        ) from None
+        raise too_long_to_print("lower --p or use a shorter x0") from None
+
+
+def too_long_to_print(remedy: str) -> ValueError:
+    """The refusal of a value longer than Python converts to text, with what
+    to shrink."""
+    return ValueError(
+        f"a value has more than {sys.get_int_max_str_digits()} digits, too many to print; {remedy}"
+    )
 
 
 def integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[tuple[int, ...]], int]:

@@ -19,7 +19,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -220,6 +219,10 @@ def _emit_json(document: dict, streamed: tuple[str, Iterable[str]] | None = None
 # out the same dicts there.
 _ORDER_RECORD = '{\n      "order": %d,\n      "count": %d,\n      "trees": [\n        %s\n      ]\n    }'
 _CONDITION_RECORD = '{\n      "tree": %s,\n      "order": %d,\n      "lhs": %s,\n      "rhs": %s\n    }'
+_RESIDUAL_RECORD = (
+    '{\n      "tree": %s,\n      "order": %d,\n      "weight": %s,\n      "rhs": %s,'
+    '\n      "residual": %s,\n      "pass": %s\n    }'
+)
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
@@ -248,10 +251,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reciprocal(n: int) -> str:
+    """1/n for an int n >= 1 as format_rational writes it, without a Fraction."""
+    return f"1/{n}" if n > 1 else "1"
+
+
 def _cmd_conditions(args: argparse.Namespace) -> int:
     _require_order(args.order, "--order")
-    # Either mode makes one row (tree, lhs text, rhs) per condition; one
-    # writer per format prints the rows as they are made.  Every refusal
+    # Either mode makes one row (tree, lhs text, rhs text) per condition;
+    # one writer per format prints the rows as they are made.  Every refusal
     # comes before the first row.
     style = "latex" if args.format == "latex" else "plain"
     if args.generic:
@@ -266,7 +274,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
         header = {"generic": True}
         sums: dict = {}  # one memo: each subtree is rendered once per depth
         rows = (
-            (tree, render_generic(tree, sums), Fraction(1, tree_factorial(tree)))
+            (tree, render_generic(tree, sums), _reciprocal(tree_factorial(tree)))
             for tree in enumerate_by_leaf(args.order)
         )
     else:
@@ -288,7 +296,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
         }
         # Dropping duplicates needs every condition before the first row.
         rows = (
-            (condition.tree, condition.lhs.render(style), condition.rhs)
+            (condition.tree, condition.lhs.render(style), condition.rhs_text(style))
             for condition in all_order_conditions(args.order, args.stages, flags)
         )
 
@@ -296,7 +304,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
         texts: dict = {}
         records = (
             _CONDITION_RECORD
-            % (_string(format_tree(tree, texts)), tree.order, _string(lhs), _string(format_rational(rhs)))
+            % (_string(format_tree(tree, texts)), tree.order, _string(lhs), _string(rhs))
             for tree, lhs, rhs in rows
         )
         _emit_json({"max_order": args.order, **header}, ("conditions", records))
@@ -317,7 +325,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tableau = load_tableau(Path(args.tableau).read_text())
     report = verify_order(tableau, args.max_order, mode=args.mode, tol=args.tol)
     if args.format == "json":
-        _emit_json(report.to_mapping())
+        # Every record is made before the first byte is written: a value too
+        # long to print then leaves stdout empty on exit 2.
+        records = [
+            _RESIDUAL_RECORD % (
+                _string(tree), order, _string(weight), _string(rhs), _string(residual),
+                "true" if ok else "false",
+            )
+            for tree, order, weight, rhs, residual, ok in report.rows()
+        ]
+        _emit_json(report.header(), ("residuals", records))
     else:
         _print(report.render_text())
     return 0 if report.achieved_order >= required else 1

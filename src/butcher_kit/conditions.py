@@ -21,8 +21,9 @@ there each sum over j, and b . Phi, is one algebra.poly_dot, which adds
 the products into a single term map.
 ButcherTableau.elementary_weights, which verify and the oracle use, builds
 one over the integer numerators of a tableau's A and b, each put over one
-common denominator, and divides once per tree; its sums stay inline sum()
-expressions.
+common denominator; there each sum over j is sum() over map(), and a
+tree's children multiply their columns in one map() each, so the stage
+loops run in C.
 
 GenerationFlags tune the emitted shape:
   * substitute_c: a child that is the single node contributes the factor
@@ -38,7 +39,6 @@ the substitute_c polynomial into the raw one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from operator import mul
 
 from ._record import Record, set_field
@@ -89,19 +89,25 @@ class OrderCondition(Record):
         return self.tree.order
 
     def render(self, style: str = "plain") -> str:
-        return self.equation(self.lhs.render(style), self.rhs, style)
+        return self.equation(self.lhs.render(style), self.rhs_text(style), style)
+
+    def rhs_text(self, style: str = "plain") -> str:
+        """rhs rendered in style: "p/q" in plain style."""
+        if style == "latex":
+            return CoeffPolynomial.constant(self.rhs).render("latex")
+        return format_rational(self.rhs)
 
     @staticmethod
-    def equation(lhs: str, rhs: Fraction, style: str = "plain") -> str:
+    def equation(lhs: str, rhs: str, style: str = "plain") -> str:
         """The line "lhs == rhs" in plain style, "lhs = rhs" in LaTeX.
 
-        lhs is text already rendered in style; the CLI passes the generic
-        nested sums here too.
+        Both sides are text already rendered in style; the CLI passes the
+        generic nested sums and their 1/t! here too.
         """
         if style == "plain":
-            return f"{lhs} == {format_rational(rhs)}"
+            return f"{lhs} == {rhs}"
         if style == "latex":
-            return f"{lhs} = {CoeffPolynomial.constant(rhs).render('latex')}"
+            return f"{lhs} = {rhs}"
         raise ValueError(f"unknown render style: {style!r}")
 
     def __str__(self) -> str:
@@ -121,15 +127,20 @@ class ElementaryWeights:
     """
 
     def __init__(self, rows, leaf, b) -> None:
-        self._rows, self._leaf, self._b = rows, tuple(leaf), b
+        self._leaf, self._b = tuple(leaf), b
         # The ring's zero and one, in the entries' own type.
         self._zero = leaf[0] * 0
         self._memo = {LEAF_ID: (self._zero + 1,) * len(b)}
         # Over polynomials each sum of products is one poly_dot, with b as
-        # the row of (i, b[i]) pairs; over numbers it stays an inline sum(),
-        # since a call per row would only slow the integer route down.
+        # the row of (i, b[i]) pairs.  Over numbers each row is kept as
+        # (columns, entries), so its sum runs in C builtins: sum and map.
         self._fused = isinstance(self._zero, CoeffPolynomial)
-        self._b_row = tuple(enumerate(b))
+        if self._fused:
+            self._rows, self._b_row = rows, tuple(enumerate(b))
+        else:
+            self._rows = [
+                (tuple([j for j, _ in row]), tuple([a for _, a in row])) for row in rows
+            ]
 
     def vector(self, tree: RootedTree) -> tuple:
         """(Phi_1(t), ..., Phi_s(t))."""
@@ -144,11 +155,13 @@ class ElementaryWeights:
                 cached = self._times_a(runs[0][0])
             else:
                 # Each child's factor is Phi of the child planted, [kid],
-                # kept in the memo like any other tree's.
-                columns = []
+                # kept in the memo like any other tree's; each child
+                # multiplies its column in, all stages in one map.
+                cached = None
                 for kid, count in runs:
-                    columns += [self._vector(planted_id(kid))] * count
-                cached = tuple(reduce(mul, stage) for stage in zip(*columns))
+                    column = self._vector(planted_id(kid))
+                    for _ in range(count):
+                        cached = column if cached is None else tuple(map(mul, cached, column))
             self._memo[i] = cached
         return cached
 
@@ -159,8 +172,8 @@ class ElementaryWeights:
         phi = self._vector(kid)
         if self._fused:
             return tuple([poly_dot(row, phi) for row in self._rows])
-        zero = self._zero
-        return tuple([sum([a * phi[j] for j, a in row], zero) for row in self._rows])
+        zero, column = self._zero, phi.__getitem__
+        return tuple([sum(map(mul, row, map(column, cols)), zero) for cols, row in self._rows])
 
     def weight(self, tree: RootedTree):
         """sum_i b[i] * Phi_i(t)."""

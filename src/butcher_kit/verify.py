@@ -9,13 +9,12 @@ plays no role in the residuals; tableaus whose c differs from the row sums
 of A are verified all the same and only flagged via row_sum_consistent.
 
 The recursion runs over integers: A and b are scaled to integer numerators
-over one common denominator each, and each tree's weight is divided back
-into a reduced Fraction once (TableauWeights, whose integer_weight also
-hands the unreduced integer pair to the oracle's tree routes).  Both modes
-then compare that exact weight against 1/tree_factorial(t): exact mode
-asks for a zero residual, float mode compares |residual| against a
-tolerance after conversion, for tableaus whose entries only approximate a
-method.  A residual too large for a float compares as infinite.
+over one common denominator each, so a tree t of order q has the weight N/S
+with N = b^ . Phi^(t) and S = D_b * D_A^(q-1) (TableauWeights).  verify_order
+compares in integers too: exact mode asks for N * t! == S, float mode for
+|N * t! - S| / (S * t!), one correctly rounded division, to be at most a
+tolerance, for tableaus that only approximate a method; a quotient beyond
+float range fails.  Each entry's Fractions then take one gcd each.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from ._record import Record, set_field
-from .algebra import format_rational, integer_rows, parse_rational
+from .algebra import integer_rows, parse_rational, too_long_to_print
 from .conditions import ElementaryWeights
 from .trees import RootedTree, TreesByOrder, format_tree, tree_factorial
 
@@ -72,8 +71,9 @@ class ButcherTableau(Record):
     read once per tableau, off A's integer rows (algebra.integer_rows): each
     is the sum of its row's numerators over the one common denominator, so
     s Fractions are built instead of s^2 Fraction additions.  They serve
-    both the default c and row_sums().  explicit is derived: true exactly
-    when A is strictly lower triangular.
+    both the default c and row_sums().  The integer rows are kept for
+    elementary_weights() and explicit, which is derived: true exactly when
+    A is strictly lower triangular.
     """
 
     _fields = ("name", "a", "b", "c")
@@ -92,6 +92,7 @@ class ButcherTableau(Record):
             raise TableauError(f"A must be {s}x{s} to match b")
         rows, denominator = integer_rows(a)
         sums = tuple([Fraction(sum(row), denominator) for row in rows])
+        set_field(self, "_integer_a", (rows, denominator))
         if c is None:
             c = sums
         if len(c) != s:
@@ -138,16 +139,14 @@ class ButcherTableau(Record):
 
     @property
     def explicit(self) -> bool:
-        return all(
-            self.a[i][j] == 0 for i in range(self.stages) for j in range(i, self.stages)
-        )
+        return not any(any(row[i:]) for i, row in enumerate(self._integer_a[0]))
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return self._row_sums
 
     def elementary_weights(self) -> "TableauWeights":
         """Phi and b . Phi over this tableau's entries, one memo throughout."""
-        return TableauWeights(self.a, self.b)
+        return TableauWeights(*self._integer_a, self.b)
 
     @property
     def row_sum_consistent(self) -> bool:
@@ -157,33 +156,43 @@ class ButcherTableau(Record):
 class TableauWeights:
     """Phi(t) and b . Phi(t) of a tableau as reduced Fractions, from integers.
 
-    A is scaled by D_A, the lcm of its denominators, and b by D_b, so
+    A comes scaled by D_A, the lcm of its denominators (a_rows over d_a, as
+    algebra.integer_rows gives them), and b is scaled by D_b, so
     ElementaryWeights runs over integers only.  Each of a tree's |t| - 1
     edges brings one factor of A (a leaf brings its row sum), so
     Phi_i(t) = Phi^_i(t) / D_A^(|t|-1) and b . Phi(t) = b^ . Phi^(t) /
-    (D_b * D_A^(|t|-1)).  integer_weight returns the unreduced pair of
-    b . Phi(t), for callers that keep summing in integers: the oracle's tree
-    route takes it as the step's w(t) over its scale unchanged.  vector and
-    weight divide by those scales, one division per tree instead of one gcd
-    per product and sum.  The leaf vector, a single node's factor, is the
+    (D_b * D_A^(|t|-1)), the scale, kept per order.  integer_weight returns
+    the unreduced pair of b . Phi(t), for callers that keep summing in
+    integers: the oracle's tree route takes it as the step's w(t) over its
+    scale unchanged, and verify_order reads the numerators over scale(q).
+    vector and weight divide by those scales, one division per tree instead
+    of one gcd per product and sum.  The leaf vector, a single node's factor, is the
     integer rows' sums, the row sums of A scaled by D_A; every other child's
     factor is the integer Phi of the child planted (see ElementaryWeights).
     """
 
-    def __init__(self, a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> None:
-        a, self._d_a = integer_rows(a)
+    def __init__(self, a_rows: Sequence[Sequence[int]], d_a: int, b: Sequence[Fraction]) -> None:
+        self._d_a = d_a
         (b,), self._d_b = integer_rows([b])
-        rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in a_rows]
         leaf = [sum(x for _, x in row) for row in rows]
         self._integers = ElementaryWeights(rows, leaf, b)
+        self._scales = [self._d_b]  # by order from 1 on, grown on demand
+
+    def scale(self, order: int) -> int:
+        """D_b * D_A^(order-1): integer_weight's scale for a tree of that order."""
+        scales = self._scales
+        while len(scales) < order:
+            scales.append(scales[-1] * self._d_a)
+        return scales[order - 1]
 
     def integer_weight(self, tree: RootedTree) -> tuple[int, int]:
         """b^ . Phi^(t) and its scale D_b * D_A^(|t|-1)."""
-        return self._integers.weight(tree), self._d_b * self._d_a ** (tree.order - 1)
+        return self._integers.weight(tree), self.scale(tree.order)
 
     def vector(self, tree: RootedTree) -> tuple[Fraction, ...]:
         """(Phi_1(t), ..., Phi_s(t))."""
-        scale = self._d_a ** (tree.order - 1)
+        scale = self.scale(tree.order) // self._d_b
         return tuple(Fraction(x, scale) for x in self._integers.vector(tree))
 
     def weight(self, tree: RootedTree) -> Fraction:
@@ -326,27 +335,15 @@ class ResidualEntry(Record):
         set_field(self, "residual", residual)
         set_field(self, "passed", passed)
 
-    def to_mapping(self, memo: dict | None = None) -> dict:
-        """The entry as JSON-ready values; memo is format_tree's, for
-        callers that format many entries."""
-        return {
-            "tree": format_tree(self.tree, memo),
-            "order": self.order,
-            "weight": format_rational(self.weight),
-            "rhs": format_rational(self.rhs),
-            "residual": format_rational(self.residual),
-            "pass": self.passed,
-        }
-
 
 class OrderReport(Record):
     """Result of verify_order.
 
     residuals covers every tree of order <= min(requested_order,
     achieved_order + 1), so the first failing condition is always visible.
-    The report keeps one format_tree memo, which render_text and
-    to_mapping share: each tree's text is joined from its children's,
-    once per report.
+    rows() formats each entry once for render_text, to_mapping and the
+    CLI's JSON writer, under one format_tree memo per report: each tree's
+    text is joined from its children's, once per report.
     """
 
     _fields = (
@@ -384,7 +381,8 @@ class OrderReport(Record):
         set_field(self, "residuals", residuals)
         set_field(self, "_tree_texts", {})
 
-    def to_mapping(self) -> dict:
+    def header(self) -> dict:
+        """to_mapping() without its residuals."""
         return {
             "tableau": self.tableau_name,
             "stages": self.stages,
@@ -394,8 +392,24 @@ class OrderReport(Record):
             "tolerance": self.tolerance,
             "requested_order": self.requested_order,
             "achieved_order": self.achieved_order,
-            "residuals": [entry.to_mapping(self._tree_texts) for entry in self.residuals],
         }
+
+    def rows(self) -> list[tuple]:
+        """(tree, order, weight, rhs, residual, pass) per residual, the tree
+        and the rationals as text; one too long to print is a ValueError."""
+        texts = self._tree_texts
+        try:
+            return [
+                (format_tree(entry.tree, texts), entry.order, str(entry.weight),
+                 str(entry.rhs), str(entry.residual), entry.passed)
+                for entry in self.residuals
+            ]
+        except ValueError:
+            raise too_long_to_print("lower --max-order or use shorter tableau entries") from None
+
+    def to_mapping(self) -> dict:
+        keys = ("tree", "order", "weight", "rhs", "residual", "pass")
+        return {**self.header(), "residuals": [dict(zip(keys, row)) for row in self.rows()]}
 
     def render_text(self) -> str:
         name = self.tableau_name or "(unnamed)"
@@ -408,17 +422,12 @@ class OrderReport(Record):
             f"requested order: {self.requested_order}",
             f"achieved order: {self.achieved_order}",
         ]
-        columns = ("order", "tree", "weight", "rhs", "residual")
-        rows = [columns + ("ok",)]
-        for residual in self.residuals:
-            entry = residual.to_mapping(self._tree_texts)
-            cells = tuple(str(entry[key]) for key in columns)
-            rows.append(cells + ("pass" if entry["pass"] else "FAIL",))
-        widths = [max(len(row[col]) for row in rows) for col in range(6)]
-        for row in rows:
-            lines.append(
-                "  ".join(field.ljust(width) for field, width in zip(row, widths)).rstrip()
-            )
+        rows = [("order", "tree", "weight", "rhs", "residual", "ok")]
+        for tree, order, weight, rhs, residual, passed in self.rows():
+            rows.append((str(order), tree, weight, rhs, residual, "pass" if passed else "FAIL"))
+        # Each column left-aligned to its widest cell, two spaces apart.
+        layout = "  ".join([f"{{:<{max(map(len, column))}}}" for column in zip(*rows)])
+        lines += [layout.format(*row).rstrip() for row in rows]
         return "\n".join(lines)
 
 
@@ -444,28 +453,39 @@ def verify_order(
     if tol < 0:
         raise TableauError(f"tol must be >= 0, got {tol}")
 
-    def passes(value: Fraction) -> bool:
-        if mode == "exact":
-            return value == 0
-        try:
-            return abs(float(value)) <= tol
-        except OverflowError:  # beyond float range: infinite, above any tol
-            return False
-
     weights = tableau.elementary_weights()
+    integer_weight = weights._integers.weight  # the scale is per order
+    exact = mode == "exact"
+    zero = Fraction(0)
+    reciprocals: dict[int, Fraction] = {}  # t! -> 1/t!
     entries: list[ResidualEntry] = []
     achieved = max_order
     # The forest grows one order at a time: a failing order ends the climb
     # before any larger tree is built.
     for q, group in enumerate(TreesByOrder(max_order).groups(), start=1):
+        scale = weights.scale(q)
         failed = False
         for tree in group:
-            weight = weights.weight(tree)
-            rhs = Fraction(1, tree_factorial(tree))
-            difference = weight - rhs
-            ok = passes(difference)
+            factorial = tree_factorial(tree)
+            rhs = reciprocals.get(factorial)
+            if rhs is None:
+                rhs = reciprocals[factorial] = Fraction(1, factorial)
+            weight = integer_weight(tree)
+            # N/S - 1/t! = (N t! - S) / (S t!); at gap 0 the weight is 1/t!.
+            gap = weight * factorial - scale
+            if not gap:
+                entries.append(ResidualEntry(tree, q, rhs, rhs, zero, True))
+                continue
+            denominator = scale * factorial
+            ok = False
+            if not exact:
+                try:
+                    ok = abs(gap / denominator) <= tol
+                except OverflowError:  # beyond float range: infinite, above any tol
+                    pass
             failed = failed or not ok
-            entries.append(ResidualEntry(tree, q, weight, rhs, difference, ok))
+            residual = Fraction(gap, denominator)
+            entries.append(ResidualEntry(tree, q, Fraction(weight, scale), rhs, residual, ok))
         if failed:
             achieved = q - 1
             break

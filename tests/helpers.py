@@ -17,7 +17,9 @@ are the oracle's tree routes computed Fraction by Fraction: alpha as a
 product of arrangement weights, F(t) by repeated directional derivatives,
 and every weight, product and sum a reduced Fraction.  weight_reference
 is b . Phi(t) the same way, with no memo, so it shares nothing with the
-package's Phi recursion.
+package's Phi recursion.  residuals_reference is verify_order's residual
+entries from it, over the grafting forest, every residual weight - 1/t!
+taken Fraction by Fraction.
 iteration_series_reference is the oracle's iteration routes the same way:
 plain fixed-point sweeps over truncated Fraction series, one more
 coefficient fixed per sweep.  tree_field is the field of Butcher's
@@ -40,7 +42,7 @@ from butcher_kit import cli, trees
 from butcher_kit.algebra import CoeffPolynomial
 from butcher_kit.oracle import PolyVectorField, elementary_differential
 from butcher_kit.trees import RootedTree
-from butcher_kit.verify import ButcherTableau
+from butcher_kit.verify import ButcherTableau, ResidualEntry
 
 F = Fraction
 
@@ -361,6 +363,39 @@ def weight_reference(tableau, tree):
         return vector
 
     return sum((b * x for b, x in zip(tableau.b, phi(tree))), Fraction(0))
+
+
+def residuals_reference(tableau, max_order, mode, tol):
+    """The ResidualEntry list verify_order reports, Fraction by Fraction.
+
+    Order by order over trees_by_grafting, up to and including the first
+    order with a failure; t! is |t| times the children's t!, and a residual
+    passes when it is 0 (exact mode) or when float(residual) is finite and
+    at most tol in size (float mode).
+    """
+
+    def factorial(tree):
+        return tree.order * math.prod(factorial(kid) for kid in tree.children)
+
+    def passes(residual):
+        if mode == "exact":
+            return residual == 0
+        try:
+            return abs(float(residual)) <= tol
+        except OverflowError:
+            return False
+
+    entries = []
+    for order, group in enumerate(trees_by_grafting(max_order), start=1):
+        for tree in group:
+            weight = weight_reference(tableau, tree)
+            rhs = Fraction(1, factorial(tree))
+            entries.append(
+                ResidualEntry(tree, order, weight, rhs, weight - rhs, passes(weight - rhs))
+            )
+        if not all(entry.passed for entry in entries):
+            break
+    return entries
 
 
 def explicit_euler():

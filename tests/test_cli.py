@@ -278,8 +278,8 @@ def _is_stdlib_json(out):
 
 
 class TestJsonWriter:
-    # trees and conditions write their lists record by record; the bytes
-    # are the standard library's all the same.
+    # trees, conditions and verify write their lists record by record; the
+    # bytes are the standard library's all the same.
     @pytest.mark.parametrize("p", range(1, 13))
     def test_trees(self, capsys, p):
         code, out, err = run(capsys, "trees", "--order", str(p), "--format", "json")
@@ -299,6 +299,16 @@ class TestJsonWriter:
         argv = ("conditions", "--order", str(p), "--stages", str(stages), *flags, "--format", "json")
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
+        assert _is_stdlib_json(out)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("p", [1, 4, 5, 7])
+    @pytest.mark.parametrize("tableau", [RK4, EULER, BUTCHER6, MIDPOINT])
+    def test_verify(self, capsys, tableau, p, mode):
+        # Orders that pass and orders that fail, in exact and float mode.
+        argv = ("verify", tableau, "--max-order", str(p), "--mode", mode, "--format", "json")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) in ((0, ""), (1, ""))
         assert _is_stdlib_json(out)
 
     _TEXTS = ['"', "\\", 'say "⊙\\"', "\x00\x1f\x7f\n\t\r\b\f", "⊙", "\U0001d4ae", "a/b"]
@@ -501,6 +511,22 @@ class TestVerify:
         assert "achieved order: 0" in out
         assert "FAIL" in out
         assert err == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_value_too_long_to_print_names_verify_remedies(self, capsys, tmp_path, fmt):
+        # A's entry reads, but at order 2 the residual 1/D - 1/2 has a
+        # denominator 2D one digit longer than Python prints.  The refusal
+        # names what verify takes, not the oracle's --p and x0, and comes
+        # before any of the report.
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"stages": 1, "A": [["1/" + "9" * limit]], "b": ["1"]}))
+        code, out, err = run(capsys, "verify", str(path), "--max-order", "2", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: a value has more than {limit} digits, too many to print;"
+            " lower --max-order or use shorter tableau entries\n"
+        )
 
     @pytest.mark.parametrize("tol", ["inf", "1e400", "Infinity"])
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -32,6 +32,7 @@ from helpers import (
     implicit_midpoint,
     random_tableaus,
     record_interns,
+    residuals_reference,
     rk4,
     substitute,
     weight_reference,
@@ -480,6 +481,39 @@ class TestVerifyOrder:
         # No residual could pass it: rk4 would seem to fail order 1.
         with pytest.raises(TableauError, match=f"^tol must be >= 0, got {tol}$"):
             verify_order(rk4(), 4, mode=mode, tol=tol)
+
+    # b = 1/3 leaves -2/3 at order 1: a tol equal to its float passes it,
+    # the next float below does not.
+    _THIRD = ButcherTableau.from_rows("b = 1/3", [[0]], [Fraction(1, 3)])
+    _AT_TOL = abs(float(Fraction(-2, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tableau=random_tableaus(), max_order=st.integers(1, 5), tol=st.floats(0, 1))
+    @example(tableau=rk4(), max_order=5, tol=1e-12)
+    @example(tableau=implicit_midpoint(), max_order=3, tol=0.0)
+    @example(tableau=_THIRD, max_order=2, tol=_AT_TOL)
+    @example(tableau=_THIRD, max_order=2, tol=math.nextafter(_AT_TOL, 0))
+    @example(
+        # The residual 10^400 - 1 is beyond float range: it fails any tol.
+        tableau=ButcherTableau.from_rows("huge b", [["0"]], ["1" + "0" * 400]),
+        max_order=1,
+        tol=1.0,
+    )
+    @example(
+        # The residual 10^-400 underflows to 0.0: float mode passes it at tol 0.
+        tableau=ButcherTableau.from_rows("tiny gap", [["0"]], [f"{10**400 + 1}/{10**400}"]),
+        max_order=1,
+        tol=0.0,
+    )
+    def test_entries_match_the_fraction_reference(self, tableau, max_order, tol):
+        # verify_order compares and builds each entry in integers; the
+        # reference takes weight - 1/t! and its float Fraction by Fraction.
+        for mode in ("exact", "float"):
+            report = verify_order(tableau, max_order, mode=mode, tol=tol)
+            assert list(report.residuals) == residuals_reference(tableau, max_order, mode, tol)
+            for entry in report.residuals:
+                assert {type(entry.weight), type(entry.rhs), type(entry.residual)} == {Fraction}
+                assert type(entry.passed) is bool
 
     def test_failing_order_stops_the_forest(self, monkeypatch, fresh_forest):
         # rk4 fails at order 5, so no tree above order 5 may be built,
