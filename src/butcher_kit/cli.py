@@ -59,10 +59,10 @@ def _condition_size(order: int, stages: int, flags: GenerationFlags) -> tuple[in
     S^k index choices, or C(S + k - 1, k) with explicit A, where every index
     lies below its parent's.  A leaf written as c[i] costs one variable, not
     a row sum, hence the larger cap with --subst-c.  Measured on a 2-core Xeon
-    with Python 3.11, text output: accepted sizes near the caps take 1.8-3.8 s
-    and 150-230 MB (--order 6 --stages 6; --order 8 --stages 8 --explicit;
+    with Python 3.11, text output: accepted sizes near the caps take 1.3-2.5 s
+    and 120-210 MB (--order 6 --stages 6; --order 8 --stages 8 --explicit;
     --order 6 --stages 13 --subst-c), and sizes just above them would take
-    3.3-7.3 s and 280-490 MB (--order 6 --stages 14 --subst-c; --order 7
+    2.1-4.8 s and 265-365 MB (--order 6 --stages 14 --subst-c; --order 7
     --stages 5), most of the time in rendering the polynomials.
     """
     k = order - 1 if flags.substitute_c else order
@@ -320,8 +320,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _require(
         required <= args.max_order, "--require-order cannot exceed --max-order"
     )
-    _require(args.tol >= 0, "--tol must be >= 0")
     _require(math.isfinite(args.tol), "--tol must be finite")
+    _require(args.tol >= 0, "--tol must be >= 0")
     tableau = load_tableau(Path(args.tableau).read_text())
     report = verify_order(tableau, args.max_order, mode=args.mode, tol=args.tol)
     if args.format == "json":

@@ -11,14 +11,15 @@ order <= p satisfies  weight(t) == 1/tree_factorial(t).
 ElementaryWeights is the package's one implementation of this recursion,
 for any scalar ring.  Its inputs are, per stage, the (j, a[i,j]) pairs
 whose entry is not zero and the factor a single-node child contributes
-(sum_j a[i,j], or c[i]), and b; one memo serves every tree it is asked
-about.  The factor a child t_k brings, sum_j a[i,j] * Phi_j(t_k), is
-itself Phi of the planted tree [t_k], t_k alone under a new root; so the
-memo keeps it like any tree's, and each distinct child costs one row sum
-over A per evaluator however many trees share it.  symbolic_weights
-builds one over the CoeffPolynomial variables a[i,j], c[i] and b[i];
-there each sum over j, and b . Phi, is one algebra.poly_dot, which adds
-the products into a single term map.
+(sum_j a[i,j], or c[i]), and b.  Its one memo, which serves every tree it
+is asked about, keeps by the child's id the factor each child t_k brings,
+sum_j a[i,j] * Phi_j(t_k): each distinct child costs one row sum over A
+per evaluator however many trees share it.  Phi(t), the product of its
+children's factors, is not kept: it is read again only through t's own
+factor, so it is computed once more when t is first a child.
+symbolic_weights builds one over the CoeffPolynomial variables a[i,j],
+c[i] and b[i]; there each sum over j, and b . Phi, is one
+algebra.poly_dot, which adds the products into a single term map.
 ButcherTableau.elementary_weights, which verify and the oracle use, builds
 one over the integer numerators of a tableau's A and b, each put over one
 common denominator; there each sum over j is sum() over map(), and a
@@ -48,7 +49,6 @@ from .trees import (
     RootedTree,
     child_runs,
     enumerate_by_leaf,
-    planted_id,
     tree_factorial,
     tree_id,
 )
@@ -117,20 +117,19 @@ class OrderCondition(Record):
 class ElementaryWeights:
     """Phi(t) and b . Phi(t) from rows, leaf and b; rows hold 0-based j.
 
-    The memo is keyed by tree id, and each tree is read through its runs of
-    equal children.  A tree with one child, [kid], has Phi([kid]) =
-    A . Phi(kid), one row sum per stage (the leaf vector when kid is the
-    single node); every other tree takes each child's column from
-    Phi([kid]), found by trees.planted_id and memoised as a tree of its own.
-    [kid] has no more nodes than any tree with kid as a child, so over a
-    whole forest, as conditions and verify ask, its Phi is needed anyway.
+    The one memo holds each child's factor, A . Phi(kid), keyed by the
+    child's id and seeded with the leaf's.  A tree is read through its runs
+    of equal children, and its Phi, the product of their factors, is
+    computed when asked for and not kept: it is read again only through
+    its factor, when the tree is another tree's child.
     """
 
     def __init__(self, rows, leaf, b) -> None:
-        self._leaf, self._b = tuple(leaf), b
-        # The ring's zero and one, in the entries' own type.
+        self._b = b
+        # The ring's zero, in the entries' own type, and the single node's Phi.
         self._zero = leaf[0] * 0
-        self._memo = {LEAF_ID: (self._zero + 1,) * len(b)}
+        self._ones = (self._zero + 1,) * len(b)
+        self._factors = {LEAF_ID: tuple(leaf)}
         # Over polynomials each sum of products is one poly_dot, with b as
         # the row of (i, b[i]) pairs.  Over numbers each row is kept as
         # (columns, entries), so its sum runs in C builtins: sum and map.
@@ -147,28 +146,18 @@ class ElementaryWeights:
         return self._vector(tree_id(tree))
 
     def _vector(self, i: int) -> tuple:
-        cached = self._memo.get(i)
-        if cached is None:
-            runs = child_runs(i)
-            if len(runs) == 1 and runs[0][1] == 1:
-                # [kid]: its Phi is kid's factor itself.
-                cached = self._times_a(runs[0][0])
-            else:
-                # Each child's factor is Phi of the child planted, [kid],
-                # kept in the memo like any other tree's; each child
-                # multiplies its column in, all stages in one map.
-                cached = None
-                for kid, count in runs:
-                    column = self._vector(planted_id(kid))
-                    for _ in range(count):
-                        cached = column if cached is None else tuple(map(mul, cached, column))
-            self._memo[i] = cached
-        return cached
+        # Each child multiplies its factor in, all stages in one map.
+        phi, factors = None, self._factors
+        for kid, count in child_runs(i):
+            column = factors.get(kid)
+            if column is None:
+                column = factors[kid] = self._times_a(kid)
+            for _ in range(count):
+                phi = column if phi is None else tuple(map(mul, phi, column))
+        return self._ones if phi is None else phi
 
     def _times_a(self, kid: int) -> tuple:
         # Stage i's factor for one child: sum_j a[i,j] * Phi_j(kid).
-        if kid == LEAF_ID:
-            return self._leaf
         phi = self._vector(kid)
         if self._fused:
             return tuple([poly_dot(row, phi) for row in self._rows])
@@ -189,7 +178,8 @@ def symbolic_weights(
     """Phi and b . Phi as CoeffPolynomials in a[i,j], c[i] and b[i], s = stages.
 
     vector(t) gives the per-stage weight polynomials, weight(t) the fully
-    expanded sum_i b[i] * Phi_i(t); one memo serves every tree asked about.
+    expanded sum_i b[i] * Phi_i(t); one memo of child factors serves every
+    tree asked about.
     """
     if stages < 1:
         raise ValueError("stages must be >= 1")

@@ -36,8 +36,8 @@ need.  The tables are kept in a dict that holds each field weakly, and a
 table holds no reference to its field, so it lives exactly as long as the
 field does; a new point replaces it.  The forest is grown once per
 process, so a second series, or a second job, walks trees already built.
-rk_series_trees builds one ElementaryWeights per call, so each subtree's
-Phi is computed once per call.
+rk_series_trees builds one ElementaryWeights per call, so each child's
+factor A . Phi is computed once per call.
 
 The tree routes run in integers.  F(t) is kept as integer numerators over
 one unreduced denominator, and each w(t) as an integer numerator over its

@@ -16,12 +16,8 @@ shared by every shape it occurs in, and the factors below are computed
 from the children's entries when first asked for, and kept in flat lists
 indexed by id.  The evaluators (conditions.ElementaryWeights,
 the oracle's derivative table) key their memos by id and walk the runs, so
-a subtree shared by many trees is evaluated once per memo, and a deep
-parsed tree in time linear in its size.  ElementaryWeights also asks for
-planted_id, the id of [t] (t alone under a new root): for a child of a
-forest tree that is one lookup, since [t] has no more nodes than the
-parent; for a child of a tree outside the forest, [t] may be new, and is
-then interned outside the forest too.
+what a subtree shared by many trees contributes is computed once per memo,
+and a deep parsed tree evaluates in time linear in its size.
 
 One forest serves the whole process, and TreesByOrder and
 enumerate_by_leaf are views of it.  It is append-only and grows by one
@@ -114,8 +110,6 @@ def _intern(kids: tuple[int, ...], order: int) -> RootedTree:
         _RUNS.append(None)
         _FACTORIALS.append(None)
         _SIGMAS.append(None)
-        # Published last, so a reader that finds the id without the lock
-        # (planted_id) finds its entries complete.
         _IDS[kids] = i
     return _TREES[i]
 
@@ -177,20 +171,6 @@ _intern((), 1)  # the single node, LEAF_ID
 def tree_id(tree: RootedTree) -> int:
     """The id of the tree's shape."""
     return tree._id
-
-
-def planted_id(i: int) -> int:
-    """The id of [t] for shape i: t alone under a new root.
-
-    When t is a child of a forest tree, [t] is in the forest too, and this
-    is one lookup without the lock.  Otherwise, as for a child of a parsed
-    tree above the grown forest, [t] may be new and is interned here.
-    """
-    planted = _IDS.get((i,))
-    if planted is None:
-        with _LOCK:
-            planted = _intern((i,), _ORDERS[i] + 1)._id
-    return planted
 
 
 def child_ids(i: int) -> tuple[int, ...]:

@@ -166,9 +166,10 @@ class TableauWeights:
     integers: the oracle's tree route takes it as the step's w(t) over its
     scale unchanged, and verify_order reads the numerators over scale(q).
     vector and weight divide by those scales, one division per tree instead
-    of one gcd per product and sum.  The leaf vector, a single node's factor, is the
-    integer rows' sums, the row sums of A scaled by D_A; every other child's
-    factor is the integer Phi of the child planted (see ElementaryWeights).
+    of one gcd per product and sum.  The leaf vector, a single node's
+    factor, is the integer rows' sums, the row sums of A scaled by D_A;
+    every other child's factor is the integer rows times its Phi^, which
+    ElementaryWeights keeps once per child.
     """
 
     def __init__(self, a_rows: Sequence[Sequence[int]], d_a: int, b: Sequence[Fraction]) -> None:

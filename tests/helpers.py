@@ -15,11 +15,11 @@ symmetry_delta counts the distinct arrangements of a tree's children.
 alpha_by_arrangements, differential_reference and tree_series_reference
 are the oracle's tree routes computed Fraction by Fraction: alpha as a
 product of arrangement weights, F(t) by repeated directional derivatives,
-and every weight, product and sum a reduced Fraction.  weight_reference
-is b . Phi(t) the same way, with no memo, so it shares nothing with the
-package's Phi recursion.  residuals_reference is verify_order's residual
-entries from it, over the grafting forest, every residual weight - 1/t!
-taken Fraction by Fraction.
+and every weight, product and sum a reduced Fraction.  vector_reference
+and weight_reference are Phi(t) and b . Phi(t) the same way, with no
+memo, so they share nothing with the package's Phi recursion.
+residuals_reference is verify_order's residual entries from it, over the
+grafting forest, every residual weight - 1/t! taken Fraction by Fraction.
 iteration_series_reference is the oracle's iteration routes the same way:
 plain fixed-point sweeps over truncated Fraction series, one more
 coefficient fixed per sweep.  tree_field is the field of Butcher's
@@ -347,22 +347,23 @@ def tree_field(max_order):
     return forest, PolyVectorField(len(forest), tuple(components))
 
 
-def weight_reference(tableau, tree):
-    """b . Phi(t) of a tableau by the recursion as written, without a memo:
+def vector_reference(tableau, tree):
+    """Phi(t) of a tableau by the recursion as written, without a memo:
     Phi_i(t) = prod over the children t_k of sum_j a[i,j] * Phi_j(t_k),
     every product and sum a Fraction, each child evaluated where it occurs."""
+    vector = [Fraction(1)] * tableau.stages
+    for kid in tree.children:
+        inner = vector_reference(tableau, kid)
+        vector = [
+            x * sum((a * y for a, y in zip(row, inner)), Fraction(0))
+            for x, row in zip(vector, tableau.a)
+        ]
+    return tuple(vector)
 
-    def phi(node):
-        vector = [Fraction(1)] * tableau.stages
-        for kid in node.children:
-            inner = phi(kid)
-            vector = [
-                x * sum((a * y for a, y in zip(row, inner)), Fraction(0))
-                for x, row in zip(vector, tableau.a)
-            ]
-        return vector
 
-    return sum((b * x for b, x in zip(tableau.b, phi(tree))), Fraction(0))
+def weight_reference(tableau, tree):
+    """b . Phi(t) of a tableau from vector_reference, without a memo."""
+    return sum((b * x for b, x in zip(tableau.b, vector_reference(tableau, tree))), Fraction(0))
 
 
 def residuals_reference(tableau, max_order, mode, tol):

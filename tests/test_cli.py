@@ -528,7 +528,7 @@ class TestVerify:
             " lower --max-order or use shorter tableau entries\n"
         )
 
-    @pytest.mark.parametrize("tol", ["inf", "1e400", "Infinity"])
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "Infinity", "nan"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_non_finite_tolerance_is_usage_error(self, capsys, tol, fmt):
         # An infinite tolerance would pass every residual, and JSON has no

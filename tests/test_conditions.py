@@ -9,7 +9,8 @@ Core claims:
   * duplicate conditions collapse, unsatisfiable ones survive and are
     flagged;
   * each evaluator sums a row over A once per distinct non-leaf child,
-    however many trees share that child;
+    however many trees share that child, and its memo holds those
+    children's factors and nothing else;
   * render_generic reproduces the pinned nested-sum strings and names
     levels beyond the index alphabet with subscripts.
 """
@@ -151,8 +152,8 @@ class TestWeightVectors:
 
 class TestChildFactorsOnce:
     """Each distinct child's factor, one row sum over A per stage, is
-    computed once per evaluator: it is Phi of the child planted, [kid],
-    which the memo keeps."""
+    computed once per evaluator, which keeps it in its one memo by the
+    child's id; no tree's Phi is kept."""
 
     @staticmethod
     def _row_sums(monkeypatch):
@@ -188,6 +189,19 @@ class TestChildFactorsOnce:
         assert sorted(kid for _, kid in calls) == sorted(
             self._non_leaf_children(entry.tree for entry in report.residuals)
         )
+
+    @pytest.mark.parametrize(
+        "evaluator",
+        [lambda: symbolic_weights(2), lambda: rk4().elementary_weights()._integers],
+        ids=["symbolic", "integer"],
+    )
+    def test_the_memo_holds_child_factors_only(self, evaluator):
+        # Every tree through order 6 is asked for: the children are the
+        # trees of order <= 5, and no tree of order 6 is anyone's child.
+        weights = evaluator()
+        for tree in enumerate_by_leaf(6):
+            weights.weight(tree)
+        assert sorted(weights._factors) == sorted(tree_id(t) for t in enumerate_by_leaf(5))
 
 
 def _row_sum_binding(stages, explicit):

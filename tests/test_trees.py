@@ -11,8 +11,8 @@ Core claims:
   * trees far above the grown forest (a chain 200 deep, a broom) meet
     closed forms for every factor, text, weight and differential
     without growing it;
-  * planted_id finds [t] of a forest tree t without interning anything,
-    and interns [t] of a parsed tree outside the forest once;
+  * the weight and Phi of a parsed tree outside the forest intern no
+    shape, and match the memo-free reference;
   * coefficient functions hit the worked values (order 8, factorial 192,
     alpha 1/2 for [[[],[[]],[[]]],[]]-shaped input) and closed forms for
     chains and bushy trees;
@@ -54,6 +54,8 @@ from helpers import (
     rk4,
     symmetry_delta,
     trees_by_grafting,
+    vector_reference,
+    weight_reference,
 )
 
 from butcher_kit import trees
@@ -71,7 +73,6 @@ from butcher_kit.trees import (
     enumerate_by_leaf,
     format_tree,
     parse_tree,
-    planted_id,
     sigma,
     tree_counts,
     tree_factorial,
@@ -299,28 +300,20 @@ class TestTreesOutsideTheForest:
         # Nothing grew the forest: no tree was built but single nodes.
         assert all(order == 1 for order in built)
 
-
-class TestPlanted:
-    """planted_id(i) is the id of [t], t under a new root, for shape i."""
-
-    def test_forest_trees_find_their_plant_in_the_forest(self, monkeypatch):
-        forest = enumerate_by_leaf(7)
-        below = [tree for tree in forest if tree.order <= 6]
-        built = record_interns(monkeypatch)
-        planted = [planted_id(tree_id(tree)) for tree in below]
-        assert built == []
-        assert planted == [tree_id(RootedTree((tree,))) for tree in below]
-
-    def test_a_parsed_tree_outside_the_forest_interns_its_plant(self, monkeypatch):
-        # A shape no other test builds: a root over 23 brooms [[],[[]]].
+    def test_weights_intern_no_shape(self, monkeypatch):
+        # A shape no other test builds: a root over 23 brooms [[],[[]]],
+        # and a root over two of those, whose child is outside the forest.
+        # Each child's factor is kept by the child's id, so no tree [kid]
+        # is asked of the id store.
         tree = parse_tree("[" + ",".join(["[[],[[]]]"] * 23) + "]")
+        pair = RootedTree((tree, tree))
         built = record_interns(monkeypatch)
-        planted = planted_id(tree_id(tree))
-        assert built == [tree.order + 1]
-        assert planted_id(tree_id(tree)) == planted
-        assert built == [tree.order + 1]
-        assert planted == tree_id(RootedTree((tree,)))
-        assert RootedTree((tree,)).children == (tree,)
+        weights = rk4().elementary_weights()
+        values = [(weights.weight(t), weights.vector(t)) for t in (tree, pair)]
+        assert built == []
+        assert values == [
+            (weight_reference(rk4(), t), vector_reference(rk4(), t)) for t in (tree, pair)
+        ]
 
 
 class TestCoefficients:

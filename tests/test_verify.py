@@ -304,9 +304,9 @@ class TestResiduals:
 
     def test_bushy_tree_at_the_parse_depth_limit(self):
         # [[],[[],...]] nested MAX_PARSE_DEPTH deep: every level has a leaf
-        # and one deeper child, so the integer route takes each child's
-        # factor from the child planted.  An implicit tableau, whose weights
-        # do not vanish with depth.
+        # and one deeper child, so the integer route multiplies two child
+        # factors at every level.  An implicit tableau, whose weights do not
+        # vanish with depth.
         text = "[]"
         for _ in range(MAX_PARSE_DEPTH - 1):
             text = f"[[],{text}]"
