@@ -43,8 +43,8 @@ _ORACLE_DEGREE_CAP = 6
 # Size caps, refused with exit 2 before any work starts.  Every subcommand
 # works per tree, and there are about 3x more trees per order: through order
 # 14 (53,272 trees) the heaviest, `conditions --generic --format json`, takes
-# 0.9-1.0 s and 61 MB peak RSS on a 2-core Xeon (Python 3.11, five runs;
-# 0.7-0.9 s and 53 MB in text, five runs).
+# 0.5-0.8 s and 54 MB peak RSS on a 2-core Xeon (Python 3.11, five runs;
+# 0.4-0.6 s and 49 MB in text, five runs).
 _ORDER_CAP = 14
 # conditions without --generic: a full A has S^2 variables (--order 2
 # --stages 100: 0.5 s, 28 MB).
@@ -228,8 +228,7 @@ _RESIDUAL_RECORD = (
 def _cmd_trees(args: argparse.Namespace) -> int:
     _require_order(args.order, "--order")
     groups = enumerate_by_leaf(args.order).groups()
-    texts: dict = {}  # one memo: each subtree is formatted once
-    orders = ([format_tree(tree, texts) for tree in group] for group in groups)
+    orders = ([format_tree(tree) for tree in group] for group in groups)
     if args.format == "bracket":
         _write(f"{text}\n" for row in orders for text in row)
         return 0
@@ -272,7 +271,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
         ):
             _require(not given, f"--generic does not take {flag}")
         header = {"generic": True}
-        sums: dict = {}  # one memo: each subtree is rendered once per depth
+        sums: dict = {}  # one memo: each child's factor is built once per depth
         rows = (
             (tree, render_generic(tree, sums), _reciprocal(tree_factorial(tree)))
             for tree in enumerate_by_leaf(args.order)
@@ -301,10 +300,9 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
         )
 
     if args.format == "json":
-        texts: dict = {}
         records = (
             _CONDITION_RECORD
-            % (_string(format_tree(tree, texts)), tree.order, _string(lhs), _string(rhs))
+            % (_string(format_tree(tree)), tree.order, _string(lhs), _string(rhs))
             for tree, lhs, rhs in rows
         )
         _emit_json({"max_order": args.order, **header}, ("conditions", records))

@@ -233,23 +233,27 @@ def render_generic(tree: RootedTree, memo: dict | None = None) -> str:
     The single node renders as "sum_{i=1}^{s} b_i"; every child contributes
     a parenthesized factor one index deeper, and repeated children group
     into a power.  Pass one memo dict across calls when rendering many
-    trees: it keeps the factors of each child subtree by (id, depth), since
-    the index names depend on the depth, so each is rendered once.  A
-    root's own factors are not kept: a tree is a child only below depth 0.
+    trees: it keeps each child subtree's whole factor by (id, depth), since
+    the index names depend on the depth, so each is built once.  A root's
+    own factors are not kept: a tree is a child only below depth 0.
     """
     factors = _generic_factors(tree_id(tree), 0, {} if memo is None else memo)
     return f"sum_{{i=1}}^{{s}} b_i {factors}" if factors else "sum_{i=1}^{s} b_i"
 
 
 def _generic_factors(i: int, depth: int, memo: dict) -> str:
-    """The factors of tree i's children, whose root has index depth."""
-    parent, child = _index_name(depth), _index_name(depth + 1)
-    head = f"sum_{{{child}=1}}^{{s}} a_{{{parent},{child}}}"
+    """The factors of tree i's children, whose root has index depth.
+
+    memo[(kid, depth + 1)] is a child's factor "(sum_{j=1}^{s} a_{i,j} ...)"
+    without its power.
+    """
     factors = []
     for kid, count in child_runs(i):
-        inner = memo.get((kid, depth + 1))
-        if inner is None:
-            inner = memo[(kid, depth + 1)] = _generic_factors(kid, depth + 1, memo)
-        factor = f"({head} {inner})" if inner else f"({head})"
-        factors.append(factor + (f"^{count}" if count > 1 else ""))
+        factor = memo.get((kid, depth + 1))
+        if factor is None:
+            parent, child = _index_name(depth), _index_name(depth + 1)
+            head = f"(sum_{{{child}=1}}^{{s}} a_{{{parent},{child}}}"
+            inner = _generic_factors(kid, depth + 1, memo)
+            factor = memo[(kid, depth + 1)] = f"{head} {inner})" if inner else f"{head})"
+        factors.append(f"{factor}^{count}" if count > 1 else factor)
     return " ".join(factors)

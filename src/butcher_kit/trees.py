@@ -12,12 +12,13 @@ RootedTree, a handle that holds the id and nothing else.  So two equal
 trees, whether grown in the forest, built by hand or parsed, are the same
 object, and a tree outside the forest costs one lookup per node.  The runs
 of equal children, as (child id, multiplicity) pairs, each pair one object
-shared by every shape it occurs in, and the factors below are computed
-from the children's entries when first asked for, and kept in flat lists
-indexed by id.  The evaluators (conditions.ElementaryWeights,
-the oracle's derivative table) key their memos by id and walk the runs, so
-what a subtree shared by many trees contributes is computed once per memo,
-and a deep parsed tree evaluates in time linear in its size.
+shared by every shape it occurs in, the factors below and the bracket
+text of format_tree are computed from the children's entries when first
+asked for, and kept in flat lists indexed by id.  The evaluators
+(conditions.ElementaryWeights, the oracle's derivative table) key their
+memos by id and walk the runs, so what a subtree shared by many trees
+contributes is computed once per memo, and a deep parsed tree evaluates
+in time linear in its size.
 
 One forest serves the whole process, and TreesByOrder and
 enumerate_by_leaf are views of it.  It is append-only and grows by one
@@ -91,6 +92,7 @@ _RUNS: list[tuple[tuple[int, int], ...] | None] = []
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 _FACTORIALS: list[int | None] = []
 _SIGMAS: list[int | None] = []
+_TEXTS: list[str | None] = []
 
 
 def _intern(kids: tuple[int, ...], order: int) -> RootedTree:
@@ -110,6 +112,7 @@ def _intern(kids: tuple[int, ...], order: int) -> RootedTree:
         _RUNS.append(None)
         _FACTORIALS.append(None)
         _SIGMAS.append(None)
+        _TEXTS.append(None)
         _IDS[kids] = i
     return _TREES[i]
 
@@ -412,21 +415,19 @@ def parse_tree(text: str) -> RootedTree:
     return tree
 
 
-def format_tree(tree: RootedTree, memo: dict | None = None) -> str:
+def format_tree(tree: RootedTree) -> str:
     """Canonical bracket string, no whitespace; inverse of parse_tree.
 
-    Pass one memo dict across calls when formatting many trees: it keeps
-    each shape's text by id, so a subtree shared by many trees is formatted
-    once, and each tree's text is joined from its children's.
+    Each shape's text is kept by id, joined from its children's the first
+    time it is asked for, so a subtree shared by many trees is formatted
+    once per process.
     """
-    return _bracket(tree._id, {} if memo is None else memo)
+    return _TEXTS[tree._id] or _bracket(tree._id)
 
 
-def _bracket(i: int, memo: dict) -> str:
-    text = memo.get(i)
-    if text is None:
-        parts: list[str] = []
-        for kid, count in child_runs(i):
-            parts += [_bracket(kid, memo)] * count
-        text = memo[i] = "[" + ",".join(parts) + "]"
+def _bracket(i: int) -> str:
+    parts: list[str] = []
+    for kid, count in child_runs(i):
+        parts += [_TEXTS[kid] or _bracket(kid)] * count
+    _TEXTS[i] = text = "[" + ",".join(parts) + "]"
     return text

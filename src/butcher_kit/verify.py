@@ -342,9 +342,8 @@ class OrderReport(Record):
 
     residuals covers every tree of order <= min(requested_order,
     achieved_order + 1), so the first failing condition is always visible.
-    rows() formats each entry once for render_text, to_mapping and the
-    CLI's JSON writer, under one format_tree memo per report: each tree's
-    text is joined from its children's, once per report.
+    rows() formats each entry for render_text, to_mapping and the CLI's
+    JSON writer; each tree's text is the one format_tree keeps by id.
     """
 
     _fields = (
@@ -380,7 +379,6 @@ class OrderReport(Record):
         set_field(self, "requested_order", requested_order)
         set_field(self, "achieved_order", achieved_order)
         set_field(self, "residuals", residuals)
-        set_field(self, "_tree_texts", {})
 
     def header(self) -> dict:
         """to_mapping() without its residuals."""
@@ -398,10 +396,9 @@ class OrderReport(Record):
     def rows(self) -> list[tuple]:
         """(tree, order, weight, rhs, residual, pass) per residual, the tree
         and the rationals as text; one too long to print is a ValueError."""
-        texts = self._tree_texts
         try:
             return [
-                (format_tree(entry.tree, texts), entry.order, str(entry.weight),
+                (format_tree(entry.tree), entry.order, str(entry.weight),
                  str(entry.rhs), str(entry.residual), entry.passed)
                 for entry in self.residuals
             ]

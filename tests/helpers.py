@@ -29,12 +29,17 @@ trees a call asks the id store for.  field_value, unsatisfiable and
 var_sort_key are the test-only readings of a field, a condition and a
 variable.  main_by_full_parser is the CLI with every argv parsed by
 build_parser()'s full parser, the reference for main's two parse routes.
+in_fresh_process runs a probe where the id store holds no text yet.
 """
 
+import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import groupby
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -65,6 +70,20 @@ def record_interns(monkeypatch):
 
     monkeypatch.setattr(trees, "_intern", counting)
     return built
+
+
+def in_fresh_process(probe, *args):
+    """Run the Python source probe in a new interpreter that imports the
+    package from src/, with args as sys.argv[1:]; the JSON value of its
+    last line of stdout."""
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def main_by_full_parser(argv):

@@ -12,7 +12,8 @@ Core claims:
     however many trees share that child, and its memo holds those
     children's factors and nothing else;
   * render_generic reproduces the pinned nested-sum strings and names
-    levels beyond the index alphabet with subscripts.
+    levels beyond the index alphabet with subscripts; its memo keeps each
+    child's whole factor by (id, depth) and no root's.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ import pytest
 
 from helpers import free_variables, power, rk4, substitute, unsatisfiable
 
+from butcher_kit import trees
 from butcher_kit.algebra import CoeffPolynomial, a_var, b_var, c_var, poly_sum
 from butcher_kit.conditions import (
     ElementaryWeights,
@@ -337,3 +339,20 @@ class TestRendering:
         for tree in enumerate_by_leaf(8):
             assert render_generic(tree, memo) == render_generic(tree)
         assert memo and min(depth for _, depth in memo) == 1
+
+    def test_generic_memo_holds_whole_child_factors(self):
+        # One memo across the forest through order 8 and chains past the
+        # eleventh index name.  Entry (kid, d) is kid's whole parenthesized
+        # factor at depth d, without a power: planted d times, kid's text
+        # ends with it, closed by the d - 1 factors above.
+        memo = {}
+        chains = [parse_tree("[" * q + "]" * q) for q in (13, 14, 16)]
+        for tree in (*enumerate_by_leaf(8), *chains):
+            assert render_generic(tree, memo) == render_generic(tree)
+        assert any("i_{13}" in factor for factor in memo.values())
+        for (kid, depth), factor in memo.items():
+            assert factor.startswith("(sum_{") and factor.endswith(")")
+            host = trees._TREES[kid]
+            for _ in range(depth):
+                host = RootedTree((host,))
+            assert render_generic(host).endswith(" " + factor + ")" * (depth - 1))

@@ -7,7 +7,8 @@ Core claims:
     1,1,2,4,9,20,48,115,286,719;
   * the forest is one per process: a second call builds nothing, views
     read interleaved give what separate forests give, and four threads
-    growing it at once leave the grafting reference's groups;
+    growing it at once leave the grafting reference's groups; four
+    threads formatting it at once keep the texts one thread gives;
   * trees far above the grown forest (a chain 200 deep, a broom) meet
     closed forms for every factor, text, weight and differential
     without growing it;
@@ -49,6 +50,7 @@ from hypothesis import strategies as st
 from helpers import (
     A000081,
     alpha_by_arrangements,
+    in_fresh_process,
     power,
     record_interns,
     rk4,
@@ -243,6 +245,52 @@ class TestSharedForest:
         assert tuple(TreesByOrder(9).groups()) == expected
         assert len(fresh_forest.trees) == sum(KNOWN_COUNTS[:9])
         assert len({trees.tree_id(tree) for tree in fresh_forest.trees}) == sum(KNOWN_COUNTS[:9])
+
+    def test_four_threads_format_one_forest(self):
+        # In a fresh process, no text is kept yet when four threads format
+        # the order-9 forest at once, two of them largest tree first.  The
+        # kept texts are dropped and the race run again, five rounds in
+        # all; every text matches what one thread gives.
+        probe = """
+import json, sys, threading
+from butcher_kit import trees
+from butcher_kit.trees import enumerate_by_leaf, format_tree, tree_id
+
+forest = list(enumerate_by_leaf(9))
+empty = not any(trees._TEXTS)
+start = threading.Barrier(4)
+results = [[] for _ in range(4)]
+
+def run(slot):
+    for _ in range(5):
+        if start.wait(timeout=10) == 0:
+            trees._TEXTS[:] = [None] * len(trees._TEXTS)
+        start.wait(timeout=10)
+        order = forest[::-1] if slot % 2 else forest
+        texts = {tree_id(tree): format_tree(tree) for tree in order}
+        results[slot].append([texts[tree_id(tree)] for tree in forest])
+
+threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+finished = not any(thread.is_alive() for thread in threads)
+trees._TEXTS[:] = [None] * len(trees._TEXTS)
+alone = [format_tree(tree) for tree in forest]
+threaded = sum(results, [])
+print(json.dumps({"empty": empty, "finished": finished, "alone": alone, "threaded": threaded}))
+"""
+        result = in_fresh_process(probe)
+        assert result["empty"] and result["finished"]
+        assert result["alone"] == [format_tree(tree) for tree in enumerate_by_leaf(9)]
+        assert len(result["alone"]) == sum(KNOWN_COUNTS[:9])
+        assert result["threaded"] == [result["alone"]] * 20
 
 
 class TestTreesOutsideTheForest:

@@ -9,7 +9,9 @@ Core claims:
     evaluate), on fixed and on random explicit and implicit tableaus;
   * c never enters the residuals; inconsistent c is only flagged;
   * the loader gives distinct diagnostics for dimension mismatches,
-    malformed rationals, duplicate and unknown fields.
+    malformed rationals, duplicate and unknown fields;
+  * in a fresh process each shape's text is joined once: formatting the
+    forest again and two reports with their text and mapping join none.
 """
 
 import importlib.util
@@ -25,11 +27,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    A000081,
     BUTCHER6_SAMPLES,
     butcher6,
     evaluate_constant,
     explicit_euler,
     implicit_midpoint,
+    in_fresh_process,
     random_tableaus,
     record_interns,
     residuals_reference,
@@ -558,22 +562,49 @@ class TestReportShapes:
         }
         json.dumps(mapping)  # stays serializable
 
-    def test_one_tree_text_memo_per_report(self, monkeypatch):
-        # render_text and to_mapping share the report's memo, so each shape
-        # is joined from its children's once per report, not per call.
-        memos = []
-        format_tree = verify.format_tree
+    def test_tree_text_joined_once_per_shape(self):
+        # In a fresh process, formatting the order-8 forest joins each
+        # shape's text from its children's once.  Formatting it again, and
+        # two rk4 reports with their text and mapping, join none.
+        probe = """
+import json, sys
+from pathlib import Path
+from butcher_kit import trees
+from butcher_kit.trees import enumerate_by_leaf, format_tree, parse_tree, tree_id
+from butcher_kit.verify import load_tableau, verify_order
 
-        def recording(tree, memo=None):
-            memos.append(memo)
-            return format_tree(tree, memo)
+joined = []
+bracket = trees._bracket
 
-        monkeypatch.setattr(verify, "format_tree", recording)
-        report = verify_order(rk4(), 6)
-        text, mapping = report.render_text(), report.to_mapping()
-        assert len({id(memo) for memo in memos}) == 1
-        assert memos[0] is not None and len(memos) == 2 * len(report.residuals)
-        assert sorted(memos[0].values()) == sorted(entry["tree"] for entry in mapping["residuals"])
-        other = verify_order(rk4(), 6)
-        assert other.to_mapping() == mapping and other.render_text() == text
-        assert memos[-1] is not memos[0]
+def recording(i):
+    if trees._TEXTS[i] is None:
+        joined.append(i)
+    return bracket(i)
+
+trees._bracket = recording
+forest = list(enumerate_by_leaf(8))
+texts = [format_tree(tree) for tree in forest]
+first, joined[:] = list(joined), []
+again = [format_tree(tree) for tree in forest]
+tableau = load_tableau(Path(sys.argv[1]).read_text())
+reports = [verify_order(tableau, 6) for _ in range(2)]
+shown = [(report.render_text(), report.to_mapping()) for report in reports]
+print(json.dumps({
+    "first": first,
+    "ids": [tree_id(tree) for tree in forest],
+    "second": joined,
+    "same": again == texts and shown[0] == shown[1],
+    "round_trip": all(parse_tree(text) is tree for text, tree in zip(texts, forest)),
+    "report_trees": [
+        parse_tree(row["tree"]) is entry.tree and row["tree"] in shown[0][0]
+        for row, entry in zip(shown[0][1]["residuals"], reports[0].residuals)
+    ],
+}))
+"""
+        result = in_fresh_process(probe, FIXTURES / "rk4.json")
+        assert sorted(result["first"]) == sorted(result["ids"])
+        assert len(result["first"]) == sum(A000081[:8])
+        assert result["second"] == []
+        assert result["same"] and result["round_trip"]
+        assert len(result["report_trees"]) == sum(A000081[:5])
+        assert all(result["report_trees"])
