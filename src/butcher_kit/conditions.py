@@ -242,11 +242,8 @@ def render_generic(tree: RootedTree, memo: dict | None = None) -> str:
 
 
 def _generic_factors(i: int, depth: int, memo: dict) -> str:
-    """The factors of tree i's children, whose root has index depth.
-
-    memo[(kid, depth + 1)] is a child's factor "(sum_{j=1}^{s} a_{i,j} ...)"
-    without its power.
-    """
+    """The factors of tree i's children, whose root has index depth; memo
+    keeps each child's factor "(sum_{j=1}^{s} a_{i,j} ...)" without its power."""
     factors = []
     for kid, count in child_runs(i):
         factor = memo.get((kid, depth + 1))

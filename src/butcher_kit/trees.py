@@ -422,12 +422,15 @@ def format_tree(tree: RootedTree) -> str:
     time it is asked for, so a subtree shared by many trees is formatted
     once per process.
     """
-    return _TEXTS[tree._id] or _bracket(tree._id)
+    return text_of(tree._id)
 
 
-def _bracket(i: int) -> str:
-    parts: list[str] = []
-    for kid, count in child_runs(i):
-        parts += [_TEXTS[kid] or _bracket(kid)] * count
-    _TEXTS[i] = text = "[" + ",".join(parts) + "]"
-    return text
+def text_of(i: int) -> str:
+    """Bracket text of shape i."""
+    value = _TEXTS[i]
+    if value is None:
+        parts: list[str] = []
+        for kid, count in child_runs(i):
+            parts += [text_of(kid)] * count
+        value = _TEXTS[i] = "[" + ",".join(parts) + "]"
+    return value

@@ -574,14 +574,14 @@ from butcher_kit.trees import enumerate_by_leaf, format_tree, parse_tree, tree_i
 from butcher_kit.verify import load_tableau, verify_order
 
 joined = []
-bracket = trees._bracket
+text_of = trees.text_of
 
 def recording(i):
     if trees._TEXTS[i] is None:
         joined.append(i)
-    return bracket(i)
+    return text_of(i)
 
-trees._bracket = recording
+trees.text_of = recording
 forest = list(enumerate_by_leaf(8))
 texts = [format_tree(tree) for tree in forest]
 first, joined[:] = list(joined), []
