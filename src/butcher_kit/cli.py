@@ -9,6 +9,11 @@ carry a top-level "schema": "butcher-kit/1" key.
 Exit codes: 0 success, 1 semantic failure (verification below the requested
 order, or a series-route mismatch), 2 usage or input errors, sizes beyond
 the caps below included.
+
+Each run pays for this module's import, which leaves out the oracle: only
+the oracle subcommand imports it, when it runs.  The oracle's names read
+here as attributes of this module (perfbench's tracer patches six of them)
+are served on first use, as the package serves them.
 """
 
 from __future__ import annotations
@@ -20,21 +25,16 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from . import _ORACLE_NAMES
 from .algebra import format_rational
 from .conditions import GenerationFlags, OrderCondition, all_order_conditions, render_generic
-from .oracle import (
-    TauSeries,
-    flow_series_picard,
-    flow_series_trees,
-    load_field,
-    parse_point,
-    rk_series_direct,
-    rk_series_trees,
-)
 from .trees import enumerate_by_leaf, format_tree, tree_counts, tree_factorial
 from .verify import load_tableau, verify_order
+
+if TYPE_CHECKING:
+    from .oracle import TauSeries
 
 SCHEMA = "butcher-kit/1"
 
@@ -371,22 +371,24 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         0 <= args.p <= _ORACLE_DEGREE_CAP,
         f"--p must be between 0 and {_ORACLE_DEGREE_CAP}",
     )
-    field = load_field(Path(args.field).read_text())
-    point = parse_point(args.x0, field.dim)
+    from . import oracle  # loaded here: no other subcommand needs it
+
+    field = oracle.load_field(Path(args.field).read_text())
+    point = oracle.parse_point(args.x0, field.dim)
     flow = _SeriesPair(
         "flow",
-        flow_series_trees(field, point, args.p),
+        oracle.flow_series_trees(field, point, args.p),
         "picard",
-        flow_series_picard(field, point, args.p),
+        oracle.flow_series_picard(field, point, args.p),
     )
     pairs = [flow]
     if args.tableau is not None:
         tableau = load_tableau(Path(args.tableau).read_text())
         discrete = _SeriesPair(
             "discrete",
-            rk_series_trees(tableau, field, point, args.p),
+            oracle.rk_series_trees(tableau, field, point, args.p),
             "direct",
-            rk_series_direct(tableau, field, point, args.p),
+            oracle.rk_series_direct(tableau, field, point, args.p),
         )
         pairs.append(discrete)
         versus_flow = flow.trees.first_difference(discrete.trees)
@@ -461,6 +463,16 @@ def _join_points(argv: Sequence[str]) -> list[str]:
         else:
             joined.append(arg)
     return joined
+
+
+def __getattr__(name: str):
+    """The oracle's names, served on first use as the package serves them:
+    importing the CLI does not load the oracle."""
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,27 +1,36 @@
 """The package's public surface.
 
 butcher_kit exports exactly the names its modules list in __all__, each
-the module's own object, so a change to the surface edits one list.  Its
-eight records keep the contract of a frozen dataclass, and importing the
-CLI loads neither dataclasses nor inspect.
+the module's own object, so a change to the surface edits one list.  The
+oracle's names are served on first use, and only the oracle subcommand
+loads the oracle.  Its eight records keep the contract of a frozen
+dataclass, and importing the CLI loads neither dataclasses nor inspect.
+README's Python example runs as written.
 """
 
 import copy
+import json
 import os
 import pickle
+import re
+import shutil
 import subprocess
 import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import butcher_kit
+import butcher_kit.cli as cli
 from butcher_kit import algebra, conditions, oracle, trees, verify
 from butcher_kit.algebra import CoeffPolynomial
 from butcher_kit.trees import RootedTree
 
 SRC = os.path.dirname(os.path.dirname(butcher_kit.__file__))
+ROOT = Path(__file__).parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
 
 MODULES = (algebra, conditions, oracle, trees, verify)
 
@@ -30,15 +39,94 @@ def test_package_exports_exactly_the_modules_all():
     declared = [name for module in MODULES for name in module.__all__]
     assert len(declared) == len(set(declared)), "a name is listed by two modules"
     assert sorted(butcher_kit.__all__) == sorted(declared)
+    # Through dir and getattr: the oracle's names are not in vars() until
+    # asked for.
     public = {
         name
-        for name, value in vars(butcher_kit).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(butcher_kit)
+        if not name.startswith("_") and not isinstance(getattr(butcher_kit, name), types.ModuleType)
     }
     assert public == set(declared)
     for module in MODULES:
         for name in module.__all__:
             assert getattr(butcher_kit, name) is getattr(module, name), name
+
+
+def test_lazy_names_are_the_oracles_all():
+    assert butcher_kit._ORACLE_NAMES == tuple(oracle.__all__)
+
+
+def test_dir_lists_every_exported_name_and_the_oracle():
+    listed = set(dir(butcher_kit))
+    assert set(butcher_kit.__all__) <= listed
+    assert {"algebra", "conditions", "oracle", "trees", "verify"} <= listed
+
+
+def test_unknown_attributes_still_raise():
+    for module in (butcher_kit, cli):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            module.no_such_name
+        assert not hasattr(module, "no_such_name")
+    with pytest.raises(ImportError):
+        from butcher_kit import no_such_name  # noqa: F401
+
+
+# perfbench/spans.py reads and patches these names on cli.
+TRACED_ORACLE_NAMES = (
+    "load_field",
+    "parse_point",
+    "flow_series_trees",
+    "flow_series_picard",
+    "rk_series_trees",
+    "rk_series_direct",
+)
+
+
+@pytest.mark.parametrize("name", TRACED_ORACLE_NAMES)
+def test_cli_serves_the_traced_oracle_names(name):
+    assert getattr(cli, name) is getattr(oracle, name)
+
+
+def _fresh(probe, *args, cwd=None):
+    """Run probe in a new `python -S` interpreter that imports the package
+    from src/ (-S keeps site's own imports out of sys.modules): its stdout."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": SRC}, cwd=cwd,
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return result.stdout
+
+
+def test_star_import_in_a_fresh_interpreter():
+    probe = (
+        "import json, sys\n"
+        "import butcher_kit\n"
+        "loaded_by_import = 'butcher_kit.oracle' in sys.modules\n"
+        "from butcher_kit import *\n"
+        "from butcher_kit import algebra, conditions, oracle, trees, verify\n"
+        "owner = {n: m for m in (algebra, conditions, oracle, trees, verify) for n in m.__all__}\n"
+        "bound = [n for n in butcher_kit.__all__ if globals().get(n) is getattr(owner[n], n)]\n"
+        "print(json.dumps([loaded_by_import, bound]))\n"
+    )
+    loaded_by_import, bound = json.loads(_fresh(probe))
+    assert not loaded_by_import
+    assert bound == butcher_kit.__all__
+
+
+def test_oracle_records_unpickle_in_a_fresh_interpreter():
+    # Unpickling imports butcher_kit.oracle by its name, loaded or not.
+    field = oracle.load_field('{"dim": 2, "components": ["x2", "-x1"]}')
+    series = oracle.flow_series_trees(field, (Fraction(1), Fraction(0)), 2)
+    probe = (
+        "import pickle, sys\n"
+        "import butcher_kit\n"
+        "field, series = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+        "print(repr(field))\n"
+        "print(series.render_text())\n"
+    )
+    out = _fresh(probe, pickle.dumps((field, series)).hex())
+    assert out == f"{field!r}\n{series.render_text()}\n"
 
 
 # The package's frozen records, each with its fields in constructor order,
@@ -127,11 +215,51 @@ def test_record_contract(cls, fields, defaults):
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # Each CLI run pays for its import: the records are plain classes, so
     # that dataclasses, and the inspect, ast and dis it pulls in, stay out.
-    # -S keeps site's own imports out of the answer.
     probe = "import sys, butcher_kit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": SRC}
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert result.stdout == "[]\n"
+    assert _fresh(probe) == "[]\n"
+
+
+def test_only_the_oracle_subcommand_loads_the_oracle():
+    # Every other subcommand runs without the oracle, the package's largest
+    # module; the oracle subcommand loads it and prints the golden report.
+    probe = """
+import contextlib, io, json, sys
+import butcher_kit.cli as cli
+loaded = ["butcher_kit.oracle" in sys.modules]
+runs = [
+    ["count", "--order", "5"],
+    ["trees", "--order", "4"],
+    ["conditions", "--order", "3", "--stages", "2"],
+    ["conditions", "--order", "4", "--generic", "--format", "json"],
+    ["verify", "rk4.json", "--max-order", "5"],
+    ["oracle", "rotation2d.json", "--x0", "1,0", "--p", "5"],
+]
+results = []
+for argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append((code, len(out.getvalue())))
+    loaded.append("butcher_kit.oracle" in sys.modules)
+print(json.dumps([loaded, results, out.getvalue()]))
+"""
+    loaded, results, report = json.loads(_fresh(probe, cwd=FIXTURES).splitlines()[-1])
+    assert loaded == [False] * 6 + [True]
+    assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0]
+    assert all(size for _, size in results)
+    assert report == (ROOT / "tests" / "golden" / "oracle_rotation2d.txt").read_text()
+
+
+def test_readme_python_runs(tmp_path):
+    # README's Python blocks, run in order in a fresh interpreter, from a
+    # directory whose tableau.json is the rk4 fixture and whose field.json
+    # is the rotation2d one.
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
+    shutil.copy(FIXTURES / "rk4.json", tmp_path / "tableau.json")
+    shutil.copy(FIXTURES / "rotation2d.json", tmp_path / "field.json")
+    out = _fresh("\n".join(blocks), cwd=tmp_path)
+    # The values its comments give, and rk4's order.
+    assert out.startswith("4 8 1\nTrue\nb[2]*a[2,1]\n")
+    assert out.endswith("\n4\n(Fraction(-1, 2), Fraction(0, 1))\n")
