@@ -10,6 +10,11 @@ products, hashing and comparison run in C.  Terms sort by total degree,
 then lexicographically on the variables, higher powers of earlier variables
 first; rendering and iteration are deterministic.
 
+render writes a term as its sign, its coefficient unless that is 1 (in
+LaTeX a non-integer is \\frac{p}{q}), then one factor per run of equal ids:
+the variable's interned name, or name^e for a run of length e.  It reads
+the runs in one pass over the id tuple, and keeps no text between calls.
+
 A linear combination sum_j a_j * x_j of polynomials, the shape of both
 sums in the elementary-weight recursion, is poly_dot: it adds each product
 term straight into one term map, where the operators would build every
@@ -193,8 +198,30 @@ def _graded(monomials: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def _runs(monomial: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(id, exponent) for each distinct variable of an id monomial."""
-    return [(var, monomial.count(var)) for var in dict.fromkeys(monomial)]
+    """(id, exponent) for each distinct variable of an id monomial.
+
+    One pass: equal ids are adjacent, so a run ends where the id changes.
+    render reads runs with the same loop.
+    """
+    runs: list[tuple[int, int]] = []
+    if monomial:
+        last, exp = monomial[0], 0
+        for var in monomial:
+            if var == last:
+                exp += 1
+            else:
+                runs.append((last, exp))
+                last, exp = var, 1
+        runs.append((last, exp))
+    return runs
+
+
+def _latex_rational(value: ScalarLike) -> str:
+    """A rational in LaTeX: \\frac{p}{q}, or p when q is 1; "-" leads a negative."""
+    if value.denominator == 1:
+        return str(value)
+    sign = "-" if value < 0 else ""
+    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
 def _nonzero(terms: dict) -> dict:
@@ -293,33 +320,35 @@ class CoeffPolynomial:
     def render(self, style: str = "plain") -> str:
         """Deterministic text form; "plain" uses b[i]/"^", "latex" b_{i}/"^{}"."""
         names = _names(style)
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         separator, power = ("*", "{}^{}") if style == "plain" else (" ", "{}^{{{}}}")
         pieces: list[str] = []
-        for monomial in _graded(self._terms):
-            coeff = self._terms[monomial]
+        for monomial in _graded(terms):
+            coeff = terms[monomial]
             if pieces:
                 pieces.append(" + " if coeff > 0 else " - ")
             elif coeff < 0:
                 pieces.append("-")
             coeff = abs(coeff)
-            # _runs, inlined: this runs once per printed term.
-            factors = separator.join(
-                [
-                    names[var] if (exp := monomial.count(var)) == 1 else power.format(names[var], exp)
-                    for var in dict.fromkeys(monomial)
-                ]
-            )
-            if factors and coeff == 1:
-                pieces.append(factors)
-                continue
-            if style == "latex" and coeff.denominator != 1:
-                pieces.append(f"\\frac{{{coeff.numerator}}}{{{coeff.denominator}}}")
-            else:
-                pieces.append(str(coeff))
-            if factors:
-                pieces += (separator, factors)
+            if coeff != 1 or not monomial:
+                pieces.append(_latex_rational(coeff) if style == "latex" else str(coeff))
+                if not monomial:
+                    continue
+                pieces.append(separator)
+            # _runs's loop, kept inline: render runs it once per printed
+            # term, where a call would add a frame and a list of pairs.
+            factors = []
+            last, exp = monomial[0], 0
+            for var in monomial:
+                if var == last:
+                    exp += 1
+                else:
+                    factors.append(names[last] if exp == 1 else power.format(names[last], exp))
+                    last, exp = var, 1
+            factors.append(names[last] if exp == 1 else power.format(names[last], exp))
+            pieces.append(separator.join(factors))
         return "".join(pieces)
 
     def __eq__(self, other: object) -> bool:

@@ -59,11 +59,13 @@ def _condition_size(order: int, stages: int, flags: GenerationFlags) -> tuple[in
     S^k index choices, or C(S + k - 1, k) with explicit A, where every index
     lies below its parent's.  A leaf written as c[i] costs one variable, not
     a row sum, hence the larger cap with --subst-c.  Measured on a 2-core Xeon
-    with Python 3.11, text output: accepted sizes near the caps take 1.3-2.5 s
-    and 120-210 MB (--order 6 --stages 6; --order 8 --stages 8 --explicit;
-    --order 6 --stages 13 --subst-c), and sizes just above them would take
-    2.1-4.8 s and 265-365 MB (--order 6 --stages 14 --subst-c; --order 7
-    --stages 5), most of the time in rendering the polynomials.
+    with Python 3.11.7, text output, since render reads each term's runs in
+    one pass: accepted sizes near the caps take 1.4-3.0 s and 119-209 MB
+    (--order 6 --stages 6; --order 8 --stages 8 --explicit; --order 6
+    --stages 13 --subst-c), and sizes just above them would take 2.6-6.2 s
+    and 265-366 MB (--order 6 --stages 14 --subst-c; --order 7 --stages 5).
+    About half of the time goes to rendering the polynomials and half to
+    building them.
     """
     k = order - 1 if flags.substitute_c else order
     choices = math.comb(stages + k - 1, k) if flags.explicit else stages**k

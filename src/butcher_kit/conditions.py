@@ -43,7 +43,16 @@ from fractions import Fraction
 from operator import mul
 
 from ._record import Record, set_field
-from .algebra import CoeffPolynomial, a_var, b_var, c_var, format_rational, poly_dot, poly_sum
+from .algebra import (
+    CoeffPolynomial,
+    _latex_rational,
+    a_var,
+    b_var,
+    c_var,
+    format_rational,
+    poly_dot,
+    poly_sum,
+)
 from .trees import (
     LEAF_ID,
     RootedTree,
@@ -92,9 +101,9 @@ class OrderCondition(Record):
         return self.equation(self.lhs.render(style), self.rhs_text(style), style)
 
     def rhs_text(self, style: str = "plain") -> str:
-        """rhs rendered in style: "p/q" in plain style."""
+        """rhs rendered in style: "p/q" in plain style, \\frac{p}{q} in LaTeX."""
         if style == "latex":
-            return CoeffPolynomial.constant(self.rhs).render("latex")
+            return _latex_rational(self.rhs)
         return format_rational(self.rhs)
 
     @staticmethod

@@ -4,8 +4,9 @@ Values are frozen from the standard references, not computed by the code
 under test, so they can serve as oracles: A000081 holds the number of
 rooted trees of each order through 14 (OEIS).  random_tableaus is the shared
 hypothesis strategy for small random tableaus.  power, free_variables,
-substitute, evaluate_constant and monomial_key are plain references on
-CoeffPolynomial, written against its public surface only.
+substitute, evaluate_constant, monomial_key and render_reference are
+plain references on CoeffPolynomial, written against its public surface
+only.
 directional_derivative and evaluate_terms are the calculus of a field
 component, written over plain {exponents: coefficient} dicts so that they
 share no code with the oracle's derivative table.  trees_by_grafting
@@ -163,6 +164,36 @@ def monomial_key(monomial):
         sum(exp for _, exp in monomial),
         tuple((var_sort_key(var), -exp) for var, exp in monomial),
     )
+
+
+def render_reference(poly, style="plain"):
+    """CoeffPolynomial.render from the public terms, a comprehension per term:
+    the sign, the coefficient unless it is 1 (in LaTeX a non-integer is
+    \\frac{p}{q}), then each variable's name, or name^e, joined by the
+    style's separator."""
+    if poly.is_zero:
+        return "0"
+    separator, power_form = ("*", "{}^{}") if style == "plain" else (" ", "{}^{{{}}}")
+    pieces = []
+    for monomial, coeff in poly.sorted_terms():
+        if pieces:
+            pieces.append(" + " if coeff > 0 else " - ")
+        elif coeff < 0:
+            pieces.append("-")
+        coeff = abs(coeff)
+        factors = separator.join(
+            [var.render(style) if exp == 1 else power_form.format(var.render(style), exp) for var, exp in monomial]
+        )
+        if factors and coeff == 1:
+            pieces.append(factors)
+            continue
+        if style == "latex" and coeff.denominator != 1:
+            pieces.append(f"\\frac{{{coeff.numerator}}}{{{coeff.denominator}}}")
+        else:
+            pieces.append(str(coeff))
+        if factors:
+            pieces += (separator, factors)
+    return "".join(pieces)
 
 
 def directional_derivative(terms, vector):

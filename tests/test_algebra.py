@@ -5,7 +5,8 @@ Core claims:
     format/parse round-trips;
   * CoeffPolynomial satisfies ring identities on seeded random inputs;
   * substitution handles partial bindings and polynomial values;
-  * rendering is deterministic, matches the pinned surface forms, and is
+  * rendering is deterministic, matches the pinned surface forms and a
+    reference built from the public terms (exponents 1-12), and is
     injective (a test-only parser recovers the polynomial).
 """
 
@@ -19,8 +20,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import evaluate_constant, free_variables, monomial_key, power, substitute, var_sort_key
-from hypothesis import given, settings
+from helpers import (
+    evaluate_constant,
+    free_variables,
+    monomial_key,
+    power,
+    render_reference,
+    substitute,
+    var_sort_key,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from butcher_kit.algebra import (
@@ -325,6 +334,19 @@ def _parse_plain(text):
     return total
 
 
+# Up to four variables with exponents 1-12, so two-digit powers occur, a
+# power may end a monomial and the empty monomial is the constant term.
+_RUN_MONOMIALS = st.dictionaries(
+    st.sampled_from((b_var(1), b_var(2), c_var(1), c_var(3), a_var(2, 1), a_var(3, 2))),
+    st.integers(1, 12),
+    max_size=4,
+).map(lambda powers: tuple(sorted(powers.items(), key=lambda item: var_sort_key(item[0]))))
+_COEFFICIENTS = st.one_of(
+    st.integers(-30, 30).filter(bool),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool),
+)
+
+
 class TestRendering:
     def test_pinned_plain_forms(self):
         b1, b2 = CoeffPolynomial.variable(b_var(1)), CoeffPolynomial.variable(b_var(2))
@@ -342,6 +364,25 @@ class TestRendering:
         assert (b2 * power(c2, 2)).render("latex") == "b_{2} c_{2}^{2}"
         assert (b2 * power(c2, 2)).scale(Fraction(1, 2)).render("latex") == "\\frac{1}{2} b_{2} c_{2}^{2}"
         assert (b2 + 1).render("latex") == "1 + b_{2}"
+
+    def test_two_digit_powers(self):
+        c1 = CoeffPolynomial.variable(c_var(1))
+        assert power(c1, 10).render() == "c[1]^10"
+        assert power(c1, 10).render("latex") == "c_{1}^{10}"
+        b1 = CoeffPolynomial.variable(b_var(1))
+        assert (b1 * power(c1, 12)).scale(-2).render() == "-2*b[1]*c[1]^12"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(terms=st.dictionaries(_RUN_MONOMIALS, _COEFFICIENTS, max_size=6))
+    @example(terms={})
+    @example(terms={(): Fraction(-1, 6)})
+    @example(terms={((c_var(1), 10),): 1})
+    @example(terms={((b_var(1), 1), (c_var(2), 12)): -1, ((a_var(2, 1), 1),): Fraction(3, 7)})
+    def test_render_matches_the_reference(self, terms):
+        poly = CoeffPolynomial(terms)
+        assert dict(poly.sorted_terms()) == terms
+        for style in ("plain", "latex"):
+            assert poly.render(style) == render_reference(poly, style)
 
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from butcher_kit.algebra import CoeffPolynomial, a_var, b_var, c_var, poly_sum
 from butcher_kit.conditions import (
     ElementaryWeights,
     GenerationFlags,
+    OrderCondition,
     all_order_conditions,
     render_generic,
     symbolic_weights,
@@ -308,6 +309,13 @@ class TestRendering:
         assert condition.render("latex") == "b_{1} c_{1} + b_{2} c_{2} = \\frac{1}{2}"
         with pytest.raises(ValueError):
             condition.render("html")
+
+    def test_latex_rhs_is_the_constants_latex(self):
+        lhs = CoeffPolynomial.variable(b_var(1))
+        for rhs in (Fraction(1, 720), Fraction(-3, 7), Fraction(5), Fraction(-2), Fraction(0), 1):
+            condition = OrderCondition(RootedTree(), lhs, rhs)
+            assert condition.rhs_text("latex") == CoeffPolynomial.constant(rhs).render("latex")
+        assert OrderCondition(RootedTree(), lhs, Fraction(-3, 7)).rhs_text("latex") == "-\\frac{3}{7}"
 
     def test_generic_single_node(self):
         assert render_generic(RootedTree()) == "sum_{i=1}^{s} b_i"
