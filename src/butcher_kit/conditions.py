@@ -101,10 +101,13 @@ class OrderCondition(Record):
         return self.equation(self.lhs.render(style), self.rhs_text(style), style)
 
     def rhs_text(self, style: str = "plain") -> str:
-        """rhs rendered in style: "p/q" in plain style, \\frac{p}{q} in LaTeX."""
+        """rhs rendered in style: "p/q" in plain style, \\frac{p}{q} in LaTeX.
+        Any other style raises ValueError, as the lhs's render does."""
         if style == "latex":
             return _latex_rational(self.rhs)
-        return format_rational(self.rhs)
+        if style == "plain":
+            return format_rational(self.rhs)
+        raise ValueError(f"unknown render style: {style!r}")
 
     @staticmethod
     def equation(lhs: str, rhs: str, style: str = "plain") -> str:

@@ -16,10 +16,12 @@ at a time: from T_0 = d^m f(x0), level m of the table,
 with K running over the sorted index multisets of size m - i (each T_i is
 symmetric).  Level m is read off the field's terms: for every j <= e with
 |j| = m, a term c x^e adds c prod_k perm(e_k, j_k) x0_k^(e_k - j_k) to
-d_K f at the K that holds each k j_k times.  The table holds the nonzero
-values only, builds a level the first time a tree asks for it, so a tree
-with more children than deg f costs nothing, and keeps T_i under m and
-t1..ti, so trees whose children share a prefix share its contractions.
+d_K f at the K that holds each k j_k times.  The table holds each row as
+its nonzero values only, builds a level the first time a tree asks for
+it, so a tree with more children than deg f costs nothing, and keeps T_i
+under m and t1..ti for i < m, so trees whose children share a prefix
+share its contractions.  The last contraction, T_m, is summed straight
+into F(t).
 
 A Runge-Kutta step with tableau (A, b) expands the same way, so both are
 one Butcher series, x0 + sum_t tau^|t| w(t) F(t)(x0) / sigma(t), with
@@ -42,9 +44,10 @@ factor A . Phi is computed once per call.
 The tree routes run in integers.  F(t) is kept as integer numerators over
 one unreduced denominator, and each w(t) as an integer numerator over its
 own scale: t! for the flow, the scale of the tableau's integer weight for
-the step.  The walk multiplies sigma(t) into that scale and sums the trees
-of one order over the lcm of their denominators, so there is one Fraction
-per component and coefficient.
+the step.  The walk multiplies sigma(t) into that scale, sums the trees of
+one order in one integer sum per distinct denominator, and those sums over
+their lcm, so there is one Fraction per component and coefficient.  It
+reads F(t) before w(t), and a tree whose F(t) is zero costs no weight.
 
 Each series is also computed a second, structurally unrelated way, by one
 engine, _slopes: it solves k_i = f(x0 + tau * shift_i(k)) in the series
@@ -130,7 +133,8 @@ MAX_FIELD_DEGREE = 400
 # dim 100 and 0.23 s at dim 150 (CPU time of one CLI run each, in process).
 # With rk4 at --p 2, 1,000 components "x1" take 1.0 s, and 4,000 took 11 s
 # and 269 MB.  Denser fields cost far more: with 50 degree-5 terms per
-# component at dim 100, rk4 at --p 6 takes 4.5 s and 264 MB through the CLI.
+# component at dim 100, rk4 at --p 6 takes 3.6-4.1 s and 138 MB through the
+# CLI (2-core Intel Xeon, Python 3.11.7).
 MAX_FIELD_DIM = 100
 
 # Component grammar, read left to right in one pass by _parse_component:
@@ -446,18 +450,21 @@ class _DerivativeTable:
     """The nonzero d_K f(x0), contracted with one child's F(t) at a time.
 
     One memo holds it all.  Entry (m, kids) is level m with F(kid) put into
-    its first len(kids) arguments, as {rest of K: numerators} over one
-    integer denominator, zero rows only where terms cancel; (m, kids[:-1])
-    contracted with F(kids[-1]) gives it.  Entry (m, ()) is the level,
-    built from the terms of degree m or more the first time a tree with m
-    children asks.  With all m children put in, only the () row is left,
-    and no other tree shares that prefix: F(t) is kept under t's id as
-    (numerators, denominator), so that a hit is one lookup of an int.  With
-    x0 = X/d and the coefficients over one denominator F, level m is kept
-    over F d^(top - m), top the field's degree, and a contraction over its
-    entry's denominator times the child's; no Fraction is built per tree.
-    Threads may share a table: an entry is stored whole once computed, so a
-    race computes a value twice, never reads a half-made one.
+    its first len(kids) arguments, as {rest of K: {component: numerator}}
+    over one integer denominator: each row holds its nonzero numerators
+    only, and a row whose numerators all cancel is dropped, so that a level
+    and a contraction touch only what is nonzero.  (m, kids[:-1])
+    contracted with F(kids[-1]) gives (m, kids).  Entry (m, ()) is the
+    level, built from the terms of degree m or more the first time a tree
+    with m children asks.  The last child leaves only the () row, which no
+    other tree shares: it is summed straight into F(t)'s dense numerators,
+    which are kept under t's id as (numerators, denominator), so that a hit
+    is one lookup of an int.  With x0 = X/d and the coefficients over one
+    denominator F, level m is kept over F d^(top - m), top the field's
+    degree, and a contraction over its entry's denominator times the
+    child's; no Fraction is built per tree.  Threads may share a table: an
+    entry is stored whole once computed, so a race computes a value twice,
+    never reads a half-made one.
     """
 
     def __init__(self, field: PolyVectorField, point: Sequence[Fraction]) -> None:
@@ -487,7 +494,7 @@ class _DerivativeTable:
 
     def _level(self, m: int) -> tuple[dict, int]:
         # Over F d^(top - m), a term of degree D starts from C d^(top - D).
-        rows: dict[tuple[int, ...], list] = defaultdict(lambda: list(self._zeros))
+        rows: dict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
         for c, degree, pairs, numerator in self._terms:
             if degree < m:
                 continue
@@ -505,9 +512,9 @@ class _DerivativeTable:
                 ]
             for key, value, _ in partials:
                 if value:
-                    rows[key][c] += value
-        rows = {key: row for key, row in rows.items() if any(row)}
-        return rows, self._scale * self._d ** max(0, self._top - m)
+                    row = rows[key]
+                    row[c] = row.get(c, 0) + value
+        return _nonzero(rows), self._scale * self._d ** max(0, self._top - m)
 
     def differential(self, i: int) -> tuple[Sequence[int], int]:
         """F(t)(x0) of the tree of id i as (numerators, denominator); the longest
@@ -522,22 +529,53 @@ class _DerivativeTable:
                 entry = self._memo.get((m, kids[:n]))
             if entry is None:
                 entry = self._memo[(m, ())] = self._level(m)
-            for n in range(n, m):
+            for n in range(n, m - 1):
                 if entry[0]:  # an empty entry stays empty, and needs no F(kid)
                     entry = _contract(entry, self.differential(kids[n]))
-                if n + 1 < m:
-                    self._memo[(m, kids[: n + 1])] = entry
-            value = self._memo[i] = entry[0].get((), self._zeros), entry[1]
+                self._memo[(m, kids[: n + 1])] = entry
+            rows, denominator = entry
+            if not rows:
+                value = self._zeros, denominator
+            elif m:
+                # The last contraction: each row is (k,), and only () is left.
+                vector, kid_denominator = self._memo.get(kids[-1]) or self.differential(kids[-1])
+                numerators = [0] * len(self._zeros)
+                for (k,), row in rows.items():
+                    x = vector[k]
+                    if x:
+                        for c, derivative in row.items():
+                            numerators[c] += derivative * x
+                value = numerators, denominator * kid_denominator
+            else:
+                numerators = list(self._zeros)
+                for c, derivative in rows[()].items():
+                    numerators[c] = derivative
+                value = numerators, denominator
+            self._memo[i] = value
         return value
+
+
+def _nonzero(rows: dict[tuple[int, ...], dict[int, int]]) -> dict[tuple[int, ...], dict[int, int]]:
+    """rows without the numerators that cancelled to zero, and without the
+    rows that left empty; every row came in with at least one numerator."""
+    kept = {}
+    for key, row in rows.items():
+        if 0 in row.values():
+            row = {c: value for c, value in row.items() if value}
+            if not row:
+                continue
+        kept[key] = row
+    return kept
 
 
 def _contract(entry: tuple[dict, int], kid: tuple[Sequence[int], int]) -> tuple[dict, int]:
     """T'[K'] = sum_k T[K' + k] F[k] over the product of the denominators, for
     T an entry of the derivative table and F a child's differential: each row
-    K of T gives to K less one k, once per distinct k in K.  Most entries of
-    a row are zero, and a zero costs no product."""
+    K of T gives to K less one k, once per distinct k in K.  Rows hold only
+    their nonzero numerators, so a product is made only where both factors
+    are nonzero; numerators that cancel are dropped, and rows left empty."""
     (rows, denominator), (vector, kid_denominator) = entry, kid
-    contracted: dict[tuple[int, ...], list] = {}
+    contracted: dict[tuple[int, ...], dict[int, int]] = {}
     for key, row in rows.items():
         for p, k in enumerate(key):
             x = vector[k]
@@ -546,10 +584,11 @@ def _contract(entry: tuple[dict, int], kid: tuple[Sequence[int], int]) -> tuple[
             rest = key[:p] + key[p + 1 :]
             total = contracted.get(rest)
             if total is None:
-                contracted[rest] = [value * x for value in row]
+                contracted[rest] = {c: value * x for c, value in row.items()}
             else:
-                contracted[rest] = [t + value * x if value else t for t, value in zip(total, row)]
-    return contracted, denominator * kid_denominator
+                for c, value in row.items():
+                    total[c] = total.get(c, 0) + value * x
+    return _nonzero(contracted), denominator * kid_denominator
 
 
 def _check_degree(degree: int) -> None:
@@ -574,29 +613,38 @@ def _tree_series(
 
     The walk reads the groups of the process's one forest, and F(t) off
     the field's derivative table at point, which the other tree route at
-    that point shares.  weight(t) gives w(t) as an integer numerator over
-    an integer scale, and the walk reads sigma(t) by the tree's id and
-    divides by it itself; a tree of weight zero costs no differential.  The
-    trees of one order are summed in integers over the lcm of their
-    denominators, so each coefficient is divided once.
+    that point shares.  F(t) is read first, so a tree whose F(t) is zero
+    costs no weight.  weight(t) gives w(t) as an integer numerator over an
+    integer scale, and the walk reads sigma(t) by the tree's id and divides
+    by it itself.  The trees of one order are summed in integers, one sum
+    per distinct denominator, and the sums over the lcm of those, so each
+    coefficient is divided once.
     """
     _check_degree(degree)
     table = _field_table(field, point)
     coeffs = [table.point]
     for group in TreesByOrder(degree).groups():
-        terms = []
+        sums: dict[int, list[int]] = {}  # denominator -> summed numerators
         for tree in group:
+            i = tree_id(tree)
+            numerators, denominator = table.differential(i)
+            if not any(numerators):
+                continue
             numerator, scale = weight(tree)
             if numerator:
-                i = tree_id(tree)
-                numerators, denominator = table.differential(i)
-                terms.append((numerator, numerators, scale * sigma_of(i) * denominator))
-        common = math.lcm(*(denominator for _, _, denominator in terms))
+                denominator *= scale * sigma_of(i)
+                total = sums.get(denominator)
+                if total is None:
+                    sums[denominator] = [numerator * value for value in numerators]
+                else:
+                    for c, value in enumerate(numerators):
+                        total[c] += numerator * value
+        common = math.lcm(*sums)
         total = [0] * field.dim
-        for numerator, numerators, denominator in terms:
-            numerator *= common // denominator
+        for denominator, numerators in sums.items():
+            factor = common // denominator
             for c, value in enumerate(numerators):
-                total[c] += numerator * value
+                total[c] += factor * value
         coeffs.append(tuple(Fraction(x, common) for x in total))
     return TauSeries(tuple(coeffs))
 

@@ -317,6 +317,17 @@ class TestRendering:
             assert condition.rhs_text("latex") == CoeffPolynomial.constant(rhs).render("latex")
         assert OrderCondition(RootedTree(), lhs, Fraction(-3, 7)).rhs_text("latex") == "-\\frac{3}{7}"
 
+    @pytest.mark.parametrize("style", ["mathml", "LaTeX"])
+    def test_unknown_style_is_refused_by_both_sides(self, style):
+        # The rhs refuses a style by itself, not only because the lhs is
+        # rendered first.
+        condition = all_order_conditions(2, 1)[1]
+        message = f"^unknown render style: {style!r}$"
+        with pytest.raises(ValueError, match=message):
+            condition.rhs_text(style)
+        with pytest.raises(ValueError, match=message):
+            condition.render(style)
+
     def test_generic_single_node(self):
         assert render_generic(RootedTree()) == "sum_{i=1}^{s} b_i"
 

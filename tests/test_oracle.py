@@ -71,7 +71,7 @@ from butcher_kit.trees import (
     tree_factorial,
     tree_id,
 )
-from butcher_kit.verify import ButcherTableau, verify_order
+from butcher_kit.verify import ButcherTableau, TableauWeights, verify_order
 
 F = Fraction
 
@@ -606,6 +606,95 @@ class TestElementaryDifferentials:
         assert stored[-1] == tree_id(second)
         assert [key for key in stored[later:] if isinstance(key, tuple) and key[0] == 3] == []
 
+    # One term of each degree 0 to 3 per component, as the benchmark's
+    # oracle fields have.
+    SEED_STYLE = PolyVectorField.from_strings(
+        3,
+        [
+            "x1*x3^2 - 2/3*x1^2 + 3/2*x1 - 1",
+            "x1^2*x3 + 1/2*x1*x3 - x3 + 2",
+            "-x1*x2*x3 + 3*x1^2 + 2/5*x2 - 1/3",
+        ],
+    )
+    SEED_STYLE_POINT = (F(-1, 2), F(2, 3), F(3, 2))
+    # x1^2 - 2*x1 at 1: f' = 2*x1 - 2 is zero, so level 1's one row cancels.
+    DERIVATIVE_CANCELS = PolyVectorField.from_strings(1, ["x1^2 - 2*x1"])
+    # At (1, 1, 1), f = (2, -2, 1), and level 2 of the first component has
+    # rows (x1, x3) and (x2, x3), both 1: putting f into one argument gives
+    # row (x3) 1*2 + 1*(-2) = 0, a contraction whose numerators cancel.
+    CONTRACTION_CANCELS = PolyVectorField.from_strings(3, ["x1*x3 + x2*x3", "-2", "x1"])
+
+    @pytest.mark.parametrize("case", ["seed-style", "distinct", "level cancels", "contraction cancels"])
+    def test_every_stored_row_holds_only_nonzero_numerators(self, case):
+        field, point = {
+            "seed-style": (self.SEED_STYLE, self.SEED_STYLE_POINT),
+            "distinct": (self.DISTINCT, self.DISTINCT_POINT),
+            "level cancels": (self.DERIVATIVE_CANCELS, (F(1),)),
+            "contraction cancels": (self.CONTRACTION_CANCELS, (F(1),) * 3),
+        }[case]
+        table = oracle._DerivativeTable(field, point)
+        for tree in enumerate_by_leaf(7):
+            table.differential(tree_id(tree))
+        # The levels and the kept partial contractions: every key but the
+        # trees' ids.
+        entries = {key: rows for key, (rows, _) in table._memo.items() if isinstance(key, tuple)}
+        assert any(key[1] for key in entries)
+        for key, rows in entries.items():
+            for rest, row in rows.items():
+                assert row and all(row.values()), (key, rest, row)
+        leaf = tree_id(parse_tree("[]"))
+        if case == "level cancels":
+            assert entries[(1, ())] == {}
+        elif case == "contraction cancels":
+            assert set(entries[(2, ())]) == {(0, 2), (1, 2)}
+            assert set(entries[(2, (leaf,))]) == {(0,), (1,)}
+
+    def test_the_last_child_is_summed_straight_into_the_differential(self, monkeypatch):
+        # _contract makes only the partial contractions the table keeps; the
+        # last child of each tree goes into F(t) without one.
+        made = []
+        contract = oracle._contract
+
+        def recording(entry, kid):
+            made.append(contract(entry, kid))
+            return made[-1]
+
+        monkeypatch.setattr(oracle, "_contract", recording)
+        table = oracle._DerivativeTable(self.DISTINCT, self.DISTINCT_POINT)
+        reference = {}
+        for tree in enumerate_by_leaf(6):
+            numerators, denominator = table.differential(tree_id(tree))
+            expected = differential_reference(self.DISTINCT, tree, self.DISTINCT_POINT, reference)
+            assert tuple(F(x, denominator) for x in numerators) == expected, tree
+        assert made
+        kept = [entry for key, entry in table._memo.items() if isinstance(key, tuple) and key[1]]
+        for entry in made:
+            assert () not in entry[0]
+            assert any(entry is other for other in kept)
+
+    @pytest.mark.parametrize(
+        "field,point,zero",
+        [
+            # Derivatives that cancel at x0: F([[]]) = f'(1) f(1) = 0.
+            (DERIVATIVE_CANCELS, (F(1),), "[[]]"),
+            # An x0 with zero entries, where most terms vanish with it.
+            (DISTINCT, (F(0), F(-2, 3), F(0), F(-1), F(1, 3), F(0)), None),
+            # A node with three children under a field of degree 2.
+            (MIXED, (F(1), F(2)), "[[[],[],[]]]"),
+        ],
+        ids=["derivatives cancel", "zero entries", "more children than the degree"],
+    )
+    def test_differentials_match_the_reference(self, field, point, zero):
+        memo, reference = {}, {}
+        for tree in enumerate_by_leaf(6):
+            expected = differential_reference(field, tree, point, reference)
+            assert elementary_differential(field, tree, point, memo) == expected, tree
+            assert elementary_differential(field, tree, point) == expected, tree
+        if zero is not None:
+            tree = parse_tree(zero)
+            assert not any(differential_reference(field, tree, point))
+            assert not any(elementary_differential(field, tree, point, memo))
+
     def test_nesting_costs_one_stack_frame_per_level(self):
         # The chain of order n under the field 2*x1 + 1 at 1 is f'^(n-1) f.
         order = sys.getrecursionlimit() * 7 // 10
@@ -960,6 +1049,43 @@ class TestFieldTable:
         assert rk_series_trees(rk4(), field, here, 6) == step
         assert flow_series_trees(field, here, 6) == flow
         assert built[4:] == [here]
+
+    def test_step_after_flow_asks_no_weight_of_a_zero_differential(self, monkeypatch):
+        # The walk reads F(t) before w(t).  After the flow, every F(t) is
+        # kept, so the step asks the weight of exactly the trees whose F(t)
+        # is not zero; under this field of degree 2, F(t) of a tree with a
+        # node of three or more children is.
+        asked = []
+        integer_weight = TableauWeights.integer_weight
+
+        def recording(weights, tree):
+            asked.append(tree)
+            return integer_weight(weights, tree)
+
+        monkeypatch.setattr(TableauWeights, "integer_weight", recording)
+        field = PolyVectorField.from_strings(2, ["x2^2 - 1/2*x1", "x1^2 + 3/4"])
+        point = self.POINTS[0]
+        flow_series_trees(field, point, 6)
+        step = rk_series_trees(rk4(), field, point, 6)
+        forest = list(enumerate_by_leaf(6))
+        nonzero = [tree for tree in forest if any(elementary_differential(field, tree, point))]
+        assert parse_tree("[[],[],[]]") in forest and parse_tree("[[],[],[]]") not in nonzero
+        assert asked == nonzero
+        monkeypatch.undo()
+        assert step == _with_fresh_tables(rk_series_trees, rk4(), field, point, 6)
+
+    def test_step_alone_with_explicit_euler_matches_the_reference(self):
+        # On a fresh table, the step computes every F(t), though explicit
+        # Euler weighs only the single node.
+        field, point = self._field(), self.POINTS[1]
+        tableau = explicit_euler()
+        weights = tableau.elementary_weights()
+        (expected,) = tree_series_reference(
+            field, point, 6, 1, lambda t: (alpha_by_arrangements(t) * weights.weight(t),)
+        )
+        step = _with_fresh_tables(rk_series_trees, tableau, field, point, 6)
+        assert step.coeffs == expected
+        assert all(not any(row) for row in expected[2:])
 
     def test_table_goes_with_its_field(self):
         field = self._field()
