@@ -13,12 +13,16 @@ the caps below included.
 Each run pays for this module's import, which leaves out the oracle: only
 the oracle subcommand imports it, when it runs.  The oracle's names read
 here as attributes of this module (perfbench's tracer patches six of them)
-are served on first use, as the package serves them.
+are served on first use, as the package serves them.  Each subcommand's
+parser is built once per process, when main first needs it, so a caller
+that runs main many times parses with it each time; build_parser() makes
+a fresh full parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,13 +45,12 @@ SCHEMA = "butcher-kit/1"
 _ORACLE_DEGREE_CAP = 6
 
 # Size caps, refused with exit 2 before any work starts.  Every subcommand
-# works per tree, and there are about 3x more trees per order: through order
-# 14 (53,272 trees) the heaviest, `conditions --generic --format json`, takes
-# 0.5-0.8 s and 54 MB peak RSS on a 2-core Xeon (Python 3.11, five runs;
-# 0.4-0.6 s and 49 MB in text, five runs).
+# works per tree, and there are about 3x more trees per order; at the cap the
+# heaviest run, `conditions --generic --format json`, runs in seconds, which
+# CI holds with a timeout and a bound on its peak RSS.  CHANGES.md keeps the
+# figures each cap was measured at, with their host.
 _ORDER_CAP = 14
-# conditions without --generic: a full A has S^2 variables (--order 2
-# --stages 100: 0.5 s, 28 MB).
+# conditions without --generic: a full A has S^2 variables.
 _STAGES_CAP = 100
 
 
@@ -58,14 +61,10 @@ def _condition_size(order: int, stages: int, flags: GenerationFlags) -> tuple[in
     written as c[i].  The estimate is the number of trees of order P times
     S^k index choices, or C(S + k - 1, k) with explicit A, where every index
     lies below its parent's.  A leaf written as c[i] costs one variable, not
-    a row sum, hence the larger cap with --subst-c.  Measured on a 2-core Xeon
-    with Python 3.11.7, text output, since render reads each term's runs in
-    one pass: accepted sizes near the caps take 1.4-3.0 s and 119-209 MB
-    (--order 6 --stages 6; --order 8 --stages 8 --explicit; --order 6
-    --stages 13 --subst-c), and sizes just above them would take 2.6-6.2 s
-    and 265-366 MB (--order 6 --stages 14 --subst-c; --order 7 --stages 5).
-    About half of the time goes to rendering the polynomials and half to
-    building them.
+    a row sum, hence the larger cap with --subst-c.  The caps keep a cell's
+    time to seconds and its memory to a few hundred MB: CI runs a cell just
+    under them (--order 8 --stages 8 --explicit) with a timeout, and checks
+    that one just over them (--order 7 --stages 5) is refused.
     """
     k = order - 1 if flags.substitute_c else order
     choices = math.comb(stages + k - 1, k) if flags.explicit else stages**k
@@ -133,7 +132,8 @@ def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every subcommand of _COMMANDS, under "butcher-kit"."""
+    """The full parser: every subcommand of _COMMANDS, under "butcher-kit",
+    built anew on every call."""
     parser = argparse.ArgumentParser(
         prog="butcher-kit",
         description="Rooted trees, Runge-Kutta order conditions, and exact "
@@ -145,9 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def _subcommand_parser(name: str) -> argparse.ArgumentParser:
     """Subcommand name's parser alone, as build_parser() makes it under its
-    own prog: usage, help and errors read the same."""
+    own prog: usage, help and errors read the same.
+
+    Built on first use and kept for the process: a parse makes a fresh
+    Namespace and never writes to the parser, every default is immutable,
+    and help and usage are formatted when printed, so the terminal's width
+    is still read then.  Threads that race here at most build it twice.
+    """
     parser = argparse.ArgumentParser(prog=f"butcher-kit {name}")
     _COMMANDS[name][1](parser)
     return parser
@@ -481,10 +488,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run the CLI on argv (sys.argv[1:] by default); return the exit code.
 
     Two parse routes give the same stdout, stderr and exit code.  When the
-    first word names a subcommand, only that subcommand's parser is built.
-    Anything else (no word, -h, an unknown word, an option first), and any
-    word that parser leaves unrecognised, goes through build_parser()'s
-    full parser, which prints the top-level usage or error.
+    first word names a subcommand, only that subcommand's parser parses
+    it, built on the first such call in the process and kept.  Anything
+    else (no word, -h, an unknown word, an option first), and any word
+    that parser leaves unrecognised, goes through a full parser fresh from
+    build_parser(), which prints the top-level usage or error.
     """
     argv = _join_points(sys.argv[1:] if argv is None else argv)
     try:

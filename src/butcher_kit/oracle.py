@@ -599,7 +599,10 @@ def _check_degree(degree: int) -> None:
 def _check_point(field: PolyVectorField, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(point) != field.dim:
         raise ValueError(f"point has {len(point)} entries, expected {field.dim}")
-    return tuple(Fraction(x) for x in point)
+    # A Fraction (not a subclass) is kept as it is: a table's point then
+    # holds the caller's own objects, which tuple equality, and so serves,
+    # compares by identity first.
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in point)
 
 
 def _tree_series(

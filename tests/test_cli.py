@@ -1029,6 +1029,37 @@ class TestParseRoutes:
             assert (parsed.subcommand, extras) == (name, [])
             assert vars(parsed) == {**vars(fast), "subcommand": name}
 
+    def test_each_subcommand_parser_is_kept_and_the_full_parser_is_not(self):
+        # The tracer wraps build_parser and patches the parser it returns,
+        # so that one must stay fresh on every call.
+        for name in cli._COMMANDS:
+            assert cli._subcommand_parser(name) is cli._subcommand_parser(name)
+        assert cli.build_parser() is not cli.build_parser()
+
+    # Each argv with its exit code, in an order where a run leaves out an
+    # option the run before gave, so that nothing a run parsed may leak
+    # into the next.
+    _SEQUENCE = (
+        (0, ["verify", RK4, "--max-order", "5", "--require-order", "4"]),
+        (1, ["verify", RK4, "--max-order", "5"]),
+        (2, ["verify", RK4, "--max-order"]),
+        (0, ["verify", "-h"]),
+        (0, ["conditions", "--order", "3", "--stages", "2", "--subst-c"]),
+        (0, ["conditions", "--order", "3", "--stages", "2"]),
+        (2, ["conditions", "--order", "3", "--bogus"]),
+        (0, ["oracle", ROTATION, "--x0", "1,0", "--p", "3", "--tableau", RK4]),
+        (0, ["oracle", ROTATION, "--x0", "1,0", "--p", "3"]),
+        (0, ["trees", "--order", "2", "--format", "json"]),
+        (0, ["trees", "--order", "2"]),
+    )
+
+    def test_runs_in_one_process_read_as_with_fresh_parsers(self):
+        for code, argv in self._SEQUENCE:
+            kept = _outputs(main, argv)
+            cli._subcommand_parser.cache_clear()
+            assert kept == _outputs(main, argv), argv
+            assert kept[0] == code, argv
+
 
 # -- fuzzing ---------------------------------------------------------------
 

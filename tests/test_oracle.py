@@ -521,6 +521,26 @@ class TestElementaryDifferentials:
             elementary_differential(cube, parse_tree("[[]]"), (F(2),), memo)
         assert elementary_differential(cube, parse_tree("[[]]"), (F(2),)) == (F(96),)
 
+    def test_memo_checks_the_callers_own_point_by_identity(self, monkeypatch):
+        # The table keeps the caller's Fractions, so a call with the same
+        # point compares no two of them by value.
+        field, point = self.SEED_STYLE, self.SEED_STYLE_POINT
+        trees = list(enumerate_by_leaf(5))
+        memo = {}
+        expected = [elementary_differential(field, tree, point) for tree in trees]
+        compared = []
+        eq = Fraction.__eq__
+
+        def counting(a, b):
+            compared.append((a, b))
+            return eq(a, b)
+
+        monkeypatch.setattr(Fraction, "__eq__", counting)
+        values = [elementary_differential(field, tree, point, memo) for tree in trees]
+        monkeypatch.undo()
+        assert (len(trees), compared) == (17, [])
+        assert values == expected
+
     def test_point_of_another_length_is_refused(self):
         # (x1*x2, x2) at a point of one entry has no x2 to read.
         field = PolyVectorField.from_strings(2, ["x1*x2", "x2"])
