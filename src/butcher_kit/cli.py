@@ -13,22 +13,21 @@ the caps below included.
 Each run pays for this module's import, which leaves out the oracle: only
 the oracle subcommand imports it, when it runs.  The oracle's names read
 here as attributes of this module (perfbench's tracer patches six of them)
-are served on first use, as the package serves them.  Each subcommand's
-parser is built once per process, when main first needs it, so a caller
-that runs main many times parses with it each time; build_parser() makes
-a fresh full parser on every call.
+are served on first use, as the package serves them.  Nor does it load
+argparse: each subcommand's options live in one table, which reads an
+argv in its plain spellings, and argparse, loaded by build_parser() on a
+fresh full parser, reads the rest and prints every usage, help and error.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import _ORACLE_NAMES
@@ -38,7 +37,12 @@ from .trees import enumerate_by_leaf, format_tree, tree_counts, tree_factorial
 from .verify import load_tableau, verify_order
 
 if TYPE_CHECKING:
+    import argparse
+
     from .oracle import TauSeries
+
+    # What a subcommand runs on: _read_argv's namespace or argparse's.
+    Args = SimpleNamespace | argparse.Namespace
 
 SCHEMA = "butcher-kit/1"
 
@@ -72,92 +76,80 @@ def _condition_size(order: int, stages: int, flags: GenerationFlags) -> tuple[in
     return tree_counts(order)[-1] * choices, cap
 
 
-# Each subcommand's arguments, added to its parser by one function: under
-# build_parser()'s full parser, or alone when main needs only that one.
-_ORDER_HELP = f"highest tree order, 1..{_ORDER_CAP}"
-
-
-def _add_order(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", type=int, required=True, metavar="P", help=_ORDER_HELP)
-
-
-def _add_trees_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_order(parser)
-    parser.add_argument("--format", choices=("bracket", "json"), default="bracket")
-
-
-def _add_conditions_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_order(parser)
-    parser.add_argument(
-        "--stages", type=int, metavar="S", help=f"1..{_STAGES_CAP}; larger P need fewer stages"
-    )
-    parser.add_argument(
-        "--explicit", action="store_true", help="drop weights a[i,j] with j >= i and fix c[1] = 0"
-    )
-    parser.add_argument(
-        "--subst-c", action="store_true", help="write sum_j a[i,j] as c[i] under leaves"
-    )
-    parser.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    parser.add_argument(
-        "--generic",
-        action="store_true",
-        help="print nested-sum conditions for symbolic stage count instead",
-    )
-
-
-def _add_verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("tableau", help="path to a tableau JSON document")
-    parser.add_argument("--max-order", type=int, required=True, metavar="P", help=_ORDER_HELP)
-    parser.add_argument(
-        "--require-order",
-        type=int,
-        metavar="Q",
-        help="exit 0 only if the achieved order is at least Q (default: P)",
-    )
-    parser.add_argument("--mode", choices=("exact", "float"), default="exact")
-    parser.add_argument(
-        "--tol", type=float, default=1e-12, help="residual tolerance in float mode (default 1e-12)"
-    )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("field", help="path to a vector-field JSON document")
-    parser.add_argument("--x0", required=True, help="expansion point, comma-separated rationals")
-    parser.add_argument(
-        "--p", type=int, required=True, metavar="P", help=f"truncation degree, 0..{_ORACLE_DEGREE_CAP}"
-    )
-    parser.add_argument("--tableau", help="also expand one step of this tableau document")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every subcommand of _COMMANDS, under "butcher-kit",
     built anew on every call."""
+    import argparse  # loaded here: a run needs it only for what main defers
+
     parser = argparse.ArgumentParser(
         prog="butcher-kit",
         description="Rooted trees, Runge-Kutta order conditions, and exact "
         "verification of Butcher tableaus.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        add_arguments(subparsers.add_parser(name, help=help_line))
+    for name, (help_line, options, _) in _COMMANDS.items():
+        subparser = subparsers.add_parser(name, help=help_line)
+        for flag, spec in options:
+            subparser.add_argument(flag, **spec)
     return parser
 
 
-@functools.cache
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """Subcommand name's parser alone, as build_parser() makes it under its
-    own prog: usage, help and errors read the same.
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """argv read by its subcommand's option table, with the attributes
+    build_parser().parse_args(argv) would set; None for any argv the
+    table does not read as argparse reads it.
 
-    Built on first use and kept for the process: a parse makes a fresh
-    Namespace and never writes to the parser, every default is immutable,
-    and help and usage are formatted when printed, so the terminal's width
-    is still read then.  Threads that race here at most build it twice.
+    Read: a first word that names a subcommand, then in any order each
+    exact long flag at most once, as "--flag value" with a value that
+    does not start with "-", or "--flag=value"; each store_true flag bare;
+    the subcommand's positional once.  Every value converts by the
+    table's type into its choices, and every required option is given.
     """
-    parser = argparse.ArgumentParser(prog=f"butcher-kit {name}")
-    _COMMANDS[name][1](parser)
-    return parser
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    specs = dict(options)
+    # The positional, if the subcommand has one: the only name without "-".
+    positional = next((name for name, _ in options if not name.startswith("-")), None)
+    given: dict[str, str | bool] = {}
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            flag, equals, value = word.partition("=")
+            if flag not in specs:
+                return None
+            if specs[flag].get("action") == "store_true":
+                if equals:
+                    return None
+                value = True
+            elif not equals:
+                value = next(words, None)
+                if value is None or value.startswith("-"):
+                    return None
+        else:
+            flag, value = positional, word
+        if flag is None or flag in given:
+            return None
+        given[flag] = value
+
+    parsed = SimpleNamespace(subcommand=argv[0])
+    for flag, spec in options:
+        store_true = spec.get("action") == "store_true"
+        if flag in given:
+            value = given[flag]
+            if not store_true:
+                try:
+                    value = spec.get("type", str)(value)
+                except ValueError:
+                    return None
+                if "choices" in spec and value not in spec["choices"]:
+                    return None
+        elif spec.get("required") or not flag.startswith("-"):
+            return None
+        else:
+            value = spec.get("default", False if store_true else None)
+        setattr(parsed, flag.lstrip("-").replace("-", "_"), value)
+    return parsed
 
 
 def _require(condition: bool, message: str) -> None:
@@ -234,7 +226,7 @@ _RESIDUAL_RECORD = (
 )
 
 
-def _cmd_trees(args: argparse.Namespace) -> int:
+def _cmd_trees(args: Args) -> int:
     _require_order(args.order, "--order")
     groups = enumerate_by_leaf(args.order).groups()
     orders = ([format_tree(tree) for tree in group] for group in groups)
@@ -250,7 +242,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: Args) -> int:
     # The counting recurrence: no tree is built.
     _require_order(args.order, "--order")
     counts = tree_counts(args.order)
@@ -264,7 +256,7 @@ def _reciprocal(n: int) -> str:
     return f"1/{n}" if n > 1 else "1"
 
 
-def _cmd_conditions(args: argparse.Namespace) -> int:
+def _cmd_conditions(args: Args) -> int:
     _require_order(args.order, "--order")
     # Either mode makes one row (tree, lhs text, rhs text) per condition;
     # one writer per format prints the rows as they are made.  Every refusal
@@ -320,7 +312,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: Args) -> int:
     _require_order(args.max_order, "--max-order")
     required = args.require_order if args.require_order is not None else args.max_order
     _require(required >= 1, "--require-order must be >= 1")
@@ -375,7 +367,7 @@ class _SeriesPair:
         ]
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: Args) -> int:
     _require(
         0 <= args.p <= _ORACLE_DEGREE_CAP,
         f"--p must be between 0 and {_ORACLE_DEGREE_CAP}",
@@ -440,18 +432,89 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
-# Each subcommand's help line, the function that adds its arguments to a
-# parser, and the function that runs it on the parsed arguments.
+# Each subcommand's help line, its option table and the function that runs
+# it on the parsed arguments.  A table lists the positional, if any, and
+# each option, as its name or flag and the keywords argparse's
+# add_argument takes for it: build_parser() adds them, and _read_argv reads
+# an argv by them.
+_ORDER = dict(type=int, required=True, metavar="P", help=f"highest tree order, 1..{_ORDER_CAP}")
 _COMMANDS = {
-    "trees": ("list all rooted trees of order 1 through P", _add_trees_arguments, _cmd_trees),
-    "count": ("tree counts per order and their total", _add_order, _cmd_count),
-    "conditions": (
-        "order conditions for trees of order 1 through P", _add_conditions_arguments, _cmd_conditions
+    "trees": (
+        "list all rooted trees of order 1 through P",
+        (("--order", _ORDER), ("--format", dict(choices=("bracket", "json"), default="bracket"))),
+        _cmd_trees,
     ),
-    "verify": ("check what order a tableau document achieves", _add_verify_arguments, _cmd_verify),
+    "count": ("tree counts per order and their total", (("--order", _ORDER),), _cmd_count),
+    "conditions": (
+        "order conditions for trees of order 1 through P",
+        (
+            ("--order", _ORDER),
+            (
+                "--stages",
+                dict(type=int, metavar="S", help=f"1..{_STAGES_CAP}; larger P need fewer stages"),
+            ),
+            (
+                "--explicit",
+                dict(action="store_true", help="drop weights a[i,j] with j >= i and fix c[1] = 0"),
+            ),
+            (
+                "--subst-c",
+                dict(action="store_true", help="write sum_j a[i,j] as c[i] under leaves"),
+            ),
+            ("--format", dict(choices=("text", "latex", "json"), default="text")),
+            (
+                "--generic",
+                dict(
+                    action="store_true",
+                    help="print nested-sum conditions for symbolic stage count instead",
+                ),
+            ),
+        ),
+        _cmd_conditions,
+    ),
+    "verify": (
+        "check what order a tableau document achieves",
+        (
+            ("tableau", dict(help="path to a tableau JSON document")),
+            ("--max-order", _ORDER),
+            (
+                "--require-order",
+                dict(
+                    type=int,
+                    metavar="Q",
+                    help="exit 0 only if the achieved order is at least Q (default: P)",
+                ),
+            ),
+            ("--mode", dict(choices=("exact", "float"), default="exact")),
+            (
+                "--tol",
+                dict(
+                    type=float,
+                    default=1e-12,
+                    help="residual tolerance in float mode (default 1e-12)",
+                ),
+            ),
+            ("--format", dict(choices=("text", "json"), default="text")),
+        ),
+        _cmd_verify,
+    ),
     "oracle": (
         "expand exact and discrete flows two independent ways and compare",
-        _add_oracle_arguments,
+        (
+            ("field", dict(help="path to a vector-field JSON document")),
+            ("--x0", dict(required=True, help="expansion point, comma-separated rationals")),
+            (
+                "--p",
+                dict(
+                    type=int,
+                    required=True,
+                    metavar="P",
+                    help=f"truncation degree, 0..{_ORACLE_DEGREE_CAP}",
+                ),
+            ),
+            ("--tableau", dict(help="also expand one step of this tableau document")),
+            ("--format", dict(choices=("text", "json"), default="text")),
+        ),
         _cmd_oracle,
     ),
 }
@@ -487,23 +550,21 @@ def __getattr__(name: str):
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the CLI on argv (sys.argv[1:] by default); return the exit code.
 
-    Two parse routes give the same stdout, stderr and exit code.  When the
-    first word names a subcommand, only that subcommand's parser parses
-    it, built on the first such call in the process and kept.  Anything
-    else (no word, -h, an unknown word, an option first), and any word
-    that parser leaves unrecognised, goes through a full parser fresh from
-    build_parser(), which prints the top-level usage or error.
+    Two parse routes give the same stdout, stderr and exit code.  An argv
+    spelled as _read_argv takes it, a subcommand with its exact long flags,
+    is read by that subcommand's option table, without argparse.  Anything
+    else (no word, -h, an unknown word or flag, an abbreviation, "--", a
+    flag given twice or without its value, a value that does not convert,
+    a missing option) goes through a full parser fresh from
+    build_parser(), which prints argparse's usage, help or error.
     """
     argv = _join_points(sys.argv[1:] if argv is None else argv)
-    try:
-        parsed = extras = None
-        if argv and argv[0] in _COMMANDS:
-            parsed, extras = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
-            parsed.subcommand = argv[0]
-        if parsed is None or extras:
+    parsed = _read_argv(argv)
+    if parsed is None:
+        try:
             parsed = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the diagnostic
-        return int(exc.code or 0)
+        except SystemExit as exc:  # argparse already printed the diagnostic
+            return int(exc.code or 0)
     try:
         return _COMMANDS[parsed.subcommand][2](parsed)
     except (OSError, ValueError) as err:

@@ -997,8 +997,27 @@ class _FullParserBuilt(Exception):
 
 
 class TestParseRoutes:
-    # main builds the full parser only for an argv whose first word names
-    # no subcommand, or whose words that subcommand's parser leaves over.
+    # main builds the full parser only for an argv the option table does
+    # not read: no subcommand first, or a spelling the reader leaves over.
+    # Each deferred argv names a subcommand.
+    _DEFERRED = (
+        ["count", "-h"],
+        ["count", "--ord", "3"],
+        ["count", "--", "--order", "3"],
+        ["count", "--order", "3", "--order", "4"],
+        ["count", "--order", "-3"],
+        ["count", "--order", "x"],
+        ["count", "--order"],
+        ["count"],
+        ["count", "--order", "3", "x"],
+        ["trees", "--order", "3", "--format", "xml"],
+        ["conditions", "--order", "3", "--explicit=1"],
+        ["conditions", "--order", "3", "--generic", "--generic"],
+        ["verify", "--max-order", "3"],
+        ["verify", RK4, RK4, "--max-order", "3"],
+        ["oracle", LINEAR, "--x0", "--p", "2"],
+    )
+
     def test_a_subcommand_is_parsed_without_the_full_parser(self, capsys, monkeypatch):
         def refuse():
             raise _FullParserBuilt
@@ -1006,7 +1025,8 @@ class TestParseRoutes:
         monkeypatch.setattr(cli, "build_parser", refuse)
         expected = "order 1: 1\norder 2: 1\norder 3: 2\ntotal: 4\n"
         assert run(capsys, "count", "--order", "3") == (0, expected, "")
-        for argv in ([], ["frobnicate"], ["-h"], ["--order", "3", "count"], ["count", "--order", "3", "x"]):
+        assert run(capsys, "count", "--order=3") == (0, expected, "")
+        for argv in ([], ["frobnicate"], ["-h"], ["--order", "3", "count"], *self._DEFERRED):
             with pytest.raises(_FullParserBuilt):
                 main(argv)
 
@@ -1014,26 +1034,29 @@ class TestParseRoutes:
         # perfbench's tracer wraps cli.build_parser as a function of no
         # argument and times parse_args on the parser it returns.
         assert inspect.signature(cli.build_parser).parameters == {}
-        argvs = {
+        canonical = {
             "trees": ["--order", "3"],
             "count": ["--order", "3"],
             "conditions": ["--order", "3", "--generic"],
             "verify": [RK4, "--max-order", "3"],
             "oracle": [LINEAR, "--x0", "1", "--p", "2"],
         }
-        assert list(argvs) == list(cli._COMMANDS)
-        parser = cli.build_parser()
-        for name, argv in argvs.items():
-            parsed = parser.parse_args([name, *argv])
-            fast, extras = cli._subcommand_parser(name).parse_known_args(argv)
-            assert (parsed.subcommand, extras) == (name, [])
-            assert vars(parsed) == {**vars(fast), "subcommand": name}
+        assert list(canonical) == list(cli._COMMANDS)
+        others = (
+            ["count", "--order=3"],
+            ["trees", "--format=json", "--order", "3"],
+            ["conditions", "--explicit", "--order", "4", "--subst-c", "--stages=2", "--format", "latex"],
+            ["verify", "--max-order=3", "--tol=0.5", RK4, "--mode", "float", "--require-order", "2"],
+            ["oracle", "--p", "2", "--tableau", RK4, "--x0=-1,0", ROTATION, "--format=json"],
+        )
+        for argv in (*([name, *argv] for name, argv in canonical.items()), *others):
+            assert vars(cli._read_argv(argv)) == vars(cli.build_parser().parse_args(argv)), argv
 
-    def test_each_subcommand_parser_is_kept_and_the_full_parser_is_not(self):
+    def test_each_read_and_each_full_parser_is_fresh(self):
         # The tracer wraps build_parser and patches the parser it returns,
         # so that one must stay fresh on every call.
-        for name in cli._COMMANDS:
-            assert cli._subcommand_parser(name) is cli._subcommand_parser(name)
+        argv = ["conditions", "--order", "3", "--generic"]
+        assert cli._read_argv(argv) is not cli._read_argv(argv)
         assert cli.build_parser() is not cli.build_parser()
 
     # Each argv with its exit code, in an order where a run leaves out an
@@ -1053,11 +1076,15 @@ class TestParseRoutes:
         (0, ["trees", "--order", "2"]),
     )
 
-    def test_runs_in_one_process_read_as_with_fresh_parsers(self):
+    def test_runs_in_one_process_read_as_in_fresh_processes(self, monkeypatch):
+        # argparse wraps usage and help to the terminal's width, here and
+        # in the child.
+        monkeypatch.setenv("COLUMNS", "80")
         for code, argv in self._SEQUENCE:
             kept = _outputs(main, argv)
-            cli._subcommand_parser.cache_clear()
-            assert kept == _outputs(main, argv), argv
+            with _cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+                out, err = proc.communicate(timeout=60)
+            assert kept == (proc.returncode, out, err), argv
             assert kept[0] == code, argv
 
 
@@ -1186,9 +1213,15 @@ def _commands(tableau_path, field_path, edge_path):
 
 
 # Words put anywhere in a drawn argv: a subcommand's name, options of the
-# full parser, of a subcommand's or of none, a bare "--" and stray values.
+# full parser, of a subcommand's or of none, a bare "--", stray values, and
+# options in the spellings main reads (--order=3) or defers (--explicit=1),
+# which give a flag twice where the argv already has it.
 _JUNK = st.sampled_from(
-    ["extra", "--", "-h", "--help", "-x", "--bogus", "--ord", "--order", "3", "-1,0", "--x", "@x", "", *cli._COMMANDS]
+    [
+        "extra", "--", "-h", "--help", "-x", "--bogus", "--ord", "--order", "3", "-1,0", "--x", "@x", "",
+        "--order=3", "--format=json", "--explicit=1", "--x0=-1,0", "--tol=nan", "-3", "--generic",
+        *cli._COMMANDS,
+    ]
 )
 # The documents written for each test: a tableau, a field and an edge field.
 _DOCUMENTS = st.tuples(_document(_TABLEAU_LIKE), _document(_FIELD_LIKE), _EDGE_FIELDS)
@@ -1261,6 +1294,12 @@ class TestFuzz:
         "count --order",
         *(f"{name} -h" for name in cli._COMMANDS),
         "oracle f.json --x -1,0 --p 2",
+        "count --order=3",
+        "count --order 3 --order 4",
+        "count --order -3",
+        "conditions --order 3 --explicit=1",
+        "verify <tableau> --max-order 3 --tol=nan",
+        "oracle <field> --x0=-1,0 --p 2",
     )
     def test_parse_routes_match_the_full_parser(
         self, monkeypatch, tmp_path, columns, documents, argv, junk

@@ -219,6 +219,35 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert _fresh(probe) == "[]\n"
 
 
+def test_cli_runs_load_argparse_only_for_help():
+    # A run spelled as the option table reads it needs no argparse, nor
+    # the gettext and locale that argparse's first parser loads; -h still
+    # goes to argparse, which prints its help.
+    probe = """
+import contextlib, io, json, sys
+import butcher_kit.cli as cli
+runs = [
+    ["count", "--order", "5"],
+    ["trees", "--order", "4", "--format", "json"],
+    ["conditions", "--order", "3", "--stages", "2", "--explicit"],
+    ["verify", "rk4.json", "--max-order", "5", "--require-order", "4"],
+]
+parsers = ("argparse", "gettext", "locale")
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+loaded = sorted(set(parsers) & set(sys.modules))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(cli.main(["count", "-h"]))
+print(json.dumps([codes, loaded, "argparse" in sys.modules, out.getvalue()]))
+"""
+    codes, loaded, help_loaded, help_text = json.loads(_fresh(probe, cwd=FIXTURES).splitlines()[-1])
+    assert (codes, loaded, help_loaded) == ([0, 0, 0, 0, 0], [], True)
+    assert help_text.startswith("usage: butcher-kit count [-h] --order P\n")
+
+
 def test_only_the_oracle_subcommand_loads_the_oracle():
     # Every other subcommand runs without the oracle, the package's largest
     # module; the oracle subcommand loads it and prints the golden report.
