@@ -28,6 +28,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import Record, set_field
@@ -115,14 +116,6 @@ _INDEX_LIMIT = 1 << _INDEX_BITS
 
 # Interned per variable as it is first built; an entry depends on its id only.
 _VARIABLES: dict[int, "CoeffVar"] = {}  # id -> variable
-_NAMES: dict[str, dict[int, str]] = {"plain": {}, "latex": {}}  # style -> id -> text
-
-
-def _names(style: str) -> dict[int, str]:
-    try:
-        return _NAMES[style]
-    except KeyError:
-        raise ValueError(f"unknown render style: {style!r}") from None
 
 
 class CoeffVar(Record):
@@ -151,14 +144,14 @@ class CoeffVar(Record):
         if ident not in _VARIABLES:
             _VARIABLES[ident] = self
             indices = f"{i},{j}" if kind == "a" else str(i)
-            _NAMES["plain"][ident] = f"{kind}[{indices}]"
-            _NAMES["latex"][ident] = f"{kind}_{{{indices}}}"
+            for form in _STYLES.values():
+                form.names[ident] = form.name.format(kind, indices)
 
     def __hash__(self) -> int:
         return self._id
 
     def render(self, style: str = "plain") -> str:
-        return _names(style)[self._id]
+        return _style(style).names[self._id]
 
     def __str__(self) -> str:
         return self.render()
@@ -222,6 +215,29 @@ def _latex_rational(value: ScalarLike) -> str:
         return str(value)
     sign = "-" if value < 0 else ""
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+
+
+# How each render style writes a condition: a variable's name by id (from
+# the name template, as the variable is first built), a term's factors and
+# coefficient, a right-hand side (rational) and the sign between the sides.
+_STYLES = {
+    "plain": SimpleNamespace(
+        names={}, name="{}[{}]", separator="*", power="{}^{}",
+        coefficient=str, rational=format_rational, equals=" == ",
+    ),
+    "latex": SimpleNamespace(
+        names={}, name="{}_{{{}}}", separator=" ", power="{}^{{{}}}",
+        coefficient=_latex_rational, rational=_latex_rational, equals=" = ",
+    ),
+}
+
+
+def _style(style: str) -> SimpleNamespace:
+    """The render style of that name, or the one ValueError of every renderer."""
+    try:
+        return _STYLES[style]
+    except KeyError:
+        raise ValueError(f"unknown render style: {style!r}") from None
 
 
 def _nonzero(terms: dict) -> dict:
@@ -319,11 +335,11 @@ class CoeffPolynomial:
 
     def render(self, style: str = "plain") -> str:
         """Deterministic text form; "plain" uses b[i]/"^", "latex" b_{i}/"^{}"."""
-        names = _names(style)
+        form = _style(style)
+        names, separator, power = form.names, form.separator, form.power
         terms = self._terms
         if not terms:
             return "0"
-        separator, power = ("*", "{}^{}") if style == "plain" else (" ", "{}^{{{}}}")
         pieces: list[str] = []
         for monomial in _graded(terms):
             coeff = terms[monomial]
@@ -333,7 +349,7 @@ class CoeffPolynomial:
                 pieces.append("-")
             coeff = abs(coeff)
             if coeff != 1 or not monomial:
-                pieces.append(_latex_rational(coeff) if style == "latex" else str(coeff))
+                pieces.append(form.coefficient(coeff))
                 if not monomial:
                     continue
                 pieces.append(separator)

@@ -34,7 +34,7 @@ from . import _ORACLE_NAMES
 from .algebra import format_rational
 from .conditions import GenerationFlags, OrderCondition, all_order_conditions, render_generic
 from .trees import enumerate_by_leaf, format_tree, tree_counts, tree_factorial
-from .verify import load_tableau, verify_order
+from .verify import DEFAULT_TOL, MODES, RESIDUAL_KEYS, load_tableau, tableau_title, verify_order
 
 if TYPE_CHECKING:
     import argparse
@@ -216,14 +216,16 @@ def _emit_json(document: dict, streamed: tuple[str, Iterable[str]] | None = None
     _write(parts())
 
 
-# The records of the streamed lists, laid out as json.dumps(indent=2) lays
-# out the same dicts there.
-_ORDER_RECORD = '{\n      "order": %d,\n      "count": %d,\n      "trees": [\n        %s\n      ]\n    }'
-_CONDITION_RECORD = '{\n      "tree": %s,\n      "order": %d,\n      "lhs": %s,\n      "rhs": %s\n    }'
-_RESIDUAL_RECORD = (
-    '{\n      "tree": %s,\n      "order": %d,\n      "weight": %s,\n      "rhs": %s,'
-    '\n      "residual": %s,\n      "pass": %s\n    }'
-)
+def _record_layout(keys: Sequence[str]) -> str:
+    """A record of a streamed list laid out as json.dumps(indent=2) lays out
+    a dict with these keys there, with a %s for each value, encoded."""
+    return "{" + ",".join([f"\n      {_string(key)}: %s" for key in keys]) + "\n    }"
+
+
+# The streamed lists' records; a record of trees holds a list of texts.
+_ORDER_RECORD = _record_layout(("order", "count", "trees")) % ("%d", "%d", "[\n        %s\n      ]")
+_CONDITION_RECORD = _record_layout(("tree", "order", "lhs", "rhs"))
+_RESIDUAL_RECORD = _record_layout(RESIDUAL_KEYS)
 
 
 def _cmd_trees(args: Args) -> int:
@@ -418,9 +420,8 @@ def _cmd_oracle(args: Args) -> int:
             *flow.text_lines(),
         ]
         if args.tableau is not None:
-            kind = "explicit" if tableau.explicit else "implicit"
             lines += [
-                f"tableau: {tableau.name or '(unnamed)'} ({tableau.stages} stages, {kind})",
+                tableau_title(tableau.name, tableau.stages, tableau.explicit),
                 *discrete.text_lines(),
                 (
                     f"flow vs discrete: no difference through degree {args.p}"
@@ -485,13 +486,13 @@ _COMMANDS = {
                     help="exit 0 only if the achieved order is at least Q (default: P)",
                 ),
             ),
-            ("--mode", dict(choices=("exact", "float"), default="exact")),
+            ("--mode", dict(choices=MODES, default=MODES[0])),
             (
                 "--tol",
                 dict(
                     type=float,
-                    default=1e-12,
-                    help="residual tolerance in float mode (default 1e-12)",
+                    default=DEFAULT_TOL,
+                    help=f"residual tolerance in float mode (default {DEFAULT_TOL:g})",
                 ),
             ),
             ("--format", dict(choices=("text", "json"), default="text")),

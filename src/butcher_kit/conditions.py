@@ -45,11 +45,10 @@ from operator import mul
 from ._record import Record, set_field
 from .algebra import (
     CoeffPolynomial,
-    _latex_rational,
+    _style,
     a_var,
     b_var,
     c_var,
-    format_rational,
     poly_dot,
     poly_sum,
 )
@@ -103,11 +102,7 @@ class OrderCondition(Record):
     def rhs_text(self, style: str = "plain") -> str:
         """rhs rendered in style: "p/q" in plain style, \\frac{p}{q} in LaTeX.
         Any other style raises ValueError, as the lhs's render does."""
-        if style == "latex":
-            return _latex_rational(self.rhs)
-        if style == "plain":
-            return format_rational(self.rhs)
-        raise ValueError(f"unknown render style: {style!r}")
+        return _style(style).rational(self.rhs)
 
     @staticmethod
     def equation(lhs: str, rhs: str, style: str = "plain") -> str:
@@ -116,11 +111,7 @@ class OrderCondition(Record):
         Both sides are text already rendered in style; the CLI passes the
         generic nested sums and their 1/t! here too.
         """
-        if style == "plain":
-            return f"{lhs} == {rhs}"
-        if style == "latex":
-            return f"{lhs} = {rhs}"
-        raise ValueError(f"unknown render style: {style!r}")
+        return f"{lhs}{_style(style).equals}{rhs}"
 
     def __str__(self) -> str:
         return self.render()
@@ -220,11 +211,10 @@ def all_order_conditions(
     conditions (lhs 0, rhs nonzero) are kept.
     """
     weights = symbolic_weights(stages, flags)
-    first: dict[tuple[CoeffPolynomial, Fraction], OrderCondition] = {}
+    first: dict[tuple[CoeffPolynomial, Fraction], RootedTree] = {}
     for tree in enumerate_by_leaf(max_order):
-        lhs, rhs = weights.weight(tree), Fraction(1, tree_factorial(tree))
-        first.setdefault((lhs, rhs), OrderCondition(tree, lhs, rhs))
-    return tuple(first.values())
+        first.setdefault((weights.weight(tree), Fraction(1, tree_factorial(tree))), tree)
+    return tuple([OrderCondition(tree, lhs, rhs) for (lhs, rhs), tree in first.items()])
 
 
 # Index names by depth for the symbolic-s rendering.  Deeper levels, from

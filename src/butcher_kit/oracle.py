@@ -87,7 +87,9 @@ from typing import Callable, Mapping, Sequence
 
 from ._record import Record, set_field
 from .algebra import UNSIGNED_RATIONAL, format_rational, integer_rows, parse_rational
-from .trees import RootedTree, TreesByOrder, child_ids, sigma_of, tree_factorial, tree_id
+from .trees import (
+    RootedTree, TextSyntaxError, TreesByOrder, child_ids, sigma_of, tree_factorial, tree_id,
+)
 from .verify import ButcherTableau, check_list, read_document, size_field
 
 __all__ = [
@@ -109,32 +111,21 @@ class FieldError(ValueError):
     """Malformed vector-field document."""
 
 
-class FieldSyntaxError(ValueError):
+class FieldSyntaxError(TextSyntaxError):
     """Malformed component text; .position is the 0-based offending index."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 # The highest degree of a term in a field component; a term above it is
 # refused while parsing, before any work.  The iteration routes build a
 # monomial of degree e from at most 2 log2(e) series products, so the cost
-# follows the coefficients' digits more than e: at --p 6 on a 2-core Xeon,
-# the four series routes of a 2-dimensional field of five degree-400 terms
-# with butcher6 at x0 = (1/2, 1/3) take 0.03 s of CPU in process (16 MB),
-# and 0.08 s at degree 800.
+# follows the coefficients' digits more than e.  CHANGES.md keeps the time
+# and memory this cap was measured at, with the host.
 MAX_FIELD_DEGREE = 400
 
 # The largest field dimension; a larger "dim" is refused right after it is
-# read, before any component is parsed.  Work grows about as dim to dim^2:
-# on a 2-core Xeon, the field x<i+2>^2 + x<i+1> (wrapping around) at
-# x0 = (1/2, ...) with butcher6 at --p 6 takes 0.05 s at dim 50, 0.10 s at
-# dim 100 and 0.23 s at dim 150 (CPU time of one CLI run each, in process).
-# With rk4 at --p 2, 1,000 components "x1" take 1.0 s, and 4,000 took 11 s
-# and 269 MB.  Denser fields cost far more: with 50 degree-5 terms per
-# component at dim 100, rk4 at --p 6 takes 3.6-4.1 s and 138 MB through the
-# CLI (2-core Intel Xeon, Python 3.11.7).
+# read, before any component is parsed.  Work grows about as dim to dim^2,
+# and far faster with more terms per component.  CHANGES.md keeps the times
+# and memory this cap was measured at, with the host.
 MAX_FIELD_DIM = 100
 
 # Component grammar, read left to right in one pass by _parse_component:
@@ -309,10 +300,9 @@ def load_field(source: str | Mapping) -> PolyVectorField:
 # while parsing, before any work.  The coefficient of tau^q is a polynomial
 # of degree 1 + q(d - 1) in x0 for a field of degree d, and Python prints
 # integers of at most 4300 digits: at 100 digits, reports of fields up to
-# degree 7 still print at --p 6 (x1^6 with rk4 at an x0 of 100-digit
-# numerator and denominator: 0.03 s of CPU in process on a 2-core Xeon),
-# while the four series routes of x1^6 at an x0 of 2,201 digits take 2 s,
-# and the report then fails to print.
+# degree 7 still print at --p 6, while at a few thousand digits the series
+# routes compute for seconds and the report then fails to print.
+# CHANGES.md keeps the times this cap was measured at, with the host.
 MAX_POINT_DIGITS = 100
 
 

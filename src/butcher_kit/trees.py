@@ -348,12 +348,16 @@ def enumerate_by_leaf(max_order: int) -> TreesByOrder:
     return forest
 
 
-class TreeSyntaxError(ValueError):
-    """Malformed tree text; .position is the 0-based offending index."""
+class TextSyntaxError(ValueError):
+    """Malformed text; .position is the 0-based offending index."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class TreeSyntaxError(TextSyntaxError):
+    """Malformed tree text; .position is the 0-based offending index."""
 
 
 # Deepest nesting parse_tree accepts.  The tree functions recurse once per

@@ -8,13 +8,13 @@ single-node child contributing the row sum of A.  So the node vector c
 plays no role in the residuals; tableaus whose c differs from the row sums
 of A are verified all the same and only flagged via row_sum_consistent.
 
-The recursion runs over integers: A and b are scaled to integer numerators
-over one common denominator each, so a tree t of order q has the weight N/S
-with N = b^ . Phi^(t) and S = D_b * D_A^(q-1) (TableauWeights).  verify_order
-compares in integers too: exact mode asks for N * t! == S, float mode for
-|N * t! - S| / (S * t!), one correctly rounded division, to be at most a
-tolerance, for tableaus that only approximate a method; a quotient beyond
-float range fails.  Each entry's Fractions then take one gcd each.
+The recursion runs over integers: each tableau scales A and b once, to
+numerators over one common denominator each, so a tree t of order q has
+the weight N/S with N = b^ . Phi^(t) and S = D_b * D_A^(q-1) (TableauWeights).
+verify_order compares in integers too: exact mode asks for N * t! == S,
+float mode for |N * t! - S| / (S * t!), one correctly rounded division, to
+be at most a tolerance, for tableaus that only approximate a method; a
+quotient beyond float range fails.  Each entry's Fractions take one gcd.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ class TableauError(ValueError):
     """Malformed tableau document or invalid verification request."""
 
 
+# verify_order's modes, the first the default, and float mode's default tol.
+MODES = ("exact", "float")
+DEFAULT_TOL = 1e-12
+
+
 EntryLike = Union[int, str, Fraction]
 
 
@@ -67,13 +72,12 @@ def _coerce_entry(value: object, where: str) -> Fraction:
 class ButcherTableau(Record):
     """Coefficients of an s-stage method; all entries exact rationals.
 
-    c defaults to the row sums of A when omitted (None).  The row sums are
-    read once per tableau, off A's integer rows (algebra.integer_rows): each
-    is the sum of its row's numerators over the one common denominator, so
-    s Fractions are built instead of s^2 Fraction additions.  They serve
-    both the default c and row_sums().  The integer rows are kept for
-    elementary_weights() and explicit, which is derived: true exactly when
-    A is strictly lower triangular.
+    c defaults to the row sums of A when omitted (None).  The integer form
+    is built once, here: A's nonzero and b's numerators over one common
+    denominator each (algebra.integer_rows), and A's integer row sums, which
+    over D_A are the default c and row_sums().  It serves every
+    elementary_weights() and explicit, true exactly when A is strictly
+    lower triangular.
     """
 
     _fields = ("name", "a", "b", "c")
@@ -90,9 +94,12 @@ class ButcherTableau(Record):
             raise TableauError("a tableau needs at least one stage")
         if len(a) != s or any(len(row) != s for row in a):
             raise TableauError(f"A must be {s}x{s} to match b")
-        rows, denominator = integer_rows(a)
-        sums = tuple([Fraction(sum(row), denominator) for row in rows])
-        set_field(self, "_integer_a", (rows, denominator))
+        rows, d_a = integer_rows(a)
+        (b_row,), d_b = integer_rows([b])
+        leaf = [sum(row) for row in rows]
+        sums = tuple([Fraction(x, d_a) for x in leaf])
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+        set_field(self, "_integers", (sparse, d_a, leaf, b_row, d_b))
         if c is None:
             c = sums
         if len(c) != s:
@@ -139,14 +146,14 @@ class ButcherTableau(Record):
 
     @property
     def explicit(self) -> bool:
-        return not any(any(row[i:]) for i, row in enumerate(self._integer_a[0]))
+        return all(j < i for i, row in enumerate(self._integers[0]) for j, _ in row)
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return self._row_sums
 
     def elementary_weights(self) -> "TableauWeights":
         """Phi and b . Phi over this tableau's entries, one memo throughout."""
-        return TableauWeights(*self._integer_a, self.b)
+        return TableauWeights(*self._integers)
 
     @property
     def row_sum_consistent(self) -> bool:
@@ -154,31 +161,21 @@ class ButcherTableau(Record):
 
 
 class TableauWeights:
-    """Phi(t) and b . Phi(t) of a tableau as reduced Fractions, from integers.
-
-    A comes scaled by D_A, the lcm of its denominators (a_rows over d_a, as
-    algebra.integer_rows gives them), and b is scaled by D_b, so
-    ElementaryWeights runs over integers only.  Each of a tree's |t| - 1
-    edges brings one factor of A (a leaf brings its row sum), so
-    Phi_i(t) = Phi^_i(t) / D_A^(|t|-1) and b . Phi(t) = b^ . Phi^(t) /
-    (D_b * D_A^(|t|-1)), the scale, kept per order.  integer_weight returns
-    the unreduced pair of b . Phi(t), for callers that keep summing in
-    integers: the oracle's tree route takes it as the step's w(t) over its
-    scale unchanged, and verify_order reads the numerators over scale(q).
-    vector and weight divide by those scales, one division per tree instead
-    of one gcd per product and sum.  The leaf vector, a single node's
-    factor, is the integer rows' sums, the row sums of A scaled by D_A;
-    every other child's factor is the integer rows times its Phi^, which
-    ElementaryWeights keeps once per child.
+    """Phi(t) and b . Phi(t) of a tableau as reduced Fractions, from its
+    integer form (ButcherTableau): ElementaryWeights runs over the integer
+    numerators of A and b, over D_A and D_b, with A's integer row sums as
+    the leaf vector.  Each of a tree's |t| - 1 edges brings one factor of A,
+    so Phi(t) = Phi^(t) / D_A^(|t|-1) and b . Phi(t) = b^ . Phi^(t) /
+    scale(|t|), with scale(q) = D_b * D_A^(q-1) kept per order.
+    integer_weight returns that unreduced pair, for callers that keep
+    summing in integers (the oracle's tree route, verify_order); vector and
+    weight divide once per tree, not one gcd per product and sum.
     """
 
-    def __init__(self, a_rows: Sequence[Sequence[int]], d_a: int, b: Sequence[Fraction]) -> None:
-        self._d_a = d_a
-        (b,), self._d_b = integer_rows([b])
-        rows = [[(j, x) for j, x in enumerate(row) if x] for row in a_rows]
-        leaf = [sum(x for _, x in row) for row in rows]
+    def __init__(self, rows, d_a: int, leaf: Sequence[int], b: Sequence[int], d_b: int) -> None:
+        self._d_a, self._d_b = d_a, d_b
         self._integers = ElementaryWeights(rows, leaf, b)
-        self._scales = [self._d_b]  # by order from 1 on, grown on demand
+        self._scales = [d_b]  # by order from 1 on, grown on demand
 
     def scale(self, order: int) -> int:
         """D_b * D_A^(order-1): integer_weight's scale for a tree of that order."""
@@ -337,6 +334,17 @@ class ResidualEntry(Record):
         set_field(self, "passed", passed)
 
 
+# A residual's keys in OrderReport.rows() order, for to_mapping and the CLI.
+RESIDUAL_KEYS = ("tree", "order", "weight", "rhs", "residual", "pass")
+
+
+def tableau_title(name: str, stages: int, explicit: bool) -> str:
+    """The line naming a tableau in verify's and the oracle's text reports."""
+    name = name or "(unnamed)"
+    kind = "explicit" if explicit else "implicit"
+    return f"tableau: {name} ({stages} stages, {kind})"
+
+
 class OrderReport(Record):
     """Result of verify_order.
 
@@ -381,17 +389,9 @@ class OrderReport(Record):
         set_field(self, "residuals", residuals)
 
     def header(self) -> dict:
-        """to_mapping() without its residuals."""
-        return {
-            "tableau": self.tableau_name,
-            "stages": self.stages,
-            "explicit": self.explicit,
-            "row_sum_consistent": self.row_sum_consistent,
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "requested_order": self.requested_order,
-            "achieved_order": self.achieved_order,
-        }
+        """to_mapping() without its residuals: each field under its own name,
+        but tableau_name under "tableau"."""
+        return dict(zip(("tableau", *self._fields[1:-1]), self._values()[:-1]))
 
     def rows(self) -> list[tuple]:
         """(tree, order, weight, rhs, residual, pass) per residual, the tree
@@ -406,14 +406,12 @@ class OrderReport(Record):
             raise too_long_to_print("lower --max-order or use shorter tableau entries") from None
 
     def to_mapping(self) -> dict:
-        keys = ("tree", "order", "weight", "rhs", "residual", "pass")
-        return {**self.header(), "residuals": [dict(zip(keys, row)) for row in self.rows()]}
+        residuals = [dict(zip(RESIDUAL_KEYS, row)) for row in self.rows()]
+        return {**self.header(), "residuals": residuals}
 
     def render_text(self) -> str:
-        name = self.tableau_name or "(unnamed)"
-        kind = "explicit" if self.explicit else "implicit"
         lines = [
-            f"tableau: {name} ({self.stages} stages, {kind})",
+            tableau_title(self.tableau_name, self.stages, self.explicit),
             f"row sums match c: {'yes' if self.row_sum_consistent else 'NO'}",
             f"mode: {self.mode}"
             + (f" (tolerance {self.tolerance:g})" if self.mode == "float" else ""),
@@ -432,8 +430,8 @@ class OrderReport(Record):
 def verify_order(
     tableau: ButcherTableau,
     max_order: int,
-    mode: str = "exact",
-    tol: float = 1e-12,
+    mode: str = MODES[0],
+    tol: float = DEFAULT_TOL,
 ) -> OrderReport:
     """Largest order p <= max_order whose conditions all hold.
 
@@ -444,8 +442,8 @@ def verify_order(
     """
     if max_order < 1:
         raise TableauError("max_order must be >= 1")
-    if mode not in ("exact", "float"):
-        raise TableauError(f"mode must be 'exact' or 'float', got {mode!r}")
+    if mode not in MODES:
+        raise TableauError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     if not math.isfinite(tol):
         raise TableauError(f"tol must be finite, got {tol}")
     if tol < 0:

@@ -878,6 +878,11 @@ _WHOLE_OUTPUTS = {
     "oracle_tree_field6_rk4.json": (0, _TREE_FIELD + ("--format", "json")),
     "oracle_wide6d_butcher6.txt": (0, _WIDE),
     "oracle_wide6d_butcher6.json": (0, _WIDE + ("--format", "json")),
+    # The tableau line of each report, for an implicit tableau and an
+    # unnamed one.
+    "verify_implicit_midpoint_exact.txt": (1, ("verify", "implicit_midpoint.json", "--max-order", "3")),
+    "verify_unnamed_exact.txt": (0, ("verify", "unnamed", "--max-order", "4")),
+    "oracle_rotation2d_implicit_midpoint.txt": (0, _ROTATION + ("--tableau", "implicit_midpoint.json")),
 }
 # verify on a tableau without c, whose c is the row sums of A, and on one
 # with c, each in both modes and both formats; both fail their last order.
@@ -1145,7 +1150,9 @@ _EDGE_FIELDS = st.sampled_from(
     [json.dumps({"dim": 1, "components": [text]}) for text in ("x1^2", "x1 + x1^" + "9" * 5000)]
 )
 _MALFORMED = st.sampled_from(["", "{", "[1, 2]", "null", "[" * 5000 + "]" * 5000])
-_RATIONALS = st.sampled_from(["1", "0", "-1/2", "0.5", "1/0", "x", "", " 2 "])
+# Values that start with "-" but do not read as a negative number, such as
+# "-x" and "-1e-3", are options to argparse, which then misses the value.
+_RATIONALS = st.sampled_from(["1", "0", "-1/2", "0.5", "1/0", "x", "-x", "", " 2 "])
 _POINTS = st.one_of(
     st.sampled_from(["1", "1/2", "1,0", "-1/2,1"]),
     st.lists(_RATIONALS, min_size=1, max_size=3).map(",".join),
@@ -1164,50 +1171,82 @@ def _path(fixtures, written):
     return st.sampled_from([str(FIXTURES / name) for name in fixtures] + ["no-such.json", written])
 
 
-def _argv(*parts):
-    """Each part is a strategy for a list of tokens; the argv joins them."""
-    return st.tuples(*parts).map(lambda lists: [token for tokens in lists for token in tokens])
+def _argv(name, *parts):
+    """The subcommand's name, then the tokens of its parts in a drawn order.
+
+    Each part is a strategy for a list of tokens: the positional, or one
+    option as _option or _switch draws it.
+    """
+    return (
+        st.tuples(*parts)
+        .flatmap(st.permutations)
+        .map(lambda lists: [name, *(token for tokens in lists for token in tokens)])
+    )
+
+
+def _spelled(flag, values):
+    """The flag with one drawn value, as "--flag value" or "--flag=value"."""
+    return st.tuples(values, st.booleans()).map(
+        lambda drawn: [f"{flag}={drawn[0]}"] if drawn[1] else [flag, drawn[0]]
+    )
 
 
 def _option(flag, values):
-    """The flag with one drawn value, or nothing."""
-    return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
+    """The flag given once, absent, or given twice, each time with a value
+    and a spelling of its own; a required option too."""
+    once = _spelled(flag, values)
+    twice = st.tuples(once, once).map(lambda pair: [*pair[0], *pair[1]])
+    return st.one_of(once, st.just([]), twice)
+
+
+def _switch(flag):
+    """A store_true flag, present or absent."""
+    return st.sampled_from([[flag], []])
 
 
 def _commands(tableau_path, field_path, edge_path):
     tableau = _path(_TABLEAUS, tableau_path)
+    formats = _option("--format", _formats("text", "json"))
     return st.one_of(
         _argv(
-            _path(_FIELDS, field_path).map(lambda path: ["oracle", path]),
-            _POINTS.map(lambda point: ["--x0", point]),
-            _sizes(6).map(lambda p: ["--p", p]),
+            "oracle",
+            _path(_FIELDS, field_path).map(lambda path: [path]),
+            _option("--x0", _POINTS),
+            _option("--p", _sizes(6)),
             _option("--tableau", tableau),
-            _option("--format", _formats("text", "json")),
+            formats,
         ),
         _argv(
-            tableau.map(lambda path: ["verify", path]),
-            _sizes(8).map(lambda p: ["--max-order", p]),
+            "verify",
+            tableau.map(lambda path: [path]),
+            _option("--max-order", _sizes(8)),
             _option("--require-order", _sizes(8)),
             _option("--mode", st.sampled_from(["exact", "float", "fuzzy"])),
-            _option("--tol", st.sampled_from(["0", "1e-12", "-1", "inf", "nan", "x"])),
-            _option("--format", _formats("text", "json")),
+            _option("--tol", st.sampled_from(["0", "1e-12", "-1", "-1e-3", "inf", "nan", "x"])),
+            formats,
         ),
         _argv(
-            _sizes(5).map(lambda p: ["conditions", "--order", p]),
+            "conditions",
+            _option("--order", _sizes(5)),
             _option("--stages", _sizes(3)),
             _option("--format", _formats("text", "latex", "json")),
-            st.lists(st.sampled_from(["--explicit", "--subst-c", "--generic"]), max_size=3),
+            _switch("--explicit"),
+            _switch("--subst-c"),
+            _switch("--generic"),
         ),
-        _argv(_sizes(7).map(lambda p: ["count", "--order", p])),
+        _argv("count", _option("--order", _sizes(7))),
         _argv(
-            _sizes(6).map(lambda p: ["trees", "--order", p]),
+            "trees",
+            _option("--order", _sizes(6)),
             _option("--format", _formats("bracket", "json")),
         ),
         _argv(
-            st.just(["oracle", edge_path, "--x0", _TINY_POINT]),
-            st.integers(0, 6).map(lambda p: ["--p", str(p)]),
+            "oracle",
+            st.just([edge_path]),
+            _spelled("--x0", st.just(_TINY_POINT)),
+            _spelled("--p", st.integers(0, 6).map(str)),
             _option("--tableau", tableau),
-            _option("--format", _formats("text", "json")),
+            formats,
         ),
     )
 
@@ -1234,6 +1273,21 @@ def _outputs(entry, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = entry(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _settings(namespace):
+    """A parsed namespace's attributes as text, which compares a nan --tol
+    equal to itself."""
+    return repr(sorted(vars(namespace).items()))
+
+
+def _full_parse(argv):
+    """_settings of the full parser's namespace for argv, None where it refuses."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return _settings(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
 
 
 def _route_examples(*argvs):
@@ -1313,3 +1367,9 @@ class TestFuzz:
         for position, token in junk:
             argv.insert(position, token)
         assert _outputs(main, argv) == _outputs(main_by_full_parser, argv)
+        # Where the option table reads the argv, it sets what argparse
+        # sets, options left out included, whether or not the run shows it.
+        joined = cli._join_points(argv)
+        read = cli._read_argv(joined)
+        if read is not None:
+            assert _settings(read) == _full_parse(joined)

@@ -5,7 +5,8 @@ the module's own object, so a change to the surface edits one list.  The
 oracle's names are served on first use, and only the oracle subcommand
 loads the oracle.  Its eight records keep the contract of a frozen
 dataclass, and importing the CLI loads neither dataclasses nor inspect.
-README's Python example runs as written.
+README's Python example runs as written, and its table from the paper to
+the code names the package's own callables.
 """
 
 import copy
@@ -277,6 +278,23 @@ print(json.dumps([loaded, results, out.getvalue()]))
     assert [code for code, _ in results] == [0, 0, 0, 0, 1, 0]
     assert all(size for _, size in results)
     assert report == (ROOT / "tests" / "golden" / "oracle_rotation2d.txt").read_text()
+
+
+def test_readme_paper_table_names_resolve():
+    # README's table from the paper's objects to the code: every row names
+    # the package's code, and every name there is a callable of the package.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## From the paper to the code\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    assert len(rows) == 7
+    for row in rows:
+        names = re.findall(r"`butcher_kit((?:\.\w+)+)`", row)
+        assert names, row
+        for name in names:
+            found = butcher_kit
+            for attr in name.split(".")[1:]:
+                found = getattr(found, attr)
+            assert callable(found), name
 
 
 def test_readme_python_runs(tmp_path):
