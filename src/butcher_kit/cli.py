@@ -216,14 +216,16 @@ def _emit_json(document: dict, streamed: tuple[str, Iterable[str]] | None = None
     _write(parts())
 
 
-def _record_layout(keys: Sequence[str]) -> str:
+def _record_layout(keys: Sequence[str], **values: str) -> str:
     """A record of a streamed list laid out as json.dumps(indent=2) lays out
-    a dict with these keys there, with a %s for each value, encoded."""
-    return "{" + ",".join([f"\n      {_string(key)}: %s" for key in keys]) + "\n    }"
+    a dict with these keys there.  Each value is a %s for the encoded value,
+    or the template that values gives for its key."""
+    fields = [f"\n      {_string(key)}: {values.get(key, '%s')}" for key in keys]
+    return "{" + ",".join(fields) + "\n    }"
 
 
 # The streamed lists' records; a record of trees holds a list of texts.
-_ORDER_RECORD = _record_layout(("order", "count", "trees")) % ("%d", "%d", "[\n        %s\n      ]")
+_ORDER_RECORD = _record_layout(("order", "count", "trees"), trees="[\n        %s\n      ]")
 _CONDITION_RECORD = _record_layout(("tree", "order", "lhs", "rhs"))
 _RESIDUAL_RECORD = _record_layout(RESIDUAL_KEYS)
 

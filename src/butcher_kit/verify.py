@@ -389,9 +389,17 @@ class OrderReport(Record):
         set_field(self, "residuals", residuals)
 
     def header(self) -> dict:
-        """to_mapping() without its residuals: each field under its own name,
-        but tableau_name under "tableau"."""
-        return dict(zip(("tableau", *self._fields[1:-1]), self._values()[:-1]))
+        """to_mapping() without its residuals."""
+        return {
+            "tableau": self.tableau_name,
+            "stages": self.stages,
+            "explicit": self.explicit,
+            "row_sum_consistent": self.row_sum_consistent,
+            "mode": self.mode,
+            "tolerance": self.tolerance,
+            "requested_order": self.requested_order,
+            "achieved_order": self.achieved_order,
+        }
 
     def rows(self) -> list[tuple]:
         """(tree, order, weight, rhs, residual, pass) per residual, the tree

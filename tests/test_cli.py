@@ -1175,7 +1175,7 @@ def _argv(name, *parts):
     """The subcommand's name, then the tokens of its parts in a drawn order.
 
     Each part is a strategy for a list of tokens: the positional, or one
-    option as _option or _switch draws it.
+    option as _commands or _switch draws it.
     """
     return (
         st.tuples(*parts)
@@ -1191,61 +1191,72 @@ def _spelled(flag, values):
     )
 
 
-def _option(flag, values):
-    """The flag given once, absent, or given twice, each time with a value
-    and a spelling of its own; a required option too."""
-    once = _spelled(flag, values)
-    twice = st.tuples(once, once).map(lambda pair: [*pair[0], *pair[1]])
-    return st.one_of(once, st.just([]), twice)
-
-
 def _switch(flag):
     """A store_true flag, present or absent."""
     return st.sampled_from([[flag], []])
 
 
-def _commands(tableau_path, field_path, edge_path):
+def _commands(tableau_path, field_path, edge_path, lax):
+    """Argvs of the five subcommands.
+
+    With lax, each option, required ones too, is given once, left out or
+    given twice, so that argvs the parsers must refuse are common. Without
+    it, each required option is given once and each other option once or
+    not at all, so that most argvs run and reach the tableau and field
+    readers.
+    """
+
+    def option(flag, values, required=False):
+        once = _spelled(flag, values)
+        if not lax:
+            return once if required else st.one_of(once, st.just([]))
+        twice = st.tuples(once, once).map(lambda pair: [*pair[0], *pair[1]])
+        # Once in three draws of five, so that an argv the option table
+        # reads whole stays common; st.one_of would draw a strategy listed
+        # three times no more often than one listed once.
+        return st.integers(0, 4).flatmap(lambda k: (once, once, once, st.just([]), twice)[k])
+
     tableau = _path(_TABLEAUS, tableau_path)
-    formats = _option("--format", _formats("text", "json"))
+    formats = option("--format", _formats("text", "json"))
     return st.one_of(
         _argv(
             "oracle",
             _path(_FIELDS, field_path).map(lambda path: [path]),
-            _option("--x0", _POINTS),
-            _option("--p", _sizes(6)),
-            _option("--tableau", tableau),
+            option("--x0", _POINTS, required=True),
+            option("--p", _sizes(6), required=True),
+            option("--tableau", tableau),
             formats,
         ),
         _argv(
             "verify",
             tableau.map(lambda path: [path]),
-            _option("--max-order", _sizes(8)),
-            _option("--require-order", _sizes(8)),
-            _option("--mode", st.sampled_from(["exact", "float", "fuzzy"])),
-            _option("--tol", st.sampled_from(["0", "1e-12", "-1", "-1e-3", "inf", "nan", "x"])),
+            option("--max-order", _sizes(8), required=True),
+            option("--require-order", _sizes(8)),
+            option("--mode", st.sampled_from(["exact", "float", "fuzzy"])),
+            option("--tol", st.sampled_from(["0", "1e-12", "-1", "-1e-3", "inf", "nan", "x"])),
             formats,
         ),
         _argv(
             "conditions",
-            _option("--order", _sizes(5)),
-            _option("--stages", _sizes(3)),
-            _option("--format", _formats("text", "latex", "json")),
+            option("--order", _sizes(5), required=True),
+            option("--stages", _sizes(3)),
+            option("--format", _formats("text", "latex", "json")),
             _switch("--explicit"),
             _switch("--subst-c"),
             _switch("--generic"),
         ),
-        _argv("count", _option("--order", _sizes(7))),
+        _argv("count", option("--order", _sizes(7), required=True)),
         _argv(
             "trees",
-            _option("--order", _sizes(6)),
-            _option("--format", _formats("bracket", "json")),
+            option("--order", _sizes(6), required=True),
+            option("--format", _formats("bracket", "json")),
         ),
         _argv(
             "oracle",
             st.just([edge_path]),
             _spelled("--x0", st.just(_TINY_POINT)),
             _spelled("--p", st.integers(0, 6).map(str)),
-            _option("--tableau", tableau),
+            option("--tableau", tableau),
             formats,
         ),
     )
@@ -1317,7 +1328,8 @@ class TestFuzz:
         edge_path = tmp_path / "edge.json"
         edge_path.write_text(data.draw(_EDGE_FIELDS, label="edge field document"))
         argv = data.draw(
-            _commands(str(tableau_path), str(field_path), str(edge_path)), label="argv"
+            _commands(str(tableau_path), str(field_path), str(edge_path), lax=False),
+            label="argv",
         )
         code, out, err = _outputs(main, argv)
         assert code in (0, 1, 2)
@@ -1336,7 +1348,7 @@ class TestFuzz:
     )
     @given(
         documents=_DOCUMENTS,
-        argv=_commands(*_PLACEHOLDERS),
+        argv=_commands(*_PLACEHOLDERS, lax=True),
         junk=st.lists(st.tuples(st.integers(0, 12), _JUNK), max_size=3),
     )
     @_route_examples(
