@@ -28,6 +28,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -78,25 +79,23 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def format_rational(value: Fraction) -> str:
-    """"p/q", or just "p" when the denominator is 1.
+class TooLongToPrint(ValueError):
+    """A value longer than Python prints (sys.get_int_max_str_digits()):
+    every printer's refusal, which names no remedy."""
 
-    A numerator or denominator longer than Python converts to text
-    (sys.get_int_max_str_digits()) is a ValueError that says so.
-    """
-    value = Fraction(value)
+    def __str__(self) -> str:
+        return f"a value has more than {sys.get_int_max_str_digits()} digits, too many to print"
+
+
+def format_rational(value: Fraction) -> str:
+    """"p/q", or just "p" when the denominator is 1; TooLongToPrint for a
+    value longer than Python prints."""
+    if value.__class__ is not Fraction:
+        value = Fraction(value)
     try:
         return str(value)
     except ValueError:
-        raise too_long_to_print("lower --p or use a shorter x0") from None
-
-
-def too_long_to_print(remedy: str) -> ValueError:
-    """The refusal of a value longer than Python converts to text, with what
-    to shrink."""
-    return ValueError(
-        f"a value has more than {sys.get_int_max_str_digits()} digits, too many to print; {remedy}"
-    )
+        raise TooLongToPrint from None
 
 
 def integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
@@ -190,31 +189,16 @@ def _graded(monomials: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return sorted(sorted(monomials), key=len)  # stable: ties on degree stay lexicographic
 
 
-def _runs(monomial: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(id, exponent) for each distinct variable of an id monomial.
-
-    One pass: equal ids are adjacent, so a run ends where the id changes.
-    render reads runs with the same loop.
-    """
-    runs: list[tuple[int, int]] = []
-    if monomial:
-        last, exp = monomial[0], 0
-        for var in monomial:
-            if var == last:
-                exp += 1
-            else:
-                runs.append((last, exp))
-                last, exp = var, 1
-        runs.append((last, exp))
-    return runs
-
-
 def _latex_rational(value: ScalarLike) -> str:
-    """A rational in LaTeX: \\frac{p}{q}, or p when q is 1; "-" leads a negative."""
-    if value.denominator == 1:
-        return str(value)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+    """A rational in LaTeX: \\frac{p}{q}, or p when q is 1; "-" leads a
+    negative.  TooLongToPrint, as format_rational."""
+    try:
+        if value.denominator == 1:
+            return str(value)
+        sign = "-" if value < 0 else ""
+        return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+    except ValueError:
+        raise TooLongToPrint from None
 
 
 # How each render style writes a condition: a variable's name by id (from
@@ -296,7 +280,7 @@ class CoeffPolynomial:
     def sorted_terms(self) -> list[tuple[Monomial, ScalarLike]]:
         """(monomial, coefficient) pairs in the graded order render uses."""
         return [
-            (tuple((_VARIABLES[var], exp) for var, exp in _runs(m)), self._terms[m])
+            (tuple((_VARIABLES[var], len(list(run))) for var, run in groupby(m)), self._terms[m])
             for m in _graded(self._terms)
         ]
 
@@ -341,30 +325,33 @@ class CoeffPolynomial:
         if not terms:
             return "0"
         pieces: list[str] = []
-        for monomial in _graded(terms):
-            coeff = terms[monomial]
-            if pieces:
-                pieces.append(" + " if coeff > 0 else " - ")
-            elif coeff < 0:
-                pieces.append("-")
-            coeff = abs(coeff)
-            if coeff != 1 or not monomial:
-                pieces.append(form.coefficient(coeff))
-                if not monomial:
-                    continue
-                pieces.append(separator)
-            # _runs's loop, kept inline: render runs it once per printed
-            # term, where a call would add a frame and a list of pairs.
-            factors = []
-            last, exp = monomial[0], 0
-            for var in monomial:
-                if var == last:
-                    exp += 1
-                else:
-                    factors.append(names[last] if exp == 1 else power.format(names[last], exp))
-                    last, exp = var, 1
-            factors.append(names[last] if exp == 1 else power.format(names[last], exp))
-            pieces.append(separator.join(factors))
+        try:  # one guard, around the loop, for a coefficient too long to print
+            for monomial in _graded(terms):
+                coeff = terms[monomial]
+                if pieces:
+                    pieces.append(" + " if coeff > 0 else " - ")
+                elif coeff < 0:
+                    pieces.append("-")
+                coeff = abs(coeff)
+                if coeff != 1 or not monomial:
+                    pieces.append(form.coefficient(coeff))
+                    if not monomial:
+                        continue
+                    pieces.append(separator)
+                # Runs of equal ids, read inline: a call or groupby per term
+                # would add a frame and an object per run.
+                factors = []
+                last, exp = monomial[0], 0
+                for var in monomial:
+                    if var == last:
+                        exp += 1
+                    else:
+                        factors.append(names[last] if exp == 1 else power.format(names[last], exp))
+                        last, exp = var, 1
+                factors.append(names[last] if exp == 1 else power.format(names[last], exp))
+                pieces.append(separator.join(factors))
+        except ValueError:
+            raise TooLongToPrint from None
         return "".join(pieces)
 
     def __eq__(self, other: object) -> bool:

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import _ORACLE_NAMES
-from .algebra import format_rational
+from .algebra import TooLongToPrint, format_rational
 from .conditions import GenerationFlags, OrderCondition, all_order_conditions, render_generic
 from .trees import enumerate_by_leaf, format_tree, tree_counts, tree_factorial
 from .verify import DEFAULT_TOL, MODES, RESIDUAL_KEYS, load_tableau, tableau_title, verify_order
@@ -150,6 +150,13 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
             value = spec.get("default", False if store_true else None)
         setattr(parsed, flag.lstrip("-").replace("-", "_"), value)
     return parsed
+
+
+# What to shrink, by subcommand, when a value is too long to print.
+_TOO_LONG_REMEDIES = {
+    "verify": "lower --max-order or use shorter tableau entries",
+    "oracle": "lower --p or use a shorter x0",
+}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -571,6 +578,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _COMMANDS[parsed.subcommand][2](parsed)
     except (OSError, ValueError) as err:
+        if isinstance(err, TooLongToPrint) and parsed.subcommand in _TOO_LONG_REMEDIES:
+            err = f"{err}; {_TOO_LONG_REMEDIES[parsed.subcommand]}"
         print(f"error: {err}", file=sys.stderr)
         return 2
 

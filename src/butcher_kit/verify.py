@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from ._record import Record, set_field
-from .algebra import integer_rows, parse_rational, too_long_to_print
+from .algebra import format_rational, integer_rows, parse_rational
 from .conditions import ElementaryWeights
 from .trees import RootedTree, TreesByOrder, format_tree, tree_factorial
 
@@ -403,15 +403,12 @@ class OrderReport(Record):
 
     def rows(self) -> list[tuple]:
         """(tree, order, weight, rhs, residual, pass) per residual, the tree
-        and the rationals as text; one too long to print is a ValueError."""
-        try:
-            return [
-                (format_tree(entry.tree), entry.order, str(entry.weight),
-                 str(entry.rhs), str(entry.residual), entry.passed)
-                for entry in self.residuals
-            ]
-        except ValueError:
-            raise too_long_to_print("lower --max-order or use shorter tableau entries") from None
+        and the rationals as text (algebra.format_rational)."""
+        return [
+            (format_tree(entry.tree), entry.order, format_rational(entry.weight),
+             format_rational(entry.rhs), format_rational(entry.residual), entry.passed)
+            for entry in self.residuals
+        ]
 
     def to_mapping(self) -> dict:
         residuals = [dict(zip(RESIDUAL_KEYS, row)) for row in self.rows()]

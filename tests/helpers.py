@@ -88,17 +88,14 @@ def in_fresh_process(probe, *args):
 
 
 def main_by_full_parser(argv):
-    """cli.main(argv) with the whole argv parsed by cli.build_parser(), and
-    dispatched through the same command table: the exit code."""
+    """cli.main(argv) with the whole argv parsed by cli.build_parser(): the
+    exit code."""
+    read = cli._read_argv
+    cli._read_argv = lambda argv: None
     try:
-        parsed = cli.build_parser().parse_args(cli._join_points(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return cli._COMMANDS[parsed.subcommand][2](parsed)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return cli.main(argv)
+    finally:
+        cli._read_argv = read
 
 
 def field_value(field, point):

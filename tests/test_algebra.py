@@ -43,7 +43,10 @@ from butcher_kit.algebra import (
     poly_dot,
     poly_sum,
 )
-from butcher_kit.conditions import all_order_conditions
+from butcher_kit.conditions import OrderCondition, all_order_conditions
+from butcher_kit.oracle import TauSeries
+from butcher_kit.trees import RootedTree
+from butcher_kit.verify import OrderReport, ResidualEntry
 
 
 class TestRationals:
@@ -108,6 +111,52 @@ class TestRationals:
         for text, reduced in (("2/4", (1, 2)), ("-2/4", (-1, 2)), ("6/3", (2, 1))):
             value = parse_rational(text)
             assert (value.numerator, value.denominator) == reduced
+
+
+# A rational and an integer of 5,000 digits, past what Python prints.
+_TINY = Fraction(1, 10**5000)
+_LONG = 10**5000
+
+
+def _long_report():
+    entry = ResidualEntry(RootedTree(), 1, _TINY, Fraction(1), _TINY - 1, False)
+    return OrderReport("long", 1, True, True, "exact", None, 1, 0, (entry,))
+
+
+class TestTooLongToPrint:
+    # Every printer refuses a value too long to print with the same words,
+    # which name the limit and no flag: only the CLI knows its flags.
+    @pytest.mark.parametrize(
+        "printer",
+        [
+            lambda: format_rational(_TINY),
+            lambda: OrderCondition(RootedTree(), CoeffPolynomial.zero(), _TINY).rhs_text(),
+            lambda: OrderCondition(RootedTree(), CoeffPolynomial.zero(), _TINY).rhs_text("latex"),
+            lambda: CoeffPolynomial.constant(_LONG).render(),
+            lambda: CoeffPolynomial.constant(_LONG).render("latex"),
+            lambda: (CoeffPolynomial.variable(b_var(1)) * _LONG).render(),
+            lambda: (CoeffPolynomial.variable(b_var(1)) * _TINY).render("latex"),
+            lambda: _long_report().rows(),
+            lambda: TauSeries(((Fraction(1),), (_TINY,))).to_mapping(),
+        ],
+        ids=[
+            "format_rational", "rhs_text", "rhs_text-latex", "render", "render-latex",
+            "render-term", "render-term-latex", "OrderReport.rows", "TauSeries.to_mapping",
+        ],
+    )
+    def test_every_printer_gives_one_refusal(self, printer):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as err:
+            printer()
+        assert str(err.value) == f"a value has more than {limit} digits, too many to print"
+
+    @pytest.mark.parametrize("style", ["html", "LaTeX"])
+    def test_an_unknown_style_is_refused_first(self, style):
+        message = f"^unknown render style: {style!r}$"
+        with pytest.raises(ValueError, match=message):
+            CoeffPolynomial.constant(_LONG).render(style)
+        with pytest.raises(ValueError, match=message):
+            OrderCondition(RootedTree(), CoeffPolynomial.zero(), _TINY).rhs_text(style)
 
 
 class TestCoeffVar:
