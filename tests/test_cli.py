@@ -1191,19 +1191,23 @@ def _spelled(flag, values):
     )
 
 
-def _switch(flag):
-    """A store_true flag, present or absent."""
-    return st.sampled_from([[flag], []])
+def _switch(flag, lax):
+    """A store_true flag, present or absent; with lax, also given a value
+    as "--flag=value", which argparse refuses."""
+    spellings = [[flag], []]
+    if lax:
+        spellings += [[f"{flag}={value}"] for value in ("1", "")]
+    return st.sampled_from(spellings)
 
 
 def _commands(tableau_path, field_path, edge_path, lax):
     """Argvs of the five subcommands.
 
     With lax, each option, required ones too, is given once, left out or
-    given twice, so that argvs the parsers must refuse are common. Without
-    it, each required option is given once and each other option once or
-    not at all, so that most argvs run and reach the tableau and field
-    readers.
+    given twice, and each store_true flag may carry a value, so that argvs
+    the parsers must refuse are common.  Without it, each required option
+    is given once and each other option once or not at all, so that most
+    argvs run and reach the tableau and field readers.
     """
 
     def option(flag, values, required=False):
@@ -1241,9 +1245,9 @@ def _commands(tableau_path, field_path, edge_path, lax):
             option("--order", _sizes(5), required=True),
             option("--stages", _sizes(3)),
             option("--format", _formats("text", "latex", "json")),
-            _switch("--explicit"),
-            _switch("--subst-c"),
-            _switch("--generic"),
+            _switch("--explicit", lax),
+            _switch("--subst-c", lax),
+            _switch("--generic", lax),
         ),
         _argv("count", option("--order", _sizes(7), required=True)),
         _argv(
