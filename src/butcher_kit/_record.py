@@ -5,11 +5,10 @@ __init__ validates the arguments and stores them, and any attribute it
 derives from them, with set_field, since assignment through the instance
 is refused.  set_field is object.__setattr__, as in a frozen dataclass:
 storing through self.__dict__ is faster to write, but on CPython 3.11 it
-gives the instance a dict of its own, which is larger (168 against 105
-bytes for three fields) and four times slower to read from.  Record gives
-the subclass what a frozen dataclass would, without importing
-dataclasses, whose import and the methods it generates with exec took
-over a quarter of the time every CLI run spends importing the package:
+gives the instance a dict of its own, which is larger and slower to read
+from.  Record gives the subclass what a frozen dataclass would, without
+importing dataclasses, whose import and the methods it generates with
+exec every CLI run would pay for:
 
   * == and hash over the field values in order, == only against an
     instance of the very same class;

@@ -300,8 +300,9 @@ def load_field(source: str | Mapping) -> PolyVectorField:
 # while parsing, before any work.  The coefficient of tau^q is a polynomial
 # of degree 1 + q(d - 1) in x0 for a field of degree d, and Python prints
 # integers of at most 4300 digits: at 100 digits, reports of fields up to
-# degree 7 still print at --p 6, while at a few thousand digits the series
-# routes compute for seconds and the report then fails to print.
+# degree 7 still print at truncation degree 6, while at a few thousand
+# digits the series routes compute for seconds and the report then fails
+# to print.
 # CHANGES.md keeps the times this cap was measured at, with the host.
 MAX_POINT_DIGITS = 100
 
