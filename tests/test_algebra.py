@@ -125,6 +125,7 @@ class TestTooLongToPrint:
         "printer",
         [
             lambda: format_rational(_TINY),
+            lambda: format_rational(Fraction(1, 10 ** sys.get_int_max_str_digits())),
             lambda: OrderCondition(RootedTree(), CoeffPolynomial.zero(), _TINY).rhs_text(),
             lambda: OrderCondition(RootedTree(), CoeffPolynomial.zero(), _TINY).rhs_text("latex"),
             lambda: CoeffPolynomial.constant(_LONG).render(),
@@ -135,7 +136,7 @@ class TestTooLongToPrint:
             lambda: TauSeries(((Fraction(1),), (_TINY,))).to_mapping(),
         ],
         ids=[
-            "format_rational", "rhs_text", "rhs_text-latex", "render", "render-latex",
+            "format_rational", "format_rational-one-digit-over", "rhs_text", "rhs_text-latex", "render", "render-latex",
             "render-term", "render-term-latex", "OrderReport.rows", "TauSeries.to_mapping",
         ],
     )
