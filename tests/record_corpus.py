@@ -100,12 +100,12 @@ FIELDS = {
     "wide6d.json": "1/2,-2/3,3/2,-1,1/3,2",
     "tree_field6.json": ",".join(["0"] * 37),
 }
-_FLAG_SETS = ((), ("--explicit",), ("--subst-c",), ("--explicit", "--subst-c"))
+_FLAG_SETS = ("", "--explicit", "--subst-c", "--explicit --subst-c")
 
 
-def _over_the_size_cap() -> list[list[str]]:
+def _over_the_size_cap() -> list[str]:
     """For each flag set and order, the fewest stages the size cap refuses."""
-    argvs = []
+    cells = []
     for flags in _FLAG_SETS:
         generation = cli.GenerationFlags(
             explicit="--explicit" in flags, substitute_c="--subst-c" in flags
@@ -114,55 +114,51 @@ def _over_the_size_cap() -> list[list[str]]:
             for stages in range(1, cli._STAGES_CAP + 1):
                 size, cap = cli._condition_size(order, stages, generation)
                 if size > cap:
-                    argvs.append(
-                        ["conditions", "--order", str(order), "--stages", str(stages), *flags]
-                    )
+                    cells.append(f"conditions --order {order} --stages {stages} {flags}")
                     break
-    return argvs
+    return cells
 
 
 def _argvs() -> list[list[str]]:
-    argvs: list[list[str]] = []
-    add = argvs.append
+    """Each argv, written as words that no argument of it contains a space in."""
+    lines: list[str] = []
+    add = lines.append
     # count and trees, with the order refusals on either side of the range.
-    for order in ("-1", "0", *map(str, range(1, cli._ORDER_CAP + 1)), "15"):
-        add(["count", "--order", order])
-    for order in ("0", *map(str, range(1, 10)), "15"):
-        for fmt in ("bracket", "json"):
-            add(["trees", "--order", order, "--format", fmt])
-        add(["trees", "--order", order])
+    for order in (-1, 0, *range(1, cli._ORDER_CAP + 1), 15):
+        add(f"count --order {order}")
+    for order in (0, *range(1, 10), 15):
+        for fmt in ("", "--format bracket", "--format json"):
+            add(f"trees --order {order} {fmt}")
 
     # conditions: generic, concrete in every flag set and format, and the
     # refusals, the size cap's edge included.
     for order in range(1, 10):
-        for fmt in (None, "text", "json"):
-            add(["conditions", "--order", str(order), "--generic", *(["--format", fmt] if fmt else [])])
+        for fmt in ("", "--format text", "--format json"):
+            add(f"conditions --order {order} --generic {fmt}")
     for flag in ("--stages 2", "--explicit", "--subst-c", "--format latex"):
-        add(["conditions", "--order", "3", "--generic", *flag.split()])
+        add(f"conditions --order 3 --generic {flag}")
     for order in range(1, 6):
         for stages in range(1, 4):
             for flags in _FLAG_SETS:
                 for fmt in ("text", "latex", "json"):
-                    add(["conditions", "--order", str(order), "--stages", str(stages), *flags, "--format", fmt])
-    add(["conditions", "--order", "6", "--stages", "3", "--explicit"])
-    add(["conditions", "--order", "3"])
-    for stages in ("-1", "0", "101"):
-        add(["conditions", "--order", "1", "--stages", stages])
-    add(["conditions", "--order", "1", "--stages", "100"])
-    add(["conditions", "--order", "0", "--stages", "2"])
-    add(["conditions", "--order", "15", "--stages", "2"])
-    add(["conditions", "--order", "15", "--generic"])
-    argvs += _over_the_size_cap()
+                    add(f"conditions --order {order} --stages {stages} {flags} --format {fmt}")
+    add("conditions --order 6 --stages 3 --explicit")
+    add("conditions --order 3")
+    for cell in ("1 --stages -1", "1 --stages 0", "1 --stages 101", "0 --stages 2", "15 --stages 2"):
+        add(f"conditions --order {cell}")
+    add("conditions --order 15 --generic")
+    lines += _over_the_size_cap()
     # Cells just under the size cap or at the stage cap, where one runs in
     # a fraction of a second.
     for cell in (
         "--order 9 --stages 2",
         "--order 12 --stages 3 --explicit",
         "--order 10 --stages 2 --subst-c",
+        "--order 1 --stages 100",
         "--order 3 --stages 100 --subst-c",
         "--order 3 --stages 100 --explicit --subst-c",
     ):
-        add(["conditions", *cell.split()])
+        add(f"conditions {cell}")
 
     # verify: every tableau, mode and format up to the order it first fails.
     for tableau in TABLEAUS:
@@ -170,14 +166,14 @@ def _argvs() -> list[list[str]]:
         for order in range(1, top + 1):
             for mode in ("exact", "float"):
                 for fmt in ("text", "json"):
-                    add(["verify", tableau, "--max-order", str(order), "--mode", mode, "--format", fmt])
-    add(["verify", "rk4.json", "--max-order", "5"])
-    for require in ("1", "4", "5"):
-        add(["verify", "rk4.json", "--max-order", "5", "--require-order", require])
+                    add(f"verify {tableau} --max-order {order} --mode {mode} --format {fmt}")
+    add("verify rk4.json --max-order 5")
+    for require in (1, 4, 5):
+        add(f"verify rk4.json --max-order 5 --require-order {require}")
     for tol in ("0", "0.5", "1e-12", "1e300"):
-        add(["verify", "extrapolated_euler_123.json", "--max-order", "4", "--mode", "float", "--tol", tol])
+        add(f"verify extrapolated_euler_123.json --max-order 4 --mode float --tol {tol}")
     for fmt in ("text", "json"):
-        add(["verify", "long_entry.json", "--max-order", "2", "--format", fmt])
+        add(f"verify long_entry.json --max-order 2 --format {fmt}")
     for refused in (
         "rk4.json --max-order 0",
         "rk4.json --max-order 15",
@@ -195,20 +191,19 @@ def _argvs() -> list[list[str]]:
         "empty.json --max-order 1",
         "list.json --max-order 1",
     ):
-        add(["verify", *refused.split()])
+        add(f"verify {refused}")
 
     # oracle: every field with and without each tableau, in both formats.
     for field, point in FIELDS.items():
-        degrees = ("0", "1", "3", "6") if field != "tree_field6.json" else ("2", "6")
-        for degree in degrees:
-            for fmt in ("text", "json"):
-                add(["oracle", field, "--x0", point, "--p", degree, "--format", fmt])
-        for tableau in TABLEAUS:
-            for fmt in ("text", "json"):
-                degree = "6" if field in ("tree_field6.json", "wide6d.json") else "4"
-                add(["oracle", field, "--x0", point, "--p", degree, "--tableau", tableau, "--format", fmt])
+        degrees = (2, 6) if field == "tree_field6.json" else (0, 1, 3, 6)
+        with_tableau = 6 if field in ("tree_field6.json", "wide6d.json") else 4
+        for fmt in ("text", "json"):
+            for degree in degrees:
+                add(f"oracle {field} --x0 {point} --p {degree} --format {fmt}")
+            for tableau in TABLEAUS:
+                add(f"oracle {field} --x0 {point} --p {with_tableau} --tableau {tableau} --format {fmt}")
     for fmt in ("text", "json"):
-        add(["oracle", "x1_400.json", "--x0", f"1/{10**30}", "--p", "6", "--tableau", "rk4.json", "--format", fmt])
+        add(f"oracle x1_400.json --x0 1/{10**30} --p 6 --tableau rk4.json --format {fmt}")
     for refused in (
         "rotation2d.json --x0 1,0 --p 7",
         "rotation2d.json --x0 1,0 --p -1",
@@ -225,12 +220,12 @@ def _argvs() -> list[list[str]]:
         "empty.json --x0 1 --p 2",
         "list.json --x0 1 --p 2",
     ):
-        add(["oracle", *refused.split()])
+        add(f"oracle {refused}")
 
     # Spellings the option table reads, and those it defers to argparse:
     # abbreviations, repeats, values that start with "-", stray words,
     # help, and every usage error.
-    for spelled in (
+    lines += [
         "count --order=3",
         "trees --format=json --order 3",
         "conditions --explicit --order 4 --subst-c --stages=2 --format latex",
@@ -260,12 +255,10 @@ def _argvs() -> list[list[str]]:
         "frobnicate",
         "-h",
         "--help",
-    ):
-        add(spelled.split())
-    add([])
-    for name in cli._COMMANDS:
-        add([name, "-h"])
-    return argvs
+        "",
+        *(f"{name} -h" for name in cli._COMMANDS),
+    ]
+    return [line.split() for line in lines]
 
 
 ARGVS = _argvs()

@@ -136,8 +136,9 @@ class TestTooLongToPrint:
             lambda: TauSeries(((Fraction(1),), (_TINY,))).to_mapping(),
         ],
         ids=[
-            "format_rational", "format_rational-one-digit-over", "rhs_text", "rhs_text-latex", "render", "render-latex",
-            "render-term", "render-term-latex", "OrderReport.rows", "TauSeries.to_mapping",
+            "format_rational", "format_rational-one-digit-over", "rhs_text", "rhs_text-latex",
+            "render", "render-latex", "render-term", "render-term-latex", "OrderReport.rows",
+            "TauSeries.to_mapping",
         ],
     )
     def test_every_printer_gives_one_refusal(self, printer):
