@@ -32,8 +32,9 @@ TESTS = Path(__file__).parent
 CORPUS = TESTS / "corpus.json"
 
 _LIMIT = sys.get_int_max_str_digits()
-# Documents written beside the fixtures: rk4 without its name, two values
-# too long for Python to print or read, and documents the readers refuse.
+# Documents written beside the fixtures, besides rk4 without its name
+# (unnamed.json): two values too long for Python to print or read, and
+# documents the readers refuse.
 _DOCUMENTS = {
     "long_entry.json": {"stages": 1, "A": [["1/" + "9" * _LIMIT]], "b": ["1"]},
     "long_literal.json": '{"stages": 1, "A": [["0"]], "b": [' + "1" * (_LIMIT + 1) + "]}",
@@ -120,7 +121,7 @@ def _over_the_size_cap() -> list[str]:
 
 
 def _argvs() -> list[list[str]]:
-    """Each argv, written as words that no argument of it contains a space in."""
+    """Each argv, written as one line of words: no argument holds a space."""
     lines: list[str] = []
     add = lines.append
     # count and trees, with the order refusals on either side of the range.
