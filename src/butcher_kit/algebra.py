@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import Record, set_field
 
@@ -98,12 +98,12 @@ def format_rational(value: Fraction) -> str:
         raise TooLongToPrint from None
 
 
-def integer_rows(rows: Iterable[Iterable[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
-    """Rows of rationals as integer rows over one denominator, the lcm of theirs."""
-    rows = [tuple(row) for row in rows]
-    denominator = math.lcm(*(x.denominator for row in rows for x in row))
-    scaled = [tuple(x.numerator * (denominator // x.denominator) for x in row) for row in rows]
-    return scaled, denominator
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of rationals as integers over one denominator, each distinct object read once."""
+    distinct = {id(x): x for row in rows for x in row}
+    denominator = math.lcm(*[x.denominator for x in distinct.values()])
+    scaled = {key: x.numerator * (denominator // x.denominator) for key, x in distinct.items()}
+    return [tuple(map(scaled.__getitem__, map(id, row))) for row in rows], denominator
 
 
 _KIND_RANK = {"b": 0, "c": 1, "a": 2}
@@ -175,7 +175,7 @@ def a_var(i: int, j: int) -> CoeffVar:
 # sorted by variable; the empty tuple is the constant monomial.
 Monomial = tuple[tuple[CoeffVar, int], ...]
 
-ScalarLike = Union[int, Fraction]
+ScalarLike = int | Fraction
 
 # Inside CoeffPolynomial a monomial is the sorted tuple of its variables'
 # ids, each repeated once per power: b[1]*c[2]^2 is (id b[1], id c[2],

@@ -26,9 +26,9 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import _ORACLE_NAMES
 from .algebra import TooLongToPrint, format_rational
@@ -36,6 +36,7 @@ from .conditions import GenerationFlags, OrderCondition, all_order_conditions, r
 from .trees import enumerate_by_leaf, format_tree, tree_counts, tree_factorial
 from .verify import DEFAULT_TOL, MODES, RESIDUAL_KEYS, load_tableau, tableau_title, verify_order
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import argparse
 

@@ -65,11 +65,17 @@ d g^r r!, of a degree-e monomial at it over d^e g^r r!, and of a slope
 over F d^E g^r r!.  A product of two series then needs only binomial
 weights, and a shift only integer factors, so nothing is divided until
 each output coefficient becomes one Fraction.  The tree
-formulas and the iteration share nothing but the field's term tables: the
-tree routes read the derivatives of f at x0 off them, the iteration the
-terms of f itself, and never the derivative table.  So their agreement is
-a meaningful check, not a tautology, and a wrong F(t) shows in both
-comparisons.
+formulas and the iteration share nothing but the field's term tables and
+their integer form: the tree routes read the derivatives of f at x0 off
+them, the iteration the terms of f itself, and never the derivative table.
+So their agreement is a meaningful check, not a tautology, and a wrong F(t)
+shows in both comparisons.
+
+Each document's integer form is built once, with the document, and every
+route reads it there: the field keeps its coefficients over one
+denominator F, its degree and its monomial recipes (PolyVectorField), and
+the tableau its sparse rows of A over D_A and b over D_b (ButcherTableau).
+So a series converts only the point to integers.
 
 All arithmetic is exact; series are truncated at a caller-chosen degree.
 """
@@ -80,10 +86,11 @@ import math
 import re
 import weakref
 from collections import defaultdict
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
-from operator import mul
-from typing import Callable, Mapping, Sequence
+from itertools import compress
+from operator import mul, sub
 
 from ._record import Record, set_field
 from .algebra import UNSIGNED_RATIONAL, format_rational, integer_rows, parse_rational
@@ -153,7 +160,9 @@ Component = tuple[Term, ...]
 def _parse_component(text: str, dim: int) -> list[Term]:
     # One pass with one position: each factor is one match of _FACTOR, and
     # each check runs where its text is read, so the first error in reading
-    # order is the one raised.  The terms come back as read; PolyVectorField
+    # order is the one raised.  A term's coefficient is kept as an integer
+    # numerator and denominator while its factors are read, and becomes one
+    # Fraction at its end.  The terms come back as read; PolyVectorField
     # sums like terms in one dict, so a long component builds in linear time.
     pos = _SPACE.match(text).end()
     if pos == len(text):
@@ -163,7 +172,7 @@ def _parse_component(text: str, dim: int) -> list[Term]:
     if op in "+-":
         pos += 1
     while True:
-        coefficient = Fraction(-1 if op == "-" else 1)
+        numerator, denominator = -1 if op == "-" else 1, 1
         exponents = [0] * dim
         term = pos
         op = "*"
@@ -172,24 +181,27 @@ def _parse_component(text: str, dim: int) -> list[Term]:
             if factor is None:
                 raise _misplaced(text, pos, "expected a factor")
             start = factor.start("factor")
-            number = factor.group("number")
+            _, number, index, power = factor.groups()
             if number:
                 try:
-                    coefficient *= parse_rational(number)
+                    value = parse_rational(number)
                 except ValueError as err:  # a zero denominator or too many digits
                     raise FieldSyntaxError(str(err), start) from None
+                numerator *= value.numerator
+                denominator *= value.denominator
             else:
-                for group, what in (("index", "variable index"), ("power", "exponent")):
-                    digits = factor.group(group) or ""
+                for digits, group, what in (
+                    (index, "index", "variable index"), (power or "", "power", "exponent")
+                ):
                     if len(digits) > _MAX_DIGITS:
                         raise FieldSyntaxError(
                             f"{what} has {len(digits)} digits, more than {_MAX_DIGITS}",
                             factor.start(group),
                         )
-                index = int(factor.group("index"))
+                index = int(index)
                 if not 1 <= index <= dim:
                     raise FieldSyntaxError(f"unknown variable x{index} (dim is {dim})", start)
-                exponents[index - 1] += int(factor.group("power") or 1)
+                exponents[index - 1] += int(power or 1)
             pos = factor.end()
             op = text[pos : pos + 1]
             pos += 1
@@ -198,7 +210,7 @@ def _parse_component(text: str, dim: int) -> list[Term]:
                 f"degree {sum(exponents)} exceeds the cap of {MAX_FIELD_DEGREE}",
                 _SPACE.match(text, term).end(),
             )
-        terms.append((tuple(exponents), coefficient))
+        terms.append((tuple(exponents), Fraction(numerator, denominator)))
         if not op:
             return terms
         if op not in "+-":
@@ -228,6 +240,12 @@ class PolyVectorField(Record):
     are.  The hash is computed once, here: the oracle looks a field up by
     it for every series it expands, and hashing every coefficient of a
     large field costs far more than the lookup.
+
+    The integer form every series route reads is built once, here too:
+    _coefficients, each component's coefficients as integer numerators over
+    one common scale (algebra.integer_rows); _top, the highest degree of a
+    term (0 for a field without terms); and _recipes, the monomial products
+    the iteration routes build (_monomial_products).
     """
 
     _fields = ("dim", "components")
@@ -249,14 +267,20 @@ class PolyVectorField(Record):
                         f"exponent tuple {exponents} does not match dim {dim}"
                     )
                 key = tuple(exponents)
-                if not all(type(e) is int and e >= 0 for e in key):
+                if set(map(type, key)) != {int} or min(key) < 0:
                     raise ValueError(f"exponent tuple {key} must hold non-negative ints")
-                terms[key] = terms.get(key, 0) + Fraction(coefficient)
+                if coefficient.__class__ is not Fraction:
+                    coefficient = Fraction(coefficient)
+                terms[key] = terms[key] + coefficient if key in terms else coefficient
             tables.append(tuple(sorted((key, c) for key, c in terms.items() if c)))
         components = tuple(tables)
         set_field(self, "dim", dim)
         set_field(self, "components", components)
         set_field(self, "_hash", hash((dim, components)))
+        coefficients = [[c for _, c in terms] for terms in components]
+        set_field(self, "_coefficients", integer_rows(coefficients))
+        set_field(self, "_top", max([sum(e) for terms in components for e, _ in terms], default=0))
+        set_field(self, "_recipes", _monomial_products(components))
 
     def __hash__(self) -> int:
         return self._hash
@@ -463,16 +487,14 @@ class _DerivativeTable:
         # whose entry must not keep its own key alive.
         self._components = field.components
         self.point = _check_point(field, point)  # x0 as Fractions, one per variable
-        # x0 = X / d, and the coefficients are integers C over one scale F.
+        # x0 = X / d, and the field's coefficients are integers C over one scale F.
         (self._x,), self._d = integer_rows([self.point])
-        coefficients, self._scale = integer_rows(
-            [c for _, c in terms] for terms in field.components
-        )
-        self._top = max((sum(e) for terms in field.components for e, _ in terms), default=0)
+        coefficients, self._scale = field._coefficients
+        self._top = field._top
         # Each term of each component c as (c, degree, its nonzero
         # (variable, power) pairs in variable order, C).
         self._terms = [
-            (c, sum(e), tuple((k, power) for k, power in enumerate(e) if power), numerator)
+            (c, sum(e), tuple(compress(enumerate(e), e)), numerator)
             for c, (terms, row) in enumerate(zip(field.components, coefficients))
             for (e, _), numerator in zip(terms, row)
         ]
@@ -643,21 +665,21 @@ def _tree_series(
     return TauSeries(tuple(coeffs))
 
 
-def _monomial_products(field: PolyVectorField) -> list:
+def _monomial_products(components: tuple[Component, ...]) -> list:
     """(m, (left, right)) with m = left * right for every monomial m of degree
-    >= 2 that the field's terms need; left takes half of m's degree, so a
+    >= 2 that a field's terms need; left takes half of m's degree, so a
     power x^e costs at most 2 log2(e) products.  Factors come first."""
     recipes: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    pending = [monomial for component in field.components for monomial, _ in component]
+    pending = [monomial for component in components for monomial, _ in component]
     while pending:
         monomial = pending.pop()
-        if sum(monomial) > 1 and monomial not in recipes:
-            left, room = [], sum(monomial) // 2
+        room = sum(monomial) // 2
+        if room and monomial not in recipes:
+            left = []
             for power in monomial:
-                left.append(min(power, room))
+                left.append(power if power < room else room)
                 room -= left[-1]
-            right = tuple(power - taken for power, taken in zip(monomial, left))
-            recipes[monomial] = (tuple(left), right)
+            recipes[monomial] = (tuple(left), tuple(map(sub, monomial, left)))
             pending += recipes[monomial]
     return sorted(recipes.items(), key=lambda item: sum(item[0]))
 
@@ -680,10 +702,12 @@ def _slopes(
     each slope.
 
     The pass runs in integers, each coefficient over one scale known in
-    advance.  Put x0 = X/d and the field's coefficients as C^/F over one
-    denominator; lift is the common denominator D_A of the weights the
-    shifts apply to the slopes (1 for Picard's integral).  With
-    E = max(1, deg f) and g = lift * F * d^(E - 1), coefficient r
+    advance.  Put x0 = X/d, the one conversion made here, and the field's
+    coefficients as C^/F over one denominator, which the field keeps with
+    its degree and monomial recipes (PolyVectorField); lift is the common
+    denominator D_A of the weights the shifts apply to the slopes (1 for
+    Picard's integral).  With E = max(1, deg f) and g = lift * F *
+    d^(E - 1), coefficient r
 
       - of each stage's argument is an integer over d * g^r * r!;
       - of a monomial of degree e at it is an integer M_r over
@@ -698,17 +722,15 @@ def _slopes(
     and scales[r] = F * d^E * g^r * r!.  Degree -1 gives empty slopes.
     """
     (numerators,), d = integer_rows([x0])
-    coefficients, f_scale = integer_rows(
-        [c for _, c in component] for component in field.components
-    )
-    top = max([1] + [sum(monomial) for component in field.components for monomial, _ in component])
+    coefficients, f_scale = field._coefficients
+    top = max(1, field._top)
     g = lift * f_scale * d ** (top - 1)
     # Per component, (m, C^_m * d^(E - e_m)) for each of its terms C_m * m.
     weighted = [
         [(m, c * d ** (top - sum(m))) for (m, _), c in zip(component, row)]
         for component, row in zip(field.components, coefficients)
     ]
-    products = _monomial_products(field)
+    products = field._recipes
     units = [tuple(int(i == v) for i in range(len(x0))) for v in range(len(x0))]
     constant = [1] + [0] * degree
     # Per stage, the series of every monomial at the stage's argument; a
@@ -740,12 +762,13 @@ def _slopes(
     return slopes, scales
 
 
-def _stage_shift(row: Sequence[int], slopes: list, r: int) -> tuple[int, ...]:
-    """Coefficient r + 1 of x0 + tau * sum_j (row[j] / lift) * k_j, where
-    lift is the denominator row was put over: (r + 1) * sum_j row[j] * K_j,r,
-    the factor r + 1 taking r! to (r + 1)!."""
+def _stage_shift(row: Sequence[tuple[int, int]], slopes: list, r: int) -> tuple[int, ...]:
+    """Coefficient r + 1 of x0 + tau * sum_j (w_j / lift) * k_j over the
+    sparse (j, w_j) pairs of row, where lift is the denominator the weights
+    were put over: (r + 1) * sum_j w_j * K_j,r, the factor r + 1 taking r!
+    to (r + 1)!."""
     return tuple(
-        (r + 1) * sum(w * slope[c][r] for w, slope in zip(row, slopes) if w)
+        (r + 1) * sum([w * slopes[j][c][r] for j, w in row])
         for c in range(len(slopes[0]))
     )
 
@@ -814,11 +837,14 @@ def rk_series_direct(
     point: Sequence[Fraction],
     degree: int,
 ) -> TauSeries:
-    """One-step expansion x0 + tau * sum_i b_i k_i from the stage slopes; no trees."""
+    """One-step expansion x0 + tau * sum_i b_i k_i from the stage slopes; no trees.
+
+    A and b come as the tableau's integer form (ButcherTableau), A's rows
+    already sparse; b is made sparse here.
+    """
     _check_degree(degree)
     x0 = _check_point(field, point)
-    a, d_a = integer_rows(tableau.a)
+    a, d_a, _, b, d_b = tableau._integers
     shifts = [partial(_stage_shift, row) for row in a]
     slopes, scales = _slopes(field, x0, degree - 1, shifts, d_a)
-    (b,), d_b = integer_rows([tableau.b])
-    return _update(x0, partial(_stage_shift, b), d_b, slopes, scales)
+    return _update(x0, partial(_stage_shift, list(compress(enumerate(b), b))), d_b, slopes, scales)

@@ -54,10 +54,10 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import total_ordering
 from itertools import chain
-from typing import Iterable, Iterator
 
 __all__ = [
     "RootedTree",

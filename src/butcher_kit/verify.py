@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from itertools import chain, compress
 
 from ._record import Record, set_field
 from .algebra import format_rational, integer_rows, parse_rational
@@ -49,10 +50,7 @@ MODES = ("exact", "float")
 DEFAULT_TOL = 1e-12
 
 
-EntryLike = Union[int, str, Fraction]
-
-
-def _coerce_entry(value: object, where: str) -> Fraction:
+def _coerce_entry(value: object, where: str, parsed: dict[str, Fraction]) -> Fraction:
     if isinstance(value, bool):
         raise TableauError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, (int, Fraction)):
@@ -63,7 +61,7 @@ def _coerce_entry(value: object, where: str) -> Fraction:
         )
     if isinstance(value, str):
         try:
-            return parse_rational(value)
+            return parsed[value] if value in parsed else parse_rational(value)
         except ValueError as err:
             raise TableauError(f"{where}: {err}") from None
     raise TableauError(f"{where}: expected a rational, got {type(value).__name__}")
@@ -73,11 +71,11 @@ class ButcherTableau(Record):
     """Coefficients of an s-stage method; all entries exact rationals.
 
     c defaults to the row sums of A when omitted (None).  The integer form
-    is built once, here: A's nonzero and b's numerators over one common
-    denominator each (algebra.integer_rows), and A's integer row sums, which
-    over D_A are the default c and row_sums().  It serves every
-    elementary_weights() and explicit, true exactly when A is strictly
-    lower triangular.
+    is built once, here, as _integers: A's nonzero and b's numerators over
+    one common denominator each (algebra.integer_rows, once per distinct
+    entry), and A's integer row sums, which over D_A are the default c and
+    row_sums().  Every elementary_weights(), the oracle's rk_series_direct
+    and explicit, true exactly when A is strictly lower triangular, read it.
     """
 
     _fields = ("name", "a", "b", "c")
@@ -96,9 +94,9 @@ class ButcherTableau(Record):
             raise TableauError(f"A must be {s}x{s} to match b")
         rows, d_a = integer_rows(a)
         (b_row,), d_b = integer_rows([b])
-        leaf = [sum(row) for row in rows]
+        leaf = list(map(sum, rows))
         sums = tuple([Fraction(x, d_a) for x in leaf])
-        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+        sparse = [list(compress(enumerate(row), row)) for row in rows]
         set_field(self, "_integers", (sparse, d_a, leaf, b_row, d_b))
         if c is None:
             c = sums
@@ -114,26 +112,27 @@ class ButcherTableau(Record):
     def from_rows(
         cls,
         name: str,
-        a: Sequence[Sequence[EntryLike]],
-        b: Sequence[EntryLike],
-        c: Sequence[EntryLike] | None = None,
+        a: Sequence[Sequence[int | str | Fraction]],
+        b: Sequence[int | str | Fraction],
+        c: Sequence[int | str | Fraction] | None = None,
     ) -> "ButcherTableau":
-        # Each distinct entry string is parsed once per document, a zero
-        # written in every empty cell included.  Only str entries are kept:
-        # True == 1, so an int key could hand a boolean an int's entry.
+        # Each distinct entry string is parsed once per document into one
+        # Fraction all its cells share; a row of anything else is read cell by
+        # cell, which names the first bad cell in reading order.  Only str
+        # keys: True == 1, so an int key could hand a boolean an int's entry.
         parsed: dict[str, Fraction] = {}
+        try:
+            for text in dict.fromkeys(chain(*a, b, c or ())):
+                if type(text) is str:
+                    parsed[text] = parse_rational(text)
+        except (TypeError, ValueError):  # an unhashable entry or a bad text
+            pass
 
-        def coerce(entries: Sequence[EntryLike], where) -> tuple[Fraction, ...]:
-            row = []
-            for k, entry in enumerate(entries, start=1):
-                if type(entry) is str:
-                    value = parsed.get(entry)
-                    if value is None:
-                        value = parsed[entry] = _coerce_entry(entry, where(k))
-                else:
-                    value = _coerce_entry(entry, where(k))
-                row.append(value)
-            return tuple(row)
+        def coerce(entries: Sequence[int | str | Fraction], where) -> tuple[Fraction, ...]:
+            try:
+                return tuple(map(parsed.__getitem__, entries))
+            except (KeyError, TypeError):
+                return tuple([_coerce_entry(x, where(k), parsed) for k, x in enumerate(entries, 1)])
 
         a_rows = tuple(coerce(row, f"A[{i}][{{}}]".format) for i, row in enumerate(a, start=1))
         b_row = coerce(b, "b[{}]".format)

@@ -31,6 +31,9 @@ var_sort_key are the test-only readings of a field, a condition and a
 variable.  main_by_full_parser is the CLI with every argv parsed by
 build_parser()'s full parser, the reference for main's two parse routes.
 in_fresh_process runs a probe where the id store holds no text yet.
+integer_rows_reference is algebra.integer_rows cell by cell, and
+tableau_integers_reference and field_integers_reference the integer form a
+tableau and a field keep, each built from it.
 """
 
 import json
@@ -444,6 +447,30 @@ def residuals_reference(tableau, max_order, mode, tol):
         if not all(entry.passed for entry in entries):
             break
     return entries
+
+
+def integer_rows_reference(rows):
+    """Rows of rationals as integer numerators over one denominator, the lcm
+    of every cell's, read cell by cell."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    denominator = math.lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(x.numerator * denominator // x.denominator for x in row) for row in rows], denominator
+
+
+def tableau_integers_reference(tableau):
+    """A's rows as their nonzero (j, numerator) pairs over D_A, D_A, A's
+    integer row sums, b's numerators over D_b and D_b."""
+    rows, d_a = integer_rows_reference(tableau.a)
+    (b,), d_b = integer_rows_reference([tableau.b])
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    return sparse, d_a, [sum(row) for row in rows], b, d_b
+
+
+def field_integers_reference(field):
+    """The field's coefficients per component over one scale, and its degree."""
+    coefficients = integer_rows_reference([c for _, c in terms] for terms in field.components)
+    degrees = [sum(exponents) for terms in field.components for exponents, _ in terms]
+    return coefficients, max(degrees, default=0)
 
 
 def explicit_euler():

@@ -1142,12 +1142,13 @@ _FIELD_LIKE = st.fixed_dictionaries(
     },
     optional={"extra": _SCALARS},
 )
-# Inputs that fail late or deep: at x0 = 10^-2200 the series of x1^2 holds
-# a value too big to format from degree 1 on, found only after the series
-# are computed; an exponent of 5000 digits is too long for int() to read.
-_TINY_POINT = f"1/{10**2200}"
+# Inputs that fail late or deep.  x0 = 10^-99 is within the point's digit
+# cap, but at it the series of x1^45 holds a value too long to print from
+# degree 1 on (f(x0) = 10^-4455), found only after the series are computed;
+# an exponent of 5000 digits is too long for int() to read.
+_EDGE_POINT = f"1/{10**99}"
 _EDGE_FIELDS = st.sampled_from(
-    [json.dumps({"dim": 1, "components": [text]}) for text in ("x1^2", "x1 + x1^" + "9" * 5000)]
+    [json.dumps({"dim": 1, "components": [text]}) for text in ("x1^45", "x1 + x1^" + "9" * 5000)]
 )
 _MALFORMED = st.sampled_from(["", "{", "[1, 2]", "null", "[" * 5000 + "]" * 5000])
 # Values that start with "-" but do not read as a negative number, such as
@@ -1258,7 +1259,7 @@ def _commands(tableau_path, field_path, edge_path, lax):
         _argv(
             "oracle",
             st.just([edge_path]),
-            _spelled("--x0", st.just(_TINY_POINT)),
+            _spelled("--x0", st.just(_EDGE_POINT)),
             _spelled("--p", st.integers(0, 6).map(str)),
             option("--tableau", tableau),
             formats,
@@ -1317,6 +1318,18 @@ def _route_examples(*argvs):
 
 
 class TestFuzz:
+    def test_edge_argv_reaches_the_print_refusal(self, tmp_path):
+        # The fuzz's edge oracle argv on its degree-45 field, at the largest
+        # --p it draws: the point passes its digit cap, the series are
+        # computed, and only printing them fails, in the oracle's words,
+        # before any of the report.
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"dim": 1, "components": ["x1^45"]}))
+        start = time.monotonic()
+        outputs = _outputs(main, ["oracle", str(path), "--x0", _EDGE_POINT, "--p", "6"])
+        assert time.monotonic() - start < 1
+        assert outputs == (2, "", _TOO_LONG_TO_PRINT)
+
     @settings(
         max_examples=200,
         deadline=None,

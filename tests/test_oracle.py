@@ -10,7 +10,8 @@ repeated directional derivatives of the field.  Both kinds of route run
 in integers, and each is checked against the same series built Fraction by
 Fraction.  On the tree field of Butcher's theorem the iteration routes
 recompute every 1/t! and every elementary weight, stage by stage, on
-their own.
+their own.  A field keeps the integer form of its Fractions, which the
+routes read, so that a series converts only its point.
 """
 
 import gc
@@ -36,6 +37,7 @@ from helpers import (
     differential_reference,
     directional_derivative,
     explicit_euler,
+    field_integers_reference,
     field_value,
     implicit_midpoint,
     iteration_series_reference,
@@ -46,7 +48,8 @@ from helpers import (
     tree_series_reference,
 )
 
-from butcher_kit import oracle
+from butcher_kit import oracle, verify
+from butcher_kit.algebra import integer_rows
 from butcher_kit.oracle import (
     MAX_FIELD_DEGREE,
     MAX_FIELD_DIM,
@@ -441,6 +444,54 @@ class TestPolyVectorField:
     def test_evaluate_checks_the_point_length(self):
         with pytest.raises(ValueError, match="^point has 1 entries, expected 2$"):
             field_value(MIXED, (F(1),))
+
+
+class TestIntegerForm:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(spelled=_spelled_tables())
+    def test_loaded_field_keeps_the_integer_form_of_its_fractions(self, spelled):
+        dim, table, text = spelled
+        loaded = load_field({"dim": dim, "components": [text] * dim})
+        assert (loaded._coefficients, loaded._top) == field_integers_reference(loaded)
+        # Built from the term table or pickled, the field is the same record
+        # with the same integer form.
+        built = PolyVectorField(dim, (table,) * dim)
+        copied = pickle.loads(pickle.dumps(loaded))
+        for twin in (built, copied):
+            assert twin == loaded and hash(twin) == hash(loaded)
+            assert (twin._coefficients, twin._top, twin._recipes) == (
+                loaded._coefficients, loaded._top, loaded._recipes,
+            )
+        # Every monomial of degree 2 or more that a term needs has a recipe,
+        # two halves by degree, each of degree 2 or more after its own.
+        order = [monomial for monomial, _ in loaded._recipes]
+        for position, (monomial, (left, right)) in enumerate(loaded._recipes):
+            assert tuple(map(sum, zip(left, right))) == monomial
+            assert sum(left) == sum(monomial) // 2
+            assert all(sum(half) < 2 or order.index(half) < position for half in (left, right))
+        needed = {monomial for terms in loaded.components for monomial, _ in terms}
+        assert {monomial for monomial in needed if sum(monomial) > 1} <= set(order)
+
+    def test_series_routes_convert_only_the_point(self, monkeypatch):
+        # With the documents built, the two tree routes share one derivative
+        # table, which converts the point; each iteration route converts it
+        # once more, and nothing converts the field or the tableau again.
+        field = load_field({"dim": 2, "components": ["x2 - 1/3", "2/5*x1^2 - 1/2*x2"]})
+        tableau = butcher6(*BUTCHER6_SAMPLES[0])
+        point = parse_point("1/2,-2/3", 2)
+        calls = []
+
+        def counting(rows):
+            rows = [tuple(row) for row in rows]
+            calls.append(rows)
+            return integer_rows(rows)
+
+        monkeypatch.setattr(oracle, "integer_rows", counting)
+        monkeypatch.setattr(verify, "integer_rows", counting)
+        flow = flow_series_trees(field, point, 5), flow_series_picard(field, point, 5)
+        step = rk_series_trees(tableau, field, point, 5), rk_series_direct(tableau, field, point, 5)
+        assert calls == [[point]] * 3
+        assert flow[0] == flow[1] and step[0] == step[1]
 
 
 class TestDifferentialReference:

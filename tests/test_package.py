@@ -4,7 +4,8 @@ butcher_kit exports exactly the names its modules list in __all__, each
 the module's own object, so a change to the surface edits one list.  The
 oracle's names are served on first use, and only the oracle subcommand
 loads the oracle.  Its eight records keep the contract of a frozen
-dataclass, and importing the CLI loads neither dataclasses nor inspect.
+dataclass, and importing the CLI loads neither dataclasses nor inspect,
+and no run loads typing.
 README's Python example runs as written, and its table from the paper to
 the code names the package's own callables.
 """
@@ -218,6 +219,34 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # that dataclasses, and the inspect, ast and dis it pulls in, stay out.
     probe = "import sys, butcher_kit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     assert _fresh(probe) == "[]\n"
+
+
+def test_cli_runs_never_load_typing():
+    # Annotations name collections.abc's classes, and a run-time check uses
+    # them too, so typing (and the re it imports) is never paid for: not
+    # by the import, by count, nor by any other subcommand's run.
+    probe = """
+import contextlib, io, json, sys
+loaded = ["typing" in sys.modules]
+import butcher_kit.cli as cli
+loaded.append("typing" in sys.modules)
+runs = [
+    ["count", "--order", "5"],
+    ["trees", "--order", "4"],
+    ["conditions", "--order", "3", "--stages", "2"],
+    ["verify", "rk4.json", "--max-order", "5"],
+    ["oracle", "rotation2d.json", "--x0", "1,0", "--p", "4", "--tableau", "rk4.json"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+    loaded.append("typing" in sys.modules)
+print(json.dumps([codes, loaded]))
+"""
+    codes, loaded = json.loads(_fresh(probe, cwd=FIXTURES))
+    assert codes == [0, 0, 0, 1, 0]
+    assert loaded == [False] * 7
 
 
 def test_cli_runs_load_argparse_only_for_help():

@@ -9,7 +9,10 @@ Core claims:
     evaluate), on fixed and on random explicit and implicit tableaus;
   * c never enters the residuals; inconsistent c is only flagged;
   * the loader gives distinct diagnostics for dimension mismatches,
-    malformed rationals, duplicate and unknown fields;
+    malformed rationals, duplicate and unknown fields, and names the first
+    bad cell in reading order however often its text repeats;
+  * a loaded tableau's integer form is that of its Fractions, read cell by
+    cell, and equality, hash and pickling see only the Fractions;
   * in a fresh process each shape's text is joined once: formatting the
     forest again and two reports with their text and mapping join none.
 """
@@ -17,6 +20,7 @@ Core claims:
 import importlib.util
 import json
 import math
+import pickle
 import sys
 import time
 from fractions import Fraction
@@ -39,6 +43,7 @@ from helpers import (
     residuals_reference,
     rk4,
     substitute,
+    tableau_integers_reference,
     weight_reference,
 )
 
@@ -62,6 +67,20 @@ from butcher_kit.verify import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+# Entries from small pools, texts and JSON integers, so that equal texts and
+# equal values written differently repeat across a document's cells.
+_ENTRIES = st.sampled_from(["0", "1", "-1", "1/2", "2/4", "-1/3", "0.25", "3/7", " 1/2 "])
+
+
+@st.composite
+def _tableau_documents(draw):
+    stages = draw(st.integers(1, 5))
+    row = st.lists(_ENTRIES | st.integers(-3, 3), min_size=stages, max_size=stages)
+    document = {"stages": stages, "A": [draw(row) for _ in range(stages)], "b": draw(row)}
+    if draw(st.booleans()):
+        document["c"] = draw(row)
+    return document
 
 
 def _bushy(q):
@@ -173,20 +192,67 @@ class TestLoading:
         assert parsed[4:] == parsed[:4]
 
     @pytest.mark.parametrize(
-        "a,where",
+        "a,b,c,where",
         [
             # True == 1 and hash(True) == hash(1), but a boolean is never
             # read as the int before it, nor as an equal string.
-            ([[1, "0"], ["0", True]], "A[2][2]"),
-            ([["1", True], ["0", "0"]], "A[1][2]"),
+            ([[1, "0"], ["0", True]], ["1", "0"], None, "A[2][2]"),
+            ([["1", True], ["0", "0"]], ["1", "0"], None, "A[1][2]"),
             # A bad entry written twice is named where it first stands.
-            ([["0", "1/0"], ["1/0", "0"]], "A[1][2]"),
+            ([["0", "1/0"], ["1/0", "0"]], ["1", "0"], None, "A[1][2]"),
+            # A bad text met first after repeats of parsed ones, in a later
+            # row, in b or in c, is named there.
+            ([["0", "1/2"], ["1/2", "x"]], ["1", "0"], None, "A[2][2]"),
+            ([["0", "0"], ["0", "0"]], ["0", "1//2"], None, "b[2]"),
+            ([["0", "1/2"], ["1/2", "0"]], ["1/2", "1/2"], ["1/2", "x"], "c[2]"),
+            # A boolean or float after parsed texts, before a bad text, and
+            # after one.
+            ([["0", "1/2"], ["1/2", True]], ["1", "0"], None, "A[2][2]"),
+            ([["0", "1/2"], ["1/2", 0.5]], ["1", "0"], None, "A[2][2]"),
+            ([["0", True], ["1/0", "0"]], ["1", "0"], None, "A[1][2]"),
+            ([["0", "1/0"], [0.5, "0"]], ["1", "0"], None, "A[1][2]"),
+            ([["0", "1/2"], ["1/2", "0"]], ["1/2", False], None, "b[2]"),
+            # An entry that is not even hashable, before a bad text.
+            ([["0", [1]], ["1/0", "0"]], ["1", "0"], None, "A[1][2]"),
         ],
     )
-    def test_repeated_entries_are_still_refused_where_they_stand(self, a, where):
+    def test_repeated_entries_are_still_refused_where_they_stand(self, a, b, c, where):
+        document = {"stages": 2, "A": a, "b": b} | ({} if c is None else {"c": c})
         with pytest.raises(TableauError) as err:
-            load_tableau({"stages": 2, "A": a, "b": ["1", "0"]})
+            load_tableau(document)
         assert str(err.value).startswith(f"{where}: ")
+        # The same error, cell for cell, as each entry read on its own.
+        rows = [(f"A[{i}][{k}]", entry) for i, row in enumerate(a, 1) for k, entry in enumerate(row, 1)]
+        rows += [(f"b[{k}]", entry) for k, entry in enumerate(b, 1)]
+        rows += [(f"c[{k}]", entry) for k, entry in enumerate(c or (), 1)]
+        for cell, entry in rows:
+            try:
+                verify._coerce_entry(entry, cell, {})
+            except TableauError as first:
+                assert str(err.value) == str(first)
+                break
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(document=_tableau_documents())
+    def test_integer_form_is_that_of_the_fractions(self, document):
+        # Texts repeat across cells, so the loader's one Fraction per
+        # distinct text is shared; a tableau built from one fresh Fraction
+        # per cell, read by Fraction itself, is the same record with the
+        # same integer form, and so is a pickled copy.
+        loaded = load_tableau(document)
+        assert loaded._integers == tableau_integers_reference(loaded)
+
+        def fresh(row):
+            return tuple(Fraction(x) for x in row)
+
+        c = document.get("c")
+        built = ButcherTableau(
+            "", tuple(map(fresh, document["A"])), fresh(document["b"]), c and fresh(c)
+        )
+        copied = pickle.loads(pickle.dumps(loaded))
+        for twin in (built, copied):
+            assert twin == loaded and hash(twin) == hash(loaded)
+            assert twin._integers == loaded._integers
 
     @pytest.mark.parametrize(
         "name,shown",
