@@ -454,7 +454,8 @@ def integer_rows_reference(rows):
     of every cell's, read cell by cell."""
     rows = [[Fraction(x) for x in row] for row in rows]
     denominator = math.lcm(*(x.denominator for row in rows for x in row))
-    return [tuple(x.numerator * denominator // x.denominator for x in row) for row in rows], denominator
+    scaled = [tuple(x.numerator * denominator // x.denominator for x in row) for row in rows]
+    return scaled, denominator
 
 
 def tableau_integers_reference(tableau):

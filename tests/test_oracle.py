@@ -462,8 +462,9 @@ class TestIntegerForm:
             assert (twin._coefficients, twin._top, twin._recipes) == (
                 loaded._coefficients, loaded._top, loaded._recipes,
             )
-        # Every monomial of degree 2 or more that a term needs has a recipe,
-        # two halves by degree, each of degree 2 or more after its own.
+        # Every monomial of degree 2 or more that a term needs has a recipe:
+        # two halves whose product it is, the first of half its degree, and
+        # each half of degree 2 or more listed before it.
         order = [monomial for monomial, _ in loaded._recipes]
         for position, (monomial, (left, right)) in enumerate(loaded._recipes):
             assert tuple(map(sum, zip(left, right))) == monomial

@@ -222,15 +222,17 @@ class TestLoading:
             load_tableau(document)
         assert str(err.value).startswith(f"{where}: ")
         # The same error, cell for cell, as each entry read on its own.
-        rows = [(f"A[{i}][{k}]", entry) for i, row in enumerate(a, 1) for k, entry in enumerate(row, 1)]
-        rows += [(f"b[{k}]", entry) for k, entry in enumerate(b, 1)]
-        rows += [(f"c[{k}]", entry) for k, entry in enumerate(c or (), 1)]
-        for cell, entry in rows:
+        cells = [(f"A[{i}][{k}]", x) for i, row in enumerate(a, 1) for k, x in enumerate(row, 1)]
+        cells += [(f"b[{k}]", x) for k, x in enumerate(b, 1)]
+        cells += [(f"c[{k}]", x) for k, x in enumerate(c or (), 1)]
+        for cell, entry in cells:
             try:
                 verify._coerce_entry(entry, cell, {})
             except TableauError as first:
                 assert str(err.value) == str(first)
                 break
+        else:
+            pytest.fail("no entry read on its own is refused")
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(document=_tableau_documents())
