@@ -192,16 +192,26 @@ class TestLoading:
         assert parsed[4:] == parsed[:4]
 
     @pytest.mark.parametrize(
-        "a,b,c,where",
+        "a,where",
         [
             # True == 1 and hash(True) == hash(1), but a boolean is never
             # read as the int before it, nor as an equal string.
-            ([[1, "0"], ["0", True]], ["1", "0"], None, "A[2][2]"),
-            ([["1", True], ["0", "0"]], ["1", "0"], None, "A[1][2]"),
+            ([[1, "0"], ["0", True]], "A[2][2]"),
+            ([["1", True], ["0", "0"]], "A[1][2]"),
             # A bad entry written twice is named where it first stands.
-            ([["0", "1/0"], ["1/0", "0"]], ["1", "0"], None, "A[1][2]"),
+            ([["0", "1/0"], ["1/0", "0"]], "A[1][2]"),
+        ],
+    )
+    def test_repeated_entries_are_still_refused_where_they_stand(self, a, where):
+        with pytest.raises(TableauError) as err:
+            load_tableau({"stages": 2, "A": a, "b": ["1", "0"]})
+        assert str(err.value).startswith(f"{where}: ")
+
+    @pytest.mark.parametrize(
+        "a,b,c,where",
+        [
             # A bad text met first after repeats of parsed ones, in a later
-            # row, in b or in c, is named there.
+            # row, in b or in c.
             ([["0", "1/2"], ["1/2", "x"]], ["1", "0"], None, "A[2][2]"),
             ([["0", "0"], ["0", "0"]], ["0", "1//2"], None, "b[2]"),
             ([["0", "1/2"], ["1/2", "0"]], ["1/2", "1/2"], ["1/2", "x"], "c[2]"),
@@ -216,12 +226,14 @@ class TestLoading:
             ([["0", [1]], ["1/0", "0"]], ["1", "0"], None, "A[1][2]"),
         ],
     )
-    def test_repeated_entries_are_still_refused_where_they_stand(self, a, b, c, where):
+    def test_first_bad_cell_is_named_after_parsed_texts(self, a, b, c, where):
+        # The loader parses every distinct text before it reads the rows,
+        # yet the error is the one the first bad cell in reading order
+        # gives when read on its own.
         document = {"stages": 2, "A": a, "b": b} | ({} if c is None else {"c": c})
         with pytest.raises(TableauError) as err:
             load_tableau(document)
         assert str(err.value).startswith(f"{where}: ")
-        # The same error, cell for cell, as each entry read on its own.
         cells = [(f"A[{i}][{k}]", x) for i, row in enumerate(a, 1) for k, x in enumerate(row, 1)]
         cells += [(f"b[{k}]", x) for k, x in enumerate(b, 1)]
         cells += [(f"c[{k}]", x) for k, x in enumerate(c or (), 1)]
